@@ -9,8 +9,8 @@ Four workflows over JSON problem files:
 * ``verify``: independently re-check a certificate against its problem.
 
 Exit codes are fixed for CI use: 0 ok, 1 verification failed, 2 bad
-input, 3 internal inconsistency, 4 descent hypothesis violated, 5 the
-solver's own certificate failed self-verification.
+input, 3 internal inconsistency or error, 4 descent hypothesis
+violated, 5 the solver's own certificate failed self-verification.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ def _resolve_backend(choice: Optional[str], tol: Fraction) -> Backend:
 def _settings(doc: dict, opts: dict) -> tuple[Fraction, Fraction]:
     tol, t_max = problemfile.evaluation_settings(doc)
     if opts.get("tol") is not None:
-        tol = frac(opts["tol"])
+        tol = problemfile._num(opts["tol"], "--tol")
     if opts.get("t_max") is not None:
-        t_max = frac(opts["t_max"])
+        t_max = problemfile._num(opts["t_max"], "--t-max")
     if tol <= 0 or t_max <= 0:
         raise ProblemFileError("--tol and --t-max must be positive")
     return tol, t_max
@@ -303,6 +303,10 @@ def _guarded(command: str, path: str, opts: dict) -> tuple[int, str]:
         ValueError,
     ) as e:
         return EXIT_INPUT, f"input error: {e}"
+    except Exception as e:
+        # any other failure is a bug; report it for this file only, so a
+        # batch keeps the other files' results
+        return EXIT_INTERNAL, f"internal error: {type(e).__name__}: {e}"
 
 
 def _worker(task: tuple[str, str, dict]) -> tuple[str, int, str]:

@@ -34,7 +34,6 @@ perturbation direction.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -78,7 +77,6 @@ __all__ = [
     "verify_certificate",
     "ae_efficient",
     "coradiant_escape_check",
-    "clear_dominance_cache",
 ]
 
 
@@ -257,6 +255,7 @@ class EVPProblem:
     feasible: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_dominance", {})  # see `dominates`
         object.__setattr__(self, "epsilon", frac(self.epsilon))
         if self.epsilon <= 0:
             raise InvalidConfigurationError("epsilon must be positive")
@@ -323,30 +322,26 @@ def dominates(p: EVPProblem, xprime: str, x: str, backend: Backend = EXACT) -> b
     """Is xprime below x, i.e. f(x) within f(xprime) + scale*d*H + K?
 
     Each image of f(x) must be reachable from some image of f(xprime);
-    one feasibility LP per candidate pair, with the whole answer memoized
-    per (problem, pair, backend).
+    one feasibility LP per candidate pair.  The answer is memoized per
+    (pair, backend) in a dict that lives on the problem object, so it is
+    freed with the problem and never answers for another one.
     """
     p.space._index_of(xprime)
     p.space._index_of(x)
-    return _dominates_cached(p, xprime, x, backend)
-
-
-@functools.lru_cache(maxsize=200_000)
-def _dominates_cached(p: EVPProblem, xprime: str, x: str, backend: Backend) -> bool:
-    t = p.scale * p.space.d(x, xprime)
-    targets = p.images(x)
-    sources = p.images(xprime)
-    for y in targets:
-        if not any(
-            scaled_H_plus_K_contains(p.H, p.K, vec_sub(y, ysrc), t, backend)
-            for ysrc in sources
-        ):
-            return False
-    return True
-
-
-def clear_dominance_cache() -> None:
-    _dominates_cached.cache_clear()
+    key = (xprime, x, backend)
+    ans = p._dominance.get(key)
+    if ans is None:
+        t = p.scale * p.space.d(x, xprime)
+        sources = p.images(xprime)
+        ans = all(
+            any(
+                scaled_H_plus_K_contains(p.H, p.K, vec_sub(y, ysrc), t, backend)
+                for ysrc in sources
+            )
+            for y in p.images(x)
+        )
+        p._dominance[key] = ans
+    return ans
 
 
 def lower_section(p: EVPProblem, x: str, backend: Backend = EXACT) -> tuple[str, ...]:
@@ -423,14 +418,22 @@ class EVPCertificate:
     """Solver output with enough data to re-verify every claim.
 
     ``chain`` walks from x0 to xbar through the pre-order;
-    ``xi_trace`` holds the potential minimum at each chain point and is
-    strictly decreasing, by at least scale * step distance per move.
+    ``xi_trace`` holds the potential minimum at each chain point, scored
+    exactly whatever backend chose the chain, and is strictly decreasing,
+    by at least scale * step distance per move.
     """
 
     xbar: str
     y0: Vec
     chain: tuple[str, ...]
     xi_trace: tuple[Fraction, ...]
+
+
+def _potential(
+    p: EVPProblem, sf: SeparationFunctional, label: str, y0: Vec, backend: Backend
+) -> ExtendedReal:
+    """xi at a point: the least phi(y - y0) over its images."""
+    return min(evaluate(sf, vec_sub(y, y0), backend) for y in p.images(label))
 
 
 def solve(p: EVPProblem, backend: Backend = EXACT) -> EVPCertificate:
@@ -463,9 +466,7 @@ def solve(p: EVPProblem, backend: Backend = EXACT) -> EVPCertificate:
     def score(label: str) -> ExtendedReal:
         val = score_cache.get(label)
         if val is None:
-            val = min(
-                evaluate(sf, vec_sub(y, witness), backend) for y in p.images(label)
-            )
+            val = _potential(p, sf, label, witness, backend)
             score_cache[label] = val
         return val
 
@@ -480,7 +481,6 @@ def solve(p: EVPProblem, backend: Backend = EXACT) -> EVPCertificate:
 
     order = {l: i for i, l in enumerate(p.space.labels)}
     chain = [p.x0]
-    trace = [score(p.x0)]
     current = p.x0
     for _ in range(len(p.space.labels) + 1):
         section = lower_section(p, current, backend)
@@ -503,13 +503,13 @@ def solve(p: EVPProblem, backend: Backend = EXACT) -> EVPCertificate:
                     f"by less than scale * distance"
                 )
         chain.append(best)
-        trace.append(score(best))
         current = best
     else:
         raise InternalConsistencyError("descent failed to terminate within |X| moves")
 
     values = []
-    for v in trace:
+    for label in chain:
+        v = score(label) if exact else _potential(p, sf, label, witness, EXACT)
         if not v.is_finite:
             raise InternalConsistencyError("chain point scored +inf")
         values.append(v.value)
@@ -692,20 +692,10 @@ def verify_certificate(
     trace_consistent = len(cert.xi_trace) == len(cert.chain)
     if trace_consistent and chain_valid and witness_valid:
         sf = SeparationFunctional(p.H, p.K)
-        exact = backend.kind == "exact"
+        y0 = frac_vec(cert.y0)
         for label, claimed in zip(cert.chain, cert.xi_trace):
-            actual = min(
-                evaluate(sf, vec_sub(y, frac_vec(cert.y0)), backend)
-                for y in p.images(label)
-            )
-            if not actual.is_finite:
-                trace_consistent = False
-                break
-            if exact:
-                if actual.value != claimed:
-                    trace_consistent = False
-                    break
-            elif abs(float(actual.value) - float(claimed)) > 1e-6:
+            actual = _potential(p, sf, label, y0, EXACT)
+            if not actual.is_finite or actual.value != claimed:
                 trace_consistent = False
                 break
         if trace_consistent:

@@ -159,13 +159,41 @@ class VPolyhedralUnion:
 # ---------------------------------------------------------------------------
 
 
+def _combination_lp(
+    target: Sequence[Fraction],
+    blocks: Sequence[tuple[Sequence[Vec], Number, bool]],
+    objective: Optional[Sequence[Number]] = None,
+    sense: str = "feasibility",
+) -> LinearProgram:
+    """Program for target = sum over blocks of scale * (nonnegative
+    combination of the block's vectors).
+
+    ``blocks`` lists (vectors, scale, convex) in column order.  A convex
+    block's weights sum to one, in a row after the coordinate rows; such
+    rows follow block order.  Every membership question in this package
+    is one such program, so this fixed layout also fixes the pivots.
+    """
+    cols: list[Sequence[Fraction]] = []
+    spans = []  # column range of each convex block
+    for vectors, scale, convex in blocks:
+        if convex:
+            spans.append(range(len(cols), len(cols) + len(vectors)))
+        cols += vectors if scale == 1 else [[scale * c for c in v] for v in vectors]
+    one, zero = Fraction(1), Fraction(0)
+    rows = [[v[r] for v in cols] for r in range(len(target))]
+    rows += [[one if j in span else zero for j in range(len(cols))] for span in spans]
+    rhs = list(target) + [one] * len(spans)
+    nonneg = [True] * len(cols)
+    if objective is None:
+        return LinearProgram.feasibility(rows, rhs, nonneg)
+    return LinearProgram.optimize(objective, sense, rows, rhs, nonneg)
+
+
 def cone_contains(K: ConeGen, y: Sequence[Number], backend: Backend = EXACT) -> bool:
     """Is y a nonnegative combination of the generators?"""
     yv = frac_vec(y)
     _check_dim(K.dim, yv, "query point")
-    m = len(K.generators)
-    rows = [[K.generators[j][r] for j in range(m)] for r in range(K.dim)]
-    lp = LinearProgram.feasibility(rows, yv, [True] * m)
+    lp = _combination_lp(yv, [(K.generators, 1, False)])
     return solve(lp, backend).is_feasible
 
 
@@ -219,15 +247,7 @@ def scaled_H_minus_K_contains(
     _check_dim(H.dim, yv, "query point")
     if H.dim != K.dim:
         raise DimensionMismatchError("polytope and cone dimensions differ")
-    p, m = len(H.vertices), len(K.generators)
-    rows = []
-    for r in range(H.dim):
-        row = [tq * H.vertices[i][r] for i in range(p)]
-        row += [-K.generators[j][r] for j in range(m)]
-        rows.append(row)
-    rows.append([Fraction(1)] * p + [Fraction(0)] * m)
-    rhs = list(yv) + [Fraction(1)]
-    lp = LinearProgram.feasibility(rows, rhs, [True] * (p + m))
+    lp = _combination_lp(yv, [(H.vertices, tq, True), (K.generators, -1, False)])
     return solve(lp, backend).is_feasible
 
 
@@ -244,15 +264,7 @@ def scaled_H_plus_K_contains(
     _check_dim(H.dim, yv, "query point")
     if H.dim != K.dim:
         raise DimensionMismatchError("polytope and cone dimensions differ")
-    p, m = len(H.vertices), len(K.generators)
-    rows = []
-    for r in range(H.dim):
-        row = [tq * H.vertices[i][r] for i in range(p)]
-        row += [K.generators[j][r] for j in range(m)]
-        rows.append(row)
-    rows.append([Fraction(1)] * p + [Fraction(0)] * m)
-    rhs = list(yv) + [Fraction(1)]
-    lp = LinearProgram.feasibility(rows, rhs, [True] * (p + m))
+    lp = _combination_lp(yv, [(H.vertices, tq, True), (K.generators, 1, False)])
     return solve(lp, backend).is_feasible
 
 
@@ -264,15 +276,8 @@ def zero_notin_H_plus_K(H: Polytope, K: ConeGen) -> bool:
     """
     if H.dim != K.dim:
         raise DimensionMismatchError("polytope and cone dimensions differ")
-    p, m = len(H.vertices), len(K.generators)
-    rows = []
-    for r in range(H.dim):
-        row = [H.vertices[i][r] for i in range(p)]
-        row += [K.generators[j][r] for j in range(m)]
-        rows.append(row)
-    rows.append([Fraction(1)] * p + [Fraction(0)] * m)
-    rhs = [Fraction(0)] * H.dim + [Fraction(1)]
-    lp = LinearProgram.feasibility(rows, rhs, [True] * (p + m))
+    origin = [Fraction(0)] * H.dim
+    lp = _combination_lp(origin, [(H.vertices, 1, True), (K.generators, 1, False)])
     return not solve(lp, EXACT).is_feasible
 
 
@@ -318,25 +323,12 @@ def union_disjoint_from(
     _check_dim(M.dim, y0v, "anchor point")
     if not (M.dim == H.dim == K.dim):
         raise DimensionMismatchError("union, polytope, and cone dimensions differ")
-    p, m = len(H.vertices), len(K.generators)
     for verts, rays in M.pieces:
-        nv, nr = len(verts), len(rays)
-        rows = []
-        for r in range(M.dim):
-            row = [verts[i][r] for i in range(nv)]
-            row += [rays[j][r] for j in range(nr)]
-            row += [e * H.vertices[i][r] for i in range(p)]
-            row += [K.generators[j][r] for j in range(m)]
-            rows.append(row)
-        # two convexity rows: piece weights and H weights each sum to one
-        rows.append(
-            [Fraction(1)] * nv + [Fraction(0)] * (nr + p + m)
-        )
-        rows.append(
-            [Fraction(0)] * (nv + nr) + [Fraction(1)] * p + [Fraction(0)] * m
-        )
-        rhs = list(y0v) + [Fraction(1), Fraction(1)]
-        lp = LinearProgram.feasibility(rows, rhs, [True] * (nv + nr + p + m))
-        if solve(lp, backend).is_feasible:
+        # piece weights and H weights each sum to one
+        blocks = [
+            (verts, 1, True), (rays, 1, False), (H.vertices, e, True),
+            (K.generators, 1, False),
+        ]
+        if solve(_combination_lp(y0v, blocks), backend).is_feasible:
             return False
     return True

@@ -1,14 +1,15 @@
 """Deterministic linear feasibility/optimization oracle.
 
 Programs are stated as equality rows over variables that are either
-nonnegative or free, with an optional linear objective.  Two backends
-solve them:
+nonnegative or free, with an optional linear objective.  One two-phase
+simplex driver with Bland's rule solves them over either of two tableau
+arithmetics:
 
-* ``EXACT`` runs a two-phase simplex with Bland's rule on integer-scaled
-  tableau rows, so every feasible/infeasible/unbounded verdict is
-  certified by the arithmetic and the method provably terminates.
-* ``float_backend(tol)`` runs the same pivoting discipline in floating
-  point.  Verdicts that were decided by a quantity within ``tol`` of a
+* ``EXACT`` keeps integer-scaled tableau rows, so every
+  feasible/infeasible/unbounded verdict is certified by the arithmetic
+  and the method provably terminates.
+* ``float_backend(tol)`` keeps a normalized floating-point tableau.
+  Verdicts that were decided by a quantity within ``tol`` of a
   constraint boundary are flagged ``marginal`` in the result, meaning
   the status could flip under perturbation of that size.
 
@@ -20,11 +21,11 @@ is worth far more here than asymptotics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .rational import Vec, dot, frac, frac_vec
+from .rational import Vec, frac_vec
 
 __all__ = [
     "Backend",
@@ -159,7 +160,11 @@ def solve(lp: LinearProgram, backend: Backend = EXACT) -> LPResult:
     """Solve ``lp`` with the chosen backend."""
     if backend.kind == "exact":
         return _solve_exact(lp)
-    return _solve_float(lp, backend.tol)
+    return _two_phase(lp, _FloatTableau(backend.tol))
+
+
+def _solve_exact(lp: LinearProgram) -> LPResult:
+    return _two_phase(lp, _ExactTableau())
 
 
 def check_witness(lp: LinearProgram, witness: Sequence, tol: float = 0.0) -> bool:
@@ -178,15 +183,106 @@ def check_witness(lp: LinearProgram, witness: Sequence, tol: float = 0.0) -> boo
 
 
 # ---------------------------------------------------------------------------
-# exact backend: integer-scaled tableau, Bland's rule
+# the two-phase driver, shared by both arithmetics
 # ---------------------------------------------------------------------------
 #
-# Rows are kept as integer vectors (coefficients + rhs in the last slot).
-# A pivot on (p, q) replaces row r by row_r * |T[p][q]| - row_p * (T[r][q]
-# * sign(T[p][q])), which keeps everything integral; each row is then
-# divided by its gcd to keep the integers small.  Basis columns keep a
-# single positive entry, so the basic value of row i is rhs_i / T[i][B_i]
-# and ratio tests compare integer cross-products.
+# The driver owns the split of free columns, the artificial basis, phase
+# 1, the drive-out of artificials, phase 2 and the witness.  A tableau
+# (``rows`` with the rhs last, ``basis``, reduced costs) owns only its
+# arithmetic: `load_row` (a row in its own numbers), `set_objective`,
+# `pivot`, `run_bland`, `basic_value` and the tests `positive` and
+# `nonzero`.  The float tableau records in ``marginal`` each quantity it
+# reads within tol of zero; `note` records one the driver reads.
+
+
+class _Tableau:
+    marginal = False
+
+    def __init__(self):
+        self.rows: list[list] = []
+        self.basis: list[int] = []
+        self.obj: list = []
+
+    def note(self, v) -> None:
+        pass
+
+
+def _two_phase(lp: LinearProgram, tab: _Tableau) -> LPResult:
+    # Split free variables into positive/negative parts.
+    cols: list[tuple[int, int]] = []
+    for j, nn in enumerate(lp.nonneg):
+        cols.append((j, 1))
+        if not nn:
+            cols.append((j, -1))
+    n_struct = len(cols)
+    m = len(lp.rows)
+
+    # One artificial identity column per row, basic at the start.
+    for r in range(m):
+        row = tab.load_row([lp.rows[r][j] * s for (j, s) in cols] + [lp.rhs[r]])
+        if row[-1] < 0:
+            row = [-e for e in row]
+        art = [0] * m
+        art[r] = 1
+        tab.rows.append(row[:-1] + art + row[-1:])
+    tab.basis = [n_struct + i for i in range(m)]
+
+    if m:
+        tab.set_objective([0] * n_struct + [1] * m)
+        tab.run_bland(range(n_struct + m))
+        infeas = sum(
+            tab.basic_value(i) for i in range(m) if tab.basis[i] >= n_struct
+        )
+        if tab.positive(infeas):
+            return LPResult(status="infeasible", marginal=tab.marginal)
+        # Basic artificials sit at value zero after a successful phase 1;
+        # pivot them onto structural columns, or drop redundant rows.
+        i = 0
+        while i < len(tab.rows):
+            if tab.basis[i] >= n_struct:
+                q = next(
+                    (j for j in range(n_struct) if tab.nonzero(tab.rows[i][j])), -1
+                )
+                if q < 0:
+                    del tab.rows[i]
+                    del tab.basis[i]
+                    continue
+                tab.pivot(i, q)
+            i += 1
+
+    if lp.sense != "feasibility":
+        sign = 1 if lp.sense == "min" else -1
+        width = (len(tab.rows[0]) - 1) if tab.rows else n_struct
+        costs = [sign * lp.objective[j] * s for (j, s) in cols]
+        tab.set_objective(costs + [0] * (width - n_struct))
+        if tab.run_bland(range(n_struct)) == "unbounded":
+            return LPResult(status="unbounded", marginal=tab.marginal)
+
+    # Every basic column is structural now.
+    x = [tab.zero] * lp.n_vars
+    for i, b in enumerate(tab.basis):
+        v = tab.basic_value(i)
+        tab.note(v)
+        j, s = cols[b]
+        x[j] += s * v
+    value = tab.zero
+    if lp.sense != "feasibility":
+        value = sum((c * xv for c, xv in zip(lp.objective, x)), tab.zero)
+    return LPResult(
+        status="feasible", value=value, witness=tuple(x), marginal=tab.marginal
+    )
+
+
+# ---------------------------------------------------------------------------
+# exact arithmetic: integer-scaled rows
+# ---------------------------------------------------------------------------
+#
+# Rows are kept as integer vectors.  A pivot on (p, q) replaces row r by
+# row_r * |T[p][q]| - row_p * (T[r][q] * sign(T[p][q])), which keeps
+# everything integral; each row is then divided by its gcd to keep the
+# integers small.  Basis columns keep a single positive entry, so the
+# basic value of row i is rhs_i / T[i][B_i] and ratio tests compare
+# integer cross-products.
 
 
 def _row_gcd_reduce(row: list[int]) -> None:
@@ -200,20 +296,22 @@ def _row_gcd_reduce(row: list[int]) -> None:
             row[k] //= g
 
 
-class _ExactTableau:
-    def __init__(self, rows: list[list[int]], basis: list[int], n_struct: int):
-        self.rows = rows          # m rows, each of length n_total + 1 (rhs last)
-        self.basis = basis        # basis[i] = column index basic in row i
-        self.n_struct = n_struct  # structural columns precede artificials
-        self.obj: list[int] = []
+def _integerize(values: Sequence[Fraction]) -> list[int]:
+    den = 1
+    for v in values:
+        den = den * v.denominator // math.gcd(den, v.denominator)
+    return [int(v * den) for v in values]
+
+
+class _ExactTableau(_Tableau):
+    zero = Fraction(0)
+
+    load_row = staticmethod(_integerize)
 
     def set_objective(self, costs: list[Fraction]) -> None:
         # Reduced-cost row = costs - combination of basic rows, held integral
         # and scaled by a positive factor (signs are all that matter).
-        den = 1
-        for c in costs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        obj = [int(c * den) for c in costs] + [0]
+        obj = _integerize(costs) + [0]
         for i, row in enumerate(self.rows):
             f = obj[self.basis[i]]
             if f:
@@ -247,6 +345,14 @@ class _ExactTableau:
     def basic_value(self, i: int) -> Fraction:
         return Fraction(self.rows[i][-1], self.rows[i][self.basis[i]])
 
+    @staticmethod
+    def positive(v: Fraction) -> bool:
+        return v > 0
+
+    @staticmethod
+    def nonzero(v: int) -> bool:
+        return v != 0
+
     def run_bland(self, allowed: range) -> str:
         """Minimize until optimal ('optimal') or an unbounded ray ('unbounded')."""
         rows = self.rows
@@ -276,121 +382,29 @@ class _ExactTableau:
             self.pivot(best, q)
 
 
-def _integerize(values: Sequence[Fraction]) -> list[int]:
-    den = 1
-    for v in values:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    return [int(v * den) for v in values]
-
-
-def _solve_exact(lp: LinearProgram) -> LPResult:
-    # Split free variables into positive/negative parts.
-    cols: list[tuple[int, int]] = []
-    for j, nn in enumerate(lp.nonneg):
-        cols.append((j, 1))
-        if not nn:
-            cols.append((j, -1))
-    n_struct = len(cols)
-    m = len(lp.rows)
-
-    rows: list[list[int]] = []
-    for r in range(m):
-        ent = [lp.rows[r][j] * s for (j, s) in cols]
-        ent.append(lp.rhs[r])
-        ient = _integerize(ent)
-        if ient[-1] < 0:
-            ient = [-e for e in ient]
-        rows.append(ient)
-
-    # Append artificial identity columns.
-    full_rows = []
-    for i, row in enumerate(rows):
-        art = [0] * m
-        art[i] = 1
-        full_rows.append(row[:-1] + art + [row[-1]])
-    basis = [n_struct + i for i in range(m)]
-    tab = _ExactTableau(full_rows, basis, n_struct)
-
-    if m:
-        phase1 = [Fraction(0)] * n_struct + [Fraction(1)] * m
-        tab.set_objective(phase1)
-        tab.run_bland(range(n_struct + m))
-        infeas = sum(
-            (tab.basic_value(i) for i in range(m) if tab.basis[i] >= n_struct),
-            Fraction(0),
-        )
-        if infeas > 0:
-            return LPResult(status="infeasible")
-        _drive_out_artificials(tab)
-
-    objective = lp.objective
-    if lp.sense != "feasibility":
-        sign = 1 if lp.sense == "min" else -1
-        width = (len(tab.rows[0]) - 1) if tab.rows else n_struct
-        costs = [sign * objective[j] * s for (j, s) in cols]
-        costs += [Fraction(0)] * (width - n_struct)
-        tab.set_objective(costs)
-        status = tab.run_bland(range(n_struct))
-        if status == "unbounded":
-            return LPResult(status="unbounded")
-
-    witness = _extract_witness(tab, cols, lp.n_vars)
-    value = Fraction(0)
-    if lp.sense != "feasibility":
-        value = dot(objective, witness)
-    return LPResult(status="feasible", value=value, witness=tuple(witness))
-
-
-def _drive_out_artificials(tab: _ExactTableau) -> None:
-    # Basic artificials sit at value zero after a successful phase 1; pivot
-    # them onto structural columns, or drop redundant rows.
-    i = 0
-    while i < len(tab.rows):
-        if tab.basis[i] < tab.n_struct:
-            i += 1
-            continue
-        q = next((j for j in range(tab.n_struct) if tab.rows[i][j] != 0), -1)
-        if q >= 0:
-            tab.pivot(i, q)
-            i += 1
-        else:
-            del tab.rows[i]
-            del tab.basis[i]
-
-
-def _extract_witness(
-    tab: _ExactTableau, cols: list[tuple[int, int]], n_vars: int
-) -> list[Fraction]:
-    x = [Fraction(0)] * n_vars
-    for i in range(len(tab.rows)):
-        b = tab.basis[i]
-        if b < tab.n_struct:
-            j, s = cols[b]
-            x[j] += s * tab.basic_value(i)
-    return x
-
-
 # ---------------------------------------------------------------------------
-# float backend: classic normalized tableau, Bland's rule, tol comparisons
+# float arithmetic: classic normalized tableau, tol comparisons
 # ---------------------------------------------------------------------------
 
 
-class _FloatTableau:
-    def __init__(self, rows, basis, n_struct, tol):
-        self.rows = rows
-        self.basis = basis
-        self.n_struct = n_struct
+class _FloatTableau(_Tableau):
+    zero = 0.0
+
+    def __init__(self, tol: float):
+        super().__init__()
         self.tol = tol
         self.noise = tol * 1e-6
-        self.obj: list[float] = []
-        self.marginal = False
 
-    def _note(self, v: float) -> None:
+    def note(self, v: float) -> None:
         if self.noise < abs(v) <= self.tol:
             self.marginal = True
 
-    def set_objective(self, costs: list[float]) -> None:
-        obj = list(costs) + [0.0]
+    @staticmethod
+    def load_row(values: list[Fraction]) -> list[float]:
+        return [float(e) for e in values]
+
+    def set_objective(self, costs: list[Fraction]) -> None:
+        obj = [float(c) for c in costs] + [0.0]
         for i, row in enumerate(self.rows):
             f = obj[self.basis[i]]
             if f:
@@ -413,12 +427,22 @@ class _FloatTableau:
             self.obj = [a - f * b for a, b in zip(self.obj, prow)]
         self.basis[p] = q
 
+    def basic_value(self, i: int) -> float:
+        return self.rows[i][-1]
+
+    def positive(self, v: float) -> bool:
+        self.note(v)
+        return v > self.tol
+
+    def nonzero(self, v: float) -> bool:
+        return abs(v) > self.tol
+
     def run_bland(self, allowed: range, max_iter: int = 50_000) -> str:
         for _ in range(max_iter):
             q = -1
             for j in allowed:
                 rc = self.obj[j]
-                self._note(rc)
+                self.note(rc)
                 if rc < -self.tol:
                     q = j
                     break
@@ -428,7 +452,7 @@ class _FloatTableau:
             best_ratio = math.inf
             for i in range(len(self.rows)):
                 a = self.rows[i][q]
-                self._note(a)
+                self.note(a)
                 if a <= self.tol:
                     continue
                 ratio = self.rows[i][-1] / a
@@ -443,76 +467,3 @@ class _FloatTableau:
                 return "unbounded"
             self.pivot(best, q)
         raise RuntimeError("simplex iteration limit exceeded (float backend)")
-
-
-def _solve_float(lp: LinearProgram, tol: float) -> LPResult:
-    cols: list[tuple[int, int]] = []
-    for j, nn in enumerate(lp.nonneg):
-        cols.append((j, 1))
-        if not nn:
-            cols.append((j, -1))
-    n_struct = len(cols)
-    m = len(lp.rows)
-
-    rows: list[list[float]] = []
-    for r in range(m):
-        ent = [float(lp.rows[r][j]) * s for (j, s) in cols]
-        b = float(lp.rhs[r])
-        if b < 0:
-            ent = [-e for e in ent]
-            b = -b
-        art = [0.0] * m
-        art[r] = 1.0
-        rows.append(ent + art + [b])
-    basis = [n_struct + i for i in range(m)]
-    tab = _FloatTableau(rows, basis, n_struct, tol)
-
-    if m:
-        tab.set_objective([0.0] * n_struct + [1.0] * m)
-        tab.run_bland(range(n_struct + m))
-        infeas = sum(
-            tab.rows[i][-1] for i in range(m) if tab.basis[i] >= n_struct
-        )
-        tab._note(infeas)
-        if infeas > tol:
-            return LPResult(status="infeasible", marginal=tab.marginal)
-        # Degenerate basic artificials are harmless for feasibility; pivot
-        # them out where possible so phase 2 prices structural columns.
-        i = 0
-        while i < len(tab.rows):
-            if tab.basis[i] >= tab.n_struct:
-                q = next(
-                    (j for j in range(n_struct) if abs(tab.rows[i][j]) > tol), -1
-                )
-                if q >= 0:
-                    tab.pivot(i, q)
-                else:
-                    del tab.rows[i]
-                    del tab.basis[i]
-                    continue
-            i += 1
-
-    if lp.sense != "feasibility":
-        sign = 1.0 if lp.sense == "min" else -1.0
-        width = (len(tab.rows[0]) - 1) if tab.rows else n_struct
-        costs = [sign * float(lp.objective[j]) * s for (j, s) in cols]
-        costs += [0.0] * (width - n_struct)
-        tab.set_objective(costs)
-        status = tab.run_bland(range(n_struct))
-        if status == "unbounded":
-            return LPResult(status="unbounded", marginal=tab.marginal)
-
-    x = [0.0] * lp.n_vars
-    for i in range(len(tab.rows)):
-        b = tab.basis[i]
-        v = tab.rows[i][-1]
-        tab._note(v)
-        if b < tab.n_struct:
-            j, s = cols[b]
-            x[j] += s * v
-    value = 0.0
-    if lp.sense != "feasibility":
-        value = sum(float(c) * xv for c, xv in zip(lp.objective, x))
-    return LPResult(
-        status="feasible", value=value, witness=tuple(x), marginal=tab.marginal
-    )

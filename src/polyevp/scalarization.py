@@ -33,6 +33,7 @@ from .geometry import (
     DimensionMismatchError,
     InvalidConfigurationError,
     Polytope,
+    _combination_lp,
     cone_contains,
     scaled_H_minus_K_contains,
     zero_notin_H_plus_K,
@@ -142,13 +143,9 @@ def _branch_lp(
     F: SeparationFunctional, target: Vec, k_sign: int, sense: str
 ) -> LinearProgram:
     p, m = len(F.H.vertices), len(F.K.generators)
-    rows = []
-    for r in range(F.H.dim):
-        row = [F.H.vertices[i][r] for i in range(p)]
-        row += [k_sign * F.K.generators[j][r] for j in range(m)]
-        rows.append(row)
     objective = [Fraction(1)] * p + [Fraction(0)] * m
-    return LinearProgram.optimize(objective, sense, rows, target, [True] * (p + m))
+    blocks = [(F.H.vertices, 1, False), (F.K.generators, k_sign, False)]
+    return _combination_lp(target, blocks, objective, sense)
 
 
 def evaluate(

@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from polyevp.evp import (
     EVPProblem,
@@ -100,6 +101,31 @@ def rand_union(rng: random.Random, K: ConeGen, force_quasi: bool | None = None):
                 rays.append(r)
         pieces.append((verts, tuple(rays)))
     return VPolyhedralUnion(n, tuple(pieces))
+
+
+@st.composite
+def instance_point_scales(draw):
+    """(K, H, y, t1, t2) with t1 < t2, for oracle properties.
+
+    Hypothesis draws the dimension and the generator and vertex counts,
+    so a cone with fewer generators than the dimension and a one-vertex
+    H are explicit draws, and what a failure shrinks to.  y is either a
+    free point or t*h - k with h in H and k in K, where phi(y) is finite.
+    """
+    n = draw(st.integers(2, 3))
+    n_gens = draw(st.integers(1, 3))
+    n_verts = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    K, H, _ = rand_cone_polytope(rng, n, n_gens, n_verts)
+    if draw(st.booleans()):
+        y = rand_vector(rng, n)
+    else:
+        t = Fraction(rng.randint(-6, 6), rng.randint(1, 2))
+        h = _convex_mix(rng, H.vertices)
+        y = tuple(t * a - b for a, b in zip(h, rand_point_in_cone(rng, K)))
+    t1 = Fraction(draw(st.integers(-8, 8)), draw(st.integers(1, 3)))
+    dt = Fraction(draw(st.integers(1, 8)), draw(st.integers(1, 3)))
+    return K, H, y, t1, t1 + dt
 
 
 def rand_metric_space(rng: random.Random, n_points: int) -> FiniteMetricSpace:

@@ -118,6 +118,26 @@ class TestScalarize:
         f = write(tmp_path / "p.json", segment_doc)
         assert cli.main(["scalarize", f, "--point", "1,1"]) == 3
 
+    @pytest.mark.parametrize("flag", ["--tol", "--t-max"])
+    def test_zero_denominator_setting_exits_2(
+        self, tmp_path, segment_doc, flag, capsys
+    ):
+        f = write(tmp_path / "p.json", segment_doc)
+        assert cli.main(["scalarize", f, "--point", "1,1", flag, "1/0"]) == 2
+        assert "input error" in capsys.readouterr().out
+
+    def test_unexpected_exception_is_internal_error_for_that_file(
+        self, tmp_path, segment_doc, monkeypatch
+    ):
+        def boom(path, opts):
+            raise RuntimeError("forced")
+
+        monkeypatch.setitem(cli._COMMANDS, "scalarize", boom)
+        f = write(tmp_path / "p.json", segment_doc)
+        path, code, text = cli._worker(("scalarize", f, {}))
+        assert (path, code) == (f, 3)
+        assert text == "internal error: RuntimeError: forced"
+
 
 class TestDiagnose:
     def test_axis_cross(self, tmp_path, cross_doc, capsys):

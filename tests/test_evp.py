@@ -1,7 +1,9 @@
 """Descent solver: pre-order laws, worked chain instance, certificates."""
 
+import gc
 import random
 import warnings
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from polyevp.evp import (
 )
 from polyevp.geometry import ConeGen, InvalidConfigurationError, Polytope
 from polyevp.lp_core import EXACT, FLOAT
+from polyevp.problemfile import build_problem
 from polyevp.scalarization import SeparationFunctional, evaluate
 from polyevp.rational import vec_sub
 
@@ -35,6 +38,36 @@ from conftest import (
     rand_metric_space,
     rand_problem,
 )
+
+_FLOAT_TRACE_DOC = {
+    "dimension": 2,
+    "cone": {"generators": [[5, "8/3"]]},
+    "H": {"vertices": [["10/3", "16/9"]]},
+    "space": {
+        "labels": ["p0", "p1", "p2", "p3", "p4", "p5", "p6"],
+        "dist": [
+            [0, "8/3", 2, "13/6", 1, "4/3", "5/3"],
+            ["8/3", 0, 2, "3/2", 2, "5/2", 1],
+            [2, 2, 0, 2, 3, 1, "5/2"],
+            ["13/6", "3/2", 2, 0, "19/6", 1, "1/2"],
+            [1, 2, 3, "19/6", 0, "7/3", "8/3"],
+            ["4/3", "5/2", 1, 1, "7/3", 0, "3/2"],
+            ["5/3", 1, "5/2", "1/2", "8/3", "3/2", 0],
+        ],
+    },
+    "map": {
+        "p0": [["17/2", -9]],
+        "p1": [[-1, 0]],
+        "p2": [[-6, "11/3"]],
+        "p3": [[-5, "29/3"], ["-17/2", -2]],
+        "p4": [[9, 7], [-10, 0], [-3, "1/2"]],
+        "p5": [["3/2", "19/2"], ["-7/2", "25/4"]],
+        "p6": [["53/9", "283/54"]],
+    },
+    "x0": "p6",
+    "epsilon": 4,
+    "mode": "plain",
+}
 
 
 class TestMetricSpace:
@@ -155,6 +188,25 @@ class TestSolve:
         cert = solve(chain3_eps5, FLOAT)
         assert cert.xbar == "c"
         assert verify_certificate(chain3_eps5, cert, FLOAT).passed
+
+    def test_float_certificate_trace_is_exact(self):
+        # draw 9 of rand_problem(random.Random(99), max_points=10,
+        # max_images=3); float scoring put 2.6666666666666665 where the
+        # exact drop along the chain is 8/3 = d(p6, p4), so a float trace
+        # failed its own step check
+        p = build_problem(_FLOAT_TRACE_DOC)
+        cert = solve(p, FLOAT)
+        assert cert.chain == solve(p).chain == ("p6", "p4")
+        assert cert.xi_trace == (0, Fraction(-8, 3))
+        assert verify_certificate(p, cert, FLOAT).passed
+
+    def test_dominance_memo_dies_with_the_problem(self):
+        p = make_chain3(5)
+        assert verify_certificate(p, solve(p)).passed
+        ref = weakref.ref(p)
+        del p
+        gc.collect()
+        assert ref() is None
 
 
 class TestForgedCertificates:

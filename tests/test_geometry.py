@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from polyevp.geometry import (
     ConeGen,
@@ -23,7 +23,7 @@ from polyevp.geometry import (
 )
 from polyevp.rational import dot
 
-from conftest import rand_cone_polytope, rand_point_in_cone, rand_vector
+from conftest import instance_point_scales, rand_cone_polytope, rand_point_in_cone
 
 
 class TestConeMembership:
@@ -127,18 +127,6 @@ class TestUnionDisjointness:
     def test_eps_must_be_positive(self, vee_range, simplex_segment, orthant2):
         with pytest.raises(ValueError):
             union_disjoint_from(vee_range, (0, 0), 0, simplex_segment, orthant2)
-
-
-@st.composite
-def instance_point_scales(draw):
-    seed = draw(st.integers(0, 10_000))
-    rng = random.Random(seed)
-    n = rng.randint(2, 3)
-    K, H, _ = rand_cone_polytope(rng, n, rng.randint(1, 3), rng.randint(1, 3))
-    y = rand_vector(rng, n)
-    t1 = Fraction(draw(st.integers(-8, 8)), draw(st.integers(1, 3)))
-    dt = Fraction(draw(st.integers(1, 8)), draw(st.integers(1, 3)))
-    return K, H, y, t1, t1 + dt
 
 
 @given(instance_point_scales())

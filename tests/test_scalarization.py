@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from polyevp.geometry import ConeGen, Polytope
 from polyevp.lp_core import FLOAT
@@ -20,7 +20,12 @@ from polyevp.scalarization import (
     xi,
 )
 
-from conftest import rand_cone_polytope, rand_point_in_cone, rand_vector
+from conftest import (
+    instance_point_scales,
+    rand_cone_polytope,
+    rand_point_in_cone,
+    rand_vector,
+)
 
 
 @pytest.fixture
@@ -229,6 +234,21 @@ class TestBisection:
             bis = evaluate_bisection(sf, y)
             assert lp_val.is_finite and bis.value.is_finite
             assert abs(lp_val.value - bis.value.value) <= sf.tol
+
+
+@given(instance_point_scales())
+@settings(max_examples=40, deadline=None)
+def test_lp_and_bisection_routes_agree_on_degenerate_shapes(data):
+    # evaluate solves the two branch programs, bisection only asks the
+    # fixed-scale membership oracle; low-rank K and one-vertex H included
+    K, H, y, _, _ = data
+    sf = SeparationFunctional(H, K)
+    phi = evaluate(sf, y)
+    bis = evaluate_bisection(sf, y)
+    assert phi.is_finite == bis.value.is_finite
+    if phi.is_finite:
+        assert 0 <= bis.value.value - phi.value <= sf.tol
+        assert attainment_check(sf, y)
 
 
 class TestConfigurationGuards:
