@@ -96,78 +96,31 @@ def is_K_lower_bounded(
 def find_kstar(
     M: VPolyhedralUnion,
     K: ConeGen,
-    H: Optional[Polytope] = None,
+    H: Polytope,
     backend: Backend = EXACT,
 ) -> Optional[Vec]:
     """Search for a dual witness of lower boundedness.
 
-    With H: find l with l.g >= 0 on generators, l.h >= 1 on H vertices
-    (the uniform-positivity threshold is normalized to one; any positive
+    Finds l with l.g >= 0 on generators, l.h >= 1 on H vertices (the
+    uniform-positivity threshold is normalized to one; any positive
     threshold rescales), and l.r >= 0 on every ray of M, so the infimum
     of l over M is a finite vertex minimum.  Returns the witness of
     least l1-norm, or None when the program is infeasible.
-
-    Without H: any nonzero l in the dual cone with l.r >= 0 on the rays
-    qualifies; found by maximizing each coordinate over a box.
     """
     if M.dim != K.dim:
         raise DimensionMismatchError("union and cone dimensions differ")
+    if H.dim != M.dim:
+        raise DimensionMismatchError("polytope dimension differs")
     n = M.dim
     rays = M.all_rays()
-
-    if H is not None:
-        if H.dim != n:
-            raise DimensionMismatchError("polytope dimension differs")
-        constraints = [(g, Fraction(0)) for g in K.generators]
-        constraints += [(h, Fraction(1)) for h in H.vertices]
-        constraints += [(r, Fraction(0)) for r in rays]
-        k = len(constraints)
-        # variables: a, b (l = a - b, both >= 0, n each), slacks (k)
-        nvars = 2 * n + k
-        rows = []
-        rhs = []
-        for ci, (w, bound) in enumerate(constraints):
-            row = [Fraction(0)] * nvars
-            for r in range(n):
-                row[r] = w[r]
-                row[n + r] = -w[r]
-            row[2 * n + ci] = Fraction(-1)
-            rows.append(row)
-            rhs.append(bound)
-        objective = [Fraction(1)] * (2 * n) + [Fraction(0)] * k
-        lp = LinearProgram.optimize(
-            objective, "min", rows, rhs, [True] * nvars
-        )
-        res = solve(lp, backend)
-        if not res.is_feasible:
-            return None
-        return tuple(res.witness[r] - res.witness[n + r] for r in range(n))
-
-    # No positivity block: detect a nonzero element of the constraint cone
-    # by maximizing +-l_i over the cone intersected with the unit box.
     constraints = [(g, Fraction(0)) for g in K.generators]
+    constraints += [(h, Fraction(1)) for h in H.vertices]
     constraints += [(r, Fraction(0)) for r in rays]
-    for i in range(n):
-        for sign in (1, -1):
-            witness = _max_coordinate_in_dual(constraints, n, i, sign, backend)
-            if witness is not None:
-                return witness
-    return None
-
-
-def _max_coordinate_in_dual(
-    constraints: list[tuple[Vec, Fraction]],
-    n: int,
-    coord: int,
-    sign: int,
-    backend: Backend,
-) -> Optional[Vec]:
-    # maximize sign * l_coord  s.t.  l . w >= 0 for all w,  -1 <= l <= 1.
     k = len(constraints)
-    # variables: a, b (l = a - b), slacks for constraints, slacks for box
-    nvars = 2 * n + k + 2 * n
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    # variables: a, b (l = a - b, both >= 0, n each), slacks (k)
+    nvars = 2 * n + k
+    rows = []
+    rhs = []
     for ci, (w, bound) in enumerate(constraints):
         row = [Fraction(0)] * nvars
         for r in range(n):
@@ -176,27 +129,14 @@ def _max_coordinate_in_dual(
         row[2 * n + ci] = Fraction(-1)
         rows.append(row)
         rhs.append(bound)
-    for r in range(n):  # l_r + s = 1 and -l_r + s' = 1
-        row = [Fraction(0)] * nvars
-        row[r] = Fraction(1)
-        row[n + r] = Fraction(-1)
-        row[2 * n + k + r] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1))
-        row = [Fraction(0)] * nvars
-        row[r] = Fraction(-1)
-        row[n + r] = Fraction(1)
-        row[2 * n + k + n + r] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1))
-    objective = [Fraction(0)] * nvars
-    objective[coord] = Fraction(sign)
-    objective[n + coord] = Fraction(-sign)
-    lp = LinearProgram.optimize(objective, "max", rows, rhs, [True] * nvars)
+    objective = [Fraction(1)] * (2 * n) + [Fraction(0)] * k
+    lp = LinearProgram.optimize(
+        objective, "min", rows, rhs, [True] * nvars
+    )
     res = solve(lp, backend)
-    if res.is_feasible and res.value > 0:
-        return tuple(res.witness[r] - res.witness[n + r] for r in range(n))
-    return None
+    if not res.is_feasible:
+        return None
+    return tuple(res.witness[r] - res.witness[n + r] for r in range(n))
 
 
 def separating_epsilon_for(
@@ -282,7 +222,14 @@ def classify(
     candidates: Sequence[tuple[Sequence[Number], Number]],
     backend: Backend = EXACT,
 ) -> BoundednessReport:
-    """Run all four checks and assemble the ladder report."""
+    """Run all four checks and assemble the ladder report.
+
+    The shifted-set search tries the caller's (y0, eps) candidates in
+    order.  When a dual witness k* exists, one more candidate follows
+    them: the first candidate's anchor y with the escape scale
+    `separating_epsilon_for(M, k*, y)`, which always misses M, so a
+    dual-witness bounded range is also reported shifted-set bounded.
+    """
     if not zero_notin_H_plus_K(H, K):
         raise ValueError(
             "dual-witness classification requires the origin outside H + K"
@@ -290,6 +237,10 @@ def classify(
     k_lower, b = is_K_lower_bounded(M, K, backend)
     quasi = is_quasi_K_lower_bounded(M, K, backend)
     kstar = find_kstar(M, K, H, backend)
+    candidates = list(candidates)
+    if kstar is not None and candidates:
+        y = candidates[0][0]
+        candidates.append((y, separating_epsilon_for(M, kstar, y)))
     h_res = is_H_lower_bounded(M, K, H, candidates, backend)
     consistent = True
     if k_lower and not quasi:

@@ -67,14 +67,6 @@ def _jsonable_value(v) -> object:
     return v
 
 
-def _fmt_extended(v: scalarization.ExtendedReal) -> str:
-    if not v.is_finite:
-        return "+inf"
-    if isinstance(v.value, Fraction):
-        return str(v.value)
-    return repr(v.value)
-
-
 def _vec_text(v) -> str:
     return "(" + ", ".join(str(c) for c in v) + ")"
 
@@ -123,9 +115,9 @@ def _do_scalarize(path: str, opts: dict) -> tuple[int, str]:
         }
         text = json.dumps(payload, sort_keys=True)
     else:
-        lines = [f"phi = {_fmt_extended(phi)}"]
+        lines = [f"phi = {phi}"]
         suffix = " (unconfirmed at t_max)" if bis.unconfirmed_at_t_max else ""
-        lines.append(f"bisection = {_fmt_extended(bis.value)}{suffix}")
+        lines.append(f"bisection = {bis.value}{suffix}")
         lines.append(f"agreement: {'ok' if agree else 'MISMATCH'}")
         if attained is not None:
             lines.append(f"attained: {'yes' if attained else 'NO'}")
@@ -135,15 +127,6 @@ def _do_scalarize(path: str, opts: dict) -> tuple[int, str]:
     return EXIT_OK, text
 
 
-def _diagnosis_candidates(M, K, H):
-    zero = tuple(Fraction(0) for _ in range(M.dim))
-    candidates = [(zero, Fraction(1))]
-    kstar = boundedness.find_kstar(M, K, H)
-    if kstar is not None:
-        candidates.append((zero, boundedness.separating_epsilon_for(M, kstar, zero)))
-    return candidates
-
-
 def _do_diagnose(path: str, opts: dict) -> tuple[int, str]:
     doc = problemfile.load_document(path)
     tol, _ = _settings(doc, opts)
@@ -151,9 +134,8 @@ def _do_diagnose(path: str, opts: dict) -> tuple[int, str]:
     K = problemfile.build_cone(doc)
     H = problemfile.build_polytope(doc)
     M = problemfile.build_ranges(doc)
-    report = boundedness.classify(
-        M, K, H, _diagnosis_candidates(M, K, H), backend
-    )
+    zero = tuple(Fraction(0) for _ in range(M.dim))
+    report = boundedness.classify(M, K, H, [(zero, Fraction(1))], backend)
 
     if opts.get("json"):
         payload = {

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -150,13 +150,6 @@ class FiniteMetricSpace:
     def d(self, a: str, b: str) -> Fraction:
         return self.dist[self._index_of(a)][self._index_of(b)]
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.labels, self.dist))
-            object.__setattr__(self, "_hash", h)
-        return h
-
 
 @dataclass(frozen=True)
 class SetValuedMapTable:
@@ -200,13 +193,6 @@ class SetValuedMapTable:
             return table[label]
         except KeyError:
             raise ValueError(f"no image entry for label {label!r}") from None
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self.entries)
-            object.__setattr__(self, "_hash", h)
-        return h
 
 
 @dataclass(frozen=True)
@@ -276,8 +262,9 @@ class EVPProblem:
         if self.f.dim != self.K.dim or self.f.dim != self.H.dim:
             raise DimensionMismatchError("map, cone, and polytope dimensions differ")
         # Same configuration the scalarizer needs; fail fast here with the
-        # problem-level context.
-        SeparationFunctional(self.H, self.K)
+        # problem-level context, and keep the validated functional for the
+        # solver and the verifier (a value, not a store of answers).
+        object.__setattr__(self, "_separation", SeparationFunctional(self.H, self.K))
         if isinstance(self.mode, EfficiencyMode):
             if not validate_cone(self.K).pointed:
                 raise InvalidConfigurationError(
@@ -301,16 +288,6 @@ class EVPProblem:
 
     def images(self, label: str) -> tuple[Vec, ...]:
         return self.f.images(label)
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(
-                (self.space, self.f, self.K, self.H, self.x0, self.epsilon,
-                 self.mode, self.feasible)
-            )
-            object.__setattr__(self, "_hash", h)
-        return h
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +406,11 @@ class EVPCertificate:
     xi_trace: tuple[Fraction, ...]
 
 
-def _potential(
-    p: EVPProblem, sf: SeparationFunctional, label: str, y0: Vec, backend: Backend
-) -> ExtendedReal:
+def _potential(p: EVPProblem, label: str, y0: Vec, backend: Backend) -> ExtendedReal:
     """xi at a point: the least phi(y - y0) over its images."""
-    return min(evaluate(sf, vec_sub(y, y0), backend) for y in p.images(label))
+    return min(
+        evaluate(p._separation, vec_sub(y, y0), backend) for y in p.images(label)
+    )
 
 
 def solve(p: EVPProblem, backend: Backend = EXACT) -> EVPCertificate:
@@ -459,14 +436,13 @@ def solve(p: EVPProblem, backend: Backend = EXACT) -> EVPCertificate:
             blocking,
         )
 
-    sf = SeparationFunctional(p.H, p.K)
     exact = backend.kind == "exact"
     score_cache: dict[str, ExtendedReal] = {}
 
     def score(label: str) -> ExtendedReal:
         val = score_cache.get(label)
         if val is None:
-            val = _potential(p, sf, label, witness, backend)
+            val = _potential(p, label, witness, backend)
             score_cache[label] = val
         return val
 
@@ -509,7 +485,7 @@ def solve(p: EVPProblem, backend: Backend = EXACT) -> EVPCertificate:
 
     values = []
     for label in chain:
-        v = score(label) if exact else _potential(p, sf, label, witness, EXACT)
+        v = score(label) if exact else _potential(p, label, witness, EXACT)
         if not v.is_finite:
             raise InternalConsistencyError("chain point scored +inf")
         values.append(v.value)
@@ -691,10 +667,9 @@ def verify_certificate(
 
     trace_consistent = len(cert.xi_trace) == len(cert.chain)
     if trace_consistent and chain_valid and witness_valid:
-        sf = SeparationFunctional(p.H, p.K)
         y0 = frac_vec(cert.y0)
         for label, claimed in zip(cert.chain, cert.xi_trace):
-            actual = _potential(p, sf, label, y0, EXACT)
+            actual = _potential(p, label, y0, EXACT)
             if not actual.is_finite or actual.value != claimed:
                 trace_consistent = False
                 break

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .lp_core import EXACT, Backend, LinearProgram, solve
 from .rational import Number, Vec, dot, frac, frac_vec
@@ -73,17 +73,6 @@ class ConeGen:
             if all(c == 0 for c in g):
                 raise InvalidConfigurationError("zero vector is not a valid generator")
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[Number]], dim: int) -> "ConeGen":
-        return cls(dim=dim, generators=tuple(tuple(r) for r in rows))
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.dim, self.generators))
-            object.__setattr__(self, "_hash", h)
-        return h
-
 
 @dataclass(frozen=True)
 class ConeValidation:
@@ -109,13 +98,6 @@ class Polytope:
         for v in verts:
             _check_dim(self.dim, v, "polytope vertex")
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.dim, self.vertices))
-            object.__setattr__(self, "_hash", h)
-        return h
-
 
 @dataclass(frozen=True)
 class VPolyhedralUnion:
@@ -139,13 +121,6 @@ class VPolyhedralUnion:
                 _check_dim(self.dim, r, "piece ray")
             norm.append((verts, rays))
         object.__setattr__(self, "pieces", tuple(norm))
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.dim, self.pieces))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def all_rays(self) -> list[Vec]:
         return [r for _, rays in self.pieces for r in rays]

@@ -34,10 +34,6 @@ def frac_vec(xs: Iterable[Number]) -> Vec:
     return tuple(frac(x) for x in xs)
 
 
-def frac_matrix(rows: Iterable[Iterable[Number]]) -> tuple[Vec, ...]:
-    return tuple(frac_vec(r) for r in rows)
-
-
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     if len(a) != len(b):
         raise ValueError(f"dot of length {len(a)} with length {len(b)}")
@@ -54,15 +50,6 @@ def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
     if len(a) != len(b):
         raise ValueError(f"vector lengths differ: {len(a)} vs {len(b)}")
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_scale(c: Fraction, a: Sequence[Fraction]) -> Vec:
-    return tuple(c * x for x in a)
-
-
-def fmt(q: Fraction) -> str:
-    """Render exactly: '5' for integers, '3/2' otherwise."""
-    return str(q)
 
 
 def to_jsonable(q: Fraction) -> Union[int, str]:

@@ -131,13 +131,6 @@ class SeparationFunctional:
         if not zero_notin_H_plus_K(self.H, self.K):
             raise InvalidConfigurationError("origin belongs to H + K")
 
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.H, self.K, self.t_max, self.tol))
-            object.__setattr__(self, "_hash", h)
-        return h
-
 
 def _branch_lp(
     F: SeparationFunctional, target: Vec, k_sign: int, sense: str

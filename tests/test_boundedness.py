@@ -83,15 +83,6 @@ class TestDualWitness:
         assert dual_cone_contains(orthant2, ks)
         assert dot(ks, (1, 1)) >= 1
 
-    def test_no_polytope_variant_still_finds_nonzero(self, vee_range, orthant2):
-        ks = find_kstar(vee_range, orthant2, None)
-        assert ks is not None and any(c != 0 for c in ks)
-        assert dual_cone_contains(orthant2, ks)
-        assert all(dot(ks, r) >= 0 for r in vee_range.all_rays())
-
-    def test_no_polytope_variant_fails_on_axis_cross(self, axis_cross_range, orthant2):
-        assert find_kstar(axis_cross_range, orthant2, None) is None
-
 
 class TestShiftedSetBound:
     def test_axis_cross_confirmed_at_unit_candidate(
@@ -168,6 +159,18 @@ def test_ladder_chain_on_random_instances():
             for y in [tuple(Fraction(0) for _ in range(K.dim)), rand_vector(rng, K.dim)]:
                 eps = separating_epsilon_for(M, kstar, y)
                 assert union_disjoint_from(M, y, eps, H, K)
+
+
+def test_classify_reports_shifted_set_bound_whenever_kstar_exists():
+    # level 3 implies level 4: classify follows the caller's candidates
+    # with the escape scale derived from k*, which always verifies
+    rng = random.Random(31)
+    for _ in range(200):
+        K, H, _ = rand_cone_polytope(rng, rng.randint(2, 3), rng.randint(1, 3), rng.randint(1, 2))
+        M = rand_union(rng, K)
+        rep = classify(M, K, H, [(tuple(Fraction(0) for _ in range(K.dim)), 1)])
+        if rep.kstar_h_lower:
+            assert rep.h_lower is True, (M, K, H)
 
 
 def test_strictness_of_every_ladder_step(

@@ -200,6 +200,50 @@ class TestSolve:
         assert cert.xi_trace == (0, Fraction(-8, 3))
         assert verify_certificate(p, cert, FLOAT).passed
 
+    def test_problem_validates_its_scalarizer_once(self, monkeypatch):
+        built = []
+        post_init = SeparationFunctional.__post_init__
+
+        def counted(sf):
+            built.append(sf)
+            post_init(sf)
+
+        monkeypatch.setattr(SeparationFunctional, "__post_init__", counted)
+        p = make_chain3(5)
+        assert verify_certificate(p, solve(p)).passed
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "mode, scale",
+        [(PlainMode(), 1), (ScaledMode(2, 4), Fraction(1, 2))],
+        ids=["plain", "scaled"],
+    )
+    def test_tight_descent_step(self, mode, scale):
+        # one-vertex H; b sits exactly scale * d(a, b) * h below a, so the
+        # step a -> b drops the potential by exactly scale * d(a, b)
+        d = Fraction(3, 2)
+        space = FiniteMetricSpace(("a", "b"), ((0, d), (d, 0)))
+        table = SetValuedMapTable.from_dict(
+            {"a": [(4, 4)], "b": [(4 - scale * d, 4 - scale * d)]}
+        )
+        p = EVPProblem(
+            space=space, f=table, K=ConeGen(2, ((1, 0), (0, 1))),
+            H=Polytope(2, ((1, 1),)), x0="a", epsilon=2, mode=mode,
+        )
+        assert p.scale == scale
+        cert = solve(p)
+        assert cert.chain == ("a", "b")
+        assert cert.xi_trace[0] - cert.xi_trace[1] == scale * d
+        assert verify_certificate(p, cert).passed
+        # a claimed value moved toward its neighbour breaks the trace
+        for i, j in ((0, 1), (1, 0)):
+            trace = list(cert.xi_trace)
+            trace[i] += Fraction(1, 10**12) * (1 if trace[j] > trace[i] else -1)
+            forged = EVPCertificate(
+                xbar=cert.xbar, y0=cert.y0, chain=cert.chain, xi_trace=tuple(trace)
+            )
+            assert "(trace)" in verify_certificate(p, forged).failures
+
     def test_dominance_memo_dies_with_the_problem(self):
         p = make_chain3(5)
         assert verify_certificate(p, solve(p)).passed
