@@ -80,10 +80,7 @@ def _do_scalarize(path: str, opts: dict) -> tuple[int, str]:
     doc = problemfile.load_document(path)
     tol, t_max = _settings(doc, opts)
     backend = _resolve_backend(opts.get("backend"), tol)
-    sf = scalarization.SeparationFunctional(
-        problemfile.build_polytope(doc), problemfile.build_cone(doc),
-        t_max=t_max, tol=tol,
-    )
+    sf = problemfile.build_separation(doc, (tol, t_max))
     point_text = opts["point"]
     try:
         y = tuple(frac(c) for c in point_text.split(","))

@@ -35,6 +35,8 @@ perturbation direction.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,7 +101,13 @@ class ScaleMismatchWarning(UserWarning):
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """Finitely many labelled points with an exact metric matrix."""
+    """Finitely many labelled points with an exact metric matrix.
+
+    ``dist`` holds Fractions.  Validation forms integers once: it scales
+    the matrix by the lcm of its denominators and checks the metric
+    axioms on that local integer matrix, the triangle inequality one
+    ordered pair (i, j) at a time.
+    """
 
     labels: tuple[str, ...]
     dist: tuple[tuple[Fraction, ...], ...]
@@ -116,26 +124,31 @@ class FiniteMetricSpace:
         n = len(labels)
         if len(d) != n or any(len(row) != n for row in d):
             raise InvalidConfigurationError("distance matrix shape does not match labels")
+        den = math.lcm(*(x.denominator for row in d for x in row))
+        m = [[x.numerator * (den // x.denominator) for x in row] for row in d]
         for i in range(n):
-            if d[i][i] != 0:
+            if m[i][i] != 0:
                 raise InvalidConfigurationError(f"nonzero self-distance at {labels[i]!r}")
             for j in range(n):
-                if d[i][j] != d[j][i]:
+                if m[i][j] != m[j][i]:
                     raise InvalidConfigurationError(
                         f"asymmetric distances between {labels[i]!r} and {labels[j]!r}"
                     )
-                if i != j and d[i][j] <= 0:
+                if i != j and m[i][j] <= 0:
                     raise InvalidConfigurationError(
                         f"distinct points {labels[i]!r}, {labels[j]!r} at distance {d[i][j]}"
                     )
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if d[i][k] > d[i][j] + d[j][k]:
-                        raise InvalidConfigurationError(
-                            "triangle inequality fails on "
-                            f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})"
-                        )
+        # d[i][k] <= d[i][j] + d[j][k] for every k iff the largest
+        # m[i][k] - m[j][k] is at most m[i][j]; only a failing pair is
+        # searched for its first k.
+        for i, mi in enumerate(m):
+            for j, mj in enumerate(m):
+                if max(map(operator.sub, mi, mj)) > mi[j]:
+                    k = next(k for k in range(n) if mi[k] > mi[j] + mj[k])
+                    raise InvalidConfigurationError(
+                        "triangle inequality fails on "
+                        f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})"
+                    )
 
     def _index_of(self, label: str) -> int:
         idx = self.__dict__.get("_index")

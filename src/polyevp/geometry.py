@@ -147,6 +147,8 @@ def _combination_lp(
     block's weights sum to one, in a row after the coordinate rows; such
     rows follow block order.  Every membership question in this package
     is one such program, so this fixed layout also fixes the pivots.
+    The target, vectors and scales are Fractions already, so the rows go
+    into the program as built; only the caller's objective is coerced.
     """
     cols: list[Sequence[Fraction]] = []
     spans = []  # column range of each convex block
@@ -155,13 +157,16 @@ def _combination_lp(
             spans.append(range(len(cols), len(cols) + len(vectors)))
         cols += vectors if scale == 1 else [[scale * c for c in v] for v in vectors]
     one, zero = Fraction(1), Fraction(0)
-    rows = [[v[r] for v in cols] for r in range(len(target))]
-    rows += [[one if j in span else zero for j in range(len(cols))] for span in spans]
-    rhs = list(target) + [one] * len(spans)
-    nonneg = [True] * len(cols)
-    if objective is None:
-        return LinearProgram.feasibility(rows, rhs, nonneg)
-    return LinearProgram.optimize(objective, sense, rows, rhs, nonneg)
+    rows = [tuple(v[r] for v in cols) for r in range(len(target))]
+    rows += [tuple(one if j in span else zero for j in range(len(cols))) for span in spans]
+    return LinearProgram(
+        n_vars=len(cols),
+        rows=tuple(rows),
+        rhs=tuple(target) + (one,) * len(spans),
+        nonneg=(True,) * len(cols),
+        objective=None if objective is None else frac_vec(objective),
+        sense=sense,
+    )
 
 
 def cone_contains(K: ConeGen, y: Sequence[Number], backend: Backend = EXACT) -> bool:

@@ -189,10 +189,14 @@ def check_witness(lp: LinearProgram, witness: Sequence, tol: float = 0.0) -> boo
 # The driver owns the split of free columns, the artificial basis, phase
 # 1, the drive-out of artificials, phase 2 and the witness.  A tableau
 # (``rows`` with the rhs last, ``basis``, reduced costs) owns only its
-# arithmetic: `load_row` (a row in its own numbers), `set_objective`,
-# `pivot`, `run_bland`, `basic_value` and the tests `positive` and
-# `nonzero`.  The float tableau records in ``marginal`` each quantity it
-# reads within tol of zero; `note` records one the driver reads.
+# arithmetic: `load_row` (a row of Fractions in its own numbers),
+# `set_objective` (a cost row already in its numbers), `pivot`,
+# `run_bland`, `basic_value` and the tests `positive` and `nonzero`.
+# The driver loads each row and the objective once, then splits free
+# columns and flips rows by +-1 on the loaded numbers, so it forms no
+# Fraction product.  The float tableau records in ``marginal`` each
+# quantity it reads within tol of zero; `note` records one the driver
+# reads.
 
 
 class _Tableau:
@@ -219,16 +223,16 @@ def _two_phase(lp: LinearProgram, tab: _Tableau) -> LPResult:
 
     # One artificial identity column per row, basic at the start.
     for r in range(m):
-        row = tab.load_row([lp.rows[r][j] * s for (j, s) in cols] + [lp.rhs[r]])
-        if row[-1] < 0:
-            row = [-e for e in row]
+        row = tab.load_row([*lp.rows[r], lp.rhs[r]])
+        flip = -1 if row[-1] < 0 else 1
         art = [0] * m
         art[r] = 1
-        tab.rows.append(row[:-1] + art + row[-1:])
+        split = [row[j] * (flip * s) for (j, s) in cols]
+        tab.rows.append(split + art + [row[-1] * flip])
     tab.basis = [n_struct + i for i in range(m)]
 
     if m:
-        tab.set_objective([0] * n_struct + [1] * m)
+        tab.set_objective(tab.load_row([0] * n_struct + [1] * m))
         tab.run_bland(range(n_struct + m))
         infeas = sum(
             tab.basic_value(i) for i in range(m) if tab.basis[i] >= n_struct
@@ -253,8 +257,9 @@ def _two_phase(lp: LinearProgram, tab: _Tableau) -> LPResult:
     if lp.sense != "feasibility":
         sign = 1 if lp.sense == "min" else -1
         width = (len(tab.rows[0]) - 1) if tab.rows else n_struct
-        costs = [sign * lp.objective[j] * s for (j, s) in cols]
-        tab.set_objective(costs + [0] * (width - n_struct))
+        c = tab.load_row(lp.objective)
+        pad = tab.load_row([0] * (width - n_struct))
+        tab.set_objective([c[j] * (sign * s) for (j, s) in cols] + pad)
         if tab.run_bland(range(n_struct)) == "unbounded":
             return LPResult(status="unbounded", marginal=tab.marginal)
 
@@ -277,7 +282,11 @@ def _two_phase(lp: LinearProgram, tab: _Tableau) -> LPResult:
 # exact arithmetic: integer-scaled rows
 # ---------------------------------------------------------------------------
 #
-# Rows are kept as integer vectors.  A pivot on (p, q) replaces row r by
+# Rows are kept as integer vectors.  `_integerize` forms them at load
+# time: a row of Fractions times the lcm of its denominators, taken per
+# entry as numerator * (lcm // denominator).  Cost rows are loaded the
+# same way (a positive factor leaves every pivot choice unchanged).
+# The tableau then holds only ints.  A pivot on (p, q) replaces row r by
 # row_r * |T[p][q]| - row_p * (T[r][q] * sign(T[p][q])), which keeps
 # everything integral; each row is then divided by its gcd to keep the
 # integers small.  Basis columns keep a single positive entry, so the
@@ -297,10 +306,8 @@ def _row_gcd_reduce(row: list[int]) -> None:
 
 
 def _integerize(values: Sequence[Fraction]) -> list[int]:
-    den = 1
-    for v in values:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    return [int(v * den) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values]
 
 
 class _ExactTableau(_Tableau):
@@ -308,10 +315,10 @@ class _ExactTableau(_Tableau):
 
     load_row = staticmethod(_integerize)
 
-    def set_objective(self, costs: list[Fraction]) -> None:
+    def set_objective(self, costs: list[int]) -> None:
         # Reduced-cost row = costs - combination of basic rows, held integral
         # and scaled by a positive factor (signs are all that matter).
-        obj = _integerize(costs) + [0]
+        obj = costs + [0]
         for i, row in enumerate(self.rows):
             f = obj[self.basis[i]]
             if f:
@@ -403,8 +410,8 @@ class _FloatTableau(_Tableau):
     def load_row(values: list[Fraction]) -> list[float]:
         return [float(e) for e in values]
 
-    def set_objective(self, costs: list[Fraction]) -> None:
-        obj = [float(c) for c in costs] + [0.0]
+    def set_objective(self, costs: list[float]) -> None:
+        obj = costs + [0.0]
         for i, row in enumerate(self.rows):
             f = obj[self.basis[i]]
             if f:

@@ -131,8 +131,12 @@ def evaluation_settings(doc: dict) -> tuple[Fraction, Fraction]:
     return tol, t_max
 
 
-def build_separation(doc: dict) -> SeparationFunctional:
-    tol, t_max = evaluation_settings(doc)
+def build_separation(
+    doc: dict, settings: Optional[tuple[Fraction, Fraction]] = None
+) -> SeparationFunctional:
+    """The scalarizer of ``doc``; ``settings`` is (tol, t_max) already
+    resolved by the caller, else the document's own `evaluation_settings`."""
+    tol, t_max = settings or evaluation_settings(doc)
     return SeparationFunctional(
         build_polytope(doc), build_cone(doc), t_max=t_max, tol=tol
     )

@@ -118,6 +118,24 @@ class TestScalarize:
         f = write(tmp_path / "p.json", segment_doc)
         assert cli.main(["scalarize", f, "--point", "1,1"]) == 3
 
+    def test_setting_overrides_reach_the_functional(
+        self, tmp_path, segment_doc, monkeypatch
+    ):
+        seen = []
+        evaluate = cli.scalarization.evaluate
+
+        def spy(F, y, backend):
+            seen.append(F)
+            return evaluate(F, y, backend)
+
+        monkeypatch.setattr(cli.scalarization, "evaluate", spy)
+        f = write(tmp_path / "p.json", segment_doc)
+        argv = ["scalarize", f, "--point", "1,1", "--tol", "1/1000", "--t-max", "8"]
+        assert cli.main(argv) == 0
+        assert seen and all(
+            (F.tol, F.t_max) == (Fraction(1, 1000), 8) for F in seen
+        )
+
     @pytest.mark.parametrize("flag", ["--tol", "--t-max"])
     def test_zero_denominator_setting_exits_2(
         self, tmp_path, segment_doc, flag, capsys

@@ -1,6 +1,7 @@
 """Descent solver: pre-order laws, worked chain instance, certificates."""
 
 import gc
+import math
 import random
 import warnings
 import weakref
@@ -26,7 +27,12 @@ from polyevp.evp import (
     solve,
     verify_certificate,
 )
-from polyevp.geometry import ConeGen, InvalidConfigurationError, Polytope
+from polyevp.geometry import (
+    ConeGen,
+    InvalidConfigurationError,
+    Polytope,
+    zero_notin_H_plus_K,
+)
 from polyevp.lp_core import EXACT, FLOAT
 from polyevp.problemfile import build_problem
 from polyevp.scalarization import SeparationFunctional, evaluate
@@ -82,6 +88,83 @@ class TestMetricSpace:
             FiniteMetricSpace(("a", "b"), ((1, 1), (1, 0)))
         with pytest.raises(InvalidConfigurationError):
             FiniteMetricSpace(("a", "b"), ((0, 0), (0, 0)))
+
+    @staticmethod
+    def _brute_force_error(labels, dist):
+        """The metric axioms by a plain Fraction triple loop: the first
+        failure's message in (i, j, k) order, or None."""
+        d = [[Fraction(x) for x in row] for row in dist]
+        n = len(labels)
+        for i in range(n):
+            if d[i][i] != 0:
+                return f"nonzero self-distance at {labels[i]!r}"
+            for j in range(n):
+                if d[i][j] != d[j][i]:
+                    return f"asymmetric distances between {labels[i]!r} and {labels[j]!r}"
+                if i != j and d[i][j] <= 0:
+                    return f"distinct points {labels[i]!r}, {labels[j]!r} at distance {d[i][j]}"
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    if d[i][k] > d[i][j] + d[j][k]:
+                        return (
+                            "triangle inequality fails on "
+                            f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})"
+                        )
+        return None
+
+    def _assert_same_verdict(self, labels, dist):
+        expected = self._brute_force_error(labels, dist)
+        try:
+            space = FiniteMetricSpace(labels, dist)
+        except InvalidConfigurationError as e:
+            assert str(e) == expected
+        else:
+            assert expected is None
+            assert space.dist == tuple(tuple(Fraction(x) for x in row) for row in dist)
+        return expected
+
+    def test_integer_check_matches_fraction_triple_loop(self):
+        rng = random.Random(2024)
+        verdicts = {}
+        for trial in range(300):
+            n = rng.randint(2, 8)
+            labels = tuple(f"p{i}" for i in range(n))
+            d = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    d[i][j] = d[j][i] = Fraction(rng.randint(1, 40), rng.randint(1, 12))
+            if trial % 3:  # shortest-path closure: a metric to edit
+                for k in range(n):
+                    for i in range(n):
+                        for j in range(n):
+                            d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+            lcm = math.lcm(*(x.denominator for row in d for x in row))
+            i, j = rng.sample(range(n), 2)
+            edit = rng.choice(["none", "triangle", "symmetry", "positive", "diagonal"])
+            if edit == "triangle" and n > 2:
+                k = rng.choice([x for x in range(n) if x not in (i, j)])
+                d[i][j] = d[j][i] = d[i][k] + d[k][j] + Fraction(1, lcm)
+            elif edit == "symmetry":
+                d[i][j] += Fraction(1, lcm)
+            elif edit == "positive":
+                d[i][j] = d[j][i] = Fraction(-rng.randint(0, 2), rng.randint(1, 12))
+            elif edit == "diagonal":
+                d[i][i] = Fraction(rng.choice([-1, 1]), lcm)
+            message = self._assert_same_verdict(labels, tuple(map(tuple, d)))
+            kind = message.split(" ")[0] if message else None
+            verdicts[edit, kind] = verdicts.get((edit, kind), 0) + 1
+        # every edit is seen breaking its own rule, and closed matrices pass
+        for edit, kind in [
+            ("triangle", "triangle"), ("symmetry", "asymmetric"),
+            ("positive", "distinct"), ("diagonal", "nonzero"), ("none", None),
+        ]:
+            assert verdicts.get((edit, kind), 0) > 5, verdicts
+
+    def test_integer_check_on_one_point(self):
+        for dist in [(0,), ("1/3",), (-1,), ("0/7",)]:
+            self._assert_same_verdict(("only",), (dist,))
+        assert FiniteMetricSpace(("only",), ((0,),)).dist == ((Fraction(0),),)
 
     def test_random_generator_produces_valid_spaces(self):
         rng = random.Random(1)
@@ -373,6 +456,51 @@ class TestCoradiantEscape:
     def test_gamma_must_be_positive(self, chain3_eps5):
         with pytest.raises(ValueError):
             coradiant_escape_check(chain3_eps5, "c", 1, 0)
+
+
+class TestZeroDistance:
+    """Properties at step length zero, where d(x, x') = 0 and the
+    perturbation scale * d * H vanishes."""
+
+    @staticmethod
+    def _draws(seed, count, mode_factory=None):
+        rng = random.Random(seed)
+        problems = []
+        while len(problems) < count:
+            p = rand_problem(rng, max_points=5, mode_factory=mode_factory)
+            if p is not None:
+                problems.append(p)
+        return problems
+
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+    def test_every_point_dominates_itself(self, backend):
+        for p in self._draws(43, 15):
+            for x in p.space.labels:
+                assert dominates(p, x, x, backend)
+
+    @pytest.mark.parametrize(
+        "mode_factory",
+        [None, lambda eps: ScaledMode(eps, Fraction(1, 2)), lambda eps: ScaledMode(eps, 4)],
+        ids=["plain", "scaled-short", "scaled-long"],
+    )
+    def test_singleton_start_section_stays_put(self, mode_factory):
+        singletons = 0
+        for p in self._draws(41, 40, mode_factory):
+            if lower_section(p, p.x0) != (p.x0,):
+                continue
+            singletons += 1
+            cert = solve(p)
+            assert cert.xbar == p.x0 and cert.chain == (p.x0,)
+            report = verify_certificate(p, cert)
+            assert report.passed, report.failures
+            assert report.c is (None if mode_factory is None else True)
+        assert singletons >= 10
+
+    def test_coradiant_check_at_start_is_origin_exclusion(self):
+        for p in self._draws(47, 20):
+            res = coradiant_escape_check(p, p.x0)
+            assert res.holds == zero_notin_H_plus_K(p.H, p.K)
+            assert res.points_checked == 0
 
 
 class TestRandomInstances:

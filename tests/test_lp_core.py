@@ -1,5 +1,6 @@
 """LP oracle: status correctness, witness re-check, backend agreement."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from polyevp.lp_core import (
     FLOAT,
     LinearProgram,
     LPFormatError,
+    _integerize,
     check_witness,
     float_backend,
     solve,
@@ -138,3 +140,31 @@ def test_float_tolerance_parameter_validates():
         float_backend(0.0)
     with pytest.raises(ValueError):
         float_backend(2.0)
+
+
+def test_integerize_matches_fraction_products():
+    rng = random.Random(5)
+    assert _integerize([]) == []
+    for _ in range(300):
+        row = [
+            Fraction(rng.choice([0, rng.randint(-50, 50)]), rng.randint(1, 12))
+            for _ in range(rng.randint(1, 9))
+        ]
+        lcm = math.lcm(*(v.denominator for v in row))
+        assert _integerize(row) == [int(v * lcm) for v in row]
+
+
+def test_free_variable_with_negative_fractions_has_exact_witness():
+    # x0 free, x1, x2 >= 0; the second row pins x0 = -8/15 when x1 = 0
+    rows = [
+        [Fraction(-3, 7), Fraction(2, 5), Fraction(-1, 3)],
+        [Fraction(5, 4), Fraction(-7, 6), 0],
+    ]
+    rhs = [Fraction(-11, 9), Fraction(-2, 3)]
+    obj = [Fraction(-1, 2), Fraction(3, 8), Fraction(5, 11)]
+    lp = LinearProgram.optimize(obj, "max", rows, rhs, [False, True, True])
+    res = solve(lp, EXACT)
+    assert res.status == "feasible"
+    assert check_witness(lp, res.witness, tol=0)
+    assert res.witness == (Fraction(-8, 15), 0, Fraction(457, 105))
+    assert res.value == sum(c * x for c, x in zip(lp.objective, res.witness))
