@@ -1,8 +1,10 @@
 """polyevp: polyhedral cone scalarization, lower-boundedness diagnostics,
 and certified variational descent on finite metric spaces.
 
-Everything is computed through exact rational linear programming by
-default, so answers are certificates rather than approximations; a float
+Everything is computed exactly by default, so answers are certificates
+rather than approximations: through rational linear programming, and for
+the descent solver's repeated questions about one pair (H, K) through an
+integer halfspace representation computed once per problem.  A float LP
 backend with explicit tolerances is available for large batches.
 """
 
@@ -38,13 +40,16 @@ from .evp import (
 )
 from .geometry import (
     ConeGen,
+    ConeHalfspaces,
     ConeValidation,
     DimensionMismatchError,
     InvalidConfigurationError,
     Polytope,
     VPolyhedralUnion,
     cone_contains,
+    cone_halfspaces,
     dual_cone_contains,
+    homogenized_halfspaces,
     scaled_H_minus_K_contains,
     scaled_H_plus_K_contains,
     triangle_property_check,
@@ -72,6 +77,7 @@ from .scalarization import (
     attainment_check,
     evaluate,
     evaluate_bisection,
+    evaluate_closed_form,
     xi,
 )
 

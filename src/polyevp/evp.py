@@ -52,12 +52,14 @@ from .geometry import (
     zero_notin_H_plus_K,
 )
 from .lp_core import EXACT, Backend
-from .rational import Number, Vec, frac, frac_vec, vec_sub
+from .rational import Number, Vec, dot, frac, frac_vec, vec_sub
 from .scalarization import (
     ExtendedReal,
     InternalConsistencyError,
     SeparationFunctional,
     evaluate,
+    phi_from_rows,
+    row_products,
 )
 
 __all__ = [
@@ -304,31 +306,95 @@ class EVPProblem:
 
 
 # ---------------------------------------------------------------------------
-# the pre-order
+# the pre-order, on the halfspaces of the cone over t*H + K
 # ---------------------------------------------------------------------------
+
+
+def _image_products(p: EVPProblem, *row_sets) -> tuple[int, list[dict]]:
+    """(scale, one {label: [row products per image]} per row set).
+
+    Every image is scaled by one common ``scale`` to integers z, and
+    each row (a_z, a_t) contributes a_z . z.  Products are linear in z,
+    so those of a difference of images are differences of these.
+    """
+    scale = math.lcm(
+        *(c.denominator for _, imgs in p.f.entries for y in imgs for c in y)
+    )
+    ints = {
+        l: [[c.numerator * (scale // c.denominator) for c in y] for y in imgs]
+        for l, imgs in p.f.entries
+    }
+    return scale, [
+        {l: [row_products(rows, z) for z in zs] for l, zs in ints.items()}
+        for rows in row_sets
+    ]
+
+
+@dataclass(frozen=True)
+class _ImageRows:
+    """The solver's row products, computed once per problem.
+
+    ``plus[label][i]`` holds the products of the rows of the cone over
+    t*H + K with image i scaled by ``scale``, and ``minus[label][i]``
+    those of the cone over t*H - K; ``plus_t`` and ``minus_t`` are the
+    rows' t coefficients.
+    """
+
+    scale: int
+    plus_t: tuple[int, ...]
+    minus_t: tuple[int, ...]
+    plus: dict[str, list[tuple[int, ...]]]
+    minus: dict[str, list[tuple[int, ...]]]
+
+
+def _image_rows(p: EVPProblem) -> _ImageRows:
+    rows = p.__dict__.get("_image_rows")
+    if rows is None:
+        plus, minus = p._separation.halfspaces()
+        scale, (at_plus, at_minus) = _image_products(p, plus.rows, minus.rows)
+        rows = _ImageRows(
+            scale, plus.t_coefficients, minus.t_coefficients, at_plus, at_minus
+        )
+        object.__setattr__(p, "_image_rows", rows)
+    return rows
+
+
+def _bounds(t_coeffs: Sequence[int], scale: int, t: Fraction) -> tuple[int, list[int]]:
+    """(den, bounds) such that y - ysrc lies in t*H + K iff every row has
+    den * (a_z . z - a_z . zsrc) >= its bound (see `_reaches`)."""
+    T = t * scale
+    return T.denominator, [-c * T.numerator for c in t_coeffs]
+
+
+def _reaches(den: int, bounds: list[int], target, source) -> bool:
+    """Is y - ysrc in t*H + K, given the two images' row products?
+
+    With scale * t = num/den, every row must satisfy
+    a_z . (z - zsrc) + a_t * num/den >= 0; times den it is integral.
+    """
+    return all(den * (a - b) >= c for a, b, c in zip(target, source, bounds))
 
 
 def dominates(p: EVPProblem, xprime: str, x: str, backend: Backend = EXACT) -> bool:
     """Is xprime below x, i.e. f(x) within f(xprime) + scale*d*H + K?
 
     Each image of f(x) must be reachable from some image of f(xprime);
-    one feasibility LP per candidate pair.  The answer is memoized per
-    (pair, backend) in a dict that lives on the problem object, so it is
-    freed with the problem and never answers for another one.
+    each pair is a sign check of stored integer row products
+    (`_image_rows`), exact whatever ``backend`` says.  The answer is
+    memoized per pair in a dict that lives on the problem object, so it
+    is freed with the problem and never answers for another one.
     """
     p.space._index_of(xprime)
     p.space._index_of(x)
-    key = (xprime, x, backend)
+    key = (xprime, x)
     ans = p._dominance.get(key)
     if ans is None:
-        t = p.scale * p.space.d(x, xprime)
-        sources = p.images(xprime)
+        rows = _image_rows(p)
+        den, bounds = _bounds(rows.plus_t, rows.scale, p.scale * p.space.d(x, xprime))
+        sources = rows.plus[xprime]
         ans = all(
-            any(
-                scaled_H_plus_K_contains(p.H, p.K, vec_sub(y, ysrc), t, backend)
-                for ysrc in sources
-            )
-            for y in p.images(x)
+            any(_reaches(den, bounds, target, src) for src in sources)
+            for target in rows.plus[x]
         )
         p._dominance[key] = ans
     return ans
@@ -346,23 +412,23 @@ def lower_section(p: EVPProblem, x: str, backend: Backend = EXACT) -> tuple[str,
 
 
 def _first_blocking_pair(
-    p: EVPProblem,
-    y0: Vec,
-    scope: Sequence[str],
-    eps: Fraction,
-    backend: Backend,
+    p: EVPProblem, y0_rows: tuple[int, ...], scope: Sequence[str], eps: Fraction
 ) -> Optional[tuple[str, Vec]]:
+    """First (point, image y) in scope with y0 - y in eps*H + K, given
+    the products of y0."""
+    rows = _image_rows(p)
+    den, bounds = _bounds(rows.plus_t, rows.scale, eps)
     for x in scope:
-        for y in p.images(x):
-            if scaled_H_plus_K_contains(p.H, p.K, vec_sub(y0, y), eps, backend):
+        for y, y_rows in zip(p.images(x), rows.plus[x]):
+            if _reaches(den, bounds, y0_rows, y_rows):
                 return (x, y)
     return None
 
 
-def _condition_scope(p: EVPProblem, backend: Backend) -> tuple[str, ...]:
+def _condition_scope(p: EVPProblem) -> tuple[str, ...]:
     if isinstance(p.mode, EfficiencyMode):
         return p.feasible
-    return lower_section(p, p.x0, backend)
+    return lower_section(p, p.x0)
 
 
 def condition_ii_witness(p: EVPProblem, backend: Backend = EXACT) -> Optional[Vec]:
@@ -370,11 +436,12 @@ def condition_ii_witness(p: EVPProblem, backend: Backend = EXACT) -> Optional[Ve
 
     The scope is the lower section of x0, except in efficiency mode
     where the approximate-efficiency hypothesis quantifies over the
-    whole feasible set.
+    whole feasible set.  Decided exactly on the halfspaces, whatever
+    ``backend`` says.
     """
-    scope = _condition_scope(p, backend)
-    for y0 in p.images(p.x0):
-        if _first_blocking_pair(p, y0, scope, p.epsilon, backend) is None:
+    scope = _condition_scope(p)
+    for y0, y0_rows in zip(p.images(p.x0), _image_rows(p).plus[p.x0]):
+        if _first_blocking_pair(p, y0_rows, scope, p.epsilon) is None:
             return y0
     return None
 
@@ -386,14 +453,15 @@ def ae_efficient(
 
     Returns an image y0 of x such that no feasible image falls inside
     y0 - eps*H - K, or None when every candidate image is undercut.
+    Decided exactly on the halfspaces, whatever ``backend`` says.
     """
     e = frac(eps)
     if e <= 0:
         raise ValueError("eps must be positive")
     if x not in p.feasible:
         raise ValueError(f"{x!r} is not a feasible point")
-    for y0 in p.images(x):
-        if _first_blocking_pair(p, y0, p.feasible, e, backend) is None:
+    for y0, y0_rows in zip(p.images(x), _image_rows(p).plus[x]):
+        if _first_blocking_pair(p, y0_rows, p.feasible, e) is None:
             return y0
     return None
 
@@ -408,9 +476,9 @@ class EVPCertificate:
     """Solver output with enough data to re-verify every claim.
 
     ``chain`` walks from x0 to xbar through the pre-order;
-    ``xi_trace`` holds the potential minimum at each chain point, scored
-    exactly whatever backend chose the chain, and is strictly decreasing,
-    by at least scale * step distance per move.
+    ``xi_trace`` holds the exact potential minimum at each chain point
+    and is strictly decreasing, by at least scale * step distance per
+    move.
     """
 
     xbar: str
@@ -419,22 +487,21 @@ class EVPCertificate:
     xi_trace: tuple[Fraction, ...]
 
 
-def _potential(p: EVPProblem, label: str, y0: Vec, backend: Backend) -> ExtendedReal:
-    """xi at a point: the least phi(y - y0) over its images."""
-    return min(
-        evaluate(p._separation, vec_sub(y, y0), backend) for y in p.images(label)
-    )
-
-
 def solve(p: EVPProblem, backend: Backend = EXACT) -> EVPCertificate:
-    """Run the descent and return a certificate for its endpoint."""
+    """Run the descent and return a certificate for its endpoint.
+
+    Dominance, the hypothesis check and the scores are read off the
+    halfspaces of the cones over t*H + K and t*H - K with no LP, in
+    exact integer arithmetic whatever ``backend`` says.
+    """
+    rows = _image_rows(p)
     witness = None
     blocking: dict = {}
-    scope = _condition_scope(p, backend)
-    for y0 in p.images(p.x0):
-        pair = _first_blocking_pair(p, y0, scope, p.epsilon, backend)
+    scope = _condition_scope(p)
+    for i, y0 in enumerate(p.images(p.x0)):
+        pair = _first_blocking_pair(p, rows.plus[p.x0][i], scope, p.epsilon)
         if pair is None:
-            witness = y0
+            witness = i
             break
         blocking[y0] = pair
     if witness is None:
@@ -449,30 +516,39 @@ def solve(p: EVPProblem, backend: Backend = EXACT) -> EVPCertificate:
             blocking,
         )
 
-    exact = backend.kind == "exact"
+    plus0, minus0 = rows.plus[p.x0][witness], rows.minus[p.x0][witness]
     score_cache: dict[str, ExtendedReal] = {}
 
     def score(label: str) -> ExtendedReal:
+        """xi at a point: the least phi(y - y0) over its images."""
         val = score_cache.get(label)
         if val is None:
-            val = _potential(p, label, witness, backend)
+            val = min(
+                phi_from_rows(
+                    rows.plus_t,
+                    tuple(map(operator.sub, plus0, plus_y)),
+                    rows.minus_t,
+                    tuple(map(operator.sub, minus_y, minus0)),
+                    rows.scale,
+                )
+                for plus_y, minus_y in zip(rows.plus[label], rows.minus[label])
+            )
             score_cache[label] = val
         return val
 
-    start_section = lower_section(p, p.x0, backend)
+    start_section = lower_section(p, p.x0)
     section_min = min(score(l) for l in start_section)
-    if exact:
-        if not section_min.is_finite or not (-p.epsilon <= section_min.value <= 0):
-            raise InternalConsistencyError(
-                f"potential minimum {section_min} over the start section violates "
-                f"the [-eps, 0] bound"
-            )
+    if not section_min.is_finite or not (-p.epsilon <= section_min.value <= 0):
+        raise InternalConsistencyError(
+            f"potential minimum {section_min} over the start section violates "
+            f"the [-eps, 0] bound"
+        )
 
     order = {l: i for i, l in enumerate(p.space.labels)}
     chain = [p.x0]
     current = p.x0
     for _ in range(len(p.space.labels) + 1):
-        section = lower_section(p, current, backend)
+        section = lower_section(p, current)
         if section == (current,):
             break
         best = min(section, key=lambda l: (score(l), order[l]))
@@ -482,15 +558,14 @@ def solve(p: EVPProblem, backend: Backend = EXACT) -> EVPCertificate:
                 f"{len(section)} points"
             )
         step = p.scale * p.space.d(current, best)
-        if exact:
-            before, after = score(current), score(best)
-            if not after.is_finite or (
-                before.is_finite and before.value - after.value < step
-            ):
-                raise InternalConsistencyError(
-                    f"descent step {current!r} -> {best!r} dropped the potential "
-                    f"by less than scale * distance"
-                )
+        before, after = score(current), score(best)
+        if not after.is_finite or (
+            before.is_finite and before.value - after.value < step
+        ):
+            raise InternalConsistencyError(
+                f"descent step {current!r} -> {best!r} dropped the potential "
+                f"by less than scale * distance"
+            )
         chain.append(best)
         current = best
     else:
@@ -498,12 +573,15 @@ def solve(p: EVPProblem, backend: Backend = EXACT) -> EVPCertificate:
 
     values = []
     for label in chain:
-        v = score(label) if exact else _potential(p, label, witness, EXACT)
+        v = score(label)
         if not v.is_finite:
             raise InternalConsistencyError("chain point scored +inf")
         values.append(v.value)
     return EVPCertificate(
-        xbar=current, y0=witness, chain=tuple(chain), xi_trace=tuple(values)
+        xbar=current,
+        y0=p.images(p.x0)[witness],
+        chain=tuple(chain),
+        xi_trace=tuple(values),
     )
 
 
@@ -623,18 +701,94 @@ class VerificationReport:
         return not self.failures
 
 
+class _CheckedRelation:
+    """The pre-order and the hypothesis check as the verifier decides them.
+
+    Shares no answer with the solver.  A "no" for "y - ysrc in t*H + K"
+    is a Farkas certificate: a row r of the problem's halfspaces of the
+    cone over t*H + K that this class has itself checked to be
+    nonnegative on every generator (h, 1) and (k, 0), taken from H and K
+    directly, and that is negative at (y - ysrc, t).  Such a row is
+    nonnegative on the whole cone, so the point lies outside.  A row that
+    fails the check is dropped, and a point that no checked row excludes
+    goes to the membership LP, so every "yes" is an exact LP answer.
+    """
+
+    def __init__(self, p: EVPProblem):
+        self.p = p
+        plus, _ = p._separation.halfspaces()
+        rows = [
+            r
+            for r in plus.rows
+            if all(dot(r[:-1], h) + r[-1] >= 0 for h in p.H.vertices)
+            and all(dot(r[:-1], k) >= 0 for k in p.K.generators)
+        ]
+        self.rows = tuple(rows)
+        self.t = tuple(r[-1] for r in rows)
+        self.scale, (self.products,) = _image_products(p, rows)
+        self._dominance: dict = {}
+
+    def _in_sum(self, y: Vec, ysrc: Vec, prod, prod_src, t: Fraction) -> bool:
+        if not _reaches(*_bounds(self.t, self.scale, t), prod, prod_src):
+            return False  # a checked row is negative at (y - ysrc, t)
+        return scaled_H_plus_K_contains(self.p.H, self.p.K, vec_sub(y, ysrc), t)
+
+    def dominates(self, xprime: str, x: str) -> bool:
+        key = (xprime, x)
+        ans = self._dominance.get(key)
+        if ans is None:
+            p = self.p
+            t = p.scale * p.space.d(x, xprime)
+            sources = list(zip(p.images(xprime), self.products[xprime]))
+            ans = all(
+                any(self._in_sum(y, ys, prod, ps, t) for ys, ps in sources)
+                for y, prod in zip(p.images(x), self.products[x])
+            )
+            self._dominance[key] = ans
+        return ans
+
+    def escapes(self, y0: Vec) -> bool:
+        """Is y0, an image of x0, outside y - eps*H - K for every image y
+        of every point in the hypothesis scope?  Whether a point is in
+        the scope is asked only of points with a reaching image."""
+        p = self.p
+        prod0 = self.products[p.x0][p.images(p.x0).index(y0)]
+        efficiency = isinstance(p.mode, EfficiencyMode)
+        for x in p.feasible:
+            if any(
+                self._in_sum(y0, y, prod0, prod, p.epsilon)
+                for y, prod in zip(p.images(x), self.products[x])
+            ) and (efficiency or self.dominates(x, p.x0)):
+                return False
+        return True
+
+
+def _lp_potential(p: EVPProblem, label: str, y0: Vec) -> ExtendedReal:
+    """xi at a point by the LP route: the least phi(y - y0) over its images."""
+    return min(evaluate(p._separation, vec_sub(y, y0)) for y in p.images(label))
+
+
 def verify_certificate(
     p: EVPProblem, cert: EVPCertificate, backend: Backend = EXACT
 ) -> VerificationReport:
-    """Re-check every conclusion from scratch; never raises on failure."""
-    failures: list[str] = []
+    """Re-check every conclusion from scratch; never raises on failure.
 
-    a = dominates(p, cert.xbar, p.x0, backend)
+    The route is independent of the solver's.  Dominance and the
+    hypothesis witness are decided by `_CheckedRelation`: each "no" by a
+    halfspace row the verifier has checked against H and K itself, each
+    "yes" by an exact membership LP, with no memo shared with the solver.
+    The trace is re-scored by the LP `evaluate`.  Only the coradiant
+    escape search of efficiency mode uses ``backend``.
+    """
+    failures: list[str] = []
+    rel = _CheckedRelation(p)
+
+    a = rel.dominates(cert.xbar, p.x0)
     if not a:
         failures.append("(a)")
 
     b = all(
-        not dominates(p, x, cert.xbar, backend)
+        not rel.dominates(x, cert.xbar)
         for x in p.feasible
         if x != cert.xbar
     )
@@ -661,28 +815,20 @@ def verify_certificate(
         and cert.chain[-1] == cert.xbar
         and all(l in p.feasible for l in cert.chain)
         and all(z1 != z2 for z1, z2 in zip(cert.chain, cert.chain[1:]))
-        and all(
-            dominates(p, z2, z1, backend)
-            for z1, z2 in zip(cert.chain, cert.chain[1:])
-        )
+        and all(rel.dominates(z2, z1) for z1, z2 in zip(cert.chain, cert.chain[1:]))
     )
     if not chain_valid:
         failures.append("(chain)")
 
-    witness_valid = tuple(cert.y0) in set(p.images(p.x0)) and (
-        _first_blocking_pair(
-            p, frac_vec(cert.y0), _condition_scope(p, backend), p.epsilon, backend
-        )
-        is None
-    )
+    y0 = frac_vec(cert.y0)
+    witness_valid = y0 in set(p.images(p.x0)) and rel.escapes(y0)
     if not witness_valid:
         failures.append("(witness)")
 
     trace_consistent = len(cert.xi_trace) == len(cert.chain)
     if trace_consistent and chain_valid and witness_valid:
-        y0 = frac_vec(cert.y0)
         for label, claimed in zip(cert.chain, cert.xi_trace):
-            actual = _potential(p, label, y0, EXACT)
+            actual = _lp_potential(p, label, y0)
             if not actual.is_finite or actual.value != claimed:
                 trace_consistent = False
                 break

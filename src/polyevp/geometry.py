@@ -3,12 +3,17 @@
 Three value types cover every set this package manipulates:
 
 * ``ConeGen``: a finitely generated convex cone, kept in generator form.
-  All the set relations used downstream reduce to LP feasibility against
-  the generators, so no halfspace conversion is ever needed.
-* ``Polytope``: a vertex-represented convex compact set.  Oracles work on
-  the vertex list directly; no hull computation is performed.
+* ``Polytope``: a vertex-represented convex compact set.
 * ``VPolyhedralUnion``: a finite union of (vertices + rays) pieces, for
   ranges of set-valued maps that may be unbounded.
+
+The membership oracles answer each question with one exact LP over the
+generators and vertices.  For a question asked many times about one
+pair (H, K) at varying scale t, `homogenized_halfspaces` converts the
+cone over {(h, 1) : h in H} + {(+-k, 0) : k in K} once into integer
+halfspaces by the double description method (`cone_halfspaces`); then
+"z in t*H +- K" for every t >= 0 is a sign check of integer row
+products, with no LP.
 
 A note on closures: sums of polytopes and finitely generated cones are
 closed, so the distinction between a set, its topological closure, and
@@ -18,6 +23,8 @@ here.  Predicate names therefore talk about the sets themselves.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -29,12 +36,15 @@ __all__ = [
     "DimensionMismatchError",
     "InvalidConfigurationError",
     "ConeGen",
+    "ConeHalfspaces",
     "ConeValidation",
     "Polytope",
     "VPolyhedralUnion",
     "validate_cone",
     "cone_contains",
+    "cone_halfspaces",
     "dual_cone_contains",
+    "homogenized_halfspaces",
     "scaled_H_minus_K_contains",
     "scaled_H_plus_K_contains",
     "zero_notin_H_plus_K",
@@ -312,3 +322,140 @@ def union_disjoint_from(
         if solve(_combination_lp(y0v, blocks), backend).is_feasible:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# halfspace representation
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ConeHalfspaces:
+    """The cone {w : E w = 0, A w >= 0} in integer rows.
+
+    The rows of ``equalities`` (E) span the orthogonal complement of the
+    cone's linear span, so a lower-dimensional cone is described
+    exactly; ``inequalities`` (A) holds one row per facet.
+    """
+
+    equalities: tuple[tuple[int, ...], ...]
+    inequalities: tuple[tuple[int, ...], ...]
+
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Rows r with the cone = {w : r . w >= 0 for each r}: A, E, -E."""
+        return (
+            self.inequalities
+            + self.equalities
+            + tuple(tuple(-c for c in e) for e in self.equalities)
+        )
+
+    @functools.cached_property
+    def t_coefficients(self) -> tuple[int, ...]:
+        """The last entry of each row: the scale's coefficient in a
+        homogenized cone."""
+        return tuple(r[-1] for r in self.rows)
+
+    def contains(self, w: Sequence[Number]) -> bool:
+        """Is w in the cone?  Exact for integer or Fraction entries."""
+        return all(sum(a * c for a, c in zip(r, w)) >= 0 for r in self.rows)
+
+
+def _idot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
+    g = math.gcd(*v)
+    return tuple(c // g for c in v) if g > 1 else tuple(v)
+
+
+def cone_halfspaces(generators: Sequence[Sequence[int]], dim: int) -> ConeHalfspaces:
+    """Halfspaces of cone(generators), for integer generators in R^dim.
+
+    The rows generate the dual cone {a : a . g >= 0 for each generator g}:
+    its lineality space, the orthogonal complement of the generators'
+    span, gives E, and its extreme rays give A; by duality the cone is
+    {w : E w = 0, A w >= 0}.  The dual cone is built by the double
+    description method (Motzkin et al. 1953; Fukuda & Prodon 1996),
+    starting from the whole space and adding a . g >= 0 one generator
+    at a time:
+
+    * if g is not orthogonal to some lineality vector b, oriented so
+      that g . b > 0, then b becomes a ray and every other lineality
+      vector and ray is moved along b onto the hyperplane g . a = 0;
+    * otherwise rays with g . r >= 0 stay, and each adjacent pair of a
+      positive and a negative ray adds the ray where their segment meets
+      the hyperplane.  Two rays are adjacent when no third ray is tight
+      on every constraint both are tight on.
+
+    Arithmetic is on integers, each vector divided by its gcd.
+    """
+    lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays: list[tuple[int, ...]] = []
+    tight: list[int] = []  # per ray, bit i set when constraint i is tight
+    for i, g in enumerate(generators):
+        vals = [_idot(g, b) for b in lin]
+        j = next((j for j, v in enumerate(vals) if v), None)
+        if j is not None:
+            b, v = lin.pop(j), vals.pop(j)
+            if v < 0:
+                b, v = tuple(-c for c in b), -v
+            lin = [
+                _primitive([v * x - w * y for x, y in zip(c, b)])
+                for c, w in zip(lin, vals)
+            ]
+            rays = [
+                _primitive([v * x - _idot(g, r) * y for x, y in zip(r, b)])
+                for r in rays
+            ]
+            # b lay in the lineality space, so constraints 0..i-1 are tight on it
+            tight = [t | 1 << i for t in tight] + [(1 << i) - 1]
+            rays.append(b)
+            continue
+        vals = [_idot(g, r) for r in rays]
+        kept = [
+            (r, t | 1 << i if v == 0 else t)
+            for r, t, v in zip(rays, tight, vals)
+            if v >= 0
+        ]
+        for p, vp in enumerate(vals):
+            if vp <= 0:
+                continue
+            for q, vq in enumerate(vals):
+                if vq >= 0:
+                    continue
+                common = tight[p] & tight[q]
+                if any(
+                    k != p and k != q and t & common == common
+                    for k, t in enumerate(tight)
+                ):
+                    continue
+                ray = _primitive([vp * x - vq * y for x, y in zip(rays[q], rays[p])])
+                kept.append((ray, common | 1 << i))
+        rays = [r for r, _ in kept]
+        tight = [t for _, t in kept]
+    return ConeHalfspaces(tuple(lin), tuple(rays))
+
+
+def _integral(v: Sequence[Fraction]) -> tuple[int, ...]:
+    """v times the lcm of its denominators: a positive multiple in integers."""
+    den = math.lcm(*(c.denominator for c in v))
+    return tuple(c.numerator * (den // c.denominator) for c in v)
+
+
+def homogenized_halfspaces(H: Polytope, K: ConeGen, k_sign: int) -> ConeHalfspaces:
+    """Halfspaces of the cone over t*H + k_sign*K in R^(dim+1).
+
+    The cone is generated by (h, 1) for the vertices h of H and
+    (k_sign * k, 0) for the generators k of K.  H is bounded and
+    nonempty, so for every t >= 0 the pair (z, t) lies in it exactly
+    when z lies in t*H + k_sign*K; at t = 0 the H-weights must vanish
+    and the test reads z in k_sign*K.
+    """
+    if H.dim != K.dim:
+        raise DimensionMismatchError("polytope and cone dimensions differ")
+    one, zero = Fraction(1), Fraction(0)
+    gens = [_integral(h + (one,)) for h in H.vertices]
+    gens += [_integral(tuple(k_sign * c for c in k) + (zero,)) for k in K.generators]
+    return cone_halfspaces(gens, H.dim + 1)

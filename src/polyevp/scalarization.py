@@ -5,36 +5,52 @@ H + K, the functional
 
     phi(y) = inf { t : y in t*H - K }
 
-is finite or +infinity, never -infinity.  Two routes compute it:
+is finite or +infinity, never -infinity.  H sitting inside K makes the
+feasible scale set an upward-closed interval, so on each side of zero
+the question is one extreme scale.  Three routes compute it:
 
 * `evaluate` obtains the exact infimum from two linear programs.  On the
   branch t >= 0 the substitution mu_i = t * lambda_i turns the bilinear
   constraint into ``y = sum mu_i h_i - k`` with objective ``min sum mu``;
   on the branch t < 0 the substitution mu_i = -t * lambda_i yields
-  ``-y = sum mu_i h_i + k`` with objective ``max sum mu``.  H sitting
-  inside K makes the feasible scale set an upward-closed interval, so
-  the smaller achievable value across branches is the infimum.
+  ``-y = sum mu_i h_i + k`` with objective ``max sum mu``.  The smaller
+  achievable value across branches is the infimum.
+* `evaluate_closed_form` reads the same two branches off the integer
+  halfspaces of the cones over t*H - K and t*H + K
+  (`SeparationFunctional.halfspaces`): each branch is the extreme t
+  allowed by rows a_z . z + a_t * t >= 0, a one-dimensional ratio test
+  (`phi_from_rows`).  This is the polyhedral form of the Gerstewitz
+  functional (Goepfert, Riahi, Tammer & Zalinescu, 2003).
 * `evaluate_bisection` never looks at the branch decomposition: it
   brackets the threshold by doubling and bisects fixed-scale membership
-  queries down to a requested width.  Its correctness rests only on the
+  LPs down to a requested width.  Its correctness rests only on the
   monotonicity of feasibility in the scale, which makes it a genuinely
   independent cross-check for `evaluate`.
+
+The descent solver (`evp.solve`) scores by the closed form, from row
+products it computes once per problem.  The certificate verifier
+re-scores a trace by the LP route.  The ``scalarize`` command uses the
+LP route and cross-checks it by bisection, so it never builds the
+halfspaces.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .geometry import (
     ConeGen,
+    ConeHalfspaces,
     DimensionMismatchError,
     InvalidConfigurationError,
     Polytope,
     _combination_lp,
     cone_contains,
+    homogenized_halfspaces,
     scaled_H_minus_K_contains,
     zero_notin_H_plus_K,
 )
@@ -48,7 +64,10 @@ __all__ = [
     "SeparationFunctional",
     "BisectionResult",
     "evaluate",
+    "evaluate_closed_form",
     "evaluate_bisection",
+    "phi_from_rows",
+    "row_products",
     "xi",
     "attainment_check",
 ]
@@ -130,6 +149,104 @@ class SeparationFunctional:
                 )
         if not zero_notin_H_plus_K(self.H, self.K):
             raise InvalidConfigurationError("origin belongs to H + K")
+
+    def halfspaces(self) -> tuple[ConeHalfspaces, ConeHalfspaces]:
+        """Halfspaces of the cones over t*H + K and t*H - K, in that order.
+
+        Built on the first call and kept on the functional, so only
+        callers of the closed form pay for them.
+        """
+        hs = self.__dict__.get("_halfspaces")
+        if hs is None:
+            hs = tuple(homogenized_halfspaces(self.H, self.K, s) for s in (1, -1))
+            object.__setattr__(self, "_halfspaces", hs)
+        return hs
+
+
+def row_products(rows: Sequence[Sequence[int]], z: Sequence[int]) -> tuple[int, ...]:
+    """a_z . z for every row (a_z, a_t) of a homogenized cone."""
+    # zip stops at the end of z, leaving out each row's last entry a_t
+    return tuple(sum(a * c for a, c in zip(r, z)) for r in rows)
+
+
+def _scale_interval(coeffs, values):
+    """The scales s >= 0 with values[r] + coeffs[r] * s >= 0 for every r.
+
+    None when there are none; otherwise (lo, hi), each end a pair
+    (numerator, positive denominator) and hi None for no upper end.
+    """
+    lo_n, lo_d = 0, 1
+    hi = None
+    for a, c in zip(coeffs, values):
+        if a > 0:
+            if -c * lo_d > lo_n * a:
+                lo_n, lo_d = -c, a
+        elif a < 0:
+            if hi is None or c * hi[1] < hi[0] * -a:
+                hi = (c, -a)
+        elif c < 0:
+            return None
+    if hi is not None and lo_n * hi[1] > hi[0] * lo_d:
+        return None
+    return (lo_n, lo_d), hi
+
+
+def phi_from_rows(
+    plus_t: Sequence[int],
+    at_minus_z: Sequence[int],
+    minus_t: Sequence[int],
+    at_z: Sequence[int],
+    scale: int,
+) -> ExtendedReal:
+    """phi(z / scale) from row products, by a ratio test per branch.
+
+    ``at_z`` holds the row products of the cone over t*H - K at the
+    integer point z (`row_products`) and ``minus_t`` its rows' t
+    coefficients; ``at_minus_z`` and ``plus_t`` are the same for the
+    cone over t*H + K at -z.  The branches and their consistency checks
+    are those of `evaluate`: t >= 0 with z in t*H - K, least t; and
+    t = -s with -z in s*H + K, greatest s.
+    """
+    neg = _scale_interval(plus_t, at_minus_z)
+    if neg is not None and neg[1] is None:
+        raise InternalConsistencyError(
+            "negative branch unbounded despite origin-separation invariant"
+        )
+    pos = _scale_interval(minus_t, at_z)
+    if neg is not None and neg[1][0] > 0:
+        if pos is None:
+            raise InternalConsistencyError(
+                "scale feasibility failed to be upward closed"
+            )
+        n, d = neg[1]
+        return ExtendedReal.finite(Fraction(-n, d * scale))
+    if pos is not None:
+        n, d = pos[0]
+        return ExtendedReal.finite(Fraction(n, d * scale))
+    if neg is not None:
+        raise InternalConsistencyError(
+            "negative branch feasible at zero while t >= 0 branch is not"
+        )
+    return ExtendedReal.plus_infinity()
+
+
+def evaluate_closed_form(F: SeparationFunctional, y: Sequence[Number]) -> ExtendedReal:
+    """phi(y) from the halfspaces of F, with no LP."""
+    yv = frac_vec(y)
+    if len(yv) != F.H.dim:
+        raise DimensionMismatchError(
+            f"query has length {len(yv)}, expected {F.H.dim}"
+        )
+    plus, minus = F.halfspaces()
+    scale = math.lcm(*(c.denominator for c in yv))
+    z = [c.numerator * (scale // c.denominator) for c in yv]
+    return phi_from_rows(
+        plus.t_coefficients,
+        row_products(plus.rows, [-c for c in z]),
+        minus.t_coefficients,
+        row_products(minus.rows, z),
+        scale,
+    )
 
 
 def _branch_lp(

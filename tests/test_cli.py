@@ -1,5 +1,6 @@
 """Command-line workflows: outputs, exit codes, round trips."""
 
+import argparse
 import json
 from fractions import Fraction
 
@@ -285,3 +286,42 @@ class TestBatch:
         f1 = write(tmp_path / "r1.json", cross_doc)
         f2 = write(tmp_path / "r2.json", cross_doc)
         assert cli.main(["diagnose", f1, f2, "--batch"]) == 0
+
+
+def test_parser_is_built_once_per_process(
+    tmp_path, segment_doc, cross_doc, chain3_doc, capsys, monkeypatch
+):
+    seg = write(tmp_path / "seg.json", segment_doc)
+    cross = write(tmp_path / "cross.json", cross_doc)
+    chain = write(tmp_path / "chain.json", chain3_doc)
+    cert = str(tmp_path / "cert.json")
+    argvs = [
+        ["scalarize", seg, "--point", "1,1"],
+        ["diagnose", cross, "--json"],
+        ["solve", chain, "--certificate", cert],
+        ["verify", chain, cert, "--json"],
+        ["scalarize", seg, "--point=-1,-1", "--json"],
+    ]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.__wrapped__()
+    per_build = len(built)  # the main parser and one per command
+    built.clear()
+    cli._build_parser.cache_clear()
+    rounds = []
+    for _ in range(3):
+        rounds.append([(cli.main(argv), capsys.readouterr().out) for argv in argvs])
+    assert len(built) == per_build
+    assert rounds[0] == rounds[1] == rounds[2]
+    assert [code for code, _ in rounds[0]] == [0] * len(argvs)
+    assert "phi = 1" in rounds[0][0][1] and '"phi": -2' in rounds[0][4][1]
+    # the kept parser reads every command line as a fresh one does
+    fresh = cli._build_parser.__wrapped__()
+    for argv in argvs:
+        assert cli._build_parser().parse_args(argv) == fresh.parse_args(argv)

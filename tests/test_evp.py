@@ -1,5 +1,6 @@
 """Descent solver: pre-order laws, worked chain instance, certificates."""
 
+import dataclasses
 import gc
 import math
 import random
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from polyevp.evp import (
+    _CheckedRelation,
     EfficiencyMode,
     EVPCertificate,
     EVPProblem,
@@ -29,13 +31,19 @@ from polyevp.evp import (
 )
 from polyevp.geometry import (
     ConeGen,
+    ConeHalfspaces,
     InvalidConfigurationError,
     Polytope,
+    scaled_H_plus_K_contains,
     zero_notin_H_plus_K,
 )
 from polyevp.lp_core import EXACT, FLOAT
 from polyevp.problemfile import build_problem
-from polyevp.scalarization import SeparationFunctional, evaluate
+from polyevp.scalarization import (
+    InternalConsistencyError,
+    SeparationFunctional,
+    evaluate,
+)
 from polyevp.rational import vec_sub
 
 from conftest import (
@@ -582,3 +590,120 @@ class TestRandomInstances:
             cert = solve(found)
             report = verify_certificate(found, cert)
             assert report.a and report.b and report.c
+
+
+def _lp_dominates(p: EVPProblem, xprime: str, x: str) -> bool:
+    """The pre-order by membership LPs alone, for reference."""
+    t = p.scale * p.space.d(x, xprime)
+    return all(
+        any(
+            scaled_H_plus_K_contains(p.H, p.K, vec_sub(y, ys), t)
+            for ys in p.images(xprime)
+        )
+        for y in p.images(x)
+    )
+
+
+def _lp_claims(p: EVPProblem, cert: EVPCertificate) -> tuple[bool, bool]:
+    """Whether the certificate's (b) and hypothesis-witness claims are true."""
+    b = not any(_lp_dominates(p, x, cert.xbar) for x in p.feasible if x != cert.xbar)
+    if isinstance(p.mode, EfficiencyMode):
+        scope = p.feasible
+    else:
+        scope = [x for x in p.feasible if _lp_dominates(p, x, p.x0)]
+    witness = cert.y0 in p.images(p.x0) and not any(
+        scaled_H_plus_K_contains(p.H, p.K, vec_sub(cert.y0, y), p.epsilon)
+        for x in scope
+        for y in p.images(x)
+    )
+    return b, witness
+
+
+def _corrupted(p: EVPProblem, corrupt) -> EVPProblem:
+    """A fresh copy of p whose solver and verifier read corrupt(rows) as
+    the halfspaces of the cone over t*H + K."""
+    q = dataclasses.replace(p)
+    plus, minus = q._separation.halfspaces()
+    object.__setattr__(q._separation, "_halfspaces", (corrupt(plus), minus))
+    return q
+
+
+def _dropped_facet(plus: ConeHalfspaces) -> ConeHalfspaces:
+    return ConeHalfspaces(plus.equalities, plus.inequalities[1:])
+
+
+def _added_bad_row(plus: ConeHalfspaces) -> ConeHalfspaces:
+    # minus the sum of the facet rows: negative on every generator that is
+    # not on all facets, so with it the cone shrinks to (almost) its apex
+    bad = tuple(-sum(col) for col in zip(*plus.inequalities))
+    return ConeHalfspaces(plus.equalities, plus.inequalities + (bad,))
+
+
+class TestIndependentVerification:
+    @staticmethod
+    def _draws(seed, count):
+        rng = random.Random(seed)
+        out = []
+        while len(out) < count:
+            p = rand_problem(rng, max_points=7, max_images=3)
+            if p is not None:
+                out.append(p)
+        return out
+
+    def test_wrong_solver_memo_does_not_change_the_report(self):
+        for p in self._draws(71, 12):
+            cert = solve(p)
+            honest = verify_certificate(dataclasses.replace(p), cert)
+            assert honest.passed
+            for xp in p.space.labels:
+                for x in p.space.labels:
+                    p._dominance[(xp, x)] = not _lp_dominates(p, xp, x)
+            assert verify_certificate(p, cert) == honest
+
+    def test_wrong_solver_memo_does_not_hide_a_forged_endpoint(self, chain3_eps5):
+        p = chain3_eps5
+        for x in p.space.labels:
+            for xp in p.space.labels:
+                p._dominance[(xp, x)] = xp == x
+        forged = EVPCertificate(xbar="b", y0=(4, 4), chain=("a", "b"), xi_trace=(0, -2))
+        assert "(b)" in verify_certificate(p, forged).failures
+
+    @pytest.mark.parametrize(
+        "corrupt", [_dropped_facet, _added_bad_row], ids=["dropped", "added"]
+    )
+    def test_corrupt_rows_do_not_change_an_honest_report(self, corrupt):
+        for p in self._draws(73, 12):
+            cert = solve(p)
+            honest = verify_certificate(p, cert)
+            plus = p._separation.halfspaces()[0]
+            if not plus.inequalities:
+                continue
+            q = _corrupted(p, corrupt)
+            # the verifier keeps exactly the valid rows it was given
+            kept = _dropped_facet(plus) if corrupt is _dropped_facet else plus
+            assert set(_CheckedRelation(q).rows) == set(kept.rows)
+            assert verify_certificate(q, cert) == honest
+
+    @pytest.mark.parametrize(
+        "corrupt", [_dropped_facet, _added_bad_row], ids=["dropped", "added"]
+    )
+    def test_corrupt_solver_never_gets_a_false_claim_through(self, corrupt):
+        false_claims = 0
+        for p in self._draws(79, 25):
+            if not p._separation.halfspaces()[0].inequalities:
+                continue
+            q = _corrupted(p, corrupt)
+            try:
+                cert = solve(q)
+            except (HypothesisViolatedError, InternalConsistencyError):
+                continue
+            true_b, true_witness = _lp_claims(p, cert)
+            report = verify_certificate(q, cert)
+            assert (report.b, report.witness_valid) == (true_b, true_witness)
+            if not (true_b and true_witness):
+                false_claims += 1
+                assert not report.passed
+        if corrupt is _added_bad_row:
+            # the test has teeth: a cut-down cone makes the solver claim
+            # minimality or an escaping witness where neither holds
+            assert false_claims > 0

@@ -13,7 +13,9 @@ from polyevp.geometry import (
     Polytope,
     VPolyhedralUnion,
     cone_contains,
+    cone_halfspaces,
     dual_cone_contains,
+    homogenized_halfspaces,
     scaled_H_minus_K_contains,
     scaled_H_plus_K_contains,
     triangle_property_check,
@@ -22,6 +24,7 @@ from polyevp.geometry import (
     zero_notin_H_plus_K,
 )
 from polyevp.rational import dot
+from polyevp.scalarization import evaluate, SeparationFunctional
 
 from conftest import instance_point_scales, rand_cone_polytope, rand_point_in_cone
 
@@ -177,3 +180,59 @@ def test_random_cone_points_are_members():
         p = rand_point_in_cone(rng, K)
         assert cone_contains(K, p)
         assert dot(l, p) >= 0
+
+
+class TestHalfspaces:
+    def test_orthant_cone(self):
+        # cone{(1, 0), (0, 1)} is the quadrant x >= 0, y >= 0
+        hs = cone_halfspaces([(1, 0), (0, 1)], 2)
+        assert hs.equalities == ()
+        assert sorted(hs.inequalities) == [(0, 1), (1, 0)]
+
+    def test_ray_in_the_plane(self):
+        # cone{(1, 1)}: one equality x = y and one facet x + y >= 0
+        hs = cone_halfspaces([(1, 1)], 2)
+        assert len(hs.equalities) == 1 and len(hs.inequalities) == 1
+        assert hs.contains((2, 2)) and not hs.contains((-1, -1))
+        assert not hs.contains((1, 0))
+
+    def test_line_has_no_facet(self):
+        hs = cone_halfspaces([(1, 0), (-1, 0)], 2)
+        assert hs.inequalities == () and len(hs.equalities) == 1
+        assert hs.contains((-5, 0)) and not hs.contains((0, 1))
+
+    def test_one_vertex_H_on_a_ray(self):
+        # H = {(1, 1)}, K = cone{(1, 1)}: z in t*H + K iff z = s*(1, 1), s >= t
+        H, K = Polytope(2, ((1, 1),)), ConeGen(2, ((1, 1),))
+        hs = homogenized_halfspaces(H, K, 1)
+        assert hs.contains((2, 2, 2)) and hs.contains((3, 3, 2))
+        assert not hs.contains((1, 1, 2)) and not hs.contains((2, 3, 2))
+
+
+@given(instance_point_scales())
+@settings(max_examples=60, deadline=None)
+def test_halfspaces_match_the_membership_lps(data):
+    # low-rank K and one-vertex H are explicit draws; each oracle is asked
+    # at t = 0, at the drawn scales, at its exact threshold and 10**-12
+    # either side of it
+    K, H, y, t1, t2 = data
+    sf = SeparationFunctional(H, K)
+    # y in t*H - K from t = phi(y) up; y in t*H + K from t = -phi(-y) down
+    minus_thr = evaluate(sf, y).value
+    plus_thr = evaluate(sf, tuple(-c for c in y)).value
+    for sign, oracle, thr in (
+        (1, scaled_H_plus_K_contains, None if plus_thr is None else -plus_thr),
+        (-1, scaled_H_minus_K_contains, minus_thr),
+    ):
+        hs = homogenized_halfspaces(H, K, sign)
+        gens = [h + (1,) for h in H.vertices]
+        gens += [tuple(sign * c for c in k) + (0,) for k in K.generators]
+        for g in gens:
+            assert all(dot(e, g) == 0 for e in hs.equalities)
+            assert all(dot(a, g) >= 0 for a in hs.inequalities)
+        scales = {Fraction(0), t1, t2}
+        if thr is not None:
+            scales |= {thr, thr - Fraction(1, 10**12), thr + Fraction(1, 10**12)}
+        for t in scales:
+            if t >= 0:
+                assert hs.contains(tuple(y) + (t,)) == oracle(H, K, y, t), (sign, t)

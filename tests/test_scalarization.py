@@ -17,6 +17,7 @@ from polyevp.scalarization import (
     attainment_check,
     evaluate,
     evaluate_bisection,
+    evaluate_closed_form,
     xi,
 )
 
@@ -251,6 +252,54 @@ def test_lp_and_bisection_routes_agree_on_degenerate_shapes(data):
         assert attainment_check(sf, y)
 
 
+@given(instance_point_scales())
+@settings(max_examples=60, deadline=None)
+def test_closed_form_matches_the_lp_route_on_degenerate_shapes(data):
+    # low-rank K and one-vertex H are explicit draws; y and -y cover both
+    # branches of the ratio test
+    K, H, y, _, _ = data
+    sf = SeparationFunctional(H, K)
+    for z in (y, tuple(-c for c in y)):
+        assert evaluate_closed_form(sf, z) == evaluate(sf, z)
+
+
+class TestClosedForm:
+    def test_worked_values(self, segment_functional):
+        for y in [(1, 1), (-1, -1), (0, 0), (3, 2), (-5, 1), ("1/3", "-2/7")]:
+            assert evaluate_closed_form(segment_functional, y) == evaluate(
+                segment_functional, y
+            )
+
+    def test_every_kind_of_value_matches_the_lp_route(self):
+        # dimensions 2-4, with fewer generators than the dimension and
+        # one-vertex H among the draws
+        rng = random.Random(61)
+        kinds = set()
+        for _ in range(120):
+            n = rng.randint(2, 4)
+            n_gens, n_verts = rng.randint(1, n + 1), rng.randint(1, 3)
+            K, H, _ = rand_cone_polytope(rng, n, n_gens, n_verts)
+            sf = SeparationFunctional(H, K)
+            for _ in range(4):
+                if rng.random() < 0.3:
+                    y = rand_vector(rng, n)
+                else:
+                    t = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                    h = convex_mix(rng, H.vertices)
+                    y = vec_sub(tuple(t * c for c in h), rand_point_in_cone(rng, K))
+                phi = evaluate(sf, y)
+                assert evaluate_closed_form(sf, y) == phi, (K, H, y)
+                if not phi.is_finite:
+                    kinds.add("+inf")
+                else:
+                    kinds.add("negative" if phi.value < 0 else "nonnegative")
+        assert kinds == {"+inf", "negative", "nonnegative"}
+
+    def test_dimension_mismatch(self, segment_functional):
+        with pytest.raises(ValueError):
+            evaluate_closed_form(segment_functional, (1, 2, 3))
+
+
 class TestConfigurationGuards:
     def test_vertex_outside_cone_rejected(self, orthant2):
         with pytest.raises(ValueError):
@@ -276,6 +325,8 @@ class TestConfigurationGuards:
         object.__setattr__(bad, "tol", Fraction(1, 10**9))
         with pytest.raises(InternalConsistencyError):
             evaluate(bad, (5, 5))
+        with pytest.raises(InternalConsistencyError):
+            evaluate_closed_form(bad, (5, 5))
 
 
 def test_extended_real_total_order():
