@@ -1,11 +1,10 @@
 """polyevp: polyhedral cone scalarization, lower-boundedness diagnostics,
 and certified variational descent on finite metric spaces.
 
-Everything is computed exactly by default, so answers are certificates
-rather than approximations: through rational linear programming, and for
-the descent solver's repeated questions about one pair (H, K) through an
-integer halfspace representation computed once per problem.  A float LP
-backend with explicit tolerances is available for large batches.
+Everything is computed exactly, so answers are certificates rather than
+approximations: through rational linear programming, and for the descent
+solver's repeated questions about one pair (H, K) through an integer
+halfspace representation computed once per problem.
 """
 
 from .boundedness import (
@@ -57,16 +56,7 @@ from .geometry import (
     validate_cone,
     zero_notin_H_plus_K,
 )
-from .lp_core import (
-    EXACT,
-    FLOAT,
-    Backend,
-    LinearProgram,
-    LPFormatError,
-    LPResult,
-    check_witness,
-    float_backend,
-)
+from .lp_core import LinearProgram, LPFormatError, LPResult, check_witness
 from .lp_core import solve as solve_lp
 from .scalarization import (
     BisectionResult,

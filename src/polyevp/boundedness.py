@@ -39,7 +39,7 @@ from .geometry import (
     union_disjoint_from,
     zero_notin_H_plus_K,
 )
-from .lp_core import EXACT, Backend, LinearProgram, solve
+from .lp_core import LinearProgram, solve
 from .rational import Number, Vec, dot, frac, frac_vec
 
 __all__ = [
@@ -54,22 +54,18 @@ __all__ = [
 ]
 
 
-def is_quasi_K_lower_bounded(
-    M: VPolyhedralUnion, K: ConeGen, backend: Backend = EXACT
-) -> bool:
+def is_quasi_K_lower_bounded(M: VPolyhedralUnion, K: ConeGen) -> bool:
     """True iff every recession ray of every piece lies in the cone."""
     if M.dim != K.dim:
         raise DimensionMismatchError("union and cone dimensions differ")
-    return all(cone_contains(K, r, backend) for r in M.all_rays())
+    return all(cone_contains(K, r) for r in M.all_rays())
 
 
-def is_K_lower_bounded(
-    M: VPolyhedralUnion, K: ConeGen, backend: Backend = EXACT
-) -> tuple[bool, Optional[Vec]]:
+def is_K_lower_bounded(M: VPolyhedralUnion, K: ConeGen) -> tuple[bool, Optional[Vec]]:
     """Decide M within b + K, returning the witness b when one exists."""
     if M.dim != K.dim:
         raise DimensionMismatchError("union and cone dimensions differ")
-    if not is_quasi_K_lower_bounded(M, K, backend):
+    if not is_quasi_K_lower_bounded(M, K):
         return False, None
     verts = M.all_vertices()
     n, m = M.dim, len(K.generators)
@@ -87,18 +83,13 @@ def is_K_lower_bounded(
             rows.append(row)
             rhs.append(v[r])
     nonneg = [False] * n + [True] * (m * len(verts))
-    res = solve(LinearProgram.feasibility(rows, rhs, nonneg), backend)
+    res = solve(LinearProgram.feasibility(rows, rhs, nonneg))
     if not res.is_feasible:
         return False, None
     return True, tuple(res.witness[:n])
 
 
-def find_kstar(
-    M: VPolyhedralUnion,
-    K: ConeGen,
-    H: Polytope,
-    backend: Backend = EXACT,
-) -> Optional[Vec]:
+def find_kstar(M: VPolyhedralUnion, K: ConeGen, H: Polytope) -> Optional[Vec]:
     """Search for a dual witness of lower boundedness.
 
     Finds l with l.g >= 0 on generators, l.h >= 1 on H vertices (the
@@ -133,7 +124,7 @@ def find_kstar(
     lp = LinearProgram.optimize(
         objective, "min", rows, rhs, [True] * nvars
     )
-    res = solve(lp, backend)
+    res = solve(lp)
     if not res.is_feasible:
         return None
     return tuple(res.witness[r] - res.witness[n + r] for r in range(n))
@@ -176,7 +167,6 @@ def is_H_lower_bounded(
     K: ConeGen,
     H: Polytope,
     candidates: Sequence[tuple[Sequence[Number], Number]],
-    backend: Backend = EXACT,
 ) -> HLowerResult:
     """Try each (y0, eps) candidate until one translate misses M."""
     if not candidates:
@@ -187,7 +177,7 @@ def is_H_lower_bounded(
         e = frac(eps)
         if e <= 0:
             raise ValueError("every candidate eps must be positive")
-        ok = union_disjoint_from(M, y0, e, H, K, backend)
+        ok = union_disjoint_from(M, y0, e, H, K)
         attempts.append((frac_vec(y0), e, ok))
         if ok and witness is None:
             witness = (frac_vec(y0), e)
@@ -220,7 +210,6 @@ def classify(
     K: ConeGen,
     H: Polytope,
     candidates: Sequence[tuple[Sequence[Number], Number]],
-    backend: Backend = EXACT,
 ) -> BoundednessReport:
     """Run all four checks and assemble the ladder report.
 
@@ -234,14 +223,14 @@ def classify(
         raise ValueError(
             "dual-witness classification requires the origin outside H + K"
         )
-    k_lower, b = is_K_lower_bounded(M, K, backend)
-    quasi = is_quasi_K_lower_bounded(M, K, backend)
-    kstar = find_kstar(M, K, H, backend)
+    k_lower, b = is_K_lower_bounded(M, K)
+    quasi = is_quasi_K_lower_bounded(M, K)
+    kstar = find_kstar(M, K, H)
     candidates = list(candidates)
     if kstar is not None and candidates:
         y = candidates[0][0]
         candidates.append((y, separating_epsilon_for(M, kstar, y)))
-    h_res = is_H_lower_bounded(M, K, H, candidates, backend)
+    h_res = is_H_lower_bounded(M, K, H, candidates)
     consistent = True
     if k_lower and not quasi:
         consistent = False

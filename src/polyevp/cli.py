@@ -22,11 +22,10 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 from . import boundedness, evp, problemfile, scalarization
 from .geometry import DimensionMismatchError, InvalidConfigurationError
-from .lp_core import EXACT, Backend, LPFormatError, float_backend
+from .lp_core import LPFormatError
 from .problemfile import ProblemFileError
 from .rational import frac, to_jsonable
 
@@ -36,18 +35,6 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_HYPOTHESIS = 4
 EXIT_SELF_CHECK = 5
-
-
-def _resolve_backend(choice: Optional[str], tol: Fraction) -> Backend:
-    kind = choice or os.environ.get("EVP_BACKEND") or "exact"
-    if kind not in ("exact", "float"):
-        raise ProblemFileError(
-            f"backend must be 'exact' or 'float', got {kind!r} "
-            "(check the EVP_BACKEND environment variable)"
-        )
-    if kind == "float":
-        return float_backend(float(tol))
-    return EXACT
 
 
 def _settings(doc: dict, opts: dict) -> tuple[Fraction, Fraction]:
@@ -79,7 +66,6 @@ def _vec_text(v) -> str:
 def _do_scalarize(path: str, opts: dict) -> tuple[int, str]:
     doc = problemfile.load_document(path)
     tol, t_max = _settings(doc, opts)
-    backend = _resolve_backend(opts.get("backend"), tol)
     sf = problemfile.build_separation(doc, (tol, t_max))
     point_text = opts["point"]
     try:
@@ -91,14 +77,13 @@ def _do_scalarize(path: str, opts: dict) -> tuple[int, str]:
             f"point has {len(y)} coordinates, expected {sf.H.dim}"
         )
 
-    phi = scalarization.evaluate(sf, y, backend)
-    bis = scalarization.evaluate_bisection(sf, y, backend)
+    phi = scalarization.evaluate(sf, y)
+    bis = scalarization.evaluate_bisection(sf, y)
     if phi.is_finite and bis.value.is_finite:
-        agree = abs(frac(repr(float(phi.value))) - frac(repr(float(bis.value.value)))) <= tol \
-            if backend.kind == "float" else abs(phi.value - bis.value.value) <= tol
+        agree = abs(phi.value - bis.value.value) <= tol
     else:
         agree = phi.is_finite == bis.value.is_finite
-    attained = scalarization.attainment_check(sf, y, backend) if phi.is_finite else None
+    attained = scalarization.attainment_check(sf, y) if phi.is_finite else None
 
     if opts.get("json"):
         payload = {
@@ -126,13 +111,12 @@ def _do_scalarize(path: str, opts: dict) -> tuple[int, str]:
 
 def _do_diagnose(path: str, opts: dict) -> tuple[int, str]:
     doc = problemfile.load_document(path)
-    tol, _ = _settings(doc, opts)
-    backend = _resolve_backend(opts.get("backend"), tol)
+    problemfile.evaluation_settings(doc)  # a malformed setting is bad input
     K = problemfile.build_cone(doc)
     H = problemfile.build_polytope(doc)
     M = problemfile.build_ranges(doc)
     zero = tuple(Fraction(0) for _ in range(M.dim))
-    report = boundedness.classify(M, K, H, [(zero, Fraction(1))], backend)
+    report = boundedness.classify(M, K, H, [(zero, Fraction(1))])
 
     if opts.get("json"):
         payload = {
@@ -176,11 +160,10 @@ def _do_diagnose(path: str, opts: dict) -> tuple[int, str]:
 
 def _do_solve(path: str, opts: dict) -> tuple[int, str]:
     doc = problemfile.load_document(path)
-    tol, _ = _settings(doc, opts)
-    backend = _resolve_backend(opts.get("backend"), tol)
+    problemfile.evaluation_settings(doc)  # a malformed setting is bad input
     problem = problemfile.build_problem(doc)
-    cert = evp.solve(problem, backend)
-    report = evp.verify_certificate(problem, cert, backend)
+    cert = evp.solve(problem)
+    report = evp.verify_certificate(problem, cert)
     if not report.passed:
         return (
             EXIT_SELF_CHECK,
@@ -213,12 +196,11 @@ def _do_solve(path: str, opts: dict) -> tuple[int, str]:
 
 def _do_verify(path: str, opts: dict) -> tuple[int, str]:
     doc = problemfile.load_document(path)
-    tol, _ = _settings(doc, opts)
-    backend = _resolve_backend(opts.get("backend"), tol)
+    problemfile.evaluation_settings(doc)  # a malformed setting is bad input
     problem = problemfile.build_problem(doc)
     cert_doc = problemfile.load_document(opts["certificate"])
     cert = problemfile.certificate_from_document(cert_doc, problem)
-    report = evp.verify_certificate(problem, cert, backend)
+    report = evp.verify_certificate(problem, cert)
 
     if opts.get("json"):
         payload = {
@@ -308,14 +290,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--backend", choices=["exact", "float"], default=None)
-        sp.add_argument("--tol", default=None, help="tolerance override")
-        sp.add_argument("--t-max", dest="t_max", default=None,
-                        help="bisection bracket bound override")
 
     sp = sub.add_parser("scalarize", help="evaluate the separation functional")
     sp.add_argument("file")
     sp.add_argument("--point", required=True, help="comma-separated coordinates")
+    sp.add_argument("--tol", default=None, help="tolerance override")
+    sp.add_argument("--t-max", dest="t_max", default=None,
+                    help="bisection bracket bound override")
     common(sp)
 
     sp = sub.add_parser("diagnose", help="lower-boundedness ladder for a ranges block")
@@ -339,15 +320,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    opts = {
-        "json": args.json,
-        "backend": args.backend,
-        "tol": args.tol,
-        "t_max": args.t_max,
-    }
+    opts = {"json": args.json}
 
     if args.command == "scalarize":
-        opts["point"] = args.point
+        opts.update(point=args.point, tol=args.tol, t_max=args.t_max)
         code, text = _guarded("scalarize", args.file, opts)
         print(text)
         return code

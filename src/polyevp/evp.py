@@ -51,7 +51,6 @@ from .geometry import (
     validate_cone,
     zero_notin_H_plus_K,
 )
-from .lp_core import EXACT, Backend
 from .rational import Number, Vec, dot, frac, frac_vec, vec_sub
 from .scalarization import (
     ExtendedReal,
@@ -375,12 +374,12 @@ def _reaches(den: int, bounds: list[int], target, source) -> bool:
     return all(den * (a - b) >= c for a, b, c in zip(target, source, bounds))
 
 
-def dominates(p: EVPProblem, xprime: str, x: str, backend: Backend = EXACT) -> bool:
+def dominates(p: EVPProblem, xprime: str, x: str) -> bool:
     """Is xprime below x, i.e. f(x) within f(xprime) + scale*d*H + K?
 
     Each image of f(x) must be reachable from some image of f(xprime);
     each pair is a sign check of stored integer row products
-    (`_image_rows`), exact whatever ``backend`` says.  The answer is
+    (`_image_rows`).  The answer is
     memoized per pair in a dict that lives on the problem object, so it
     is freed with the problem and never answers for another one.
     """
@@ -400,10 +399,10 @@ def dominates(p: EVPProblem, xprime: str, x: str, backend: Backend = EXACT) -> b
     return ans
 
 
-def lower_section(p: EVPProblem, x: str, backend: Backend = EXACT) -> tuple[str, ...]:
+def lower_section(p: EVPProblem, x: str) -> tuple[str, ...]:
     """All feasible points below x, in label order; always contains x."""
     p.space._index_of(x)
-    return tuple(l for l in p.feasible if dominates(p, l, x, backend))
+    return tuple(l for l in p.feasible if dominates(p, l, x))
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +430,12 @@ def _condition_scope(p: EVPProblem) -> tuple[str, ...]:
     return lower_section(p, p.x0)
 
 
-def condition_ii_witness(p: EVPProblem, backend: Backend = EXACT) -> Optional[Vec]:
+def condition_ii_witness(p: EVPProblem) -> Optional[Vec]:
     """First image of x0 escaping every eps-shifted image set, if any.
 
     The scope is the lower section of x0, except in efficiency mode
     where the approximate-efficiency hypothesis quantifies over the
-    whole feasible set.  Decided exactly on the halfspaces, whatever
-    ``backend`` says.
+    whole feasible set.  Decided exactly on the halfspaces.
     """
     scope = _condition_scope(p)
     for y0, y0_rows in zip(p.images(p.x0), _image_rows(p).plus[p.x0]):
@@ -446,14 +444,12 @@ def condition_ii_witness(p: EVPProblem, backend: Backend = EXACT) -> Optional[Ve
     return None
 
 
-def ae_efficient(
-    p: EVPProblem, x: str, eps: Number, backend: Backend = EXACT
-) -> Optional[Vec]:
+def ae_efficient(p: EVPProblem, x: str, eps: Number) -> Optional[Vec]:
     """Shifted-set approximate efficiency of x over the feasible set.
 
     Returns an image y0 of x such that no feasible image falls inside
     y0 - eps*H - K, or None when every candidate image is undercut.
-    Decided exactly on the halfspaces, whatever ``backend`` says.
+    Decided exactly on the halfspaces.
     """
     e = frac(eps)
     if e <= 0:
@@ -487,12 +483,12 @@ class EVPCertificate:
     xi_trace: tuple[Fraction, ...]
 
 
-def solve(p: EVPProblem, backend: Backend = EXACT) -> EVPCertificate:
+def solve(p: EVPProblem) -> EVPCertificate:
     """Run the descent and return a certificate for its endpoint.
 
     Dominance, the hypothesis check and the scores are read off the
     halfspaces of the cones over t*H + K and t*H - K with no LP, in
-    exact integer arithmetic whatever ``backend`` says.
+    exact integer arithmetic.
     """
     rows = _image_rows(p)
     witness = None
@@ -638,7 +634,6 @@ def coradiant_escape_check(
     eps: Optional[Number] = None,
     gamma: Optional[Number] = None,
     grid_depth: int = 4,
-    backend: Backend = EXACT,
 ) -> CoradiantGapResult:
     """Search for d(x0, xbar)*h outside the (eps/gamma)-scaled H + K.
 
@@ -669,7 +664,7 @@ def coradiant_escape_check(
     for h in _convex_grid(p.H.vertices, grid_depth):
         checked += 1
         target = tuple(dist * c for c in h)
-        if not scaled_H_plus_K_contains(p.H, p.K, target, ratio, backend):
+        if not scaled_H_plus_K_contains(p.H, p.K, target, ratio):
             return CoradiantGapResult(
                 holds=True, search_exhausted=False, points_checked=checked, witness=h
             )
@@ -768,17 +763,14 @@ def _lp_potential(p: EVPProblem, label: str, y0: Vec) -> ExtendedReal:
     return min(evaluate(p._separation, vec_sub(y, y0)) for y in p.images(label))
 
 
-def verify_certificate(
-    p: EVPProblem, cert: EVPCertificate, backend: Backend = EXACT
-) -> VerificationReport:
+def verify_certificate(p: EVPProblem, cert: EVPCertificate) -> VerificationReport:
     """Re-check every conclusion from scratch; never raises on failure.
 
     The route is independent of the solver's.  Dominance and the
     hypothesis witness are decided by `_CheckedRelation`: each "no" by a
     halfspace row the verifier has checked against H and K itself, each
     "yes" by an exact membership LP, with no memo shared with the solver.
-    The trace is re-scored by the LP `evaluate`.  Only the coradiant
-    escape search of efficiency mode uses ``backend``.
+    The trace is re-scored by the LP `evaluate`.
     """
     failures: list[str] = []
     rel = _CheckedRelation(p)
@@ -805,7 +797,7 @@ def verify_certificate(
 
     gap: Optional[bool] = None
     if isinstance(p.mode, EfficiencyMode):
-        gap = coradiant_escape_check(p, cert.xbar, backend=backend).holds
+        gap = coradiant_escape_check(p, cert.xbar).holds
         if not gap:
             failures.append("(coradiant gap)")
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lp_core import EXACT, Backend, LinearProgram, solve
+from .lp_core import LinearProgram, solve
 from .rational import Number, Vec, dot, frac, frac_vec
 
 __all__ = [
@@ -179,12 +179,12 @@ def _combination_lp(
     )
 
 
-def cone_contains(K: ConeGen, y: Sequence[Number], backend: Backend = EXACT) -> bool:
+def cone_contains(K: ConeGen, y: Sequence[Number]) -> bool:
     """Is y a nonnegative combination of the generators?"""
     yv = frac_vec(y)
     _check_dim(K.dim, yv, "query point")
     lp = _combination_lp(yv, [(K.generators, 1, False)])
-    return solve(lp, backend).is_feasible
+    return solve(lp).is_feasible
 
 
 def dual_cone_contains(K: ConeGen, l: Sequence[Number]) -> bool:
@@ -197,7 +197,7 @@ def dual_cone_contains(K: ConeGen, l: Sequence[Number]) -> bool:
     return all(dot(lv, g) >= 0 for g in K.generators)
 
 
-def validate_cone(K: ConeGen, backend: Backend = EXACT) -> ConeValidation:
+def validate_cone(K: ConeGen) -> ConeValidation:
     """Record pointedness and nontriviality of the cone.
 
     Pointed means K meets -K only at the origin; with generator data that
@@ -205,17 +205,17 @@ def validate_cone(K: ConeGen, backend: Backend = EXACT) -> ConeValidation:
     detected by membership of plus/minus every coordinate direction.
     """
     pointed = all(
-        not cone_contains(K, tuple(-c for c in g), backend) for g in K.generators
+        not cone_contains(K, tuple(-c for c in g)) for g in K.generators
     )
     unit = [Fraction(0)] * K.dim
     full = True
     for i in range(K.dim):
         unit[i] = Fraction(1)
-        if not cone_contains(K, tuple(unit), backend):
+        if not cone_contains(K, tuple(unit)):
             full = False
         else:
             unit[i] = Fraction(-1)
-            if not cone_contains(K, tuple(unit), backend):
+            if not cone_contains(K, tuple(unit)):
                 full = False
         unit[i] = Fraction(0)
         if not full:
@@ -229,7 +229,6 @@ def scaled_H_minus_K_contains(
     K: ConeGen,
     y: Sequence[Number],
     t: Number,
-    backend: Backend = EXACT,
 ) -> bool:
     """Does y lie in t*H - K for the fixed scale t?"""
     yv = frac_vec(y)
@@ -238,7 +237,7 @@ def scaled_H_minus_K_contains(
     if H.dim != K.dim:
         raise DimensionMismatchError("polytope and cone dimensions differ")
     lp = _combination_lp(yv, [(H.vertices, tq, True), (K.generators, -1, False)])
-    return solve(lp, backend).is_feasible
+    return solve(lp).is_feasible
 
 
 def scaled_H_plus_K_contains(
@@ -246,7 +245,6 @@ def scaled_H_plus_K_contains(
     K: ConeGen,
     y: Sequence[Number],
     t: Number,
-    backend: Backend = EXACT,
 ) -> bool:
     """Does y lie in t*H + K for the fixed scale t >= 0?"""
     yv = frac_vec(y)
@@ -255,7 +253,7 @@ def scaled_H_plus_K_contains(
     if H.dim != K.dim:
         raise DimensionMismatchError("polytope and cone dimensions differ")
     lp = _combination_lp(yv, [(H.vertices, tq, True), (K.generators, 1, False)])
-    return solve(lp, backend).is_feasible
+    return solve(lp).is_feasible
 
 
 def zero_notin_H_plus_K(H: Polytope, K: ConeGen) -> bool:
@@ -268,16 +266,10 @@ def zero_notin_H_plus_K(H: Polytope, K: ConeGen) -> bool:
         raise DimensionMismatchError("polytope and cone dimensions differ")
     origin = [Fraction(0)] * H.dim
     lp = _combination_lp(origin, [(H.vertices, 1, True), (K.generators, 1, False)])
-    return not solve(lp, EXACT).is_feasible
+    return not solve(lp).is_feasible
 
 
-def triangle_property_check(
-    H: Polytope,
-    K: ConeGen,
-    d1: Number,
-    d2: Number,
-    backend: Backend = EXACT,
-) -> bool:
+def triangle_property_check(H: Polytope, K: ConeGen, d1: Number, d2: Number) -> bool:
     """Certify d1*H + d2*H within (d1+d2)*H + K via vertex pairs.
 
     Convexity makes the vertex-pair checks sufficient for the whole sum.
@@ -288,7 +280,7 @@ def triangle_property_check(
     for hi in H.vertices:
         for hj in H.vertices:
             target = tuple(a * x + b * y for x, y in zip(hi, hj))
-            if not scaled_H_plus_K_contains(H, K, target, a + b, backend):
+            if not scaled_H_plus_K_contains(H, K, target, a + b):
                 return False
     return True
 
@@ -299,7 +291,6 @@ def union_disjoint_from(
     eps: Number,
     H: Polytope,
     K: ConeGen,
-    backend: Backend = EXACT,
 ) -> bool:
     """Is the union disjoint from the shifted lower set y0 - eps*H - K?
 
@@ -319,7 +310,7 @@ def union_disjoint_from(
             (verts, 1, True), (rays, 1, False), (H.vertices, e, True),
             (K.generators, 1, False),
         ]
-        if solve(_combination_lp(y0v, blocks), backend).is_feasible:
+        if solve(_combination_lp(y0v, blocks)).is_feasible:
             return False
     return True
 

@@ -1,17 +1,10 @@
 """Deterministic linear feasibility/optimization oracle.
 
 Programs are stated as equality rows over variables that are either
-nonnegative or free, with an optional linear objective.  One two-phase
-simplex driver with Bland's rule solves them over either of two tableau
-arithmetics:
-
-* ``EXACT`` keeps integer-scaled tableau rows, so every
-  feasible/infeasible/unbounded verdict is certified by the arithmetic
-  and the method provably terminates.
-* ``float_backend(tol)`` keeps a normalized floating-point tableau.
-  Verdicts that were decided by a quantity within ``tol`` of a
-  constraint boundary are flagged ``marginal`` in the result, meaning
-  the status could flip under perturbation of that size.
+nonnegative or free, with an optional linear objective.  A two-phase
+simplex method with Bland's rule solves them on integer-scaled tableau
+rows, so every feasible/infeasible/unbounded verdict is certified by
+the arithmetic and the method provably terminates.
 
 The tableau is dense and small on purpose: every caller in this package
 produces programs with at most a few dozen variables, and correctness
@@ -28,10 +21,6 @@ from typing import Optional, Sequence
 from .rational import Vec, frac_vec
 
 __all__ = [
-    "Backend",
-    "EXACT",
-    "FLOAT",
-    "float_backend",
     "LPFormatError",
     "LinearProgram",
     "LPResult",
@@ -42,32 +31,6 @@ __all__ = [
 
 class LPFormatError(ValueError):
     """Raised when a program's dimensions or fields are inconsistent."""
-
-
-@dataclass(frozen=True)
-class Backend:
-    """Arithmetic selection for `solve`.
-
-    ``kind`` is "exact" or "float"; ``tol`` is the float backend's
-    boundary tolerance and is ignored by the exact backend.
-    """
-
-    kind: str
-    tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("exact", "float"):
-            raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.kind == "float" and not 0 < self.tol < 1:
-            raise ValueError("float backend tolerance must be in (0, 1)")
-
-
-EXACT = Backend("exact")
-FLOAT = Backend("float", 1e-9)
-
-
-def float_backend(tol: float = 1e-9) -> Backend:
-    return Backend("float", tol)
 
 
 @dataclass(frozen=True)
@@ -140,78 +103,65 @@ class LPResult:
     """Solver outcome.
 
     ``status`` is "feasible", "infeasible", or "unbounded".  For feasible
-    results ``witness`` satisfies every row (exactly under the exact
-    backend) and ``value`` is the objective value (0 for feasibility-only
-    programs).  ``marginal`` is a float-backend diagnostic: the decision
-    rested on a quantity within tolerance of a constraint boundary.
+    results ``witness`` satisfies every row exactly and ``value`` is the
+    objective value (0 for feasibility-only programs).
     """
 
     status: str
     value: object = None
     witness: Optional[tuple] = None
-    marginal: bool = False
 
     @property
     def is_feasible(self) -> bool:
         return self.status == "feasible"
 
 
-def solve(lp: LinearProgram, backend: Backend = EXACT) -> LPResult:
-    """Solve ``lp`` with the chosen backend."""
-    if backend.kind == "exact":
-        return _solve_exact(lp)
-    return _two_phase(lp, _FloatTableau(backend.tol))
+def solve(lp: LinearProgram) -> LPResult:
+    """Solve ``lp`` exactly."""
+    # called through the module global: bench/run.py --trace 1 rebinds
+    # _solve_exact to count every LP solve directly
+    return _solve_exact(lp)
 
 
-def _solve_exact(lp: LinearProgram) -> LPResult:
-    return _two_phase(lp, _ExactTableau())
-
-
-def check_witness(lp: LinearProgram, witness: Sequence, tol: float = 0.0) -> bool:
-    """Re-check a witness against every constraint (tol=0 means exactly)."""
+def check_witness(lp: LinearProgram, witness: Sequence) -> bool:
+    """Re-check a witness exactly against every constraint."""
     if len(witness) != lp.n_vars:
         return False
     xs = list(witness)
     for j, nn in enumerate(lp.nonneg):
-        if nn and xs[j] < -tol:
+        if nn and xs[j] < 0:
             return False
     for row, b in zip(lp.rows, lp.rhs):
-        resid = sum(a * x for a, x in zip(row, xs)) - b
-        if abs(resid) > tol:
+        if sum(a * x for a, x in zip(row, xs)) != b:
             return False
     return True
 
 
 # ---------------------------------------------------------------------------
-# the two-phase driver, shared by both arithmetics
+# the two-phase driver on integer-scaled rows
 # ---------------------------------------------------------------------------
 #
 # The driver owns the split of free columns, the artificial basis, phase
-# 1, the drive-out of artificials, phase 2 and the witness.  A tableau
-# (``rows`` with the rhs last, ``basis``, reduced costs) owns only its
-# arithmetic: `load_row` (a row of Fractions in its own numbers),
-# `set_objective` (a cost row already in its numbers), `pivot`,
-# `run_bland`, `basic_value` and the tests `positive` and `nonzero`.
+# 1, the drive-out of artificials, phase 2 and the witness.  The tableau
+# (``rows`` with the rhs last, ``basis``, the reduced-cost row ``obj``)
+# owns the pivoting.
+#
+# Rows are kept as integer vectors.  `_integerize` forms them at load
+# time: a row of Fractions times the lcm of its denominators, taken per
+# entry as numerator * (lcm // denominator).  Cost rows are loaded the
+# same way (a positive factor leaves every pivot choice unchanged).
 # The driver loads each row and the objective once, then splits free
-# columns and flips rows by +-1 on the loaded numbers, so it forms no
-# Fraction product.  The float tableau records in ``marginal`` each
-# quantity it reads within tol of zero; `note` records one the driver
-# reads.
+# columns and flips rows by +-1 on the loaded integers, so it forms no
+# Fraction product.  A pivot on (p, q) replaces row r by
+# row_r * |T[p][q]| - row_p * (T[r][q] * sign(T[p][q])), which keeps
+# everything integral; each row is then divided by its gcd to keep the
+# integers small.  Basis columns keep a single positive entry, so the
+# basic value of row i is rhs_i / T[i][B_i] and ratio tests compare
+# integer cross-products.
 
 
-class _Tableau:
-    marginal = False
-
-    def __init__(self):
-        self.rows: list[list] = []
-        self.basis: list[int] = []
-        self.obj: list = []
-
-    def note(self, v) -> None:
-        pass
-
-
-def _two_phase(lp: LinearProgram, tab: _Tableau) -> LPResult:
+def _solve_exact(lp: LinearProgram) -> LPResult:
+    tab = _Tableau()
     # Split free variables into positive/negative parts.
     cols: list[tuple[int, int]] = []
     for j, nn in enumerate(lp.nonneg):
@@ -223,7 +173,7 @@ def _two_phase(lp: LinearProgram, tab: _Tableau) -> LPResult:
 
     # One artificial identity column per row, basic at the start.
     for r in range(m):
-        row = tab.load_row([*lp.rows[r], lp.rhs[r]])
+        row = _integerize([*lp.rows[r], lp.rhs[r]])
         flip = -1 if row[-1] < 0 else 1
         art = [0] * m
         art[r] = 1
@@ -232,21 +182,19 @@ def _two_phase(lp: LinearProgram, tab: _Tableau) -> LPResult:
     tab.basis = [n_struct + i for i in range(m)]
 
     if m:
-        tab.set_objective(tab.load_row([0] * n_struct + [1] * m))
+        tab.set_objective([0] * n_struct + [1] * m)
         tab.run_bland(range(n_struct + m))
         infeas = sum(
             tab.basic_value(i) for i in range(m) if tab.basis[i] >= n_struct
         )
-        if tab.positive(infeas):
-            return LPResult(status="infeasible", marginal=tab.marginal)
+        if infeas > 0:
+            return LPResult(status="infeasible")
         # Basic artificials sit at value zero after a successful phase 1;
         # pivot them onto structural columns, or drop redundant rows.
         i = 0
         while i < len(tab.rows):
             if tab.basis[i] >= n_struct:
-                q = next(
-                    (j for j in range(n_struct) if tab.nonzero(tab.rows[i][j])), -1
-                )
+                q = next((j for j in range(n_struct) if tab.rows[i][j]), -1)
                 if q < 0:
                     del tab.rows[i]
                     del tab.basis[i]
@@ -257,41 +205,21 @@ def _two_phase(lp: LinearProgram, tab: _Tableau) -> LPResult:
     if lp.sense != "feasibility":
         sign = 1 if lp.sense == "min" else -1
         width = (len(tab.rows[0]) - 1) if tab.rows else n_struct
-        c = tab.load_row(lp.objective)
-        pad = tab.load_row([0] * (width - n_struct))
+        c = _integerize(lp.objective)
+        pad = [0] * (width - n_struct)
         tab.set_objective([c[j] * (sign * s) for (j, s) in cols] + pad)
         if tab.run_bland(range(n_struct)) == "unbounded":
-            return LPResult(status="unbounded", marginal=tab.marginal)
+            return LPResult(status="unbounded")
 
     # Every basic column is structural now.
-    x = [tab.zero] * lp.n_vars
+    x = [Fraction(0)] * lp.n_vars
     for i, b in enumerate(tab.basis):
-        v = tab.basic_value(i)
-        tab.note(v)
         j, s = cols[b]
-        x[j] += s * v
-    value = tab.zero
+        x[j] += s * tab.basic_value(i)
+    value = Fraction(0)
     if lp.sense != "feasibility":
-        value = sum((c * xv for c, xv in zip(lp.objective, x)), tab.zero)
-    return LPResult(
-        status="feasible", value=value, witness=tuple(x), marginal=tab.marginal
-    )
-
-
-# ---------------------------------------------------------------------------
-# exact arithmetic: integer-scaled rows
-# ---------------------------------------------------------------------------
-#
-# Rows are kept as integer vectors.  `_integerize` forms them at load
-# time: a row of Fractions times the lcm of its denominators, taken per
-# entry as numerator * (lcm // denominator).  Cost rows are loaded the
-# same way (a positive factor leaves every pivot choice unchanged).
-# The tableau then holds only ints.  A pivot on (p, q) replaces row r by
-# row_r * |T[p][q]| - row_p * (T[r][q] * sign(T[p][q])), which keeps
-# everything integral; each row is then divided by its gcd to keep the
-# integers small.  Basis columns keep a single positive entry, so the
-# basic value of row i is rhs_i / T[i][B_i] and ratio tests compare
-# integer cross-products.
+        value = sum((c * xv for c, xv in zip(lp.objective, x)), Fraction(0))
+    return LPResult(status="feasible", value=value, witness=tuple(x))
 
 
 def _row_gcd_reduce(row: list[int]) -> None:
@@ -310,10 +238,11 @@ def _integerize(values: Sequence[Fraction]) -> list[int]:
     return [v.numerator * (den // v.denominator) for v in values]
 
 
-class _ExactTableau(_Tableau):
-    zero = Fraction(0)
-
-    load_row = staticmethod(_integerize)
+class _Tableau:
+    def __init__(self):
+        self.rows: list[list[int]] = []
+        self.basis: list[int] = []
+        self.obj: list[int] = []
 
     def set_objective(self, costs: list[int]) -> None:
         # Reduced-cost row = costs - combination of basic rows, held integral
@@ -352,14 +281,6 @@ class _ExactTableau(_Tableau):
     def basic_value(self, i: int) -> Fraction:
         return Fraction(self.rows[i][-1], self.rows[i][self.basis[i]])
 
-    @staticmethod
-    def positive(v: Fraction) -> bool:
-        return v > 0
-
-    @staticmethod
-    def nonzero(v: int) -> bool:
-        return v != 0
-
     def run_bland(self, allowed: range) -> str:
         """Minimize until optimal ('optimal') or an unbounded ray ('unbounded')."""
         rows = self.rows
@@ -387,90 +308,3 @@ class _ExactTableau(_Tableau):
             if best < 0:
                 return "unbounded"
             self.pivot(best, q)
-
-
-# ---------------------------------------------------------------------------
-# float arithmetic: classic normalized tableau, tol comparisons
-# ---------------------------------------------------------------------------
-
-
-class _FloatTableau(_Tableau):
-    zero = 0.0
-
-    def __init__(self, tol: float):
-        super().__init__()
-        self.tol = tol
-        self.noise = tol * 1e-6
-
-    def note(self, v: float) -> None:
-        if self.noise < abs(v) <= self.tol:
-            self.marginal = True
-
-    @staticmethod
-    def load_row(values: list[Fraction]) -> list[float]:
-        return [float(e) for e in values]
-
-    def set_objective(self, costs: list[float]) -> None:
-        obj = costs + [0.0]
-        for i, row in enumerate(self.rows):
-            f = obj[self.basis[i]]
-            if f:
-                obj = [o - f * r for o, r in zip(obj, row)]
-        self.obj = obj
-
-    def pivot(self, p: int, q: int) -> None:
-        prow = self.rows[p]
-        piv = prow[q]
-        self.rows[p] = [e / piv for e in prow]
-        prow = self.rows[p]
-        for i in range(len(self.rows)):
-            if i == p:
-                continue
-            f = self.rows[i][q]
-            if f:
-                self.rows[i] = [a - f * b for a, b in zip(self.rows[i], prow)]
-        f = self.obj[q]
-        if f:
-            self.obj = [a - f * b for a, b in zip(self.obj, prow)]
-        self.basis[p] = q
-
-    def basic_value(self, i: int) -> float:
-        return self.rows[i][-1]
-
-    def positive(self, v: float) -> bool:
-        self.note(v)
-        return v > self.tol
-
-    def nonzero(self, v: float) -> bool:
-        return abs(v) > self.tol
-
-    def run_bland(self, allowed: range, max_iter: int = 50_000) -> str:
-        for _ in range(max_iter):
-            q = -1
-            for j in allowed:
-                rc = self.obj[j]
-                self.note(rc)
-                if rc < -self.tol:
-                    q = j
-                    break
-            if q < 0:
-                return "optimal"
-            best = -1
-            best_ratio = math.inf
-            for i in range(len(self.rows)):
-                a = self.rows[i][q]
-                self.note(a)
-                if a <= self.tol:
-                    continue
-                ratio = self.rows[i][-1] / a
-                if ratio < best_ratio - self.noise or (
-                    abs(ratio - best_ratio) <= self.noise
-                    and best >= 0
-                    and self.basis[i] < self.basis[best]
-                ):
-                    best = i
-                    best_ratio = ratio
-            if best < 0:
-                return "unbounded"
-            self.pivot(best, q)
-        raise RuntimeError("simplex iteration limit exceeded (float backend)")

@@ -54,7 +54,7 @@ from .geometry import (
     scaled_H_minus_K_contains,
     zero_notin_H_plus_K,
 )
-from .lp_core import EXACT, Backend, LinearProgram, solve
+from .lp_core import LinearProgram, solve
 from .rational import Number, Vec, frac, frac_vec, vec_sub
 
 __all__ = [
@@ -258,9 +258,7 @@ def _branch_lp(
     return _combination_lp(target, blocks, objective, sense)
 
 
-def evaluate(
-    F: SeparationFunctional, y: Sequence[Number], backend: Backend = EXACT
-) -> ExtendedReal:
+def evaluate(F: SeparationFunctional, y: Sequence[Number]) -> ExtendedReal:
     """phi(y) = inf { t : y in t*H - K }, exactly via two LPs."""
     yv = frac_vec(y)
     if len(yv) != F.H.dim:
@@ -268,13 +266,13 @@ def evaluate(
             f"query has length {len(yv)}, expected {F.H.dim}"
         )
     # t < 0 branch: -y = sum mu h + k, maximize sum mu; value is -max.
-    neg = solve(_branch_lp(F, tuple(-c for c in yv), +1, "max"), backend)
+    neg = solve(_branch_lp(F, tuple(-c for c in yv), +1, "max"))
     if neg.status == "unbounded":
         raise InternalConsistencyError(
             "negative branch unbounded despite origin-separation invariant"
         )
     # t >= 0 branch: y = sum mu h - k, minimize sum mu.
-    pos = solve(_branch_lp(F, yv, -1, "min"), backend)
+    pos = solve(_branch_lp(F, yv, -1, "min"))
     if neg.is_feasible and neg.value > 0:
         if not pos.is_feasible:
             raise InternalConsistencyError(
@@ -303,9 +301,7 @@ class BisectionResult:
     unconfirmed_at_t_max: bool = False
 
 
-def evaluate_bisection(
-    F: SeparationFunctional, y: Sequence[Number], backend: Backend = EXACT
-) -> BisectionResult:
+def evaluate_bisection(F: SeparationFunctional, y: Sequence[Number]) -> BisectionResult:
     """Bracket-and-bisect phi(y) to within F.tol.
 
     Doubles outward from +-1 to find a feasible upper scale and an
@@ -319,7 +315,7 @@ def evaluate_bisection(
         )
 
     def feasible(t: Fraction) -> bool:
-        return scaled_H_minus_K_contains(F.H, F.K, yv, t, backend)
+        return scaled_H_minus_K_contains(F.H, F.K, yv, t)
 
     hi = Fraction(1)
     while not feasible(hi):
@@ -348,21 +344,18 @@ def xi(
     F: SeparationFunctional,
     y: Sequence[Number],
     y0: Sequence[Number],
-    backend: Backend = EXACT,
 ) -> ExtendedReal:
     """Shifted evaluation phi(y - y0), the descent potential."""
-    return evaluate(F, vec_sub(frac_vec(y), frac_vec(y0)), backend)
+    return evaluate(F, vec_sub(frac_vec(y), frac_vec(y0)))
 
 
-def attainment_check(
-    F: SeparationFunctional, y: Sequence[Number], backend: Backend = EXACT
-) -> bool:
+def attainment_check(F: SeparationFunctional, y: Sequence[Number]) -> bool:
     """Does y itself belong to phi(y)*H - K?
 
     With compact H and closed K the infimum is always attained, so a
     False here is a bug detector rather than a legitimate outcome.
     """
-    val = evaluate(F, y, backend)
+    val = evaluate(F, y)
     if not val.is_finite:
         raise ValueError("attainment is only defined for finite values")
-    return scaled_H_minus_K_contains(F.H, F.K, y, val.value, backend)
+    return scaled_H_minus_K_contains(F.H, F.K, y, val.value)

@@ -20,13 +20,11 @@ from polyevp.evp import (
     EVPProblem,
     FiniteMetricSpace,
     PlainMode,
-    ScaledMode,
     SetValuedMapTable,
     condition_ii_witness,
     lower_section,
 )
 from polyevp.geometry import ConeGen, Polytope, VPolyhedralUnion
-from polyevp.lp_core import EXACT
 from polyevp.rational import dot
 
 
@@ -210,19 +208,17 @@ def rand_problem(
         )
         if not require_witness:
             return problem
-        if condition_ii_witness(problem, EXACT) is not None:
+        if condition_ii_witness(problem) is not None:
             return problem
         eps *= 2
     return None
 
 
-def brute_force_minimal_set(p: EVPProblem, backend=EXACT) -> tuple[str, ...]:
+def brute_force_minimal_set(p: EVPProblem) -> tuple[str, ...]:
     """Endpoints by exhaustive enumeration: points of the start section
     whose own section is a singleton."""
-    section = lower_section(p, p.x0, backend)
-    return tuple(
-        x for x in section if lower_section(p, x, backend) == (x,)
-    )
+    section = lower_section(p, p.x0)
+    return tuple(x for x in section if lower_section(p, x) == (x,))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from polyevp.geometry import (
     cone_contains,
     dual_cone_contains,
     union_disjoint_from,
-    zero_notin_H_plus_K,
 )
 from polyevp.rational import dot
 

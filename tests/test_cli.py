@@ -96,19 +96,6 @@ class TestScalarize:
         assert cli.main(["scalarize", str(tmp_path / "missing.json"),
                          "--point", "1,1"]) == 2
 
-    def test_float_backend_flag(self, tmp_path, segment_doc, capsys):
-        f = write(tmp_path / "p.json", segment_doc)
-        assert cli.main(["scalarize", f, "--point", "1,1",
-                         "--backend", "float"]) == 0
-        assert "phi = 1" in capsys.readouterr().out
-
-    def test_env_backend_override(self, tmp_path, segment_doc, monkeypatch, capsys):
-        f = write(tmp_path / "p.json", segment_doc)
-        monkeypatch.setenv("EVP_BACKEND", "float")
-        assert cli.main(["scalarize", f, "--point", "1,1"]) == 0
-        monkeypatch.setenv("EVP_BACKEND", "quantum")
-        assert cli.main(["scalarize", f, "--point", "1,1"]) == 2
-
     def test_internal_error_exits_3(self, tmp_path, segment_doc, monkeypatch):
         from polyevp.scalarization import InternalConsistencyError
 
@@ -125,9 +112,9 @@ class TestScalarize:
         seen = []
         evaluate = cli.scalarization.evaluate
 
-        def spy(F, y, backend):
+        def spy(F, y):
             seen.append(F)
-            return evaluate(F, y, backend)
+            return evaluate(F, y)
 
         monkeypatch.setattr(cli.scalarization, "evaluate", spy)
         f = write(tmp_path / "p.json", segment_doc)
@@ -156,6 +143,41 @@ class TestScalarize:
         path, code, text = cli._worker(("scalarize", f, {}))
         assert (path, code) == (f, 3)
         assert text == "internal error: RuntimeError: forced"
+
+
+class TestUsageErrors:
+    def test_backend_and_misplaced_settings_exit_2(
+        self, tmp_path, segment_doc, chain3_doc, cross_doc, monkeypatch, capsys
+    ):
+        cert = str(tmp_path / "c.cert.json")
+        commands = {
+            "scalarize": ["scalarize", write(tmp_path / "s.json", segment_doc),
+                          "--point", "1,1"],
+            "diagnose": ["diagnose", write(tmp_path / "r.json", cross_doc)],
+            "solve": ["solve", write(tmp_path / "c.json", chain3_doc),
+                      "--certificate", cert],
+            "verify": ["verify", str(tmp_path / "c.json"), cert],
+        }
+        bad = [argv + ["--backend", "exact"] for argv in commands.values()]
+        bad += [
+            commands[c] + [flag, "1"]
+            for c in ("diagnose", "solve", "verify")
+            for flag in ("--tol", "--t-max")
+        ]
+        for argv in bad:
+            with pytest.raises(SystemExit) as e:
+                cli.main(argv)
+            assert e.value.code == 2, argv
+        # the environment selects nothing
+        monkeypatch.setenv("EVP_BACKEND", "quantum")
+        for argv in commands.values():
+            assert cli.main(argv) == 0, argv
+        capsys.readouterr()
+        # the problem file's own settings are still checked
+        chain3_doc["tolerance"] = "1/0"
+        f = write(tmp_path / "t.json", chain3_doc)
+        assert cli.main(["solve", f, "--certificate", cert]) == 2
+        assert capsys.readouterr().out.startswith('input error: "tolerance"')
 
 
 class TestDiagnose:

@@ -37,7 +37,6 @@ from polyevp.geometry import (
     scaled_H_plus_K_contains,
     zero_notin_H_plus_K,
 )
-from polyevp.lp_core import EXACT, FLOAT
 from polyevp.problemfile import build_problem
 from polyevp.scalarization import (
     InternalConsistencyError,
@@ -53,7 +52,7 @@ from conftest import (
     rand_problem,
 )
 
-_FLOAT_TRACE_DOC = {
+_TIGHT_TRACE_DOC = {
     "dimension": 2,
     "cone": {"generators": [[5, "8/3"]]},
     "H": {"vertices": [["10/3", "16/9"]]},
@@ -275,21 +274,16 @@ class TestSolve:
         ):
             assert v1 - v2 >= chain3_eps5.scale * chain3_eps5.space.d(z1, z2)
 
-    def test_float_backend_matches_exact_on_chain3(self, chain3_eps5):
-        cert = solve(chain3_eps5, FLOAT)
-        assert cert.xbar == "c"
-        assert verify_certificate(chain3_eps5, cert, FLOAT).passed
-
     def test_float_certificate_trace_is_exact(self):
         # draw 9 of rand_problem(random.Random(99), max_points=10,
-        # max_images=3); float scoring put 2.6666666666666665 where the
-        # exact drop along the chain is 8/3 = d(p6, p4), so a float trace
-        # failed its own step check
-        p = build_problem(_FLOAT_TRACE_DOC)
-        cert = solve(p, FLOAT)
-        assert cert.chain == solve(p).chain == ("p6", "p4")
+        # max_images=3); floating-point scoring once put 2.6666666666666665
+        # where the exact drop along the chain is 8/3 = d(p6, p4), a tight
+        # step that only exact scores pass
+        p = build_problem(_TIGHT_TRACE_DOC)
+        cert = solve(p)
+        assert cert.chain == ("p6", "p4")
         assert cert.xi_trace == (0, Fraction(-8, 3))
-        assert verify_certificate(p, cert, FLOAT).passed
+        assert verify_certificate(p, cert).passed
 
     def test_problem_validates_its_scalarizer_once(self, monkeypatch):
         built = []
@@ -480,11 +474,10 @@ class TestZeroDistance:
                 problems.append(p)
         return problems
 
-    @pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
-    def test_every_point_dominates_itself(self, backend):
+    def test_every_point_dominates_itself(self):
         for p in self._draws(43, 15):
             for x in p.space.labels:
-                assert dominates(p, x, x, backend)
+                assert dominates(p, x, x)
 
     @pytest.mark.parametrize(
         "mode_factory",

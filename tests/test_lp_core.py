@@ -1,5 +1,6 @@
-"""LP oracle: status correctness, witness re-check, backend agreement."""
+"""LP oracle: status correctness, witness re-check, brute-force reference."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,13 +8,10 @@ from fractions import Fraction
 import pytest
 
 from polyevp.lp_core import (
-    EXACT,
-    FLOAT,
     LinearProgram,
     LPFormatError,
     _integerize,
     check_witness,
-    float_backend,
     solve,
 )
 
@@ -87,7 +85,7 @@ def test_classic_degenerate_cycling_instance_terminates():
     assert res.value == Fraction(-1, 20)
 
 
-def test_witness_recheck_exact_and_float():
+def _lps_seed_7():
     rng = random.Random(7)
     for _ in range(60):
         n = rng.randint(1, 4)
@@ -99,18 +97,11 @@ def test_witness_recheck_exact_and_float():
         rhs = [Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(m)]
         nonneg = [rng.random() < 0.8 for _ in range(n)]
         obj = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
-        lp = LinearProgram.optimize(obj, rng.choice(["min", "max"]), rows, rhs, nonneg)
-        res = solve(lp, EXACT)
-        if res.status == "feasible":
-            assert check_witness(lp, res.witness)
-        fres = solve(lp, FLOAT)
-        if fres.status == "feasible":
-            assert check_witness(lp, fres.witness, tol=1e-6)
+        yield LinearProgram.optimize(obj, rng.choice(["min", "max"]), rows, rhs, nonneg)
 
 
-def test_backends_agree_when_not_marginal():
+def _lps_seed_99():
     rng = random.Random(99)
-    checked = 0
     for _ in range(120):
         n = rng.randint(1, 4)
         m = rng.randint(0, 3)
@@ -118,28 +109,100 @@ def test_backends_agree_when_not_marginal():
         rhs = [Fraction(rng.randint(-6, 6)) for _ in range(m)]
         nonneg = [rng.random() < 0.7 for _ in range(n)]
         if rng.random() < 0.5:
-            lp = LinearProgram.feasibility(rows, rhs, nonneg)
+            yield LinearProgram.feasibility(rows, rhs, nonneg)
         else:
             obj = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
-            lp = LinearProgram.optimize(obj, rng.choice(["min", "max"]), rows, rhs, nonneg)
-        exact = solve(lp, EXACT)
-        approx = solve(lp, FLOAT)
-        if approx.marginal:
-            continue
-        checked += 1
-        assert exact.status == approx.status, (lp, exact, approx)
-        if exact.status == "feasible" and lp.sense != "feasibility":
-            assert abs(float(exact.value) - approx.value) <= 1e-6 * (
-                1 + abs(float(exact.value))
+            yield LinearProgram.optimize(
+                obj, rng.choice(["min", "max"]), rows, rhs, nonneg
             )
-    assert checked > 60  # the agreement claim should not be vacuous
 
 
-def test_float_tolerance_parameter_validates():
-    with pytest.raises(ValueError):
-        float_backend(0.0)
-    with pytest.raises(ValueError):
-        float_backend(2.0)
+def test_witness_recheck_exact():
+    for lp in _lps_seed_7():
+        res = solve(lp)
+        if res.status == "feasible":
+            assert check_witness(lp, res.witness)
+
+
+# ---------------------------------------------------------------------------
+# brute-force reference: enumerate basic solutions
+# ---------------------------------------------------------------------------
+
+
+def _solve_columns(cols, b):
+    """x with sum x_j cols[j] == b, when cols are linearly independent and
+    the system is consistent; None otherwise.  Fraction Gauss-Jordan."""
+    m, k = len(b), len(cols)
+    aug = [[cols[j][i] for j in range(k)] + [b[i]] for i in range(m)]
+    r = 0
+    for j in range(k):
+        p = next((i for i in range(r, m) if aug[i][j] != 0), None)
+        if p is None:
+            return None  # column j depends on the earlier ones
+        aug[r], aug[p] = aug[p], aug[r]
+        aug[r] = [e / aug[r][j] for e in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][j] != 0:
+                f = aug[i][j]
+                aug[i] = [a - f * e for a, e in zip(aug[i], aug[r])]
+        r += 1
+    if any(row[-1] != 0 for row in aug[r:]):
+        return None
+    return [aug[j][-1] for j in range(k)]
+
+
+def _basic_feasible_solutions(A, b, n):
+    """Every x >= 0 in Q^n with A x == b supported on linearly independent
+    columns.
+
+    A standard-form polyhedron {x >= 0 : A x = b} is pointed, so it is
+    empty exactly when this yields nothing, and a linear objective
+    bounded below on it attains its minimum at one of these points.
+    """
+    cols = [tuple(row[j] for row in A) for j in range(n)]
+    for k in range(min(len(b), n) + 1):
+        for support in itertools.combinations(range(n), k):
+            xs = _solve_columns([cols[j] for j in support], b)
+            if xs is not None and all(v >= 0 for v in xs):
+                x = [Fraction(0)] * n
+                for j, v in zip(support, xs):
+                    x[j] = v
+                yield x
+
+
+def _reference(lp):
+    """(status, optimal value) of ``lp`` by enumeration; no simplex."""
+    # split each free variable into a difference of nonnegative parts
+    split = [(j, 1) for j in range(lp.n_vars)]
+    split += [(j, -1) for j in range(lp.n_vars) if not lp.nonneg[j]]
+    A = [[s * row[j] for j, s in split] for row in lp.rows]
+    points = list(_basic_feasible_solutions(A, list(lp.rhs), len(split)))
+    if not points:
+        return "infeasible", None
+    if lp.sense == "feasibility":
+        return "feasible", 0
+    sign = 1 if lp.sense == "min" else -1
+    c = [sign * s * lp.objective[j] for j, s in split]
+    # unbounded iff some direction d >= 0 with A d = 0 has c . d = -1
+    rays = _basic_feasible_solutions(A + [c], [0] * len(A) + [-1], len(split))
+    if next(rays, None) is not None:
+        return "unbounded", None
+    best = min(sum(ci * xi for ci, xi in zip(c, x)) for x in points)
+    return "feasible", sign * best
+
+
+def test_status_and_value_match_basic_solution_enumeration():
+    statuses = []
+    for lp in itertools.chain(_lps_seed_99(), _lps_seed_7()):
+        res = solve(lp)
+        status, value = _reference(lp)
+        assert res.status == status, lp
+        if status == "feasible":
+            assert res.value == value, lp
+            assert check_witness(lp, res.witness), lp
+        statuses.append(status)
+    assert len(statuses) == 180
+    assert {"feasible", "infeasible", "unbounded"} <= set(statuses)
 
 
 def test_integerize_matches_fraction_products():
@@ -163,8 +226,8 @@ def test_free_variable_with_negative_fractions_has_exact_witness():
     rhs = [Fraction(-11, 9), Fraction(-2, 3)]
     obj = [Fraction(-1, 2), Fraction(3, 8), Fraction(5, 11)]
     lp = LinearProgram.optimize(obj, "max", rows, rhs, [False, True, True])
-    res = solve(lp, EXACT)
+    res = solve(lp)
     assert res.status == "feasible"
-    assert check_witness(lp, res.witness, tol=0)
+    assert check_witness(lp, res.witness)
     assert res.witness == (Fraction(-8, 15), 0, Fraction(457, 105))
     assert res.value == sum(c * x for c, x in zip(lp.objective, res.witness))
