@@ -96,6 +96,22 @@ class TestScalarize:
         assert cli.main(["scalarize", str(tmp_path / "missing.json"),
                          "--point", "1,1"]) == 2
 
+    def test_float_backend_flag(self, tmp_path, segment_doc, capsys):
+        # there is one exact backend, so --backend is not an option at all
+        f = write(tmp_path / "p.json", segment_doc)
+        with pytest.raises(SystemExit) as e:
+            cli.main(["scalarize", f, "--point", "1,1", "--backend", "float"])
+        assert e.value.code == 2
+        assert "phi =" not in capsys.readouterr().out
+
+    def test_env_backend_override(self, tmp_path, segment_doc, monkeypatch, capsys):
+        # EVP_BACKEND selects nothing: any value gives the exact answer
+        f = write(tmp_path / "p.json", segment_doc)
+        for value in ("float", "quantum"):
+            monkeypatch.setenv("EVP_BACKEND", value)
+            assert cli.main(["scalarize", f, "--point", "1,1"]) == 0
+            assert "phi = 1" in capsys.readouterr().out
+
     def test_internal_error_exits_3(self, tmp_path, segment_doc, monkeypatch):
         from polyevp.scalarization import InternalConsistencyError
 
