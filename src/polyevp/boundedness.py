@@ -67,6 +67,15 @@ def is_K_lower_bounded(M: VPolyhedralUnion, K: ConeGen) -> tuple[bool, Optional[
         raise DimensionMismatchError("union and cone dimensions differ")
     if not is_quasi_K_lower_bounded(M, K):
         return False, None
+    b = _common_lower_point(M, K)
+    return b is not None, b
+
+
+def _common_lower_point(M: VPolyhedralUnion, K: ConeGen) -> Optional[Vec]:
+    """A point b with every piece vertex in b + K, by one LP, or None.
+
+    Together with every ray lying in K this decides M within b + K.
+    """
     verts = M.all_vertices()
     n, m = M.dim, len(K.generators)
     # variables: b (free, n) then one generator-weight block per vertex
@@ -84,9 +93,7 @@ def is_K_lower_bounded(M: VPolyhedralUnion, K: ConeGen) -> tuple[bool, Optional[
             rhs.append(v[r])
     nonneg = [False] * n + [True] * (m * len(verts))
     res = solve(LinearProgram.feasibility(rows, rhs, nonneg))
-    if not res.is_feasible:
-        return False, None
-    return True, tuple(res.witness[:n])
+    return tuple(res.witness[:n]) if res.is_feasible else None
 
 
 def find_kstar(M: VPolyhedralUnion, K: ConeGen, H: Polytope) -> Optional[Vec]:
@@ -223,8 +230,9 @@ def classify(
         raise ValueError(
             "dual-witness classification requires the origin outside H + K"
         )
-    k_lower, b = is_K_lower_bounded(M, K)
     quasi = is_quasi_K_lower_bounded(M, K)
+    b = _common_lower_point(M, K) if quasi else None
+    k_lower = b is not None
     kstar = find_kstar(M, K, H)
     candidates = list(candidates)
     if kstar is not None and candidates:

@@ -83,7 +83,7 @@ def _do_scalarize(path: str, opts: dict) -> tuple[int, str]:
         agree = abs(phi.value - bis.value.value) <= tol
     else:
         agree = phi.is_finite == bis.value.is_finite
-    attained = scalarization.attainment_check(sf, y) if phi.is_finite else None
+    attained = scalarization.attainment_check(sf, y, phi) if phi.is_finite else None
 
     if opts.get("json"):
         payload = {

@@ -47,11 +47,12 @@ from .geometry import (
     DimensionMismatchError,
     InvalidConfigurationError,
     Polytope,
+    checked_rows,
     scaled_H_plus_K_contains,
     validate_cone,
     zero_notin_H_plus_K,
 )
-from .rational import Number, Vec, dot, frac, frac_vec, vec_sub
+from .rational import Number, Vec, frac, frac_vec, vec_sub
 from .scalarization import (
     ExtendedReal,
     InternalConsistencyError,
@@ -712,13 +713,7 @@ class _CheckedRelation:
     def __init__(self, p: EVPProblem):
         self.p = p
         plus, _ = p._separation.halfspaces()
-        rows = [
-            r
-            for r in plus.rows
-            if all(dot(r[:-1], h) + r[-1] >= 0 for h in p.H.vertices)
-            and all(dot(r[:-1], k) >= 0 for k in p.K.generators)
-        ]
-        self.rows = tuple(rows)
+        self.rows = rows = checked_rows(plus.rows, p.H, p.K, 1)
         self.t = tuple(r[-1] for r in rows)
         self.scale, (self.products,) = _image_products(p, rows)
         self._dominance: dict = {}

@@ -13,7 +13,9 @@ pair (H, K) at varying scale t, `homogenized_halfspaces` converts the
 cone over {(h, 1) : h in H} + {(+-k, 0) : k in K} once into integer
 halfspaces by the double description method (`cone_halfspaces`); then
 "z in t*H +- K" for every t >= 0 is a sign check of integer row
-products, with no LP.
+products, with no LP.  `checked_rows` keeps the rows that are
+nonnegative on every generator of that cone, so a caller that answers
+"no" from them never depends on the construction being right.
 
 A note on closures: sums of polytopes and finitely generated cones are
 closed, so the distinction between a set, its topological closure, and
@@ -42,6 +44,7 @@ __all__ = [
     "VPolyhedralUnion",
     "validate_cone",
     "cone_contains",
+    "checked_rows",
     "cone_halfspaces",
     "dual_cone_contains",
     "homogenized_halfspaces",
@@ -410,6 +413,7 @@ def cone_halfspaces(generators: Sequence[Sequence[int]], dim: int) -> ConeHalfsp
             for r, t, v in zip(rays, tight, vals)
             if v >= 0
         ]
+        need = dim - len(lin) - 2
         for p, vp in enumerate(vals):
             if vp <= 0:
                 continue
@@ -417,7 +421,7 @@ def cone_halfspaces(generators: Sequence[Sequence[int]], dim: int) -> ConeHalfsp
                 if vq >= 0:
                     continue
                 common = tight[p] & tight[q]
-                if any(
+                if common.bit_count() < need or any(
                     k != p and k != q and t & common == common
                     for k, t in enumerate(tight)
                 ):
@@ -444,9 +448,30 @@ def homogenized_halfspaces(H: Polytope, K: ConeGen, k_sign: int) -> ConeHalfspac
     when z lies in t*H + k_sign*K; at t = 0 the H-weights must vanish
     and the test reads z in k_sign*K.
     """
+    return cone_halfspaces(_homogenized_generators(H, K, k_sign), H.dim + 1)
+
+
+def _homogenized_generators(H: Polytope, K: ConeGen, k_sign: int) -> list[tuple[int, ...]]:
+    """(h, 1) and (k_sign * k, 0) for H's vertices and K's generators,
+    each scaled by `_integral` to integers."""
     if H.dim != K.dim:
         raise DimensionMismatchError("polytope and cone dimensions differ")
     one, zero = Fraction(1), Fraction(0)
     gens = [_integral(h + (one,)) for h in H.vertices]
     gens += [_integral(tuple(k_sign * c for c in k) + (zero,)) for k in K.generators]
-    return cone_halfspaces(gens, H.dim + 1)
+    return gens
+
+
+def checked_rows(
+    rows: Sequence[tuple[int, ...]], H: Polytope, K: ConeGen, k_sign: int
+) -> tuple[tuple[int, ...], ...]:
+    """The rows nonnegative on every generator of the cone over
+    t*H + k_sign*K, each generator formed from H and K directly.
+
+    A kept row is nonnegative on the whole cone, so a point where it is
+    negative lies outside, whatever produced the rows.  The generators
+    are positive integer multiples of (h, 1) and (k_sign * k, 0), which
+    keeps every sign.
+    """
+    gens = _homogenized_generators(H, K, k_sign)
+    return tuple(r for r in rows if all(_idot(r, g) >= 0 for g in gens))

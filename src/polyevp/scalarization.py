@@ -23,15 +23,20 @@ the question is one extreme scale.  Three routes compute it:
   functional (Goepfert, Riahi, Tammer & Zalinescu, 2003).
 * `evaluate_bisection` never looks at the branch decomposition: it
   brackets the threshold by doubling and bisects fixed-scale membership
-  LPs down to a requested width.  Its correctness rests only on the
-  monotonicity of feasibility in the scale, which makes it a genuinely
-  independent cross-check for `evaluate`.
+  questions down to a requested width.  Each question is a sign check
+  on the halfspace rows that `geometry.checked_rows` has confirmed
+  against H and K, with no LP.  Its correctness rests on the
+  monotonicity of feasibility in the scale and on the rows alone, so it
+  shares nothing with `evaluate` but H and K, and is a genuinely
+  independent cross-check for it.
 
 The descent solver (`evp.solve`) scores by the closed form, from row
 products it computes once per problem.  The certificate verifier
 re-scores a trace by the LP route.  The ``scalarize`` command uses the
-LP route and cross-checks it by bisection, so it never builds the
-halfspaces.
+LP route and cross-checks it by bisection, so it builds the halfspaces
+once per functional.  A facet missing from them lets bisection accept
+scales below phi, and the two routes disagree; a row that fails the
+check is dropped.  `attainment_check` stays on the membership LP.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from .geometry import (
     InvalidConfigurationError,
     Polytope,
     _combination_lp,
+    checked_rows,
     cone_contains,
     homogenized_halfspaces,
     scaled_H_minus_K_contains,
@@ -169,6 +175,12 @@ def row_products(rows: Sequence[Sequence[int]], z: Sequence[int]) -> tuple[int, 
     return tuple(sum(a * c for a, c in zip(r, z)) for r in rows)
 
 
+def _integer_point(yv: Vec) -> tuple[list[int], int]:
+    """(z, scale) with yv = z / scale, scale the lcm of yv's denominators."""
+    scale = math.lcm(*(c.denominator for c in yv))
+    return [c.numerator * (scale // c.denominator) for c in yv], scale
+
+
 def _scale_interval(coeffs, values):
     """The scales s >= 0 with values[r] + coeffs[r] * s >= 0 for every r.
 
@@ -238,8 +250,7 @@ def evaluate_closed_form(F: SeparationFunctional, y: Sequence[Number]) -> Extend
             f"query has length {len(yv)}, expected {F.H.dim}"
         )
     plus, minus = F.halfspaces()
-    scale = math.lcm(*(c.denominator for c in yv))
-    z = [c.numerator * (scale // c.denominator) for c in yv]
+    z, scale = _integer_point(yv)
     return phi_from_rows(
         plus.t_coefficients,
         row_products(plus.rows, [-c for c in z]),
@@ -307,15 +318,34 @@ def evaluate_bisection(F: SeparationFunctional, y: Sequence[Number]) -> Bisectio
     Doubles outward from +-1 to find a feasible upper scale and an
     infeasible lower scale, then bisects.  Returns the feasible endpoint
     of the final bracket, which sits within tol above the infimum.
+
+    "y in t*H - K" is asked of the checked rows of F's halfspaces: for
+    t >= 0 it reads (y, t) in the cone over t*H - K, and for t < 0 it
+    reads (-y, -t) in the cone over t*H + K.  With y = z / scale and
+    t = n / d, a row (a_z, a_t) holds at (s*y, s*t), s = +-1, when
+    (a_z . s*z) * d + a_t * scale * s*n is nonnegative; the products
+    a_z . s*z are formed once per call.
     """
     yv = frac_vec(y)
     if len(yv) != F.H.dim:
         raise DimensionMismatchError(
             f"query has length {len(yv)}, expected {F.H.dim}"
         )
+    plus_hs, minus_hs = F.halfspaces()
+    plus = checked_rows(plus_hs.rows, F.H, F.K, 1)
+    minus = checked_rows(minus_hs.rows, F.H, F.K, -1)
+    z, scale = _integer_point(yv)
+    # per branch: a_z . (+-z) and a_t * scale for each checked row
+    at_z = tuple(zip(row_products(minus, z), (r[-1] * scale for r in minus)))
+    at_minus_z = tuple(
+        zip(row_products(plus, [-c for c in z]), (r[-1] * scale for r in plus))
+    )
 
     def feasible(t: Fraction) -> bool:
-        return scaled_H_minus_K_contains(F.H, F.K, yv, t)
+        n, d = t.numerator, t.denominator
+        if n < 0:
+            return all(p * d - a * n >= 0 for p, a in at_minus_z)
+        return all(p * d + a * n >= 0 for p, a in at_z)
 
     hi = Fraction(1)
     while not feasible(hi):
@@ -349,13 +379,15 @@ def xi(
     return evaluate(F, vec_sub(frac_vec(y), frac_vec(y0)))
 
 
-def attainment_check(F: SeparationFunctional, y: Sequence[Number]) -> bool:
-    """Does y itself belong to phi(y)*H - K?
+def attainment_check(
+    F: SeparationFunctional, y: Sequence[Number], value: ExtendedReal
+) -> bool:
+    """Does y itself belong to value*H - K, for value = `evaluate`(F, y)?
 
     With compact H and closed K the infimum is always attained, so a
-    False here is a bug detector rather than a legitimate outcome.
+    False here is a bug detector rather than a legitimate outcome.  The
+    caller passes the value it already has; one membership LP decides.
     """
-    val = evaluate(F, y)
-    if not val.is_finite:
+    if not value.is_finite:
         raise ValueError("attainment is only defined for finite values")
-    return scaled_H_minus_K_contains(F.H, F.K, y, val.value)
+    return scaled_H_minus_K_contains(F.H, F.K, y, value.value)

@@ -2,11 +2,14 @@
 
 import argparse
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from polyevp import cli
+from polyevp.geometry import ConeHalfspaces
 
 
 def write(path, doc):
@@ -159,6 +162,88 @@ class TestScalarize:
         path, code, text = cli._worker(("scalarize", f, {}))
         assert (path, code) == (f, 3)
         assert text == "internal error: RuntimeError: forced"
+
+
+def _read_rows_as(monkeypatch, corrupt):
+    """Make every functional hand out corrupt(plus, minus) as its
+    halfspaces, the honest rows of the cones over t*H + K and t*H - K."""
+    honest = cli.scalarization.SeparationFunctional.halfspaces
+    monkeypatch.setattr(
+        cli.scalarization.SeparationFunctional,
+        "halfspaces",
+        lambda self: corrupt(*honest(self)),
+    )
+
+
+class TestBisectionOverCorruptRows:
+    # for the segment, the cone over t*H - K is {t >= z1, t >= z2, t >= 0}
+
+    def test_dropped_facet_makes_the_routes_disagree(
+        self, tmp_path, segment_doc, monkeypatch, capsys
+    ):
+        def drop(plus, minus):
+            rows = tuple(r for r in minus.inequalities if r != (-1, 0, 1))
+            assert len(rows) == len(minus.inequalities) - 1
+            return plus, ConeHalfspaces(minus.equalities, rows)
+
+        f = write(tmp_path / "p.json", segment_doc)
+        _read_rows_as(monkeypatch, drop)
+        # without t >= z1 the rows take (1, 0) at every t >= 0, so
+        # bisection closes in on 0 while the LP route gives 1
+        assert cli.main(["scalarize", f, "--point", "1,0"]) == 3
+        out = capsys.readouterr().out
+        assert "phi = 1" in out and "disagree" in out
+
+    def test_row_a_generator_violates_is_dropped(
+        self, tmp_path, segment_doc, monkeypatch, capsys
+    ):
+        f = write(tmp_path / "p.json", segment_doc)
+        points = ["1,0", "-1,-1", "3,2", "-5,1", "0,0", "1/3,-2/7"]
+        honest = []
+        for pt in points:
+            assert cli.main(["scalarize", f, f"--point={pt}", "--json"]) == 0
+            honest.append(capsys.readouterr().out)
+
+        def add(plus, minus):
+            # minus the sum of the facet rows: negative at (1, 1, 1), a
+            # generator of both cones; kept, it would empty the t >= 1 range
+            return tuple(
+                ConeHalfspaces(
+                    hs.equalities,
+                    hs.inequalities + (tuple(-sum(c) for c in zip(*hs.inequalities)),),
+                )
+                for hs in (plus, minus)
+            )
+
+        _read_rows_as(monkeypatch, add)
+        for pt, out in zip(points, honest):
+            assert cli.main(["scalarize", f, f"--point={pt}", "--json"]) == 0
+            assert capsys.readouterr().out == out
+
+
+def test_seven_dimensional_scalarize_finishes(tmp_path, capsys):
+    # 20 generators in dimension 7: the cones whose rows bisection reads
+    # have 466 and 515 facets, and the adjacency prefilter keeps their
+    # double description well under a second
+    rng = random.Random(1)
+    l = [rng.randint(1, 3) for _ in range(7)]
+    gens = []
+    while len(gens) < 20:
+        g = [rng.randint(-4, 4) for _ in range(7)]
+        s = sum(a * b for a, b in zip(l, g))
+        if s:
+            gens.append(g if s > 0 else [-c for c in g])
+    verts = [[a + b for a, b in zip(*rng.sample(gens, 2))] for _ in range(4)]
+    doc = {"dimension": 7, "cone": {"generators": gens}, "H": {"vertices": verts}}
+    f = write(tmp_path / "p.json", doc)
+    point = ",".join(str(rng.randint(-10, 10)) for _ in range(7))
+    start = time.perf_counter()
+    code = cli.main(["scalarize", f, f"--point={point}", "--json"])
+    elapsed = time.perf_counter() - start
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["agreement"] is True
+    assert payload["phi"] != "+inf"
+    assert elapsed < 5.0
 
 
 class TestUsageErrors:

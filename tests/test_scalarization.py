@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from polyevp.geometry import ConeGen, Polytope
+from polyevp.geometry import ConeGen, Polytope, scaled_H_minus_K_contains
 from polyevp.rational import vec_add, vec_sub
 from polyevp.scalarization import (
+    BisectionResult,
     BracketExhaustedError,
     ExtendedReal,
     InternalConsistencyError,
@@ -173,13 +174,14 @@ class TestAlgebraicLaws:
                 tuple(t * c for c in convex_mix(rng, H.vertices)),
                 rand_point_in_cone(rng, K),
             )
-            assert evaluate(sf, y).is_finite
-            assert attainment_check(sf, y)
+            phi = evaluate(sf, y)
+            assert phi.is_finite
+            assert attainment_check(sf, y, phi)
 
     def test_attainment_rejects_infinite_values(self):
         sf = SeparationFunctional(Polytope(2, ((1, 0),)), ConeGen(2, ((1, 0),)))
         with pytest.raises(ValueError):
-            attainment_check(sf, (0, 1))
+            attainment_check(sf, (0, 1), evaluate(sf, (0, 1)))
 
 
 class TestShiftedEvaluation:
@@ -248,7 +250,55 @@ def test_lp_and_bisection_routes_agree_on_degenerate_shapes(data):
     assert phi.is_finite == bis.value.is_finite
     if phi.is_finite:
         assert 0 <= bis.value.value - phi.value <= sf.tol
-        assert attainment_check(sf, y)
+        assert attainment_check(sf, y, phi)
+
+
+def _lp_oracle_bisection(F, y):
+    """`evaluate_bisection`'s loop with every question put to the
+    membership LP, a reference that never reads halfspace rows."""
+
+    def feasible(t):
+        return scaled_H_minus_K_contains(F.H, F.K, y, t)
+
+    hi = Fraction(1)
+    while not feasible(hi):
+        hi *= 2
+        if hi > F.t_max:
+            return BisectionResult(ExtendedReal.plus_infinity(), unconfirmed_at_t_max=True)
+    lo = Fraction(-1)
+    while feasible(lo):
+        lo *= 2
+        if -lo > F.t_max:
+            raise BracketExhaustedError(f"still feasible at scale {lo}")
+    while hi - lo > F.tol:
+        mid = (hi + lo) / 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return BisectionResult(ExtendedReal.finite(hi))
+
+
+def _bisection_outcome(route, F, y):
+    try:
+        return route(F, y)
+    except BracketExhaustedError:
+        return "bracket exhausted"
+
+
+@given(instance_point_scales())
+@settings(max_examples=30, deadline=None)
+def test_bisection_over_rows_matches_an_lp_oracle_bisection(data):
+    # low-rank K and one-vertex H are explicit draws; y and -y cover both
+    # branches, and t_max = 2 pushes values past the bracket both ways,
+    # so unconfirmed +inf and an exhausted lower bracket are compared too
+    K, H, y, _, _ = data
+    for t_max in (Fraction(2**20), Fraction(2)):
+        sf = SeparationFunctional(H, K, t_max=t_max)
+        for z in (y, tuple(-c for c in y)):
+            assert _bisection_outcome(evaluate_bisection, sf, z) == _bisection_outcome(
+                _lp_oracle_bisection, sf, z
+            ), (K, H, z, t_max)
 
 
 @given(instance_point_scales())
