@@ -22,6 +22,9 @@ hypothesis), score points by the cone-separation potential
 xi(y) = phi(y - y0), and repeatedly move to the argmin of the current
 lower section.  Each move strictly drops the score by at least
 scale * step distance, so the walk terminates in at most |X| steps.
+Dominance, the hypothesis check and the scores ask their questions of
+`geometry.ConeHalfspaces`, from row products of the images scaled to
+integers once per problem; this module never reads a halfspace row.
 
 Three scale modes cover the standard statements: ``plain`` uses scale 1;
 ``scaled(eps, lam)`` uses eps/lam and additionally guarantees
@@ -35,7 +38,6 @@ perturbation direction.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -44,22 +46,23 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .geometry import (
     ConeGen,
+    ConeHalfspaces,
     DimensionMismatchError,
     InvalidConfigurationError,
     Polytope,
     checked_rows,
+    reaches,
     scaled_H_plus_K_contains,
     validate_cone,
     zero_notin_H_plus_K,
 )
-from .rational import Number, Vec, frac, frac_vec, vec_sub
+from .rational import Number, Vec, frac, frac_vec, integerize, vec_sub
 from .scalarization import (
     ExtendedReal,
     InternalConsistencyError,
     SeparationFunctional,
     evaluate,
     phi_from_rows,
-    row_products,
 )
 
 __all__ = [
@@ -106,9 +109,9 @@ class FiniteMetricSpace:
     """Finitely many labelled points with an exact metric matrix.
 
     ``dist`` holds Fractions.  Validation forms integers once: it scales
-    the matrix by the lcm of its denominators and checks the metric
-    axioms on that local integer matrix, the triangle inequality one
-    ordered pair (i, j) at a time.
+    the matrix by the lcm of its denominators (`integerize`) and checks
+    the metric axioms on that local integer matrix, the triangle
+    inequality one ordered pair (i, j) at a time.
     """
 
     labels: tuple[str, ...]
@@ -126,8 +129,8 @@ class FiniteMetricSpace:
         n = len(labels)
         if len(d) != n or any(len(row) != n for row in d):
             raise InvalidConfigurationError("distance matrix shape does not match labels")
-        den = math.lcm(*(x.denominator for row in d for x in row))
-        m = [[x.numerator * (den // x.denominator) for x in row] for row in d]
+        flat, _ = integerize([x for row in d for x in row])
+        m = [flat[i * n:(i + 1) * n] for i in range(n)]
         for i in range(n):
             if m[i][i] != 0:
                 raise InvalidConfigurationError(f"nonzero self-distance at {labels[i]!r}")
@@ -310,23 +313,19 @@ class EVPProblem:
 # ---------------------------------------------------------------------------
 
 
-def _image_products(p: EVPProblem, *row_sets) -> tuple[int, list[dict]]:
-    """(scale, one {label: [row products per image]} per row set).
+def _image_products(p: EVPProblem, *cones: ConeHalfspaces) -> tuple[int, list[dict]]:
+    """(scale, one {label: [row products per image]} per cone).
 
     Every image is scaled by one common ``scale`` to integers z, and
-    each row (a_z, a_t) contributes a_z . z.  Products are linear in z,
-    so those of a difference of images are differences of these.
+    each cone contributes its `ConeHalfspaces.products` of z.  Products
+    are linear in z, so those of a difference of images are differences
+    of these.
     """
-    scale = math.lcm(
-        *(c.denominator for _, imgs in p.f.entries for y in imgs for c in y)
-    )
-    ints = {
-        l: [[c.numerator * (scale // c.denominator) for c in y] for y in imgs]
-        for l, imgs in p.f.entries
-    }
+    flat, scale = integerize([c for _, imgs in p.f.entries for y in imgs for c in y])
+    it = iter(flat)
+    ints = {l: [[next(it) for _ in y] for y in imgs] for l, imgs in p.f.entries}
     return scale, [
-        {l: [row_products(rows, z) for z in zs] for l, zs in ints.items()}
-        for rows in row_sets
+        {l: [hs.products(z) for z in zs] for l, zs in ints.items()} for hs in cones
     ]
 
 
@@ -334,15 +333,14 @@ def _image_products(p: EVPProblem, *row_sets) -> tuple[int, list[dict]]:
 class _ImageRows:
     """The solver's row products, computed once per problem.
 
-    ``plus[label][i]`` holds the products of the rows of the cone over
-    t*H + K with image i scaled by ``scale``, and ``minus[label][i]``
-    those of the cone over t*H - K; ``plus_t`` and ``minus_t`` are the
-    rows' t coefficients.
+    ``plus[label][i]`` holds the products of ``plus_hs``, the cone over
+    t*H + K, at image i scaled by ``scale``, and ``minus[label][i]``
+    those of ``minus_hs``, the cone over t*H - K.
     """
 
     scale: int
-    plus_t: tuple[int, ...]
-    minus_t: tuple[int, ...]
+    plus_hs: ConeHalfspaces
+    minus_hs: ConeHalfspaces
     plus: dict[str, list[tuple[int, ...]]]
     minus: dict[str, list[tuple[int, ...]]]
 
@@ -351,28 +349,10 @@ def _image_rows(p: EVPProblem) -> _ImageRows:
     rows = p.__dict__.get("_image_rows")
     if rows is None:
         plus, minus = p._separation.halfspaces()
-        scale, (at_plus, at_minus) = _image_products(p, plus.rows, minus.rows)
-        rows = _ImageRows(
-            scale, plus.t_coefficients, minus.t_coefficients, at_plus, at_minus
-        )
+        scale, (at_plus, at_minus) = _image_products(p, plus, minus)
+        rows = _ImageRows(scale, plus, minus, at_plus, at_minus)
         object.__setattr__(p, "_image_rows", rows)
     return rows
-
-
-def _bounds(t_coeffs: Sequence[int], scale: int, t: Fraction) -> tuple[int, list[int]]:
-    """(den, bounds) such that y - ysrc lies in t*H + K iff every row has
-    den * (a_z . z - a_z . zsrc) >= its bound (see `_reaches`)."""
-    T = t * scale
-    return T.denominator, [-c * T.numerator for c in t_coeffs]
-
-
-def _reaches(den: int, bounds: list[int], target, source) -> bool:
-    """Is y - ysrc in t*H + K, given the two images' row products?
-
-    With scale * t = num/den, every row must satisfy
-    a_z . (z - zsrc) + a_t * num/den >= 0; times den it is integral.
-    """
-    return all(den * (a - b) >= c for a, b, c in zip(target, source, bounds))
 
 
 def dominates(p: EVPProblem, xprime: str, x: str) -> bool:
@@ -390,10 +370,10 @@ def dominates(p: EVPProblem, xprime: str, x: str) -> bool:
     ans = p._dominance.get(key)
     if ans is None:
         rows = _image_rows(p)
-        den, bounds = _bounds(rows.plus_t, rows.scale, p.scale * p.space.d(x, xprime))
+        den, bounds = rows.plus_hs.bounds(p.scale * p.space.d(x, xprime) * rows.scale)
         sources = rows.plus[xprime]
         ans = all(
-            any(_reaches(den, bounds, target, src) for src in sources)
+            any(reaches(den, bounds, target, src) for src in sources)
             for target in rows.plus[x]
         )
         p._dominance[key] = ans
@@ -417,10 +397,10 @@ def _first_blocking_pair(
     """First (point, image y) in scope with y0 - y in eps*H + K, given
     the products of y0."""
     rows = _image_rows(p)
-    den, bounds = _bounds(rows.plus_t, rows.scale, eps)
+    den, bounds = rows.plus_hs.bounds(eps * rows.scale)
     for x in scope:
         for y, y_rows in zip(p.images(x), rows.plus[x]):
-            if _reaches(den, bounds, y0_rows, y_rows):
+            if reaches(den, bounds, y0_rows, y_rows):
                 return (x, y)
     return None
 
@@ -522,9 +502,9 @@ def solve(p: EVPProblem) -> EVPCertificate:
         if val is None:
             val = min(
                 phi_from_rows(
-                    rows.plus_t,
+                    rows.plus_hs,
                     tuple(map(operator.sub, plus0, plus_y)),
-                    rows.minus_t,
+                    rows.minus_hs,
                     tuple(map(operator.sub, minus_y, minus0)),
                     rows.scale,
                 )
@@ -615,13 +595,13 @@ def _convex_grid(vertices: tuple[Vec, ...], depth: int) -> Iterable[Vec]:
     if p == 1 or depth < 2:
         return
     seen = set(vertices)
-    for comp in itertools.product(range(depth + 1), repeat=p - 1):
-        s = sum(comp)
-        if s > depth:
-            continue
-        weights = (depth - s,) + comp
+    # stars and bars: the gaps between p - 1 bars among depth + p - 1
+    # slots run over the compositions with sum <= depth, in lex order
+    for bars in itertools.combinations(range(depth + p - 1), p - 1):
+        comp = tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
+        weights = (depth - sum(comp),) + comp
         h = tuple(
-            sum(Fraction(w, depth) * vertices[i][r] for i, w in enumerate(weights))
+            sum(w * v[r] for w, v in zip(weights, vertices) if w) / depth
             for r in range(len(vertices[0]))
         )
         if h not in seen:
@@ -701,25 +681,25 @@ class _CheckedRelation:
     """The pre-order and the hypothesis check as the verifier decides them.
 
     Shares no answer with the solver.  A "no" for "y - ysrc in t*H + K"
-    is a Farkas certificate: a row r of the problem's halfspaces of the
-    cone over t*H + K that this class has itself checked to be
+    is a Farkas certificate: a row of ``halfspaces``, the rows of the
+    problem's cone over t*H + K that `geometry.checked_rows` has found
     nonnegative on every generator (h, 1) and (k, 0), taken from H and K
-    directly, and that is negative at (y - ysrc, t).  Such a row is
-    nonnegative on the whole cone, so the point lies outside.  A row that
-    fails the check is dropped, and a point that no checked row excludes
-    goes to the membership LP, so every "yes" is an exact LP answer.
+    directly, that is negative at (y - ysrc, t) (`geometry.reaches`).
+    Such a row is nonnegative on the whole cone, so the point lies
+    outside.  A row that fails the check is dropped, and a point that no
+    checked row excludes goes to the membership LP, so every "yes" is an
+    exact LP answer.
     """
 
     def __init__(self, p: EVPProblem):
         self.p = p
         plus, _ = p._separation.halfspaces()
-        self.rows = rows = checked_rows(plus.rows, p.H, p.K, 1)
-        self.t = tuple(r[-1] for r in rows)
-        self.scale, (self.products,) = _image_products(p, rows)
+        self.halfspaces = checked_rows(plus, p.H, p.K, 1)
+        self.scale, (self.products,) = _image_products(p, self.halfspaces)
         self._dominance: dict = {}
 
     def _in_sum(self, y: Vec, ysrc: Vec, prod, prod_src, t: Fraction) -> bool:
-        if not _reaches(*_bounds(self.t, self.scale, t), prod, prod_src):
+        if not reaches(*self.halfspaces.bounds(t * self.scale), prod, prod_src):
             return False  # a checked row is negative at (y - ysrc, t)
         return scaled_H_plus_K_contains(self.p.H, self.p.K, vec_sub(y, ysrc), t)
 

@@ -13,9 +13,13 @@ pair (H, K) at varying scale t, `homogenized_halfspaces` converts the
 cone over {(h, 1) : h in H} + {(+-k, 0) : k in K} once into integer
 halfspaces by the double description method (`cone_halfspaces`); then
 "z in t*H +- K" for every t >= 0 is a sign check of integer row
-products, with no LP.  `checked_rows` keeps the rows that are
-nonnegative on every generator of that cone, so a caller that answers
-"no" from them never depends on the construction being right.
+products, with no LP.  `ConeHalfspaces` owns that row format: its
+`products`, `bounds` with `reaches`, and `scale_range` answer every
+such question, so no other module reads a row.  `checked_rows` keeps
+the rows that are nonnegative on every generator of that cone, so a
+caller that answers "no" from them never depends on the construction
+being right.  Points and generators are scaled to integers by
+`rational.integerize`.
 
 A note on closures: sums of polytopes and finitely generated cones are
 closed, so the distinction between a set, its topological closure, and
@@ -32,7 +36,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .lp_core import LinearProgram, solve
-from .rational import Number, Vec, dot, frac, frac_vec
+from .rational import Number, Vec, dot, frac, frac_vec, integerize
 
 __all__ = [
     "DimensionMismatchError",
@@ -48,6 +52,7 @@ __all__ = [
     "cone_halfspaces",
     "dual_cone_contains",
     "homogenized_halfspaces",
+    "reaches",
     "scaled_H_minus_K_contains",
     "scaled_H_plus_K_contains",
     "zero_notin_H_plus_K",
@@ -330,6 +335,11 @@ class ConeHalfspaces:
     The rows of ``equalities`` (E) span the orthogonal complement of the
     cone's linear span, so a lower-dimensional cone is described
     exactly; ``inequalities`` (A) holds one row per facet.
+
+    For a homogenized cone, the cone over t*H +- K in R^(dim+1), each
+    row is (a_z, a_t) with the scale's coefficient a_t last.  The
+    methods below answer "(z, T) in the cone" for an integer point z
+    from its row products a_z . z, so callers never read a row.
     """
 
     equalities: tuple[tuple[int, ...], ...]
@@ -352,7 +362,51 @@ class ConeHalfspaces:
 
     def contains(self, w: Sequence[Number]) -> bool:
         """Is w in the cone?  Exact for integer or Fraction entries."""
-        return all(sum(a * c for a, c in zip(r, w)) >= 0 for r in self.rows)
+        return all(_idot(r, w) >= 0 for r in self.rows)
+
+    def products(self, z: Sequence[int]) -> tuple[int, ...]:
+        """a_z . z for every row (a_z, a_t) of a homogenized cone."""
+        # zip stops at the end of z, leaving out each row's last entry a_t
+        return tuple(sum(a * c for a, c in zip(r, z)) for r in self.rows)
+
+    def bounds(self, T: Fraction) -> tuple[int, list[int]]:
+        """(den, bounds) with (z - zsrc, T) in the cone iff every row has
+        den * (a_z . z - a_z . zsrc) >= its bound (`reaches`): with
+        T = num/den, a_z . (z - zsrc) + a_t * num/den >= 0 times den."""
+        n = -T.numerator
+        return T.denominator, [c * n for c in self.t_coefficients]
+
+    def scale_range(self, products: Sequence[int]):
+        """The scales T >= 0 with (z, T) in the cone, for
+        ``products`` = `products`(z).
+
+        None when there are none; otherwise (lo, hi), each end a pair
+        (numerator, positive denominator) and hi None for no upper end.
+        """
+        lo_n, lo_d = 0, 1
+        hi = None
+        for a, c in zip(self.t_coefficients, products):
+            if a > 0:
+                if -c * lo_d > lo_n * a:
+                    lo_n, lo_d = -c, a
+            elif a < 0:
+                if hi is None or c * hi[1] < hi[0] * -a:
+                    hi = (c, -a)
+            elif c < 0:
+                return None
+        if hi is not None and lo_n * hi[1] > hi[0] * lo_d:
+            return None
+        return (lo_n, lo_d), hi
+
+
+def reaches(den: int, bounds: Sequence[int], target, source) -> bool:
+    """Does (z - zsrc, T) lie in the cone, given (den, bounds) =
+    `ConeHalfspaces.bounds`(T) and the row products of z (``target``)
+    and zsrc (``source``)?  A sign check per row."""
+    for a, b, c in zip(target, source, bounds):
+        if den * (a - b) < c:
+            return False
+    return True
 
 
 def _idot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -433,12 +487,6 @@ def cone_halfspaces(generators: Sequence[Sequence[int]], dim: int) -> ConeHalfsp
     return ConeHalfspaces(tuple(lin), tuple(rays))
 
 
-def _integral(v: Sequence[Fraction]) -> tuple[int, ...]:
-    """v times the lcm of its denominators: a positive multiple in integers."""
-    den = math.lcm(*(c.denominator for c in v))
-    return tuple(c.numerator * (den // c.denominator) for c in v)
-
-
 def homogenized_halfspaces(H: Polytope, K: ConeGen, k_sign: int) -> ConeHalfspaces:
     """Halfspaces of the cone over t*H + k_sign*K in R^(dim+1).
 
@@ -451,22 +499,23 @@ def homogenized_halfspaces(H: Polytope, K: ConeGen, k_sign: int) -> ConeHalfspac
     return cone_halfspaces(_homogenized_generators(H, K, k_sign), H.dim + 1)
 
 
-def _homogenized_generators(H: Polytope, K: ConeGen, k_sign: int) -> list[tuple[int, ...]]:
+def _homogenized_generators(H: Polytope, K: ConeGen, k_sign: int) -> list[list[int]]:
     """(h, 1) and (k_sign * k, 0) for H's vertices and K's generators,
-    each scaled by `_integral` to integers."""
+    each a positive multiple in integers (`integerize`)."""
     if H.dim != K.dim:
         raise DimensionMismatchError("polytope and cone dimensions differ")
     one, zero = Fraction(1), Fraction(0)
-    gens = [_integral(h + (one,)) for h in H.vertices]
-    gens += [_integral(tuple(k_sign * c for c in k) + (zero,)) for k in K.generators]
-    return gens
+    gens = [h + (one,) for h in H.vertices]
+    gens += [tuple(k_sign * c for c in k) + (zero,) for k in K.generators]
+    return [integerize(g)[0] for g in gens]
 
 
 def checked_rows(
-    rows: Sequence[tuple[int, ...]], H: Polytope, K: ConeGen, k_sign: int
-) -> tuple[tuple[int, ...], ...]:
-    """The rows nonnegative on every generator of the cone over
-    t*H + k_sign*K, each generator formed from H and K directly.
+    hs: ConeHalfspaces, H: Polytope, K: ConeGen, k_sign: int
+) -> ConeHalfspaces:
+    """The rows of hs nonnegative on every generator of the cone over
+    t*H + k_sign*K, each generator formed from H and K directly, kept in
+    order as the inequalities of a cone with no equalities.
 
     A kept row is nonnegative on the whole cone, so a point where it is
     negative lies outside, whatever produced the rows.  The generators
@@ -474,4 +523,6 @@ def checked_rows(
     keeps every sign.
     """
     gens = _homogenized_generators(H, K, k_sign)
-    return tuple(r for r in rows if all(_idot(r, g) >= 0 for g in gens))
+    return ConeHalfspaces(
+        (), tuple(r for r in hs.rows if all(_idot(r, g) >= 0 for g in gens))
+    )

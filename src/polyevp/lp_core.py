@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .rational import Vec, frac_vec
+from .rational import Vec, frac_vec, integerize
 
 __all__ = [
     "LPFormatError",
@@ -146,9 +146,9 @@ def check_witness(lp: LinearProgram, witness: Sequence) -> bool:
 # (``rows`` with the rhs last, ``basis``, the reduced-cost row ``obj``)
 # owns the pivoting.
 #
-# Rows are kept as integer vectors.  `_integerize` forms them at load
-# time: a row of Fractions times the lcm of its denominators, taken per
-# entry as numerator * (lcm // denominator).  Cost rows are loaded the
+# Rows are kept as integer vectors.  `rational.integerize` forms them at
+# load time: a row of Fractions times the lcm of its denominators, taken
+# per entry as numerator * (lcm // denominator).  Cost rows are loaded the
 # same way (a positive factor leaves every pivot choice unchanged).
 # The driver loads each row and the objective once, then splits free
 # columns and flips rows by +-1 on the loaded integers, so it forms no
@@ -173,7 +173,7 @@ def _solve_exact(lp: LinearProgram) -> LPResult:
 
     # One artificial identity column per row, basic at the start.
     for r in range(m):
-        row = _integerize([*lp.rows[r], lp.rhs[r]])
+        row, _ = integerize([*lp.rows[r], lp.rhs[r]])
         flip = -1 if row[-1] < 0 else 1
         art = [0] * m
         art[r] = 1
@@ -205,7 +205,7 @@ def _solve_exact(lp: LinearProgram) -> LPResult:
     if lp.sense != "feasibility":
         sign = 1 if lp.sense == "min" else -1
         width = (len(tab.rows[0]) - 1) if tab.rows else n_struct
-        c = _integerize(lp.objective)
+        c, _ = integerize(lp.objective)
         pad = [0] * (width - n_struct)
         tab.set_objective([c[j] * (sign * s) for (j, s) in cols] + pad)
         if tab.run_bland(range(n_struct)) == "unbounded":
@@ -231,11 +231,6 @@ def _row_gcd_reduce(row: list[int]) -> None:
     if g > 1:
         for k in range(len(row)):
             row[k] //= g
-
-
-def _integerize(values: Sequence[Fraction]) -> list[int]:
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values]
 
 
 class _Tableau:

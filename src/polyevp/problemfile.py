@@ -99,7 +99,7 @@ def _matrix(doc: Any, dim: int, where: str) -> tuple[Vec, ...]:
 
 def _dimension(doc: dict) -> int:
     dim = doc.get("dimension")
-    if not isinstance(dim, int) or dim <= 0:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim <= 0:
         raise ProblemFileError('"dimension" must be a positive integer')
     return dim
 

@@ -4,10 +4,13 @@ All geometric data is stored as `fractions.Fraction` so feasibility
 questions have certified yes/no answers.  Floats are converted through
 their shortest decimal representation, which matches what a user wrote
 in an input file rather than the binary expansion of the float.
+`integerize` is the one place Fractions are scaled to integers, for the
+LP tableau, the metric check and the halfspace routes alike.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -32,6 +35,13 @@ def frac(x: Number) -> Fraction:
 
 def frac_vec(xs: Iterable[Number]) -> Vec:
     return tuple(frac(x) for x in xs)
+
+
+def integerize(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, den) with values[i] == ints[i] / den, den the lcm of the
+    denominators (1 for no values)."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:

@@ -19,13 +19,14 @@ the question is one extreme scale.  Three routes compute it:
   halfspaces of the cones over t*H - K and t*H + K
   (`SeparationFunctional.halfspaces`): each branch is the extreme t
   allowed by rows a_z . z + a_t * t >= 0, a one-dimensional ratio test
-  (`phi_from_rows`).  This is the polyhedral form of the Gerstewitz
-  functional (Goepfert, Riahi, Tammer & Zalinescu, 2003).
+  (`ConeHalfspaces.scale_range`, combined by `phi_from_rows`).  This is
+  the polyhedral form of the Gerstewitz functional (Goepfert, Riahi,
+  Tammer & Zalinescu, 2003).
 * `evaluate_bisection` never looks at the branch decomposition: it
   brackets the threshold by doubling and bisects fixed-scale membership
   questions down to a requested width.  Each question is a sign check
-  on the halfspace rows that `geometry.checked_rows` has confirmed
-  against H and K, with no LP.  Its correctness rests on the
+  (`geometry.reaches`) on the halfspace rows that `geometry.checked_rows`
+  has confirmed against H and K, with no LP.  Its correctness rests on the
   monotonicity of feasibility in the scale and on the rows alone, so it
   shares nothing with `evaluate` but H and K, and is a genuinely
   independent cross-check for it.
@@ -37,12 +38,15 @@ LP route and cross-checks it by bisection, so it builds the halfspaces
 once per functional.  A facet missing from them lets bisection accept
 scales below phi, and the two routes disagree; a row that fails the
 check is dropped.  `attainment_check` stays on the membership LP.
+
+This module never reads a halfspace row: `geometry.ConeHalfspaces` owns
+the row format and answers each question, and `rational.integerize`
+scales a query point to integers.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -57,11 +61,12 @@ from .geometry import (
     checked_rows,
     cone_contains,
     homogenized_halfspaces,
+    reaches,
     scaled_H_minus_K_contains,
     zero_notin_H_plus_K,
 )
 from .lp_core import LinearProgram, solve
-from .rational import Number, Vec, frac, frac_vec, vec_sub
+from .rational import Number, Vec, frac, frac_vec, integerize, vec_sub
 
 __all__ = [
     "InternalConsistencyError",
@@ -73,7 +78,6 @@ __all__ = [
     "evaluate_closed_form",
     "evaluate_bisection",
     "phi_from_rows",
-    "row_products",
     "xi",
     "attainment_check",
 ]
@@ -169,62 +173,27 @@ class SeparationFunctional:
         return hs
 
 
-def row_products(rows: Sequence[Sequence[int]], z: Sequence[int]) -> tuple[int, ...]:
-    """a_z . z for every row (a_z, a_t) of a homogenized cone."""
-    # zip stops at the end of z, leaving out each row's last entry a_t
-    return tuple(sum(a * c for a, c in zip(r, z)) for r in rows)
-
-
-def _integer_point(yv: Vec) -> tuple[list[int], int]:
-    """(z, scale) with yv = z / scale, scale the lcm of yv's denominators."""
-    scale = math.lcm(*(c.denominator for c in yv))
-    return [c.numerator * (scale // c.denominator) for c in yv], scale
-
-
-def _scale_interval(coeffs, values):
-    """The scales s >= 0 with values[r] + coeffs[r] * s >= 0 for every r.
-
-    None when there are none; otherwise (lo, hi), each end a pair
-    (numerator, positive denominator) and hi None for no upper end.
-    """
-    lo_n, lo_d = 0, 1
-    hi = None
-    for a, c in zip(coeffs, values):
-        if a > 0:
-            if -c * lo_d > lo_n * a:
-                lo_n, lo_d = -c, a
-        elif a < 0:
-            if hi is None or c * hi[1] < hi[0] * -a:
-                hi = (c, -a)
-        elif c < 0:
-            return None
-    if hi is not None and lo_n * hi[1] > hi[0] * lo_d:
-        return None
-    return (lo_n, lo_d), hi
-
-
 def phi_from_rows(
-    plus_t: Sequence[int],
+    plus: ConeHalfspaces,
     at_minus_z: Sequence[int],
-    minus_t: Sequence[int],
+    minus: ConeHalfspaces,
     at_z: Sequence[int],
     scale: int,
 ) -> ExtendedReal:
     """phi(z / scale) from row products, by a ratio test per branch.
 
-    ``at_z`` holds the row products of the cone over t*H - K at the
-    integer point z (`row_products`) and ``minus_t`` its rows' t
-    coefficients; ``at_minus_z`` and ``plus_t`` are the same for the
-    cone over t*H + K at -z.  The branches and their consistency checks
-    are those of `evaluate`: t >= 0 with z in t*H - K, least t; and
-    t = -s with -z in s*H + K, greatest s.
+    ``at_z`` holds ``minus.products(z)``, the row products of the cone
+    over t*H - K at the integer point z, and ``at_minus_z`` holds
+    ``plus.products(-z)`` for the cone over t*H + K.  The branches and
+    their consistency checks are those of `evaluate`: t >= 0 with z in
+    t*H - K, least t; and t = -s with -z in s*H + K, greatest s.
     """
-    neg = _scale_interval(plus_t, at_minus_z)
+    neg = plus.scale_range(at_minus_z)
     if neg is not None and neg[1] is None:
         raise InternalConsistencyError(
             "negative branch unbounded despite origin-separation invariant"
         )
-    pos = _scale_interval(minus_t, at_z)
+    pos = minus.scale_range(at_z)
     if neg is not None and neg[1][0] > 0:
         if pos is None:
             raise InternalConsistencyError(
@@ -250,13 +219,9 @@ def evaluate_closed_form(F: SeparationFunctional, y: Sequence[Number]) -> Extend
             f"query has length {len(yv)}, expected {F.H.dim}"
         )
     plus, minus = F.halfspaces()
-    z, scale = _integer_point(yv)
+    z, scale = integerize(yv)
     return phi_from_rows(
-        plus.t_coefficients,
-        row_products(plus.rows, [-c for c in z]),
-        minus.t_coefficients,
-        row_products(minus.rows, z),
-        scale,
+        plus, plus.products([-c for c in z]), minus, minus.products(z), scale
     )
 
 
@@ -319,12 +284,12 @@ def evaluate_bisection(F: SeparationFunctional, y: Sequence[Number]) -> Bisectio
     infeasible lower scale, then bisects.  Returns the feasible endpoint
     of the final bracket, which sits within tol above the infimum.
 
-    "y in t*H - K" is asked of the checked rows of F's halfspaces: for
-    t >= 0 it reads (y, t) in the cone over t*H - K, and for t < 0 it
-    reads (-y, -t) in the cone over t*H + K.  With y = z / scale and
-    t = n / d, a row (a_z, a_t) holds at (s*y, s*t), s = +-1, when
-    (a_z . s*z) * d + a_t * scale * s*n is nonnegative; the products
-    a_z . s*z are formed once per call.
+    "y in t*H - K" is asked of the checked rows of F's halfspaces
+    (`geometry.checked_rows`): for t >= 0 it reads (y, t) in the cone
+    over t*H - K, and for t < 0 it reads (-y, -t) in the cone over
+    t*H + K.  With y = z / scale, each is a `geometry.reaches` sign
+    check at T = t * scale in z's frame, where the bracket is kept; the
+    row products of z are formed once per call.
     """
     yv = frac_vec(y)
     if len(yv) != F.H.dim:
@@ -332,42 +297,39 @@ def evaluate_bisection(F: SeparationFunctional, y: Sequence[Number]) -> Bisectio
             f"query has length {len(yv)}, expected {F.H.dim}"
         )
     plus_hs, minus_hs = F.halfspaces()
-    plus = checked_rows(plus_hs.rows, F.H, F.K, 1)
-    minus = checked_rows(minus_hs.rows, F.H, F.K, -1)
-    z, scale = _integer_point(yv)
-    # per branch: a_z . (+-z) and a_t * scale for each checked row
-    at_z = tuple(zip(row_products(minus, z), (r[-1] * scale for r in minus)))
-    at_minus_z = tuple(
-        zip(row_products(plus, [-c for c in z]), (r[-1] * scale for r in plus))
-    )
+    plus = checked_rows(plus_hs, F.H, F.K, 1)
+    minus = checked_rows(minus_hs, F.H, F.K, -1)
+    z, scale = integerize(yv)
+    at_plus_z, at_z = plus.products(z), minus.products(z)
+    zero = (0,) * max(len(at_plus_z), len(at_z))  # the origin's products
 
-    def feasible(t: Fraction) -> bool:
-        n, d = t.numerator, t.denominator
-        if n < 0:
-            return all(p * d - a * n >= 0 for p, a in at_minus_z)
-        return all(p * d + a * n >= 0 for p, a in at_z)
+    def feasible(T: Fraction) -> bool:
+        if T.numerator < 0:
+            return reaches(*plus.bounds(-T), zero, at_plus_z)
+        return reaches(*minus.bounds(T), at_z, zero)
 
-    hi = Fraction(1)
+    t_max, tol = F.t_max * scale, F.tol * scale
+    hi = Fraction(scale)
     while not feasible(hi):
         hi *= 2
-        if hi > F.t_max:
+        if hi > t_max:
             return BisectionResult(
                 ExtendedReal.plus_infinity(), unconfirmed_at_t_max=True
             )
-    lo = Fraction(-1)
+    lo = Fraction(-scale)
     while feasible(lo):
         lo *= 2
-        if -lo > F.t_max:
+        if -lo > t_max:
             raise BracketExhaustedError(
-                f"still feasible at scale {lo}; no lower bracket within t_max"
+                f"still feasible at scale {lo / scale}; no lower bracket within t_max"
             )
-    while hi - lo > F.tol:
+    while hi - lo > tol:
         mid = (hi + lo) / 2
         if feasible(mid):
             hi = mid
         else:
             lo = mid
-    return BisectionResult(ExtendedReal.finite(hi))
+    return BisectionResult(ExtendedReal.finite(hi / scale))
 
 
 def xi(

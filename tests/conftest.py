@@ -37,8 +37,32 @@ def rand_vector(rng, n, lo=-10, hi=10, max_den=4):
     return tuple(rand_frac(rng, lo, hi, max_den) for _ in range(n))
 
 
+# Restarts `rand_cone_polytope` makes before it calls a shape impossible.
+# The suite's own draws restart at most once, and 150 seeds of every
+# shape it uses (dimension 1-4, 1-6 generators, 1-6 vertices) at most
+# twice; a restart of a hopeless 20-generator shape in dimension 7 costs
+# about a quarter of a second.
+MAX_RESTARTS = 20
+
+
 def rand_cone_polytope(rng: random.Random, n: int, n_gens: int, n_verts: int):
-    """(K, H, l) with l in the dual of K and strictly positive on H."""
+    """(K, H, l) with l in the dual of K and strictly positive on H.
+
+    A draw that runs out of tries restarts from scratch on the same rng;
+    after MAX_RESTARTS restarts the shape is reported as impossible.
+    """
+    for _ in range(MAX_RESTARTS + 1):
+        drawn = _draw_cone_polytope(rng, n, n_gens, n_verts)
+        if drawn is not None:
+            return drawn
+    raise ValueError(
+        f"no cone of {n_gens} generators in dimension {n} with {n_verts} "
+        f"polytope vertices after {MAX_RESTARTS} restarts"
+    )
+
+
+def _draw_cone_polytope(rng, n, n_gens, n_verts):
+    """One attempt of `rand_cone_polytope`, or None when it runs out of tries."""
     while True:
         l = rand_vector(rng, n, -3, 3, 2)
         if any(c != 0 for c in l):
@@ -48,7 +72,7 @@ def rand_cone_polytope(rng: random.Random, n: int, n_gens: int, n_verts: int):
     while len(gens) < n_gens:
         guard += 1
         if guard > 200:
-            return rand_cone_polytope(rng, n, n_gens, n_verts)
+            return None
         g = rand_vector(rng, n)
         if all(c == 0 for c in g):
             continue
@@ -60,7 +84,7 @@ def rand_cone_polytope(rng: random.Random, n: int, n_gens: int, n_verts: int):
     while len(verts) < n_verts:
         guard += 1
         if guard > 400:
-            return rand_cone_polytope(rng, n, n_gens, n_verts)
+            return None
         coeffs = [Fraction(rng.randint(0, 3), rng.randint(1, 3)) for _ in gens]
         h = tuple(
             sum((c * g[r] for c, g in zip(coeffs, gens)), Fraction(0))

@@ -280,6 +280,22 @@ class TestUsageErrors:
         assert cli.main(["solve", f, "--certificate", cert]) == 2
         assert capsys.readouterr().out.startswith('input error: "tolerance"')
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_dimension_exits_2(self, tmp_path, capsys, flag):
+        # a valid one-dimensional file but for its dimension, a JSON boolean
+        doc = {
+            "dimension": flag,
+            "cone": {"generators": [[1]]},
+            "H": {"vertices": [[1]]},
+            "ranges": {"pieces": [{"vertices": [[0]], "rays": [[1]]}]},
+        }
+        f = write(tmp_path / "b.json", doc)
+        for argv in (["scalarize", f, "--point", "1"], ["diagnose", f]):
+            assert cli.main(argv) == 2, argv
+            assert capsys.readouterr().out.startswith(
+                'input error: "dimension" must be a positive integer'
+            )
+
 
 class TestDiagnose:
     def test_axis_cross(self, tmp_path, cross_doc, capsys):

@@ -2,8 +2,10 @@
 
 import dataclasses
 import gc
+import itertools
 import math
 import random
+import time
 import warnings
 import weakref
 from fractions import Fraction
@@ -12,6 +14,7 @@ import pytest
 
 from polyevp.evp import (
     _CheckedRelation,
+    _convex_grid,
     EfficiencyMode,
     EVPCertificate,
     EVPProblem,
@@ -459,6 +462,51 @@ class TestCoradiantEscape:
         with pytest.raises(ValueError):
             coradiant_escape_check(chain3_eps5, "c", 1, 0)
 
+    @staticmethod
+    def _product_grid(vertices, depth):
+        """Reference grid: every weight tuple of the product, filtered to
+        sum <= depth, in product order."""
+        yield from vertices
+        p = len(vertices)
+        if p == 1 or depth < 2:
+            return
+        seen = set(vertices)
+        for comp in itertools.product(range(depth + 1), repeat=p - 1):
+            s = sum(comp)
+            if s > depth:
+                continue
+            weights = (depth - s,) + comp
+            h = tuple(
+                sum(Fraction(w, depth) * vertices[i][r] for i, w in enumerate(weights))
+                for r in range(len(vertices[0]))
+            )
+            if h not in seen:
+                seen.add(h)
+                yield h
+
+    def test_grid_matches_the_product_filter(self):
+        # small integer and half-integer vertices, so some grid points
+        # coincide with each other or with a vertex and are skipped
+        rng = random.Random(29)
+        for p, depth, dim in itertools.product(range(1, 8), range(6), (1, 2, 3)):
+            vertices = tuple(
+                tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim))
+                for _ in range(p)
+            )
+            assert list(_convex_grid(vertices, depth)) == list(
+                self._product_grid(vertices, depth)
+            ), (p, depth, vertices)
+
+    def test_fourteen_vertex_grid_is_quick(self):
+        # the product holds 5**13 weight tuples; the grid needs the
+        # C(4 + 13, 13) = 2380 with sum <= 4.  Base-5 digits make every
+        # weight tuple a distinct point, its pure ones the 14 vertices.
+        vertices = tuple((Fraction(5**i), Fraction(i, 3)) for i in range(14))
+        start = time.perf_counter()
+        points = list(_convex_grid(vertices, 4))
+        assert time.perf_counter() - start < 1
+        assert len(set(points)) == len(points) == math.comb(17, 13)
+
 
 class TestZeroDistance:
     """Properties at step length zero, where d(x, x') = 0 and the
@@ -674,7 +722,7 @@ class TestIndependentVerification:
             q = _corrupted(p, corrupt)
             # the verifier keeps exactly the valid rows it was given
             kept = _dropped_facet(plus) if corrupt is _dropped_facet else plus
-            assert set(_CheckedRelation(q).rows) == set(kept.rows)
+            assert set(_CheckedRelation(q).halfspaces.rows) == set(kept.rows)
             assert verify_certificate(q, cert) == honest
 
     @pytest.mark.parametrize(

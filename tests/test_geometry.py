@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,14 +11,17 @@ from hypothesis import given, settings
 
 from polyevp.geometry import (
     ConeGen,
+    ConeHalfspaces,
     DimensionMismatchError,
     InvalidConfigurationError,
     Polytope,
     VPolyhedralUnion,
+    checked_rows,
     cone_contains,
     cone_halfspaces,
     dual_cone_contains,
     homogenized_halfspaces,
+    reaches,
     scaled_H_minus_K_contains,
     scaled_H_plus_K_contains,
     triangle_property_check,
@@ -25,7 +29,7 @@ from polyevp.geometry import (
     validate_cone,
     zero_notin_H_plus_K,
 )
-from polyevp.rational import dot
+from polyevp.rational import dot, integerize
 from polyevp.scalarization import evaluate, SeparationFunctional
 
 from conftest import instance_point_scales, rand_cone_polytope, rand_point_in_cone
@@ -51,6 +55,15 @@ class TestConeMembership:
     def test_dimension_mismatch(self, orthant2):
         with pytest.raises(DimensionMismatchError):
             cone_contains(orthant2, (1, 2, 3))
+
+
+def test_impossible_draw_raises_quickly():
+    # with no generators every candidate vertex is the origin, which the
+    # draw rejects, so only the restart cap ends the search
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="0 generators in dimension 7"):
+        rand_cone_polytope(random.Random(0), 7, 0, 4)
+    assert time.perf_counter() - start < 2
 
 
 class TestDualCone:
@@ -272,8 +285,12 @@ def test_facets_match_a_brute_force_reference():
 def test_halfspaces_match_the_membership_lps(data):
     # low-rank K and one-vertex H are explicit draws; each oracle is asked
     # at t = 0, at the drawn scales, at its exact threshold and 10**-12
-    # either side of it
+    # either side of it.  The cone answers through `contains`, through
+    # `reaches` on row products (of y, and of y + w against w) and
+    # through `scale_range`; `checked_rows` keeps its valid rows only.
     K, H, y, t1, t2 = data
+    z, scale = integerize(y)
+    w = tuple(range(1, len(z) + 1))
     sf = SeparationFunctional(H, K)
     # y in t*H - K from t = phi(y) up; y in t*H + K from t = -phi(-y) down
     minus_thr = evaluate(sf, y).value
@@ -288,9 +305,33 @@ def test_halfspaces_match_the_membership_lps(data):
         for g in gens:
             assert all(dot(e, g) == 0 for e in hs.equalities)
             assert all(dot(a, g) >= 0 for a in hs.inequalities)
+        bad = tuple(-c for c in integerize(gens[0])[0])  # negative on gens[0]
+        for given_hs in (hs, ConeHalfspaces(hs.equalities, hs.inequalities + (bad,))):
+            checked = checked_rows(given_hs, H, K, sign)
+            assert isinstance(checked, ConeHalfspaces) and checked.rows == hs.rows
+        at_z, at_w = hs.products(z), hs.products(w)
+        at_zw = hs.products([a + b for a, b in zip(z, w)])
+        zero = (0,) * len(at_z)
+        assert at_zw == tuple(a + b for a, b in zip(at_z, at_w))
+        in_range = hs.scale_range(at_z)
+        if in_range is not None:
+            # both ends of the range are members, so it is never empty
+            (lo_n, lo_d), hi = in_range
+            lo, hi = Fraction(lo_n, lo_d), None if hi is None else Fraction(*hi)
+            for T in {lo, hi} - {None}:
+                assert reaches(*hs.bounds(T), at_z, zero), (sign, T)
         scales = {Fraction(0), t1, t2}
         if thr is not None:
             scales |= {thr, thr - Fraction(1, 10**12), thr + Fraction(1, 10**12)}
         for t in scales:
             if t >= 0:
-                assert hs.contains(tuple(y) + (t,)) == oracle(H, K, y, t), (sign, t)
+                member = oracle(H, K, y, t)
+                assert hs.contains(tuple(y) + (t,)) == member, (sign, t)
+                bounds = hs.bounds(t * scale)
+                assert reaches(*bounds, at_z, zero) == member, (sign, t)
+                assert reaches(*bounds, at_zw, at_w) == member, (sign, t)
+                assert (
+                    in_range is not None
+                    and lo <= t * scale
+                    and (hi is None or t * scale <= hi)
+                ) == member, (sign, t)

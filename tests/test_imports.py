@@ -1,13 +1,13 @@
-"""Every imported name is used: a stdlib `ast` scan of the package and
-the tests, since no linter is part of the toolchain."""
+"""Every imported name is used, and every module-level private function
+or class of the package is referenced: a stdlib `ast` scan of the
+package and the tests, since no linter is part of the toolchain."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "polyevp").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+PACKAGE = sorted((ROOT / "src" / "polyevp").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -43,3 +43,34 @@ def unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_imports():
     assert [u for path in SOURCES for u in unused_imports(path)] == []
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Every name the module reads, as a name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def dead_private_definitions() -> list[str]:
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    referenced = set().union(*map(_referenced, trees.values()))
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+        for path in PACKAGE
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+
+
+def test_no_dead_private_definitions():
+    assert dead_private_definitions() == []

@@ -10,10 +10,10 @@ import pytest
 from polyevp.lp_core import (
     LinearProgram,
     LPFormatError,
-    _integerize,
     check_witness,
     solve,
 )
+from polyevp.rational import integerize
 
 
 def test_min_over_nonnegative_ray_hits_zero():
@@ -207,14 +207,16 @@ def test_status_and_value_match_basic_solution_enumeration():
 
 def test_integerize_matches_fraction_products():
     rng = random.Random(5)
-    assert _integerize([]) == []
+    assert integerize([]) == ([], 1)
     for _ in range(300):
         row = [
             Fraction(rng.choice([0, rng.randint(-50, 50)]), rng.randint(1, 12))
             for _ in range(rng.randint(1, 9))
         ]
         lcm = math.lcm(*(v.denominator for v in row))
-        assert _integerize(row) == [int(v * lcm) for v in row]
+        ints, den = integerize(row)
+        assert den == lcm and ints == [int(v * lcm) for v in row]
+        assert [Fraction(n, den) for n in ints] == row
 
 
 def test_free_variable_with_negative_fractions_has_exact_witness():
