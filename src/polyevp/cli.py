@@ -24,8 +24,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import boundedness, evp, problemfile, scalarization
-from .geometry import DimensionMismatchError, InvalidConfigurationError
-from .lp_core import LPFormatError
 from .problemfile import ProblemFileError
 from .rational import frac, to_jsonable
 
@@ -46,12 +44,6 @@ def _settings(doc: dict, opts: dict) -> tuple[Fraction, Fraction]:
     if tol <= 0 or t_max <= 0:
         raise ProblemFileError("--tol and --t-max must be positive")
     return tol, t_max
-
-
-def _jsonable_value(v) -> object:
-    if isinstance(v, Fraction):
-        return to_jsonable(v)
-    return v
 
 
 def _vec_text(v) -> str:
@@ -79,16 +71,17 @@ def _do_scalarize(path: str, opts: dict) -> tuple[int, str]:
 
     phi = scalarization.evaluate(sf, y)
     bis = scalarization.evaluate_bisection(sf, y)
-    if phi.is_finite and bis.value.is_finite:
-        agree = abs(phi.value - bis.value.value) <= tol
+    if bis.unconfirmed_at_t_max:
+        # bisection probed t_max itself, so only phi > t_max agrees
+        agree = not phi.is_finite or phi.value > t_max
     else:
-        agree = phi.is_finite == bis.value.is_finite
+        agree = phi.is_finite and abs(phi.value - bis.value.value) <= tol
     attained = scalarization.attainment_check(sf, y, phi) if phi.is_finite else None
 
     if opts.get("json"):
         payload = {
-            "phi": _jsonable_value(phi.value) if phi.is_finite else "+inf",
-            "bisection": _jsonable_value(bis.value.value)
+            "phi": to_jsonable(phi.value) if phi.is_finite else "+inf",
+            "bisection": to_jsonable(bis.value.value)
             if bis.value.is_finite
             else "+inf",
             "bisection_unconfirmed_at_t_max": bis.unconfirmed_at_t_max,
@@ -121,18 +114,18 @@ def _do_diagnose(path: str, opts: dict) -> tuple[int, str]:
     if opts.get("json"):
         payload = {
             "k_lower": report.k_lower,
-            "k_lower_witness": [_jsonable_value(c) for c in report.k_lower_witness]
+            "k_lower_witness": [to_jsonable(c) for c in report.k_lower_witness]
             if report.k_lower_witness is not None
             else None,
             "quasi_k_lower": report.quasi_k_lower,
             "kstar_h_lower": report.kstar_h_lower,
-            "kstar_witness": [_jsonable_value(c) for c in report.kstar_witness]
+            "kstar_witness": [to_jsonable(c) for c in report.kstar_witness]
             if report.kstar_witness is not None
             else None,
             "h_lower": True if report.h_lower else "unknown",
             "h_lower_witness": {
-                "y0": [_jsonable_value(c) for c in report.h_lower_witness[0]],
-                "epsilon": _jsonable_value(report.h_lower_witness[1]),
+                "y0": [to_jsonable(c) for c in report.h_lower_witness[0]],
+                "epsilon": to_jsonable(report.h_lower_witness[1]),
             }
             if report.h_lower_witness is not None
             else None,
@@ -256,13 +249,9 @@ def _guarded(command: str, path: str, opts: dict) -> tuple[int, str]:
         scalarization.BracketExhaustedError,
     ) as e:
         return EXIT_INTERNAL, f"internal consistency failure: {e}"
-    except (
-        ProblemFileError,
-        InvalidConfigurationError,
-        DimensionMismatchError,
-        LPFormatError,
-        ValueError,
-    ) as e:
+    except ValueError as e:
+        # ProblemFileError, InvalidConfigurationError, DimensionMismatchError
+        # and LPFormatError are all ValueErrors
         return EXIT_INPUT, f"input error: {e}"
     except Exception as e:
         # any other failure is a bug; report it for this file only, so a
@@ -293,7 +282,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scalarize", help="evaluate the separation functional")
     sp.add_argument("file")
-    sp.add_argument("--point", required=True, help="comma-separated coordinates")
+    sp.add_argument(
+        "--point", required=True,
+        help="comma-separated coordinates; a negative first coordinate needs "
+        "the = form, --point=-3,1 (--point -3,1 reads as a missing value)",
+    )
     sp.add_argument("--tol", default=None, help="tolerance override")
     sp.add_argument("--t-max", dest="t_max", default=None,
                     help="bisection bracket bound override")

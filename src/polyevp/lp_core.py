@@ -2,9 +2,10 @@
 
 Programs are stated as equality rows over variables that are either
 nonnegative or free, with an optional linear objective.  A two-phase
-simplex method with Bland's rule solves them on integer-scaled tableau
-rows, so every feasible/infeasible/unbounded verdict is certified by
-the arithmetic and the method provably terminates.
+simplex method with Bland's rule solves them on an integer tableau
+with fraction-free (Bareiss) pivots, so every feasible/infeasible/
+unbounded verdict is certified by the arithmetic and the method
+provably terminates.
 
 The tableau is dense and small on purpose: every caller in this package
 produces programs with at most a few dozen variables, and correctness
@@ -13,7 +14,6 @@ is worth far more here than asymptotics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -138,26 +138,28 @@ def check_witness(lp: LinearProgram, witness: Sequence) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the two-phase driver on integer-scaled rows
+# the two-phase simplex on a fraction-free integer tableau
 # ---------------------------------------------------------------------------
 #
 # The driver owns the split of free columns, the artificial basis, phase
 # 1, the drive-out of artificials, phase 2 and the witness.  The tableau
-# (``rows`` with the rhs last, ``basis``, the reduced-cost row ``obj``)
-# owns the pivoting.
+# (``rows`` with the rhs last, ``basis``, the reduced-cost row ``obj``,
+# the running determinant ``det``) owns the pivoting.
 #
-# Rows are kept as integer vectors.  `rational.integerize` forms them at
-# load time: a row of Fractions times the lcm of its denominators, taken
-# per entry as numerator * (lcm // denominator).  Cost rows are loaded the
-# same way (a positive factor leaves every pivot choice unchanged).
-# The driver loads each row and the objective once, then splits free
-# columns and flips rows by +-1 on the loaded integers, so it forms no
-# Fraction product.  A pivot on (p, q) replaces row r by
-# row_r * |T[p][q]| - row_p * (T[r][q] * sign(T[p][q])), which keeps
-# everything integral; each row is then divided by its gcd to keep the
-# integers small.  Basis columns keep a single positive entry, so the
-# basic value of row i is rhs_i / T[i][B_i] and ratio tests compare
-# integer cross-products.
+# `rational.integerize` loads each row and the objective once as integer
+# vectors, and `_solve_exact` splits free columns and flips rows by +-1 on
+# those integers, so it forms no Fraction product.  All rows then share
+# one scale, as in Edmonds (1967) and Bareiss (1968): ``det > 0`` is the
+# absolute determinant of the current basis (1 for the artificial
+# identity), and every basic column holds ``det`` in its own row and 0 in
+# every other row.  So the tableau is det * B^-1 [A | b], the basic value
+# of row i is rhs_i / det, and the reduced-cost row is det times the true
+# one.  A pivot on (p, q), with row p negated if needed so that
+# piv = T[p][q] > 0, replaces every other row r (and the cost row) by
+# (row_r * piv - T[r][q] * row_p) // det and then sets det = piv.  By
+# Sylvester's identity each division is exact, so no row is ever reduced
+# by its gcd.  Bland's rule reads only signs and ratio cross-products,
+# which a common positive scale leaves unchanged.
 
 
 def _solve_exact(lp: LinearProgram) -> LPResult:
@@ -184,10 +186,8 @@ def _solve_exact(lp: LinearProgram) -> LPResult:
     if m:
         tab.set_objective([0] * n_struct + [1] * m)
         tab.run_bland(range(n_struct + m))
-        infeas = sum(
-            tab.basic_value(i) for i in range(m) if tab.basis[i] >= n_struct
-        )
-        if infeas > 0:
+        # phase 1 ends at a feasible basis, so no artificial is negative
+        if any(tab.rows[i][-1] for i in range(m) if tab.basis[i] >= n_struct):
             return LPResult(status="infeasible")
         # Basic artificials sit at value zero after a successful phase 1;
         # pivot them onto structural columns, or drop redundant rows.
@@ -222,33 +222,20 @@ def _solve_exact(lp: LinearProgram) -> LPResult:
     return LPResult(status="feasible", value=value, witness=tuple(x))
 
 
-def _row_gcd_reduce(row: list[int]) -> None:
-    g = 0
-    for e in row:
-        g = math.gcd(g, e)
-        if g == 1:
-            return
-    if g > 1:
-        for k in range(len(row)):
-            row[k] //= g
-
-
 class _Tableau:
     def __init__(self):
         self.rows: list[list[int]] = []
         self.basis: list[int] = []
         self.obj: list[int] = []
+        self.det = 1
 
     def set_objective(self, costs: list[int]) -> None:
-        # Reduced-cost row = costs - combination of basic rows, held integral
-        # and scaled by a positive factor (signs are all that matter).
-        obj = costs + [0]
+        # det times the reduced costs: det * costs - sum of costs[B(i)] * row i
+        obj = [c * self.det for c in costs] + [0]
         for i, row in enumerate(self.rows):
-            f = obj[self.basis[i]]
+            f = costs[self.basis[i]]
             if f:
-                piv = row[self.basis[i]]
-                obj = [o * piv - f * r for o, r in zip(obj, row)]
-                _row_gcd_reduce(obj)
+                obj = [o - f * r for o, r in zip(obj, row)]
         self.obj = obj
 
     def pivot(self, p: int, q: int) -> None:
@@ -257,24 +244,16 @@ class _Tableau:
         if prow[q] < 0:
             prow = [-e for e in prow]
             rows[p] = prow
-        piv = prow[q]
-        for i in range(len(rows)):
-            if i == p:
-                continue
-            row = rows[i]
-            f = row[q]
-            if f:
-                rows[i] = [a * piv - f * b for a, b in zip(row, prow)]
-                _row_gcd_reduce(rows[i])
-        f = self.obj[q]
-        if f:
-            self.obj = [a * piv - f * b for a, b in zip(self.obj, prow)]
-            _row_gcd_reduce(self.obj)
-        _row_gcd_reduce(prow)
+        piv, det = prow[q], self.det
+        for i, row in enumerate(rows):
+            if i != p:
+                rows[i] = _eliminate(row, prow, q, piv, det)
+        self.obj = _eliminate(self.obj, prow, q, piv, det)
+        self.det = piv
         self.basis[p] = q
 
     def basic_value(self, i: int) -> Fraction:
-        return Fraction(self.rows[i][-1], self.rows[i][self.basis[i]])
+        return Fraction(self.rows[i][-1], self.det)
 
     def run_bland(self, allowed: range) -> str:
         """Minimize until optimal ('optimal') or an unbounded ray ('unbounded')."""
@@ -303,3 +282,11 @@ class _Tableau:
             if best < 0:
                 return "unbounded"
             self.pivot(best, q)
+
+
+def _eliminate(row: list[int], prow: list[int], q: int, piv: int, det: int) -> list[int]:
+    """``row`` after the pivot on prow[q] = piv: exact integer division by det."""
+    f = row[q]
+    if f:
+        return [(a * piv - f * b) // det for a, b in zip(row, prow)]
+    return [a * piv // det for a in row]

@@ -270,7 +270,8 @@ class BisectionResult:
 
     `unconfirmed_at_t_max` distinguishes "no feasible scale up to the
     bracket bound" from a certified empty scale set, which bisection
-    alone can never establish.
+    alone can never establish.  The bound t_max is itself probed, so an
+    unconfirmed verdict agrees with any phi(y) > t_max.
     """
 
     value: ExtendedReal
@@ -280,9 +281,13 @@ class BisectionResult:
 def evaluate_bisection(F: SeparationFunctional, y: Sequence[Number]) -> BisectionResult:
     """Bracket-and-bisect phi(y) to within F.tol.
 
-    Doubles outward from +-1 to find a feasible upper scale and an
-    infeasible lower scale, then bisects.  Returns the feasible endpoint
-    of the final bracket, which sits within tol above the infimum.
+    Doubles outward from +-1, each step clamped to +-t_max, to find a
+    feasible upper scale and an infeasible lower scale, then bisects.
+    Returns the feasible endpoint of the final bracket, which sits within
+    tol above the infimum.  When no probed scale up to max(1, t_max) is
+    feasible the result is +infinity, unconfirmed at t_max; when every
+    probed scale down to -max(1, t_max) is, `BracketExhaustedError`
+    names the last one.
 
     "y in t*H - K" is asked of the checked rows of F's halfspaces
     (`geometry.checked_rows`): for t >= 0 it reads (y, t) in the cone
@@ -311,18 +316,18 @@ def evaluate_bisection(F: SeparationFunctional, y: Sequence[Number]) -> Bisectio
     t_max, tol = F.t_max * scale, F.tol * scale
     hi = Fraction(scale)
     while not feasible(hi):
-        hi *= 2
-        if hi > t_max:
+        if hi >= t_max:
             return BisectionResult(
                 ExtendedReal.plus_infinity(), unconfirmed_at_t_max=True
             )
+        hi = min(2 * hi, t_max)
     lo = Fraction(-scale)
     while feasible(lo):
-        lo *= 2
-        if -lo > t_max:
+        if -lo >= t_max:
             raise BracketExhaustedError(
                 f"still feasible at scale {lo / scale}; no lower bracket within t_max"
             )
+        lo = max(2 * lo, -t_max)
     while hi - lo > tol:
         mid = (hi + lo) / 2
         if feasible(mid):

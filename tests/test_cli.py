@@ -164,6 +164,44 @@ class TestScalarize:
         assert text == "internal error: RuntimeError: forced"
 
 
+class TestBisectionBracketBound:
+    # H = {(1, 1)} and K = R^2_+, so phi(y) = max(y1, y2)
+    DOC = {
+        "dimension": 2,
+        "cone": {"generators": [[1, 0], [0, 1]]},
+        "H": {"vertices": [[1, 1]]},
+    }
+
+    @pytest.mark.parametrize(
+        "point, t_max, bisection",
+        [
+            # t_max itself is feasible although no power of two up to it is
+            pytest.param("--point=3,3", "3", "3", id="phi-at-t-max"),
+            # the lower bracket stops at -t_max, which is infeasible here
+            pytest.param("--point=-5/2,-5/2", "3", "-5/2", id="lower-end-at-minus-t-max"),
+            # phi = 5 > t_max: no feasible scale up to t_max agrees with phi
+            pytest.param(
+                "--point=5,5", "2", "+inf (unconfirmed at t_max)", id="phi-above-t-max"
+            ),
+        ],
+    )
+    def test_bracket_is_clamped_to_t_max(
+        self, tmp_path, capsys, point, t_max, bisection
+    ):
+        f = write(tmp_path / "p.json", self.DOC)
+        assert cli.main(["scalarize", f, point, "--t-max", t_max]) == 0
+        out = capsys.readouterr().out
+        assert f"bisection = {bisection}\n" in out and "agreement: ok" in out
+
+    def test_phi_below_minus_t_max_names_a_probed_scale(self, tmp_path, capsys):
+        f = write(tmp_path / "p.json", self.DOC)
+        assert cli.main(["scalarize", f, "--point=-9,-9", "--t-max", "3"]) == 3
+        assert capsys.readouterr().out == (
+            "internal consistency failure: still feasible at scale -3; "
+            "no lower bracket within t_max\n"
+        )
+
+
 def _read_rows_as(monkeypatch, corrupt):
     """Make every functional hand out corrupt(plus, minus) as its
     halfspaces, the honest rows of the cones over t*H + K and t*H - K."""
@@ -295,6 +333,112 @@ class TestUsageErrors:
             assert capsys.readouterr().out.startswith(
                 'input error: "dimension" must be a positive integer'
             )
+
+
+_CERTIFICATE = {"xbar": "c", "y0": [0, 0], "chain": ["a", "c"], "xi_trace": [0, 0]}
+
+
+@pytest.mark.parametrize(
+    "argv, problem, certificate, message",
+    [
+        pytest.param(
+            ["scalarize", "{problem}", "--point", "1,1", "--tol", "0"], {}, None,
+            "--tol and --t-max must be positive", id="tol-override-zero",
+        ),
+        pytest.param(
+            ["solve", "{problem}", "{problem}", "--certificate", "{cert}"], {}, None,
+            "--certificate needs a single input file", id="certificate-two-files",
+        ),
+        pytest.param(
+            ["scalarize", "{problem}", "--point", "1,1"], {"tolerance": 0}, None,
+            '"tolerance" and "t_max" must be positive', id="tolerance-zero",
+        ),
+        pytest.param(
+            ["solve", "{problem}"], {"mode": {"scaled": 1}}, None,
+            '"mode"."scaled" must be an object', id="scaled-not-object",
+        ),
+        pytest.param(
+            ["solve", "{problem}"], {"mode": {"efficiency": [1]}}, None,
+            '"mode"."efficiency" must be an object', id="efficiency-not-object",
+        ),
+        pytest.param(
+            ["solve", "{problem}"],
+            {"mode": {"efficiency": {"gamma": 1, "feasible": "a"}}}, None,
+            '"mode"."efficiency"."feasible" must be a list of labels',
+            id="feasible-not-labels",
+        ),
+        pytest.param(
+            ["solve", "{problem}"], {"space": [0]}, None,
+            '"space" must be an object with labels and dist', id="space-not-object",
+        ),
+        pytest.param(
+            ["solve", "{problem}"], {"space": {"labels": [1, 2, 3], "dist": []}}, None,
+            '"space"."labels" must be a list of strings', id="labels-not-strings",
+        ),
+        pytest.param(
+            ["solve", "{problem}"], {"space": {"labels": ["a", "b", "c"], "dist": [[0]]}},
+            None, '"space"."dist" must be a square matrix over labels',
+            id="dist-not-square",
+        ),
+        pytest.param(
+            ["solve", "{problem}"], {"map": [[4, 4]]}, None,
+            '"map" must be an object from labels to vector lists', id="map-not-object",
+        ),
+        pytest.param(
+            ["solve", "{problem}"],
+            {"space": {"labels": ["a", "a"], "dist": [[0, 1], [1, 0]]}}, None,
+            "duplicate labels in metric space", id="duplicate-labels",
+        ),
+        pytest.param(
+            ["solve", "{problem}"], {"space": {"labels": [], "dist": []}}, None,
+            "metric space needs at least one point", id="empty-space",
+        ),
+        # a certificate that is not an object stops at the document loader,
+        # before certificate_from_document's own check
+        pytest.param(
+            ["verify", "{problem}", "{cert}"], {}, [_CERTIFICATE],
+            "top level must be a JSON object", id="certificate-not-object",
+        ),
+        pytest.param(
+            ["verify", "{problem}", "{cert}"], {},
+            {k: v for k, v in _CERTIFICATE.items() if k != "chain"},
+            'certificate is missing "chain"', id="certificate-missing-key",
+        ),
+        pytest.param(
+            ["verify", "{problem}", "{cert}"], {}, {**_CERTIFICATE, "xbar": "z"},
+            "certificate \"xbar\" 'z' is not a point of the space",
+            id="certificate-unknown-xbar",
+        ),
+        pytest.param(
+            ["verify", "{problem}", "{cert}"], {}, {**_CERTIFICATE, "chain": "a"},
+            'certificate "chain" must be a list of labels',
+            id="certificate-chain-not-list",
+        ),
+        pytest.param(
+            ["verify", "{problem}", "{cert}"], {},
+            {**_CERTIFICATE, "chain": ["a", "z"]},
+            "certificate \"chain\" has unknown labels ['z']",
+            id="certificate-unknown-chain-label",
+        ),
+        pytest.param(
+            ["verify", "{problem}", "{cert}"], {}, {**_CERTIFICATE, "xi_trace": 0},
+            'certificate "xi_trace" must be a list of numbers',
+            id="certificate-trace-not-list",
+        ),
+    ],
+)
+def test_malformed_input_exits_2(
+    tmp_path, chain3_doc, capsys, argv, problem, certificate, message
+):
+    paths = {
+        "problem": write(tmp_path / "p.json", {**chain3_doc, **problem}),
+        "cert": str(tmp_path / "p.cert.json"),
+    }
+    if certificate is not None:
+        write(tmp_path / "p.cert.json", certificate)
+    assert cli.main([a.format(**paths) for a in argv]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("input error:") and message in out
 
 
 class TestDiagnose:

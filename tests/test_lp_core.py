@@ -1,5 +1,6 @@
 """LP oracle: status correctness, witness re-check, brute-force reference."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -10,6 +11,7 @@ import pytest
 from polyevp.lp_core import (
     LinearProgram,
     LPFormatError,
+    _Tableau,
     check_witness,
     solve,
 )
@@ -203,6 +205,74 @@ def test_status_and_value_match_basic_solution_enumeration():
         statuses.append(status)
     assert len(statuses) == 180
     assert {"feasible", "infeasible", "unbounded"} <= set(statuses)
+
+
+def _gauss_jordan(rows, basis):
+    """The Fraction tableau of ``rows`` for the nonsingular column set
+    ``basis``: a dict from each basic column to its row, which holds 1 in
+    that column and 0 in every other basic column."""
+    rows = [[Fraction(e) for e in row] for row in rows]
+    free, of = set(range(len(rows))), {}
+    for b in basis:
+        r = next(r for r in free if rows[r][b])
+        free.discard(r)
+        rows[r] = [e / rows[r][b] for e in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[b]:
+                f = row[b]
+                rows[i] = [a - f * e for a, e in zip(row, rows[r])]
+        of[b] = r
+    return {b: rows[r] for b, r in of.items()}
+
+
+# Recorded before the tableau kept one running determinant (with a gcd
+# pass per row): pivot counts do not depend on the machine, so they gate
+# regressions, and Bland's rule must still make every choice it made then.
+SEED_PIVOTS = 201
+SEED_PIVOT_DIGEST = "15b3a752a92db14184473e288d7dc5d7e1941cf06e078a2b975b97cda6b143e0"
+
+
+def test_pivots_and_determinant_invariant(monkeypatch):
+    pivots = []
+    start = {}  # tableau -> (its loaded rows, basis after the last pivot, dropped)
+    set_objective, pivot = _Tableau.set_objective, _Tableau.pivot
+
+    def recording_set_objective(tab, costs):
+        start.setdefault(tab, ([list(r) for r in tab.rows], list(tab.basis), []))
+        set_objective(tab, costs)
+
+    def checked_pivot(tab, p, q):
+        pivots.append((p, q))
+        rows0, basis, dropped = start[tab]
+        # a basic column gone without a pivot is a redundant row's
+        # artificial, deleted by the drive-out
+        dropped += [b for b in basis if b not in tab.basis]
+        pivot(tab, p, q)
+        det = tab.det
+        assert det > 0
+        for i, b in enumerate(tab.basis):
+            assert [row[b] for row in tab.rows] == [
+                det if k == i else 0 for k in range(len(tab.rows))
+            ]
+        reference = _gauss_jordan(rows0, tab.basis + dropped)
+        for row, b in zip(tab.rows, tab.basis):
+            assert [Fraction(e, det) for e in row] == reference[b]
+        start[tab] = (rows0, list(tab.basis), dropped)
+
+    monkeypatch.setattr(_Tableau, "set_objective", recording_set_objective)
+    monkeypatch.setattr(_Tableau, "pivot", checked_pivot)
+    for lp in itertools.chain(_lps_seed_99(), _lps_seed_7()):
+        solve(lp)
+    assert len(pivots) == SEED_PIVOTS
+    assert hashlib.sha256(repr(pivots).encode()).hexdigest() == SEED_PIVOT_DIGEST
+    # phase 1 pivots row 1; the drive-out drops the redundant row 0, then
+    # pivots a negative entry of the last row, whose reference tableau
+    # needs the dropped artificial
+    lp = LinearProgram.feasibility(
+        [[-1, -1, 0], [1, 1, 0], [1, 0, -1]], [0, 0, 0], [True] * 3
+    )
+    assert solve(lp).status == "feasible"
+    assert pivots[SEED_PIVOTS:] == [(1, 0), (1, 1)]
 
 
 def test_integerize_matches_fraction_products():
