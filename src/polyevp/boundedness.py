@@ -198,8 +198,10 @@ def is_H_lower_bounded(
 class BoundednessReport:
     """All four ladder levels plus a consistency flag.
 
-    ``ladder_consistent`` asserts the implication chain on the computed
-    flags, treating the unknown shifted-set outcome as non-falsifying.
+    ``ladder_consistent`` asserts the one link of the implication chain
+    the computed flags can break, quasi K-lower bounded => k*(H)-lower
+    bounded: the K-lower witness is sought only under quasi, and the
+    shifted-set search never refutes.
     """
 
     k_lower: bool
@@ -232,27 +234,19 @@ def classify(
         )
     quasi = is_quasi_K_lower_bounded(M, K)
     b = _common_lower_point(M, K) if quasi else None
-    k_lower = b is not None
     kstar = find_kstar(M, K, H)
     candidates = list(candidates)
     if kstar is not None and candidates:
         y = candidates[0][0]
         candidates.append((y, separating_epsilon_for(M, kstar, y)))
     h_res = is_H_lower_bounded(M, K, H, candidates)
-    consistent = True
-    if k_lower and not quasi:
-        consistent = False
-    if quasi and kstar is None:
-        consistent = False
-    if kstar is not None and h_res.status is False:  # pragma: no cover
-        consistent = False
     return BoundednessReport(
-        k_lower=k_lower,
+        k_lower=b is not None,
         k_lower_witness=b,
         quasi_k_lower=quasi,
         kstar_h_lower=kstar is not None,
         kstar_witness=kstar,
         h_lower=h_res.status,
         h_lower_witness=h_res.witness,
-        ladder_consistent=consistent,
+        ladder_consistent=not (quasi and kstar is None),
     )

@@ -259,7 +259,6 @@ class EVPProblem:
     feasible: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_dominance", {})  # see `dominates`
         object.__setattr__(self, "epsilon", frac(self.epsilon))
         if self.epsilon <= 0:
             raise InvalidConfigurationError("epsilon must be positive")
@@ -360,24 +359,15 @@ def dominates(p: EVPProblem, xprime: str, x: str) -> bool:
 
     Each image of f(x) must be reachable from some image of f(xprime);
     each pair is a sign check of stored integer row products
-    (`_image_rows`).  The answer is
-    memoized per pair in a dict that lives on the problem object, so it
-    is freed with the problem and never answers for another one.
+    (`_image_rows`).
     """
-    p.space._index_of(xprime)
-    p.space._index_of(x)
-    key = (xprime, x)
-    ans = p._dominance.get(key)
-    if ans is None:
-        rows = _image_rows(p)
-        den, bounds = rows.plus_hs.bounds(p.scale * p.space.d(x, xprime) * rows.scale)
-        sources = rows.plus[xprime]
-        ans = all(
-            any(reaches(den, bounds, target, src) for src in sources)
-            for target in rows.plus[x]
-        )
-        p._dominance[key] = ans
-    return ans
+    rows = _image_rows(p)
+    den, bounds = rows.plus_hs.bounds(p.scale * p.space.d(xprime, x) * rows.scale)
+    sources = rows.plus[xprime]
+    return all(
+        any(reaches(den, bounds, target, src) for src in sources)
+        for target in rows.plus[x]
+    )
 
 
 def lower_section(p: EVPProblem, x: str) -> tuple[str, ...]:
@@ -391,24 +381,30 @@ def lower_section(p: EVPProblem, x: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _first_blocking_pair(
-    p: EVPProblem, y0_rows: tuple[int, ...], scope: Sequence[str], eps: Fraction
-) -> Optional[tuple[str, Vec]]:
-    """First (point, image y) in scope with y0 - y in eps*H + K, given
-    the products of y0."""
+def _escaping_image(
+    p: EVPProblem, x: str, scope: Sequence[str], eps: Fraction
+) -> tuple[Optional[int], dict]:
+    """(i, blocking): i indexes the first image y0 of x that no image y of
+    a point in scope reaches, y0 - y in eps*H + K, or is None when every
+    image is reached; ``blocking`` maps each image before it to the first
+    (point, image y) that reaches it."""
     rows = _image_rows(p)
     den, bounds = rows.plus_hs.bounds(eps * rows.scale)
-    for x in scope:
-        for y, y_rows in zip(p.images(x), rows.plus[x]):
-            if reaches(den, bounds, y0_rows, y_rows):
-                return (x, y)
-    return None
-
-
-def _condition_scope(p: EVPProblem) -> tuple[str, ...]:
-    if isinstance(p.mode, EfficiencyMode):
-        return p.feasible
-    return lower_section(p, p.x0)
+    blocking: dict = {}
+    for i, (y0, y0_rows) in enumerate(zip(p.images(x), rows.plus[x])):
+        pair = next(
+            (
+                (z, y)
+                for z in scope
+                for y, y_rows in zip(p.images(z), rows.plus[z])
+                if reaches(den, bounds, y0_rows, y_rows)
+            ),
+            None,
+        )
+        if pair is None:
+            return i, blocking
+        blocking[y0] = pair
+    return None, blocking
 
 
 def condition_ii_witness(p: EVPProblem) -> Optional[Vec]:
@@ -418,11 +414,12 @@ def condition_ii_witness(p: EVPProblem) -> Optional[Vec]:
     where the approximate-efficiency hypothesis quantifies over the
     whole feasible set.  Decided exactly on the halfspaces.
     """
-    scope = _condition_scope(p)
-    for y0, y0_rows in zip(p.images(p.x0), _image_rows(p).plus[p.x0]):
-        if _first_blocking_pair(p, y0_rows, scope, p.epsilon) is None:
-            return y0
-    return None
+    if isinstance(p.mode, EfficiencyMode):
+        scope = p.feasible
+    else:
+        scope = lower_section(p, p.x0)
+    i, _ = _escaping_image(p, p.x0, scope, p.epsilon)
+    return None if i is None else p.images(p.x0)[i]
 
 
 def ae_efficient(p: EVPProblem, x: str, eps: Number) -> Optional[Vec]:
@@ -437,10 +434,8 @@ def ae_efficient(p: EVPProblem, x: str, eps: Number) -> Optional[Vec]:
         raise ValueError("eps must be positive")
     if x not in p.feasible:
         raise ValueError(f"{x!r} is not a feasible point")
-    for y0, y0_rows in zip(p.images(x), _image_rows(p).plus[x]):
-        if _first_blocking_pair(p, y0_rows, p.feasible, e) is None:
-            return y0
-    return None
+    i, _ = _escaping_image(p, x, p.feasible, e)
+    return None if i is None else p.images(x)[i]
 
 
 # ---------------------------------------------------------------------------
@@ -472,15 +467,12 @@ def solve(p: EVPProblem) -> EVPCertificate:
     exact integer arithmetic.
     """
     rows = _image_rows(p)
-    witness = None
-    blocking: dict = {}
-    scope = _condition_scope(p)
-    for i, y0 in enumerate(p.images(p.x0)):
-        pair = _first_blocking_pair(p, rows.plus[p.x0][i], scope, p.epsilon)
-        if pair is None:
-            witness = i
-            break
-        blocking[y0] = pair
+    # one lower section per chain point: x0's is the hypothesis scope
+    # (outside efficiency mode), the bound check's range and the first
+    # descent step
+    section = lower_section(p, p.x0)
+    scope = p.feasible if isinstance(p.mode, EfficiencyMode) else section
+    witness, blocking = _escaping_image(p, p.x0, scope, p.epsilon)
     if witness is None:
         lines = [
             f"image {tuple(map(str, y0))} of {p.x0!r} is reached from "
@@ -513,8 +505,7 @@ def solve(p: EVPProblem) -> EVPCertificate:
             score_cache[label] = val
         return val
 
-    start_section = lower_section(p, p.x0)
-    section_min = min(score(l) for l in start_section)
+    section_min = min(score(l) for l in section)
     if not section_min.is_finite or not (-p.epsilon <= section_min.value <= 0):
         raise InternalConsistencyError(
             f"potential minimum {section_min} over the start section violates "
@@ -525,7 +516,6 @@ def solve(p: EVPProblem) -> EVPCertificate:
     chain = [p.x0]
     current = p.x0
     for _ in range(len(p.space.labels) + 1):
-        section = lower_section(p, current)
         if section == (current,):
             break
         best = min(section, key=lambda l: (score(l), order[l]))
@@ -545,6 +535,7 @@ def solve(p: EVPProblem) -> EVPCertificate:
             )
         chain.append(best)
         current = best
+        section = lower_section(p, current)
     else:
         raise InternalConsistencyError("descent failed to terminate within |X| moves")
 
@@ -583,9 +574,6 @@ class CoradiantGapResult:
     search_exhausted: bool
     points_checked: int
     witness: Optional[Vec] = None
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 def _convex_grid(vertices: tuple[Vec, ...], depth: int) -> Iterable[Vec]:
@@ -660,7 +648,8 @@ class VerificationReport:
     xbar.  ``c`` (scale modes only): the walk stayed within the promised
     radius.  ``coradiant_gap`` (efficiency mode): the escape search
     succeeded.  The chain, trace, and hypothesis-witness checks guard the
-    certificate's own bookkeeping.
+    certificate's own bookkeeping.  ``failures`` names the failed
+    checks; a ``c`` or ``coradiant_gap`` of None is not a failure.
     """
 
     a: bool
@@ -670,7 +659,19 @@ class VerificationReport:
     chain_valid: bool
     trace_consistent: bool
     witness_valid: bool
-    failures: tuple[str, ...]
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        checks = (
+            ("(a)", self.a),
+            ("(b)", self.b),
+            ("(c)", self.c),
+            ("(coradiant gap)", self.coradiant_gap),
+            ("(chain)", self.chain_valid),
+            ("(witness)", self.witness_valid),
+            ("(trace)", self.trace_consistent),
+        )
+        return tuple(name for name, ok in checks if ok is not None and not ok)
 
     @property
     def passed(self) -> bool:
@@ -744,37 +745,26 @@ def verify_certificate(p: EVPProblem, cert: EVPCertificate) -> VerificationRepor
     The route is independent of the solver's.  Dominance and the
     hypothesis witness are decided by `_CheckedRelation`: each "no" by a
     halfspace row the verifier has checked against H and K itself, each
-    "yes" by an exact membership LP, with no memo shared with the solver.
+    "yes" by an exact membership LP, sharing no answer with the solver.
     The trace is re-scored by the LP `evaluate`.
     """
-    failures: list[str] = []
     rel = _CheckedRelation(p)
-
     a = rel.dominates(cert.xbar, p.x0)
-    if not a:
-        failures.append("(a)")
-
     b = all(
         not rel.dominates(x, cert.xbar)
         for x in p.feasible
         if x != cert.xbar
     )
-    if not b:
-        failures.append("(b)")
 
     c: Optional[bool] = None
     if isinstance(p.mode, ScaledMode):
         c = p.space.d(p.x0, cert.xbar) <= p.mode.lam
     elif isinstance(p.mode, EfficiencyMode):
         c = p.space.d(p.x0, cert.xbar) <= p.epsilon / p.mode.gamma
-    if c is False:
-        failures.append("(c)")
 
     gap: Optional[bool] = None
     if isinstance(p.mode, EfficiencyMode):
         gap = coradiant_escape_check(p, cert.xbar).holds
-        if not gap:
-            failures.append("(coradiant gap)")
 
     chain_valid = (
         len(cert.chain) >= 1
@@ -784,13 +774,8 @@ def verify_certificate(p: EVPProblem, cert: EVPCertificate) -> VerificationRepor
         and all(z1 != z2 for z1, z2 in zip(cert.chain, cert.chain[1:]))
         and all(rel.dominates(z2, z1) for z1, z2 in zip(cert.chain, cert.chain[1:]))
     )
-    if not chain_valid:
-        failures.append("(chain)")
-
     y0 = frac_vec(cert.y0)
     witness_valid = y0 in set(p.images(p.x0)) and rel.escapes(y0)
-    if not witness_valid:
-        failures.append("(witness)")
 
     trace_consistent = len(cert.xi_trace) == len(cert.chain)
     if trace_consistent and chain_valid and witness_valid:
@@ -806,9 +791,6 @@ def verify_certificate(p: EVPProblem, cert: EVPCertificate) -> VerificationRepor
                 if frac(v1) - frac(v2) < p.scale * p.space.d(z1, z2):
                     trace_consistent = False
                     break
-    if not trace_consistent:
-        failures.append("(trace)")
-
     return VerificationReport(
         a=a,
         b=b,
@@ -817,5 +799,4 @@ def verify_certificate(p: EVPProblem, cert: EVPCertificate) -> VerificationRepor
         chain_valid=chain_valid,
         trace_consistent=trace_consistent,
         witness_valid=witness_valid,
-        failures=tuple(failures),
     )

@@ -323,4 +323,7 @@ def certificate_from_document(doc: dict, p: EVPProblem) -> EVPCertificate:
 
 
 def write_document(path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    try:
+        Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    except OSError as e:
+        raise ProblemFileError(f"cannot write {path}: {e}") from e

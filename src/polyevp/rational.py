@@ -11,15 +11,25 @@ LP tableau, the metric check and the halfspace routes alike.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 Number = Union[int, float, str, Fraction]
 Vec = tuple[Fraction, ...]
 
+_EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
+
 
 def frac(x: Number) -> Fraction:
-    """Coerce ints, Fractions, floats, and 'p/q' or decimal strings."""
+    """Coerce ints, Fractions, floats, and 'p/q' or decimal strings.
+
+    A decimal exponent larger in magnitude than the interpreter's integer
+    string limit (`sys.get_int_max_str_digits`, which already bounds the
+    digits of an integer) raises ValueError: `Fraction` would compute
+    10**exponent in full.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -27,6 +37,11 @@ def frac(x: Number) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        m = _EXPONENT.search(x)
+        if m:
+            limit = sys.get_int_max_str_digits()  # 0 means no limit
+            if limit and abs(int(m.group(1))) > limit:
+                raise ValueError(f"exponent of {x.strip()!r} exceeds {limit} in magnitude")
         return Fraction(x.strip())
     if isinstance(x, float):
         return Fraction(repr(x))

@@ -63,7 +63,6 @@ from .geometry import (
     homogenized_halfspaces,
     reaches,
     scaled_H_minus_K_contains,
-    zero_notin_H_plus_K,
 )
 from .lp_core import LinearProgram, solve
 from .rational import Number, Vec, frac, frac_vec, integerize, vec_sub
@@ -130,10 +129,10 @@ class SeparationFunctional:
     """The pair (H, K) with evaluation tolerances.
 
     Construction validates the configuration the evaluators require:
-    every vertex of H lies in K but not in -K, and the origin is
-    certified to avoid H + K.  Violations raise
-    `InvalidConfigurationError` immediately rather than producing
-    meaningless values later.
+    every vertex of H lies in K but not in -K.  Those vertex checks
+    certify that the origin avoids H + K (see `__post_init__`).
+    Violations raise `InvalidConfigurationError` immediately rather than
+    producing meaningless values later.
     """
 
     H: Polytope
@@ -157,8 +156,11 @@ class SeparationFunctional:
                 raise InvalidConfigurationError(
                     f"H vertex {tuple(map(str, v))} lies in -K"
                 )
-        if not zero_notin_H_plus_K(self.H, self.K):
-            raise InvalidConfigurationError("origin belongs to H + K")
+        # The origin avoids H + K: 0 = h + k with h in H within K puts h
+        # in the lineality space L = K cap -K.  A functional positive on
+        # K \ L and zero on L then vanishes on every vertex with positive
+        # weight in h, so that vertex lies in L, within -K, and the loop
+        # above has raised.
 
     def halfspaces(self) -> tuple[ConeHalfspaces, ConeHalfspaces]:
         """Halfspaces of the cones over t*H + K and t*H - K, in that order.

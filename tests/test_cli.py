@@ -441,6 +441,35 @@ def test_malformed_input_exits_2(
     assert out.startswith("input error:") and message in out
 
 
+@pytest.mark.parametrize(
+    "argv, epsilon, literal",
+    [
+        pytest.param(["solve", "{problem}"], "1e3000000", "1e3000000", id="epsilon"),
+        pytest.param(
+            ["scalarize", "{problem}", "--point=1e2000000,1"], "5", "1e2000000",
+            id="point",
+        ),
+        pytest.param(
+            ["scalarize", "{problem}", "--point", "1,1", "--tol", "1e-2000000"], "5",
+            "1e-2000000", id="tol",
+        ),
+    ],
+)
+def test_huge_decimal_exponent_exits_2(
+    tmp_path, chain3_doc, capsys, argv, epsilon, literal
+):
+    # json.dumps cannot write 1e3000000 (it overflows a float), so the
+    # epsilon literal is spliced into the text
+    text = json.dumps({**chain3_doc, "epsilon": 0}).replace(
+        '"epsilon": 0', f'"epsilon": {epsilon}'
+    )
+    (tmp_path / "p.json").write_text(text)
+    problem = str(tmp_path / "p.json")
+    assert cli.main([a.format(problem=problem) for a in argv]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("input error:") and repr(literal) in out
+
+
 class TestDiagnose:
     def test_axis_cross(self, tmp_path, cross_doc, capsys):
         f = write(tmp_path / "r.json", cross_doc)
@@ -469,6 +498,20 @@ class TestDiagnose:
         assert payload["kstar_witness"] == [1, 1]
         assert list(payload.keys()) == sorted(payload.keys())
 
+    def test_unverified_shifted_set_reads_unknown(self, tmp_path, capsys):
+        # a range running off along (-1, -1) is not H-lower bounded, and no
+        # candidate translate misses it
+        doc = {
+            "dimension": 2,
+            "cone": {"generators": [[1, 0], [0, 1]]},
+            "H": {"vertices": [[1, 1]]},
+            "ranges": {"pieces": [{"vertices": [[0, 0]], "rays": [[-1, -1]]}]},
+        }
+        f = write(tmp_path / "r.json", doc)
+        assert cli.main(["diagnose", f]) == 0
+        out = capsys.readouterr().out
+        assert "H-lower bounded: unknown (no candidate translate verified)" in out
+
     def test_missing_ranges_exits_2(self, tmp_path, segment_doc):
         f = write(tmp_path / "r.json", segment_doc)
         assert cli.main(["diagnose", f]) == 2
@@ -492,6 +535,23 @@ class TestSolveVerifyRoundTrip:
         f = write(tmp_path / "p.json", chain3_doc)
         assert cli.main(["solve", f]) == 0
         assert (tmp_path / "p.cert.json").exists()
+
+    def test_unwritable_certificate_path_exits_2(self, tmp_path, chain3_doc, capsys):
+        f = write(tmp_path / "p.json", chain3_doc)
+        cert = tmp_path / "no" / "such" / "x.json"
+        assert cli.main(["solve", f, "--certificate", str(cert)]) == 2
+        assert capsys.readouterr().out.startswith(f"input error: cannot write {cert}: ")
+
+    def test_failed_self_check_exits_5(self, tmp_path, chain3_doc, capsys, monkeypatch):
+        # b is not minimal: c lies below it, so the real self-check fails (b)
+        forged = cli.evp.EVPCertificate(
+            xbar="b", y0=(4, 4), chain=("a", "b"), xi_trace=(0, -2)
+        )
+        monkeypatch.setattr(cli.evp, "solve", lambda problem: forged)
+        f = write(tmp_path / "p.json", chain3_doc)
+        assert cli.main(["solve", f]) == 5
+        assert capsys.readouterr().out == "self-verification FAILED: (b)\n"
+        assert not (tmp_path / "p.cert.json").exists()
 
     def test_hypothesis_violation_exits_4(self, tmp_path, chain3_doc, capsys):
         chain3_doc["epsilon"] = 1

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyevp import evp
 from polyevp.evp import (
     _CheckedRelation,
     _convex_grid,
@@ -342,6 +343,34 @@ class TestSolve:
 
 
 class TestForgedCertificates:
+    def test_endpoint_above_the_start_fails_a(self):
+        # b's image sits above a's, so b is not below a, and a is below b
+        space = FiniteMetricSpace(("a", "b"), ((0, 1), (1, 0)))
+        table = SetValuedMapTable.from_dict({"a": [(0, 0)], "b": [(5, 5)]})
+        p = EVPProblem(
+            space=space, f=table, K=ConeGen(2, ((1, 0), (0, 1))),
+            H=Polytope(2, ((1, 1),)), x0="a", epsilon=5,
+        )
+        forged = EVPCertificate(xbar="b", y0=(0, 0), chain=("a", "b"), xi_trace=(0, 5))
+        report = verify_certificate(p, forged)
+        assert (report.a, report.c, report.coradiant_gap) == (False, None, None)
+        assert report.failures == ("(a)", "(b)", "(chain)")
+
+    def test_endpoint_beyond_lambda_fails_c(self):
+        p = make_chain3(5, ScaledMode(5, 1))
+        forged = EVPCertificate(xbar="c", y0=(4, 4), chain=("a", "c"), xi_trace=(0, -4))
+        report = verify_certificate(p, forged)
+        assert report.c is False and report.coradiant_gap is None
+        assert report.failures == ("(a)", "(c)", "(chain)")
+
+    def test_step_inside_the_coradiant_set_fails_the_gap(self):
+        # d(a, c) * (1, 1) = (2, 2) lies in (eps/gamma) * H + K = (1, 1) + K
+        p = make_chain3(1, EfficiencyMode(1))
+        forged = EVPCertificate(xbar="c", y0=(4, 4), chain=("a", "c"), xi_trace=(0, -4))
+        report = verify_certificate(p, forged)
+        assert report.coradiant_gap is False and report.c is False
+        assert report.failures == ("(c)", "(coradiant gap)", "(witness)")
+
     def test_wrong_endpoint_fails_minimality(self, chain3_eps5):
         good = solve(chain3_eps5)
         forged = EVPCertificate(
@@ -691,21 +720,25 @@ class TestIndependentVerification:
                 out.append(p)
         return out
 
-    def test_wrong_solver_memo_does_not_change_the_report(self):
+    def test_wrong_solver_memo_does_not_change_the_report(self, monkeypatch):
         for p in self._draws(71, 12):
             cert = solve(p)
             honest = verify_certificate(dataclasses.replace(p), cert)
             assert honest.passed
-            for xp in p.space.labels:
-                for x in p.space.labels:
-                    p._dominance[(xp, x)] = not _lp_dominates(p, xp, x)
-            assert verify_certificate(p, cert) == honest
+            wrong = {
+                (xp, x): not _lp_dominates(p, xp, x)
+                for xp in p.space.labels
+                for x in p.space.labels
+            }
+            with monkeypatch.context() as m:
+                m.setattr(evp, "dominates", lambda q, xp, x: wrong[(xp, x)])
+                assert verify_certificate(p, cert) == honest
 
-    def test_wrong_solver_memo_does_not_hide_a_forged_endpoint(self, chain3_eps5):
+    def test_wrong_solver_memo_does_not_hide_a_forged_endpoint(
+        self, chain3_eps5, monkeypatch
+    ):
         p = chain3_eps5
-        for x in p.space.labels:
-            for xp in p.space.labels:
-                p._dominance[(xp, x)] = xp == x
+        monkeypatch.setattr(evp, "dominates", lambda q, xp, x: xp == x)
         forged = EVPCertificate(xbar="b", y0=(4, 4), chain=("a", "b"), xi_trace=(0, -2))
         assert "(b)" in verify_certificate(p, forged).failures
 

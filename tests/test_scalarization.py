@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from polyevp.geometry import ConeGen, Polytope, scaled_H_minus_K_contains
+from polyevp.geometry import (
+    ConeGen,
+    InvalidConfigurationError,
+    Polytope,
+    cone_contains,
+    scaled_H_minus_K_contains,
+    zero_notin_H_plus_K,
+)
 from polyevp.rational import vec_add, vec_sub
 from polyevp.scalarization import (
     BisectionResult,
@@ -357,6 +364,39 @@ class TestConfigurationGuards:
     def test_origin_inside_sum_rejected(self, orthant2):
         with pytest.raises(ValueError):
             SeparationFunctional(Polytope(2, ((0, 0),)), orthant2)
+
+    def test_vertex_checks_decide_the_origin(self):
+        # H's vertices are drawn inside K, half the cones carry a line: the
+        # origin lies in H + K exactly when some vertex lies in -K, so the
+        # vertex checks reject exactly the pairs the origin LP would
+        rng = random.Random(20171)
+        draws, rejected = 200, 0
+        for _ in range(draws):
+            n, count = rng.randint(1, 3), rng.randint(1, 3)
+            gens = []
+            while len(gens) < count:
+                g = rand_vector(rng, n, -3, 3, 2)
+                if any(g):
+                    gens.append(g)
+            if rng.random() < 0.5:
+                gens.append(tuple(-c for c in rng.choice(gens)))
+            K = ConeGen(n, tuple(gens))
+            H = Polytope(n, tuple(
+                tuple(sum(w * g[i] for w, g in zip(ws, gens)) for i in range(n))
+                for ws in (
+                    [rng.randint(0, 2) for _ in gens] for _ in range(rng.randint(1, 3))
+                )
+            ))
+            in_minus_k = any(cone_contains(K, tuple(-c for c in v)) for v in H.vertices)
+            assert in_minus_k == (not zero_notin_H_plus_K(H, K))
+            try:
+                SeparationFunctional(H, K)
+            except InvalidConfigurationError:
+                assert in_minus_k
+                rejected += 1
+            else:
+                assert not in_minus_k
+        assert 0 < rejected < draws
 
     def test_unbounded_branch_is_reported_as_internal(self, orthant2):
         # forge an invalid functional: 0 sits in H + K, making the negative
