@@ -18,7 +18,6 @@ from .boundedness import (
     separating_epsilon_for,
 )
 from .evp import (
-    CoradiantGapResult,
     EfficiencyMode,
     EVPCertificate,
     EVPProblem,
@@ -40,23 +39,20 @@ from .evp import (
 from .geometry import (
     ConeGen,
     ConeHalfspaces,
-    ConeValidation,
     DimensionMismatchError,
     InvalidConfigurationError,
     Polytope,
     VPolyhedralUnion,
     cone_contains,
     cone_halfspaces,
-    dual_cone_contains,
     homogenized_halfspaces,
+    is_pointed,
     scaled_H_minus_K_contains,
     scaled_H_plus_K_contains,
-    triangle_property_check,
     union_disjoint_from,
-    validate_cone,
     zero_notin_H_plus_K,
 )
-from .lp_core import LinearProgram, LPFormatError, LPResult, check_witness
+from .lp_core import LinearProgram, LPFormatError, LPResult
 from .lp_core import solve as solve_lp
 from .scalarization import (
     BisectionResult,
@@ -67,8 +63,6 @@ from .scalarization import (
     attainment_check,
     evaluate,
     evaluate_bisection,
-    evaluate_closed_form,
-    xi,
 )
 
 __version__ = "0.1.0"

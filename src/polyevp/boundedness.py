@@ -166,7 +166,6 @@ class HLowerResult:
 
     status: Optional[bool]
     witness: Optional[tuple[Vec, Fraction]]
-    attempts: tuple[tuple[Vec, Fraction, bool], ...]
 
 
 def is_H_lower_bounded(
@@ -178,20 +177,13 @@ def is_H_lower_bounded(
     """Try each (y0, eps) candidate until one translate misses M."""
     if not candidates:
         raise ValueError("candidate list must not be empty")
-    attempts = []
-    witness = None
     for y0, eps in candidates:
         e = frac(eps)
         if e <= 0:
             raise ValueError("every candidate eps must be positive")
-        ok = union_disjoint_from(M, y0, e, H, K)
-        attempts.append((frac_vec(y0), e, ok))
-        if ok and witness is None:
-            witness = (frac_vec(y0), e)
-            break
-    if witness is not None:
-        return HLowerResult(True, witness, tuple(attempts))
-    return HLowerResult(None, None, tuple(attempts))
+        if union_disjoint_from(M, y0, e, H, K):
+            return HLowerResult(True, (frac_vec(y0), e))
+    return HLowerResult(None, None)
 
 
 @dataclass(frozen=True)

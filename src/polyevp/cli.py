@@ -62,7 +62,7 @@ def _do_scalarize(path: str, opts: dict) -> tuple[int, str]:
     point_text = opts["point"]
     try:
         y = tuple(frac(c) for c in point_text.split(","))
-    except (ValueError, ZeroDivisionError) as e:
+    except ValueError as e:
         raise ProblemFileError(f"cannot parse point {point_text!r}: {e}") from e
     if len(y) != sf.H.dim:
         raise ProblemFileError(

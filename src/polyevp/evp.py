@@ -37,7 +37,6 @@ perturbation direction.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import warnings
 from dataclasses import dataclass
@@ -51,10 +50,9 @@ from .geometry import (
     InvalidConfigurationError,
     Polytope,
     checked_rows,
+    is_pointed,
     reaches,
     scaled_H_plus_K_contains,
-    validate_cone,
-    zero_notin_H_plus_K,
 )
 from .rational import Number, Vec, frac, frac_vec, integerize, vec_sub
 from .scalarization import (
@@ -76,7 +74,6 @@ __all__ = [
     "EVPProblem",
     "EVPCertificate",
     "VerificationReport",
-    "CoradiantGapResult",
     "dominates",
     "lower_section",
     "condition_ii_witness",
@@ -283,7 +280,7 @@ class EVPProblem:
         # solver and the verifier (a value, not a store of answers).
         object.__setattr__(self, "_separation", SeparationFunctional(self.H, self.K))
         if isinstance(self.mode, EfficiencyMode):
-            if not validate_cone(self.K).pointed:
+            if not is_pointed(self.K):
                 raise InvalidConfigurationError(
                     "efficiency mode needs a pointed ordering cone"
                 )
@@ -558,86 +555,28 @@ def solve(p: EVPProblem) -> EVPCertificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoradiantGapResult:
-    """Outcome of the perturbation-direction escape search.
+def coradiant_escape_check(p: EVPProblem, xbar: str) -> Optional[Vec]:
+    """The first vertex h of H whose step d(x0, xbar)*h lies outside
+    (eps/gamma)*(H + K), or None when no h in H gives such a step.
 
-    ``holds`` means some direction h in the perturbation polytope gives
-    a step d*h outside the (eps/gamma)-scaled coradiant set H + K while
-    trivially staying in its generated cone.  The search runs over the
-    vertices and then a refinement grid of convex combinations;
-    ``search_exhausted`` distinguishes "not found up to this depth" from
-    a refutation, which the search cannot provide.
+    gamma is the efficiency mode's, and 1 in any other mode.  Membership
+    of d*h in the cone generated by H + K is automatic for every h in H,
+    so only the exclusion needs an LP.  The set {h : d*h in r*(H + K)} is
+    convex, so H lies inside it exactly when every vertex does: one
+    membership LP per vertex decides the question for all of H, and None
+    is a refutation.  At d = 0 the step is the origin, which avoids every
+    r*(H + K) because the problem's `SeparationFunctional` certified that
+    it avoids H + K; H's first vertex escapes with no LP.
     """
-
-    holds: bool
-    search_exhausted: bool
-    points_checked: int
-    witness: Optional[Vec] = None
-
-
-def _convex_grid(vertices: tuple[Vec, ...], depth: int) -> Iterable[Vec]:
-    for v in vertices:
-        yield v
-    p = len(vertices)
-    if p == 1 or depth < 2:
-        return
-    seen = set(vertices)
-    # stars and bars: the gaps between p - 1 bars among depth + p - 1
-    # slots run over the compositions with sum <= depth, in lex order
-    for bars in itertools.combinations(range(depth + p - 1), p - 1):
-        comp = tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
-        weights = (depth - sum(comp),) + comp
-        h = tuple(
-            sum(w * v[r] for w, v in zip(weights, vertices) if w) / depth
-            for r in range(len(vertices[0]))
-        )
-        if h not in seen:
-            seen.add(h)
-            yield h
-
-
-def coradiant_escape_check(
-    p: EVPProblem,
-    xbar: str,
-    eps: Optional[Number] = None,
-    gamma: Optional[Number] = None,
-    grid_depth: int = 4,
-) -> CoradiantGapResult:
-    """Search for d(x0, xbar)*h outside the (eps/gamma)-scaled H + K.
-
-    Membership of d*h in the generated cone of H + K is automatic for
-    every h in H, so only the exclusion needs an LP.  When xbar is the
-    start point the step is zero and the question degenerates to the
-    origin avoiding the scaled H + K, which the problem invariant
-    already certifies.
-    """
-    e = frac(eps) if eps is not None else p.epsilon
-    if gamma is not None:
-        g = frac(gamma)
-    elif isinstance(p.mode, EfficiencyMode):
-        g = p.mode.gamma
-    else:
-        g = Fraction(1)
-    if g <= 0:
-        raise ValueError("gamma must be positive")
-    ratio = e / g
+    gamma = p.mode.gamma if isinstance(p.mode, EfficiencyMode) else 1
+    ratio = p.epsilon / gamma
     dist = p.space.d(p.x0, xbar)
     if dist == 0:
-        return CoradiantGapResult(
-            holds=zero_notin_H_plus_K(p.H, p.K),
-            search_exhausted=False,
-            points_checked=0,
-        )
-    checked = 0
-    for h in _convex_grid(p.H.vertices, grid_depth):
-        checked += 1
-        target = tuple(dist * c for c in h)
-        if not scaled_H_plus_K_contains(p.H, p.K, target, ratio):
-            return CoradiantGapResult(
-                holds=True, search_exhausted=False, points_checked=checked, witness=h
-            )
-    return CoradiantGapResult(holds=False, search_exhausted=True, points_checked=checked)
+        return p.H.vertices[0]
+    for h in p.H.vertices:
+        if not scaled_H_plus_K_contains(p.H, p.K, tuple(dist * c for c in h), ratio):
+            return h
+    return None
 
 
 @dataclass(frozen=True)
@@ -646,9 +585,10 @@ class VerificationReport:
 
     ``a``: xbar lies below x0.  ``b``: no other feasible point lies below
     xbar.  ``c`` (scale modes only): the walk stayed within the promised
-    radius.  ``coradiant_gap`` (efficiency mode): the escape search
-    succeeded.  The chain, trace, and hypothesis-witness checks guard the
-    certificate's own bookkeeping.  ``failures`` names the failed
+    radius.  ``coradiant_gap`` (efficiency mode): some h in H steps
+    outside the scaled coradiant set (`coradiant_escape_check`); False
+    refutes that for every h in H.  The chain, trace, and
+    hypothesis-witness checks guard the certificate's own bookkeeping.  ``failures`` names the failed
     checks; a ``c`` or ``coradiant_gap`` of None is not a failure.
     """
 
@@ -764,7 +704,7 @@ def verify_certificate(p: EVPProblem, cert: EVPCertificate) -> VerificationRepor
 
     gap: Optional[bool] = None
     if isinstance(p.mode, EfficiencyMode):
-        gap = coradiant_escape_check(p, cert.xbar).holds
+        gap = coradiant_escape_check(p, cert.xbar) is not None
 
     chain_valid = (
         len(cert.chain) >= 1

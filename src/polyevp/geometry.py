@@ -36,27 +36,24 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .lp_core import LinearProgram, solve
-from .rational import Number, Vec, dot, frac, frac_vec, integerize
+from .rational import Number, Vec, frac, frac_vec, integerize
 
 __all__ = [
     "DimensionMismatchError",
     "InvalidConfigurationError",
     "ConeGen",
     "ConeHalfspaces",
-    "ConeValidation",
     "Polytope",
     "VPolyhedralUnion",
-    "validate_cone",
     "cone_contains",
+    "is_pointed",
     "checked_rows",
     "cone_halfspaces",
-    "dual_cone_contains",
     "homogenized_halfspaces",
     "reaches",
     "scaled_H_minus_K_contains",
     "scaled_H_plus_K_contains",
     "zero_notin_H_plus_K",
-    "triangle_property_check",
     "union_disjoint_from",
 ]
 
@@ -90,15 +87,6 @@ class ConeGen:
             _check_dim(self.dim, g, "cone generator")
             if all(c == 0 for c in g):
                 raise InvalidConfigurationError("zero vector is not a valid generator")
-
-
-@dataclass(frozen=True)
-class ConeValidation:
-    """Recorded structural facts about a cone (informational, not enforced)."""
-
-    pointed: bool
-    nontrivial: bool
-    full_space: bool
 
 
 @dataclass(frozen=True)
@@ -195,41 +183,13 @@ def cone_contains(K: ConeGen, y: Sequence[Number]) -> bool:
     return solve(lp).is_feasible
 
 
-def dual_cone_contains(K: ConeGen, l: Sequence[Number]) -> bool:
-    """Is the linear functional l nonnegative on the whole cone?
+def is_pointed(K: ConeGen) -> bool:
+    """Does K meet -K only at the origin?
 
-    Equivalent to l . g >= 0 for every generator g, so no LP is needed.
+    With generator data that fails exactly when some -g lies back in the
+    cone: at most one membership LP per generator.
     """
-    lv = frac_vec(l)
-    _check_dim(K.dim, lv, "functional")
-    return all(dot(lv, g) >= 0 for g in K.generators)
-
-
-def validate_cone(K: ConeGen) -> ConeValidation:
-    """Record pointedness and nontriviality of the cone.
-
-    Pointed means K meets -K only at the origin; with generator data that
-    fails exactly when some -g lies back in the cone.  Full space is
-    detected by membership of plus/minus every coordinate direction.
-    """
-    pointed = all(
-        not cone_contains(K, tuple(-c for c in g)) for g in K.generators
-    )
-    unit = [Fraction(0)] * K.dim
-    full = True
-    for i in range(K.dim):
-        unit[i] = Fraction(1)
-        if not cone_contains(K, tuple(unit)):
-            full = False
-        else:
-            unit[i] = Fraction(-1)
-            if not cone_contains(K, tuple(unit)):
-                full = False
-        unit[i] = Fraction(0)
-        if not full:
-            break
-    nontrivial = bool(K.generators) and not full
-    return ConeValidation(pointed=pointed, nontrivial=nontrivial, full_space=full)
+    return all(not cone_contains(K, tuple(-c for c in g)) for g in K.generators)
 
 
 def scaled_H_minus_K_contains(
@@ -275,22 +235,6 @@ def zero_notin_H_plus_K(H: Polytope, K: ConeGen) -> bool:
     origin = [Fraction(0)] * H.dim
     lp = _combination_lp(origin, [(H.vertices, 1, True), (K.generators, 1, False)])
     return not solve(lp).is_feasible
-
-
-def triangle_property_check(H: Polytope, K: ConeGen, d1: Number, d2: Number) -> bool:
-    """Certify d1*H + d2*H within (d1+d2)*H + K via vertex pairs.
-
-    Convexity makes the vertex-pair checks sufficient for the whole sum.
-    """
-    a, b = frac(d1), frac(d2)
-    if a < 0 or b < 0:
-        raise ValueError("scales must be nonnegative")
-    for hi in H.vertices:
-        for hj in H.vertices:
-            target = tuple(a * x + b * y for x, y in zip(hi, hj))
-            if not scaled_H_plus_K_contains(H, K, target, a + b):
-                return False
-    return True
 
 
 def union_disjoint_from(
@@ -359,10 +303,6 @@ class ConeHalfspaces:
         """The last entry of each row: the scale's coefficient in a
         homogenized cone."""
         return tuple(r[-1] for r in self.rows)
-
-    def contains(self, w: Sequence[Number]) -> bool:
-        """Is w in the cone?  Exact for integer or Fraction entries."""
-        return all(_idot(r, w) >= 0 for r in self.rows)
 
     def products(self, z: Sequence[int]) -> tuple[int, ...]:
         """a_z . z for every row (a_z, a_t) of a homogenized cone."""

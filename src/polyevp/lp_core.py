@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .rational import Vec, frac_vec, integerize
 
@@ -25,7 +25,6 @@ __all__ = [
     "LinearProgram",
     "LPResult",
     "solve",
-    "check_witness",
 ]
 
 
@@ -121,20 +120,6 @@ def solve(lp: LinearProgram) -> LPResult:
     # called through the module global: bench/run.py --trace 1 rebinds
     # _solve_exact to count every LP solve directly
     return _solve_exact(lp)
-
-
-def check_witness(lp: LinearProgram, witness: Sequence) -> bool:
-    """Re-check a witness exactly against every constraint."""
-    if len(witness) != lp.n_vars:
-        return False
-    xs = list(witness)
-    for j, nn in enumerate(lp.nonneg):
-        if nn and xs[j] < 0:
-            return False
-    for row, b in zip(lp.rows, lp.rhs):
-        if sum(a * x for a, x in zip(row, xs)) != b:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

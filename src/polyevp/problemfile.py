@@ -49,13 +49,7 @@ __all__ = [
 
 
 class ProblemFileError(ValueError):
-    """Input document is malformed; carries actionable messages."""
-
-    def __init__(self, messages):
-        if isinstance(messages, str):
-            messages = [messages]
-        self.messages = list(messages)
-        super().__init__("; ".join(self.messages))
+    """Input document is malformed; the message says where and why."""
 
 
 def load_document(path) -> dict:
@@ -77,8 +71,8 @@ def load_document(path) -> dict:
 def _num(doc: Any, where: str) -> Fraction:
     try:
         return frac(doc)
-    except (TypeError, ValueError, ZeroDivisionError) as e:
-        raise ProblemFileError(f"{where}: {doc!r} is not a number") from e
+    except (TypeError, ValueError) as e:
+        raise ProblemFileError(f"{where}: {e}") from e
 
 
 def _vector(doc: Any, dim: int, where: str) -> Vec:

@@ -25,16 +25,16 @@ _EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
 def frac(x: Number) -> Fraction:
     """Coerce ints, Fractions, floats, and 'p/q' or decimal strings.
 
+    Anything else raises, with a reason that names x: TypeError for a
+    value of another type, ValueError for a literal that is no number.
     A decimal exponent larger in magnitude than the interpreter's integer
     string limit (`sys.get_int_max_str_digits`, which already bounds the
-    digits of an integer) raises ValueError: `Fraction` would compute
-    10**exponent in full.
+    digits of an integer) raises ValueError naming that limit: `Fraction`
+    would compute 10**exponent in full.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, bool):
-        raise TypeError("booleans are not numbers here")
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         m = _EXPONENT.search(x)
@@ -42,10 +42,15 @@ def frac(x: Number) -> Fraction:
             limit = sys.get_int_max_str_digits()  # 0 means no limit
             if limit and abs(int(m.group(1))) > limit:
                 raise ValueError(f"exponent of {x.strip()!r} exceeds {limit} in magnitude")
-        return Fraction(x.strip())
-    if isinstance(x, float):
-        return Fraction(repr(x))
-    raise TypeError(f"cannot interpret {x!r} as a rational number")
+        text = x.strip()
+    elif isinstance(x, float):
+        text = repr(x)
+    else:
+        raise TypeError(f"{x!r} is not a number")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{x!r} is not a number") from None
 
 
 def frac_vec(xs: Iterable[Number]) -> Vec:

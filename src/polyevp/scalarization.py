@@ -15,11 +15,11 @@ the question is one extreme scale.  Three routes compute it:
   on the branch t < 0 the substitution mu_i = -t * lambda_i yields
   ``-y = sum mu_i h_i + k`` with objective ``max sum mu``.  The smaller
   achievable value across branches is the infimum.
-* `evaluate_closed_form` reads the same two branches off the integer
-  halfspaces of the cones over t*H - K and t*H + K
-  (`SeparationFunctional.halfspaces`): each branch is the extreme t
-  allowed by rows a_z . z + a_t * t >= 0, a one-dimensional ratio test
-  (`ConeHalfspaces.scale_range`, combined by `phi_from_rows`).  This is
+* `phi_from_rows` is the solver's closed form.  It reads the same two
+  branches off the row products of a point with the integer halfspaces
+  of the cones over t*H - K and t*H + K (`SeparationFunctional.halfspaces`):
+  each branch is the extreme t allowed by rows a_z . z + a_t * t >= 0, a
+  one-dimensional ratio test (`ConeHalfspaces.scale_range`).  This is
   the polyhedral form of the Gerstewitz functional (Goepfert, Riahi,
   Tammer & Zalinescu, 2003).
 * `evaluate_bisection` never looks at the branch decomposition: it
@@ -65,7 +65,7 @@ from .geometry import (
     scaled_H_minus_K_contains,
 )
 from .lp_core import LinearProgram, solve
-from .rational import Number, Vec, frac, frac_vec, integerize, vec_sub
+from .rational import Number, Vec, frac, frac_vec, integerize
 
 __all__ = [
     "InternalConsistencyError",
@@ -74,10 +74,8 @@ __all__ = [
     "SeparationFunctional",
     "BisectionResult",
     "evaluate",
-    "evaluate_closed_form",
     "evaluate_bisection",
     "phi_from_rows",
-    "xi",
     "attainment_check",
 ]
 
@@ -213,20 +211,6 @@ def phi_from_rows(
     return ExtendedReal.plus_infinity()
 
 
-def evaluate_closed_form(F: SeparationFunctional, y: Sequence[Number]) -> ExtendedReal:
-    """phi(y) from the halfspaces of F, with no LP."""
-    yv = frac_vec(y)
-    if len(yv) != F.H.dim:
-        raise DimensionMismatchError(
-            f"query has length {len(yv)}, expected {F.H.dim}"
-        )
-    plus, minus = F.halfspaces()
-    z, scale = integerize(yv)
-    return phi_from_rows(
-        plus, plus.products([-c for c in z]), minus, minus.products(z), scale
-    )
-
-
 def _branch_lp(
     F: SeparationFunctional, target: Vec, k_sign: int, sense: str
 ) -> LinearProgram:
@@ -337,15 +321,6 @@ def evaluate_bisection(F: SeparationFunctional, y: Sequence[Number]) -> Bisectio
         else:
             lo = mid
     return BisectionResult(ExtendedReal.finite(hi / scale))
-
-
-def xi(
-    F: SeparationFunctional,
-    y: Sequence[Number],
-    y0: Sequence[Number],
-) -> ExtendedReal:
-    """Shifted evaluation phi(y - y0), the descent potential."""
-    return evaluate(F, vec_sub(frac_vec(y), frac_vec(y0)))
 
 
 def attainment_check(

@@ -28,6 +28,12 @@ from polyevp.geometry import ConeGen, Polytope, VPolyhedralUnion
 from polyevp.rational import dot
 
 
+def dual_cone_contains(K: ConeGen, l) -> bool:
+    """Is the linear functional l nonnegative on the whole cone?  That is
+    l . g >= 0 for every generator g, so no LP is needed."""
+    return all(dot(l, g) >= 0 for g in K.generators)
+
+
 def rand_frac(rng: random.Random, lo: int = -10, hi: int = 10, max_den: int = 4) -> Fraction:
     den = rng.randint(1, max_den)
     return Fraction(rng.randint(lo * den, hi * den), den)

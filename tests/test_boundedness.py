@@ -18,12 +18,16 @@ from polyevp.geometry import (
     Polytope,
     VPolyhedralUnion,
     cone_contains,
-    dual_cone_contains,
     union_disjoint_from,
 )
 from polyevp.rational import dot
 
-from conftest import rand_cone_polytope, rand_union, rand_vector
+from conftest import (
+    dual_cone_contains,
+    rand_cone_polytope,
+    rand_union,
+    rand_vector,
+)
 
 
 @pytest.fixture
@@ -101,7 +105,6 @@ class TestShiftedSetBound:
             plane, orthant2, slanted_segment, [((0, 0), 1), ((9, 9), 4)]
         )
         assert res.status is None and res.witness is None
-        assert len(res.attempts) == 2
 
     def test_vee_confirmed(self, vee_range, simplex_segment, orthant2):
         res = is_H_lower_bounded(vee_range, orthant2, simplex_segment, [((0, 0), 1)])

@@ -3,6 +3,7 @@
 import argparse
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -468,6 +469,8 @@ def test_huge_decimal_exponent_exits_2(
     assert cli.main([a.format(problem=problem) for a in argv]) == 2
     out = capsys.readouterr().out
     assert out.startswith("input error:") and repr(literal) in out
+    # the reason is the exponent limit, not a claim that it is no number
+    assert f"exceeds {sys.get_int_max_str_digits()} in magnitude" in out
 
 
 class TestDiagnose:

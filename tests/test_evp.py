@@ -5,17 +5,15 @@ import gc
 import itertools
 import math
 import random
-import time
 import warnings
 import weakref
 from fractions import Fraction
 
 import pytest
 
-from polyevp import evp
+from polyevp import evp, geometry
 from polyevp.evp import (
     _CheckedRelation,
-    _convex_grid,
     EfficiencyMode,
     EVPCertificate,
     EVPProblem,
@@ -38,9 +36,11 @@ from polyevp.geometry import (
     ConeHalfspaces,
     InvalidConfigurationError,
     Polytope,
+    is_pointed,
     scaled_H_plus_K_contains,
     zero_notin_H_plus_K,
 )
+from polyevp.lp_core import solve as lp_solve
 from polyevp.problemfile import build_problem
 from polyevp.scalarization import (
     InternalConsistencyError,
@@ -52,6 +52,7 @@ from polyevp.rational import vec_sub
 from conftest import (
     brute_force_minimal_set,
     make_chain3,
+    rand_cone_polytope,
     rand_metric_space,
     rand_problem,
 )
@@ -476,20 +477,20 @@ class TestEfficiency:
 
 class TestCoradiantEscape:
     def test_zero_step_degenerates_to_origin_exclusion(self, chain3_eps5):
-        res = coradiant_escape_check(chain3_eps5, "a", 5, 1)
-        assert res.holds and res.points_checked == 0
+        assert coradiant_escape_check(chain3_eps5, "a") == (1, 1)
 
     def test_wide_margin(self, chain3_eps5):
-        res = coradiant_escape_check(chain3_eps5, "c", 5, 1)
-        assert res.holds and res.witness == (1, 1)
+        assert coradiant_escape_check(chain3_eps5, "c") == (1, 1)
 
-    def test_tight_margin_exhausts(self, chain3_eps5):
-        res = coradiant_escape_check(chain3_eps5, "c", 1, 1)
-        assert not res.holds and res.search_exhausted
+    def test_tight_margin_exhausts(self):
+        # eps/gamma = 1 and d(a, c) = 2: (2, 2) lies in (1, 1) + K
+        assert coradiant_escape_check(make_chain3(5, EfficiencyMode(5)), "c") is None
 
-    def test_gamma_must_be_positive(self, chain3_eps5):
-        with pytest.raises(ValueError):
-            coradiant_escape_check(chain3_eps5, "c", 1, 0)
+    def test_gamma_must_be_positive(self):
+        # gamma comes from the efficiency mode, which rejects gamma <= 0
+        for gamma in (0, -1):
+            with pytest.raises(ValueError):
+                EfficiencyMode(gamma)
 
     @staticmethod
     def _product_grid(vertices, depth):
@@ -513,28 +514,68 @@ class TestCoradiantEscape:
                 seen.add(h)
                 yield h
 
-    def test_grid_matches_the_product_filter(self):
-        # small integer and half-integer vertices, so some grid points
-        # coincide with each other or with a vertex and are skipped
-        rng = random.Random(29)
-        for p, depth, dim in itertools.product(range(1, 8), range(6), (1, 2, 3)):
-            vertices = tuple(
-                tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim))
-                for _ in range(p)
+    def test_vertex_decision_matches_a_dense_grid(self):
+        # {h : d*h in r*(H + K)} is convex, so no grid point of H escapes
+        # when no vertex does; d >= r puts every step inside, so the draws
+        # mix both outcomes
+        rng = random.Random(20170817)
+        outcomes = set()
+        for _ in range(200):
+            n = rng.randint(2, 3)
+            K, H, _ = rand_cone_polytope(rng, n, rng.randint(1, 3), rng.randint(1, 3))
+            d = Fraction(rng.randint(1, 6), rng.randint(1, 2))
+            eps = Fraction(rng.randint(1, 8), rng.randint(1, 2))
+            gamma = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+            if not is_pointed(K):
+                continue  # efficiency mode needs a pointed cone
+            images = {"a": [H.vertices[0]], "b": [H.vertices[0]]}
+            p = EVPProblem(
+                space=FiniteMetricSpace(("a", "b"), ((0, d), (d, 0))),
+                f=SetValuedMapTable.from_dict(images), K=K, H=H, x0="a",
+                epsilon=eps, mode=EfficiencyMode(gamma),
             )
-            assert list(_convex_grid(vertices, depth)) == list(
-                self._product_grid(vertices, depth)
-            ), (p, depth, vertices)
+            r = eps / gamma
+            found = coradiant_escape_check(p, "b")
+            escapes = [
+                h for h in self._product_grid(H.vertices, 6)
+                if not scaled_H_plus_K_contains(H, K, tuple(d * c for c in h), r)
+            ]
+            assert (found is None) == (not escapes), (K, H, d, r)
+            if found is not None:
+                assert found in H.vertices
+                assert not scaled_H_plus_K_contains(H, K, tuple(d * c for c in found), r)
+            outcomes.add(found is None)
+        assert outcomes == {True, False}
 
-    def test_fourteen_vertex_grid_is_quick(self):
-        # the product holds 5**13 weight tuples; the grid needs the
-        # C(4 + 13, 13) = 2380 with sum <= 4.  Base-5 digits make every
-        # weight tuple a distinct point, its pure ones the 14 vertices.
-        vertices = tuple((Fraction(5**i), Fraction(i, 3)) for i in range(14))
-        start = time.perf_counter()
-        points = list(_convex_grid(vertices, 4))
-        assert time.perf_counter() - start < 1
-        assert len(set(points)) == len(points) == math.comb(17, 13)
+    def test_lp_counts(self, monkeypatch):
+        lps = []
+
+        def counted(lp):
+            lps.append(lp)
+            return lp_solve(lp)
+
+        monkeypatch.setattr(geometry, "solve", counted)
+        make_chain3(5)
+        plain = len(lps)
+        del lps[:]
+        p = make_chain3(5, EfficiencyMode(1))
+        # the plain problem's LPs, and pointedness: at most one
+        # cone_contains per generator
+        assert len(lps) <= plain + len(p.K.generators)
+
+        in_check = []
+
+        def check(q, xbar):
+            before = len(lps)
+            found = coradiant_escape_check(q, xbar)
+            in_check.append(len(lps) - before)
+            return found
+
+        monkeypatch.setattr(evp, "coradiant_escape_check", check)
+        cert = EVPCertificate(xbar="a", y0=(4, 4), chain=("a",), xi_trace=(0,))
+        report = verify_certificate(p, cert)
+        # xbar = x0: the origin step escapes with no LP
+        assert in_check == [0] and report.coradiant_gap is True
 
 
 class TestZeroDistance:
@@ -576,9 +617,8 @@ class TestZeroDistance:
 
     def test_coradiant_check_at_start_is_origin_exclusion(self):
         for p in self._draws(47, 20):
-            res = coradiant_escape_check(p, p.x0)
-            assert res.holds == zero_notin_H_plus_K(p.H, p.K)
-            assert res.points_checked == 0
+            assert zero_notin_H_plus_K(p.H, p.K)
+            assert coradiant_escape_check(p, p.x0) == p.H.vertices[0]
 
 
 class TestRandomInstances:
@@ -639,9 +679,7 @@ class TestRandomInstances:
             base = rand_problem(rng, max_points=5, require_witness=False)
             if base is None:
                 continue
-            from polyevp.geometry import validate_cone
-
-            if not validate_cone(base.K).pointed:
+            if not is_pointed(base.K):
                 continue
             eps = Fraction(1)
             found = None

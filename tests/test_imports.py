@@ -1,8 +1,10 @@
-"""Every imported name is used, and every module-level private function
-or class of the package is referenced: a stdlib `ast` scan of the
-package and the tests, since no linter is part of the toolchain."""
+"""Every imported name is used, every module-level private function or
+class of the package is referenced, and every exported name exists: a
+stdlib `ast` scan of the package and the tests, since no linter is part
+of the toolchain."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,3 +76,32 @@ def dead_private_definitions() -> list[str]:
 
 def test_no_dead_private_definitions():
     assert dead_private_definitions() == []
+
+
+def stale_exports() -> list[str]:
+    """`__all__` entries a module does not define, and names the package
+    `__init__` imports that are not in the source module's `__all__`."""
+    stale = []
+    for path in PACKAGE:
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"polyevp.{path.stem}")
+        stale += [
+            f"{path.name}: __all__ names {name}"
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+    init = ROOT / "src" / "polyevp" / "__init__.py"
+    for node in ast.parse(init.read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported = importlib.import_module(f"polyevp.{node.module}").__all__
+            stale += [
+                f"__init__.py:{node.lineno}: {alias.name} not in {node.module}.__all__"
+                for alias in node.names
+                if alias.name not in exported
+            ]
+    return stale
+
+
+def test_no_stale_exports():
+    assert stale_exports() == []

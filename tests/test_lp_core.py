@@ -12,10 +12,21 @@ from polyevp.lp_core import (
     LinearProgram,
     LPFormatError,
     _Tableau,
-    check_witness,
     solve,
 )
 from polyevp.rational import integerize
+
+
+def check_witness(lp: LinearProgram, witness) -> bool:
+    """Re-check a witness exactly against every constraint."""
+    return (
+        len(witness) == lp.n_vars
+        and all(x >= 0 for x, nn in zip(witness, lp.nonneg) if nn)
+        and all(
+            sum(a * x for a, x in zip(row, witness)) == b
+            for row, b in zip(lp.rows, lp.rhs)
+        )
+    )
 
 
 def test_min_over_nonnegative_ray_hits_zero():

@@ -14,7 +14,7 @@ from polyevp.geometry import (
     scaled_H_minus_K_contains,
     zero_notin_H_plus_K,
 )
-from polyevp.rational import vec_add, vec_sub
+from polyevp.rational import frac_vec, integerize, vec_add, vec_sub
 from polyevp.scalarization import (
     BisectionResult,
     BracketExhaustedError,
@@ -24,8 +24,7 @@ from polyevp.scalarization import (
     attainment_check,
     evaluate,
     evaluate_bisection,
-    evaluate_closed_form,
-    xi,
+    phi_from_rows,
 )
 
 from conftest import (
@@ -34,6 +33,14 @@ from conftest import (
     rand_point_in_cone,
     rand_vector,
 )
+
+
+def evaluate_closed_form(F: SeparationFunctional, y) -> ExtendedReal:
+    """phi(y) by the solver's closed form, from the halfspaces of F."""
+    (plus, minus), (z, scale) = F.halfspaces(), integerize(frac_vec(y))
+    return phi_from_rows(
+        plus, plus.products([-c for c in z]), minus, minus.products(z), scale
+    )
 
 
 @pytest.fixture
@@ -61,6 +68,11 @@ class TestWorkedValues:
 
     def test_origin_scores_zero(self, segment_functional):
         assert evaluate(segment_functional, (0, 0)) == ExtendedReal.finite(0)
+
+    def test_dimension_mismatch(self, segment_functional):
+        for route in (evaluate, evaluate_bisection):
+            with pytest.raises(ValueError):
+                route(segment_functional, (1, 2, 3))
 
     def test_unreachable_point_is_plus_infinity(self):
         sf = SeparationFunctional(Polytope(2, ((1, 0),)), ConeGen(2, ((1, 0),)))
@@ -193,13 +205,13 @@ class TestAlgebraicLaws:
 
 class TestShiftedEvaluation:
     def test_zero_shift(self, segment_functional):
-        assert xi(segment_functional, (3, 7), (3, 7)) == ExtendedReal.finite(0)
+        assert evaluate(segment_functional, vec_sub((3, 7), (3, 7))) == ExtendedReal.finite(0)
 
     def test_translation(self, segment_functional):
-        assert xi(segment_functional, (2, 2), (1, 1)) == ExtendedReal.finite(1)
+        assert evaluate(segment_functional, vec_sub((2, 2), (1, 1))) == ExtendedReal.finite(1)
 
     def test_negative_branch_through_shift(self, segment_functional):
-        assert xi(segment_functional, (-1, -1), (0, 0)) == ExtendedReal.finite(-2)
+        assert evaluate(segment_functional, vec_sub((-1, -1), (0, 0))) == ExtendedReal.finite(-2)
 
 
 class TestBisection:
@@ -350,10 +362,6 @@ class TestClosedForm:
                 else:
                     kinds.add("negative" if phi.value < 0 else "nonnegative")
         assert kinds == {"+inf", "negative", "nonnegative"}
-
-    def test_dimension_mismatch(self, segment_functional):
-        with pytest.raises(ValueError):
-            evaluate_closed_form(segment_functional, (1, 2, 3))
 
 
 class TestConfigurationGuards:
