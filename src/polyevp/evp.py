@@ -37,11 +37,12 @@ perturbation direction.
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .geometry import (
     ConeGen,
@@ -54,7 +55,7 @@ from .geometry import (
     reaches,
     scaled_H_plus_K_contains,
 )
-from .rational import Number, Vec, frac, frac_vec, integerize, vec_sub
+from .rational import Number, Vec, frac, frac_vec, integerize, ratio, vec_sub
 from .scalarization import (
     ExtendedReal,
     InternalConsistencyError,
@@ -101,33 +102,43 @@ class ScaleMismatchWarning(UserWarning):
     """Scaled mode carries an eps differing from the hypothesis eps."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteMetricSpace:
     """Finitely many labelled points with an exact metric matrix.
 
-    ``dist`` holds Fractions.  Validation forms integers once: it scales
-    the matrix by the lcm of its denominators (`integerize`) and checks
-    the metric axioms on that local integer matrix, the triangle
-    inequality one ordered pair (i, j) at a time.
+    ``FiniteMetricSpace(labels, dist)`` reads each distance once with
+    `rational.ratio` and keeps the integer matrix ``matrix`` over the
+    common denominator ``den``, the lcm of the reduced denominators, so
+    equal metrics give equal fields.  The metric axioms are checked on
+    that matrix.  ``dist`` reads as rows of Fractions, built on first
+    read.
     """
 
     labels: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
+    matrix: tuple[tuple[int, ...], ...]
+    den: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, labels: Iterable[str], dist: Iterable[Iterable[Number]]) -> None:
+        # validation stays in __post_init__, the hook through which
+        # bench/tracer.py times the construction of every traced class
+        object.__setattr__(self, "labels", labels)
+        self.__post_init__(dist)
+
+    def __post_init__(self, dist: Iterable[Iterable[Number]]) -> None:
         labels = tuple(str(l) for l in self.labels)
         object.__setattr__(self, "labels", labels)
         if len(set(labels)) != len(labels):
             raise InvalidConfigurationError("duplicate labels in metric space")
         if not labels:
             raise InvalidConfigurationError("metric space needs at least one point")
-        d = tuple(frac_vec(row) for row in self.dist)
-        object.__setattr__(self, "dist", d)
+        pairs = [[ratio(x) for x in row] for row in dist]
         n = len(labels)
-        if len(d) != n or any(len(row) != n for row in d):
+        if len(pairs) != n or any(len(row) != n for row in pairs):
             raise InvalidConfigurationError("distance matrix shape does not match labels")
-        flat, _ = integerize([x for row in d for x in row])
-        m = [flat[i * n:(i + 1) * n] for i in range(n)]
+        den = math.lcm(*(q for row in pairs for _, q in row))
+        m = tuple(tuple(p * (den // q) for p, q in row) for row in pairs)
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "den", den)
         for i in range(n):
             if m[i][i] != 0:
                 raise InvalidConfigurationError(f"nonzero self-distance at {labels[i]!r}")
@@ -138,19 +149,38 @@ class FiniteMetricSpace:
                     )
                 if i != j and m[i][j] <= 0:
                     raise InvalidConfigurationError(
-                        f"distinct points {labels[i]!r}, {labels[j]!r} at distance {d[i][j]}"
+                        f"distinct points {labels[i]!r}, {labels[j]!r} "
+                        f"at distance {Fraction(m[i][j], den)}"
                     )
-        # d[i][k] <= d[i][j] + d[j][k] for every k iff the largest
-        # m[i][k] - m[j][k] is at most m[i][j]; only a failing pair is
-        # searched for its first k.
-        for i, mi in enumerate(m):
-            for j, mj in enumerate(m):
-                if max(map(operator.sub, mi, mj)) > mi[j]:
-                    k = next(k for k in range(n) if mi[k] > mi[j] + mj[k])
-                    raise InvalidConfigurationError(
-                        "triangle inequality fails on "
-                        f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})"
-                    )
+        # For a symmetric m, d[i][k] <= d[i][j] + d[j][k] and
+        # d[j][k] <= d[j][i] + d[i][k] for every k iff every
+        # |m[i][k] - m[j][k]| is at most m[i][j], so each unordered pair
+        # is tested once.  A failure is searched again in (i, j, k)
+        # order, so the first failing triple is the one reported.
+        if not all(
+            max(map(abs, map(operator.sub, m[i], m[j]))) <= m[i][j]
+            for i in range(n)
+            for j in range(i + 1, n)
+        ):
+            i, j, k = next(
+                (i, j, k)
+                for i, mi in enumerate(m)
+                for j, mj in enumerate(m)
+                for k in range(n)
+                if mi[k] > mi[j] + mj[k]
+            )
+            raise InvalidConfigurationError(
+                "triangle inequality fails on "
+                f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})"
+            )
+
+    @property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        d = self.__dict__.get("_dist")
+        if d is None:
+            d = tuple(tuple(Fraction(x, self.den) for x in row) for row in self.matrix)
+            object.__setattr__(self, "_dist", d)
+        return d
 
     def _index_of(self, label: str) -> int:
         idx = self.__dict__.get("_index")
@@ -163,7 +193,7 @@ class FiniteMetricSpace:
             raise ValueError(f"unknown label {label!r}") from None
 
     def d(self, a: str, b: str) -> Fraction:
-        return self.dist[self._index_of(a)][self._index_of(b)]
+        return Fraction(self.matrix[self._index_of(a)][self._index_of(b)], self.den)
 
 
 @dataclass(frozen=True)
@@ -190,10 +220,6 @@ class SetValuedMapTable:
                     )
             norm.append((str(label), imgs))
         object.__setattr__(self, "entries", tuple(norm))
-
-    @classmethod
-    def from_dict(cls, mapping: Mapping[str, Iterable]) -> "SetValuedMapTable":
-        return cls(tuple((k, tuple(tuple(v) for v in vs)) for k, vs in mapping.items()))
 
     @property
     def dim(self) -> int:

@@ -5,7 +5,10 @@ optionally a metric-space problem ("space", "map", "x0", "epsilon",
 "mode"), optionally a ranges block for boundedness diagnostics, and
 optional evaluation settings ("tolerance", "t_max").  Numbers may be
 written as integers, decimals, or "p/q" strings; everything is parsed
-exactly.
+exactly, each number once, by `rational.ratio`.  The distances of
+"space"."dist" go to `FiniteMetricSpace` as written, and it forms its
+integer matrix from them with no Fraction in between; a bad entry is
+located only when that construction fails.
 
 Certificates serialize as {"xbar", "y0", "chain", "xi_trace", "mode",
 "checks"} where checks carries "a", "b" and, when applicable, "c" and
@@ -41,7 +44,6 @@ __all__ = [
     "build_separation",
     "build_ranges",
     "build_problem",
-    "problem_to_document",
     "certificate_to_document",
     "certificate_from_document",
     "write_document",
@@ -189,6 +191,25 @@ def _build_mode(doc: dict) -> tuple[Any, Optional[tuple[str, ...]]]:
     )
 
 
+def _build_space(labels: tuple[str, ...], dist_doc: list) -> FiniteMetricSpace:
+    """The metric space, its distances read once by the space itself.
+
+    A bad row or entry is located only when construction fails: the
+    row-by-row parse then names the first one in row-major order, as
+    `"space"."dist"[i]` or `"space"."dist"[i][j]`.  A failure with no bad
+    entry (a metric axiom, a duplicate label) propagates as it is.
+    """
+    n = len(labels)
+    try:
+        if all(isinstance(row, list) and len(row) == n for row in dist_doc):
+            return FiniteMetricSpace(labels, dist_doc)
+    except (TypeError, ValueError):
+        pass  # located below; a failure with no bad entry is raised again
+    for i, row in enumerate(dist_doc):
+        _vector(row, n, f'"space"."dist"[{i}]')
+    return FiniteMetricSpace(labels, dist_doc)
+
+
 def build_problem(doc: dict) -> EVPProblem:
     dim = _dimension(doc)
     K = build_cone(doc)
@@ -203,11 +224,7 @@ def build_problem(doc: dict) -> EVPProblem:
     dist_doc = space_doc.get("dist")
     if not isinstance(dist_doc, list) or len(dist_doc) != len(labels):
         raise ProblemFileError('"space"."dist" must be a square matrix over labels')
-    dist = tuple(
-        _vector(row, len(labels), f'"space"."dist"[{i}]')
-        for i, row in enumerate(dist_doc)
-    )
-    space = FiniteMetricSpace(tuple(labels), dist)
+    space = _build_space(tuple(labels), dist_doc)
 
     map_doc = doc.get("map")
     if not isinstance(map_doc, dict):
@@ -234,38 +251,6 @@ def build_problem(doc: dict) -> EVPProblem:
 
 def _vec_doc(v) -> list:
     return [to_jsonable(frac(c)) for c in v]
-
-
-def problem_to_document(p: EVPProblem) -> dict:
-    doc: dict = {
-        "dimension": p.K.dim,
-        "cone": {"generators": [_vec_doc(g) for g in p.K.generators]},
-        "H": {"vertices": [_vec_doc(v) for v in p.H.vertices]},
-        "space": {
-            "labels": list(p.space.labels),
-            "dist": [_vec_doc(row) for row in p.space.dist],
-        },
-        "map": {l: [_vec_doc(y) for y in p.images(l)] for l in p.space.labels},
-        "x0": p.x0,
-        "epsilon": to_jsonable(p.epsilon),
-    }
-    if isinstance(p.mode, ScaledMode):
-        doc["mode"] = {
-            "scaled": {
-                "epsilon": to_jsonable(p.mode.epsilon),
-                "lambda": to_jsonable(p.mode.lam),
-            }
-        }
-    elif isinstance(p.mode, EfficiencyMode):
-        doc["mode"] = {
-            "efficiency": {
-                "gamma": to_jsonable(p.mode.gamma),
-                "feasible": list(p.feasible),
-            }
-        }
-    else:
-        doc["mode"] = "plain"
-    return doc
 
 
 def certificate_to_document(

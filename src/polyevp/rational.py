@@ -4,8 +4,13 @@ All geometric data is stored as `fractions.Fraction` so feasibility
 questions have certified yes/no answers.  Floats are converted through
 their shortest decimal representation, which matches what a user wrote
 in an input file rather than the binary expansion of the float.
-`integerize` is the one place Fractions are scaled to integers, for the
-LP tableau, the metric check and the halfspace routes alike.
+
+Integers are formed in two places.  `ratio` reads each number of a
+problem file straight to a (numerator, denominator) pair, which
+`FiniteMetricSpace` keeps as one integer matrix over a common
+denominator and `frac` wraps in a Fraction.  `integerize` scales
+Fractions already built to integers, for the LP tableau and the
+halfspace routes.
 """
 
 from __future__ import annotations
@@ -22,6 +27,42 @@ Vec = tuple[Fraction, ...]
 _EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
 
 
+# A plain ASCII literal: optional minus, digits, then "/digits" or
+# ".digits".  Everything else (a sign "+", whitespace, "_", other
+# digits, exponents) goes the general route, so its value and its error
+# message are `Fraction`'s and not a second parser's.
+_PLAIN = re.compile(r"(-?)([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
+
+
+def ratio(x: Number) -> tuple[int, int]:
+    """``(num, den)`` with ``frac(x) == Fraction(num, den)``, in lowest
+    terms and ``den > 0``.
+
+    JSON ints and plain "p/q" or decimal strings are read straight to
+    integers.  Anything else, and a plain string whose zero denominator
+    or digit count (over `sys.get_int_max_str_digits`) `int` refuses,
+    takes `frac`'s general route, which gives every error.
+    """
+    if type(x) is int:
+        return x, 1
+    if type(x) is str and (m := _PLAIN.fullmatch(x)):
+        sign, whole, over, decimals = m.groups()
+        try:
+            if over is not None:
+                num, den = int(whole), int(over)
+            elif decimals is not None:
+                num, den = int(whole + decimals), 10 ** len(decimals)
+            else:
+                num, den = int(whole), 1
+        except ValueError:  # over the digit limit
+            den = 0
+        if den:
+            g = math.gcd(num, den)
+            return (-num if sign else num) // g, den // g
+    q = _fraction(x)
+    return q.numerator, q.denominator
+
+
 def frac(x: Number) -> Fraction:
     """Coerce ints, Fractions, floats, and 'p/q' or decimal strings.
 
@@ -32,6 +73,14 @@ def frac(x: Number) -> Fraction:
     digits of an integer) raises ValueError naming that limit: `Fraction`
     would compute 10**exponent in full.
     """
+    if isinstance(x, Fraction):
+        return x
+    return Fraction(*ratio(x))
+
+
+def _fraction(x: Number) -> Fraction:
+    """`frac` by `Fraction`'s own parser: the route for every input that
+    `ratio` does not read directly."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
@@ -74,12 +123,6 @@ def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
     if len(a) != len(b):
         raise ValueError(f"vector lengths differ: {len(a)} vs {len(b)}")
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    if len(a) != len(b):
-        raise ValueError(f"vector lengths differ: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def to_jsonable(q: Fraction) -> Union[int, str]:

@@ -17,21 +17,74 @@ import pytest
 from hypothesis import strategies as st
 
 from polyevp.evp import (
+    EfficiencyMode,
     EVPProblem,
     FiniteMetricSpace,
     PlainMode,
+    ScaledMode,
     SetValuedMapTable,
     condition_ii_witness,
     lower_section,
 )
 from polyevp.geometry import ConeGen, Polytope, VPolyhedralUnion
-from polyevp.rational import dot
+from polyevp.rational import dot, frac, to_jsonable
 
 
 def dual_cone_contains(K: ConeGen, l) -> bool:
     """Is the linear functional l nonnegative on the whole cone?  That is
     l . g >= 0 for every generator g, so no LP is needed."""
     return all(dot(l, g) >= 0 for g in K.generators)
+
+
+def vec_add(a, b) -> tuple[Fraction, ...]:
+    """The coordinatewise sum of two vectors of one length."""
+    if len(a) != len(b):
+        raise ValueError(f"vector lengths differ: {len(a)} vs {len(b)}")
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def map_table(mapping) -> SetValuedMapTable:
+    """The table of a {label: [image, ...]} mapping, in its key order."""
+    return SetValuedMapTable(
+        tuple((k, tuple(tuple(v) for v in vs)) for k, vs in mapping.items())
+    )
+
+
+def _vec_doc(v) -> list:
+    return [to_jsonable(frac(c)) for c in v]
+
+
+def problem_to_document(p: EVPProblem) -> dict:
+    """The problem document that `problemfile.build_problem` reads back as p."""
+    doc: dict = {
+        "dimension": p.K.dim,
+        "cone": {"generators": [_vec_doc(g) for g in p.K.generators]},
+        "H": {"vertices": [_vec_doc(v) for v in p.H.vertices]},
+        "space": {
+            "labels": list(p.space.labels),
+            "dist": [_vec_doc(row) for row in p.space.dist],
+        },
+        "map": {l: [_vec_doc(y) for y in p.images(l)] for l in p.space.labels},
+        "x0": p.x0,
+        "epsilon": to_jsonable(p.epsilon),
+    }
+    if isinstance(p.mode, ScaledMode):
+        doc["mode"] = {
+            "scaled": {
+                "epsilon": to_jsonable(p.mode.epsilon),
+                "lambda": to_jsonable(p.mode.lam),
+            }
+        }
+    elif isinstance(p.mode, EfficiencyMode):
+        doc["mode"] = {
+            "efficiency": {
+                "gamma": to_jsonable(p.mode.gamma),
+                "feasible": list(p.feasible),
+            }
+        }
+    else:
+        doc["mode"] = "plain"
+    return doc
 
 
 def rand_frac(rng: random.Random, lo: int = -10, hi: int = 10, max_den: int = 4) -> Fraction:
@@ -229,7 +282,7 @@ def rand_problem(
             tuple(b + k for b, k in zip(base, rand_point_in_cone(rng, K, 2)))
             for _ in range(rng.randint(1, max_images))
         ]
-    table = SetValuedMapTable.from_dict(images)
+    table = map_table(images)
     eps = Fraction(rng.randint(1, 4))
     for _ in range(10):
         mode = mode_factory(eps) if mode_factory else PlainMode()
@@ -310,9 +363,7 @@ def axis_cross_range() -> VPolyhedralUnion:
 def make_chain3(epsilon, mode=PlainMode()) -> EVPProblem:
     """Three points on a line with singleton images marching to the origin."""
     space = FiniteMetricSpace(("a", "b", "c"), ((0, 1, 2), (1, 0, 1), (2, 1, 0)))
-    table = SetValuedMapTable.from_dict(
-        {"a": [(4, 4)], "b": [(2, 2)], "c": [(0, 0)]}
-    )
+    table = map_table({"a": [(4, 4)], "b": [(2, 2)], "c": [(0, 0)]})
     return EVPProblem(
         space=space,
         f=table,

@@ -33,8 +33,7 @@ from polyevp.geometry import (
     cone_contains,
     union_disjoint_from,
 )
-from polyevp.problemfile import problem_to_document
-from polyevp.rational import vec_add, vec_sub
+from polyevp.rational import vec_sub
 from polyevp.scalarization import (
     ExtendedReal,
     SeparationFunctional,
@@ -46,11 +45,13 @@ from polyevp.evp import HypothesisViolatedError
 from conftest import (
     brute_force_minimal_set,
     make_chain3,
+    problem_to_document,
     rand_cone_polytope,
     rand_point_in_cone,
     rand_problem,
     rand_union,
     rand_vector,
+    vec_add,
 )
 
 

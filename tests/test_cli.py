@@ -10,7 +10,9 @@ from fractions import Fraction
 import pytest
 
 from polyevp import cli
+from polyevp.evp import FiniteMetricSpace
 from polyevp.geometry import ConeHalfspaces
+from polyevp.problemfile import build_problem, load_document
 
 
 def write(path, doc):
@@ -471,6 +473,52 @@ def test_huge_decimal_exponent_exits_2(
     assert out.startswith("input error:") and repr(literal) in out
     # the reason is the exponent limit, not a claim that it is no number
     assert f"exceeds {sys.get_int_max_str_digits()} in magnitude" in out
+
+
+@pytest.mark.parametrize(
+    "dist, message",
+    [
+        pytest.param(
+            [[0, 1, 2], [1, 0, "one"], [2, 1, 0]],
+            "\"space\".\"dist\"[1][2]: 'one' is not a number", id="not-a-number",
+        ),
+        pytest.param(
+            [[0, True, 2], [1, 0, 1], [2, 1, 0]],
+            '"space"."dist"[0][1]: True is not a number', id="bool",
+        ),
+        pytest.param(
+            [[0, 1, 2], [1, 0], [2, 1, 0]],
+            '"space"."dist"[1]: has 2 entries, expected dimension 3', id="short-row",
+        ),
+        # the first bad row or entry in row-major order is the one named
+        pytest.param(
+            [[0, 1, 2], [1, 0, "x"], [2, 1]],
+            "\"space\".\"dist\"[1][2]: 'x' is not a number", id="entry-before-row",
+        ),
+    ],
+)
+def test_bad_distance_entry_exits_2(tmp_path, chain3_doc, capsys, dist, message):
+    doc = {**chain3_doc, "space": {"labels": ["a", "b", "c"], "dist": dist}}
+    assert cli.main(["solve", write(tmp_path / "p.json", doc)]) == 2
+    assert capsys.readouterr().out == f"input error: {message}\n"
+
+
+def test_distance_literals_build_the_fraction_space(tmp_path, chain3_doc):
+    doc = {
+        **chain3_doc,
+        "space": {
+            "labels": ["a", "b", "c"],
+            "dist": [[0, "2/4", 1], ["0.5", 0, "1/2"], [1, "0.50", 0]],
+        },
+    }
+    space = build_problem(load_document(write(tmp_path / "p.json", doc))).space
+    half = Fraction(1, 2)
+    expected = FiniteMetricSpace(
+        ("a", "b", "c"), ((0, half, 1), (half, 0, half), (Fraction(1), half, 0))
+    )
+    assert space == expected and hash(space) == hash(expected)
+    assert space.dist == expected.dist
+    assert space.d("a", "b") == half
 
 
 class TestDiagnose:

@@ -22,7 +22,6 @@ from polyevp.evp import (
     PlainMode,
     ScaledMode,
     ScaleMismatchWarning,
-    SetValuedMapTable,
     ae_efficient,
     condition_ii_witness,
     coradiant_escape_check,
@@ -52,6 +51,7 @@ from polyevp.rational import vec_sub
 from conftest import (
     brute_force_minimal_set,
     make_chain3,
+    map_table,
     rand_cone_polytope,
     rand_metric_space,
     rand_problem,
@@ -173,6 +173,23 @@ class TestMetricSpace:
         ]:
             assert verdicts.get((edit, kind), 0) > 5, verdicts
 
+    @pytest.mark.parametrize(
+        "dist, triple",
+        [
+            # (b, a) fails at c while (a, b) holds; (b, d) and (c, d)
+            # fail later in row-major order
+            (((0, 2, 2, 2), (2, 0, 6, 2), (2, 6, 0, 1), (2, 2, 1, 0)), "('b', 'a', 'c')"),
+            # the first unordered pair that fails, {a, b}, fails only as
+            # (b, a); the row-major first failure is (a, d, c), and (b, a),
+            # (c, d) and (d, a) fail after it
+            (((0, 2, 5, 1), (2, 0, 4, 4), (5, 4, 0, 3), (1, 4, 3, 0)), "('a', 'd', 'c')"),
+        ],
+    )
+    def test_triangle_failure_in_one_direction_reports_first_triple(self, dist, triple):
+        labels = ("a", "b", "c", "d")
+        expected = self._assert_same_verdict(labels, dist)
+        assert expected == f"triangle inequality fails on {triple}"
+
     def test_integer_check_on_one_point(self):
         for dist in [(0,), ("1/3",), (-1,), ("0/7",)]:
             self._assert_same_verdict(("only",), (dist,))
@@ -185,7 +202,7 @@ class TestMetricSpace:
 
     def test_empty_images_rejected(self):
         with pytest.raises(InvalidConfigurationError):
-            SetValuedMapTable.from_dict({"a": []})
+            map_table({"a": []})
 
 
 class TestDominance:
@@ -205,7 +222,7 @@ class TestDominance:
 
     def test_isolated_point_has_singleton_section(self):
         space = FiniteMetricSpace(("a", "b"), ((0, 1), (1, 0)))
-        table = SetValuedMapTable.from_dict({"a": [(0, 0)], "b": [(50, 50)]})
+        table = map_table({"a": [(0, 0)], "b": [(50, 50)]})
         p = EVPProblem(
             space=space, f=table, K=ConeGen(2, ((1, 0), (0, 1))),
             H=Polytope(2, ((1, 1),)), x0="a", epsilon=100,
@@ -263,7 +280,7 @@ class TestSolve:
 
     def test_single_point_space(self):
         space = FiniteMetricSpace(("only",), ((0,),))
-        table = SetValuedMapTable.from_dict({"only": [(1, 2)]})
+        table = map_table({"only": [(1, 2)]})
         p = EVPProblem(
             space=space, f=table, K=ConeGen(2, ((1, 0), (0, 1))),
             H=Polytope(2, ((1, 1),)), x0="only", epsilon=3,
@@ -313,7 +330,7 @@ class TestSolve:
         # step a -> b drops the potential by exactly scale * d(a, b)
         d = Fraction(3, 2)
         space = FiniteMetricSpace(("a", "b"), ((0, d), (d, 0)))
-        table = SetValuedMapTable.from_dict(
+        table = map_table(
             {"a": [(4, 4)], "b": [(4 - scale * d, 4 - scale * d)]}
         )
         p = EVPProblem(
@@ -347,7 +364,7 @@ class TestForgedCertificates:
     def test_endpoint_above_the_start_fails_a(self):
         # b's image sits above a's, so b is not below a, and a is below b
         space = FiniteMetricSpace(("a", "b"), ((0, 1), (1, 0)))
-        table = SetValuedMapTable.from_dict({"a": [(0, 0)], "b": [(5, 5)]})
+        table = map_table({"a": [(0, 0)], "b": [(5, 5)]})
         p = EVPProblem(
             space=space, f=table, K=ConeGen(2, ((1, 0), (0, 1))),
             H=Polytope(2, ((1, 1),)), x0="a", epsilon=5,
@@ -450,7 +467,7 @@ class TestEfficiency:
 
     def test_efficiency_mode_needs_pointed_cone(self):
         space = FiniteMetricSpace(("a",), ((0,),))
-        table = SetValuedMapTable.from_dict({"a": [(1, 0)]})
+        table = map_table({"a": [(1, 0)]})
         line = ConeGen(2, ((1, 0), (-1, 0), (0, 1)))
         with pytest.raises(InvalidConfigurationError):
             EVPProblem(
@@ -462,7 +479,7 @@ class TestEfficiency:
         space = FiniteMetricSpace(
             ("a", "b", "c"), ((0, 1, 2), (1, 0, 1), (2, 1, 0))
         )
-        table = SetValuedMapTable.from_dict(
+        table = map_table(
             {"a": [(4, 4)], "b": [(2, 2)], "c": [(0, 0)]}
         )
         p = EVPProblem(
@@ -531,7 +548,7 @@ class TestCoradiantEscape:
             images = {"a": [H.vertices[0]], "b": [H.vertices[0]]}
             p = EVPProblem(
                 space=FiniteMetricSpace(("a", "b"), ((0, d), (d, 0))),
-                f=SetValuedMapTable.from_dict(images), K=K, H=H, x0="a",
+                f=map_table(images), K=K, H=H, x0="a",
                 epsilon=eps, mode=EfficiencyMode(gamma),
             )
             r = eps / gamma

@@ -16,10 +16,9 @@ from polyevp.problemfile import (
     certificate_from_document,
     certificate_to_document,
     load_document,
-    problem_to_document,
 )
 
-from conftest import make_chain3, rand_problem
+from conftest import make_chain3, problem_to_document, rand_problem
 
 
 def load_from(tmp_path, doc):

@@ -14,7 +14,7 @@ from polyevp.geometry import (
     scaled_H_minus_K_contains,
     zero_notin_H_plus_K,
 )
-from polyevp.rational import frac_vec, integerize, vec_add, vec_sub
+from polyevp.rational import frac_vec, integerize, vec_sub
 from polyevp.scalarization import (
     BisectionResult,
     BracketExhaustedError,
@@ -32,6 +32,7 @@ from conftest import (
     rand_cone_polytope,
     rand_point_in_cone,
     rand_vector,
+    vec_add,
 )
 
 
