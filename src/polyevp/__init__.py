@@ -9,7 +9,6 @@ halfspace representation computed once per problem.
 
 from .boundedness import (
     BoundednessReport,
-    HLowerResult,
     classify,
     find_kstar,
     is_H_lower_bounded,
@@ -55,12 +54,10 @@ from .geometry import (
 from .lp_core import LinearProgram, LPFormatError, LPResult
 from .lp_core import solve as solve_lp
 from .scalarization import (
-    BisectionResult,
     BracketExhaustedError,
     ExtendedReal,
     InternalConsistencyError,
     SeparationFunctional,
-    attainment_check,
     evaluate,
     evaluate_bisection,
 )

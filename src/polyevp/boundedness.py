@@ -35,6 +35,7 @@ from .geometry import (
     DimensionMismatchError,
     Polytope,
     VPolyhedralUnion,
+    _combination_lp,
     cone_contains,
     union_disjoint_from,
     zero_notin_H_plus_K,
@@ -44,7 +45,6 @@ from .rational import Number, Vec, dot, frac, frac_vec
 
 __all__ = [
     "BoundednessReport",
-    "HLowerResult",
     "is_K_lower_bounded",
     "is_quasi_K_lower_bounded",
     "find_kstar",
@@ -115,21 +115,18 @@ def find_kstar(M: VPolyhedralUnion, K: ConeGen, H: Polytope) -> Optional[Vec]:
     constraints += [(h, Fraction(1)) for h in H.vertices]
     constraints += [(r, Fraction(0)) for r in rays]
     k = len(constraints)
-    # variables: a, b (l = a - b, both >= 0, n each), slacks (k)
-    nvars = 2 * n + k
-    rows = []
-    rhs = []
-    for ci, (w, bound) in enumerate(constraints):
-        row = [Fraction(0)] * nvars
-        for r in range(n):
-            row[r] = w[r]
-            row[n + r] = -w[r]
-        row[2 * n + ci] = Fraction(-1)
-        rows.append(row)
-        rhs.append(bound)
-    objective = [Fraction(1)] * (2 * n) + [Fraction(0)] * k
-    lp = LinearProgram.optimize(
-        objective, "min", rows, rhs, [True] * nvars
+    # l = a - b with a, b >= 0, and one slack s_c >= 0 per constraint:
+    # l.w_c - s_c = bound_c, columns a (n), b (n), s (k).  The slack
+    # block is -I written out with shared entries: scaling I by -1 would
+    # form k*k Fraction products on every call.
+    cols = [tuple(w[r] for w, _ in constraints) for r in range(n)]
+    zero, minus_one = Fraction(0), Fraction(-1)
+    slacks = [tuple(minus_one if i == j else zero for i in range(k)) for j in range(k)]
+    lp = _combination_lp(
+        [bound for _, bound in constraints],
+        [(cols, 1, False), (cols, -1, False), (slacks, 1, False)],
+        [1] * (2 * n) + [0] * k,
+        "min",
     )
     res = solve(lp)
     if not res.is_feasible:
@@ -154,27 +151,19 @@ def separating_epsilon_for(
     return max(gap, Fraction(0)) + 1
 
 
-@dataclass(frozen=True)
-class HLowerResult:
-    """Outcome of the candidate search for shifted-set boundedness.
-
-    ``status`` is True (confirmed, with witness) or None (unknown: every
-    candidate intersected).  False is deliberately never produced; the
-    property is existential over an unbounded space and this module does
-    not pretend to refute it.
-    """
-
-    status: Optional[bool]
-    witness: Optional[tuple[Vec, Fraction]]
-
-
 def is_H_lower_bounded(
     M: VPolyhedralUnion,
     K: ConeGen,
     H: Polytope,
     candidates: Sequence[tuple[Sequence[Number], Number]],
-) -> HLowerResult:
-    """Try each (y0, eps) candidate until one translate misses M."""
+) -> Optional[tuple[Vec, Fraction]]:
+    """The first (y0, eps) candidate whose translate y0 - eps*H - K
+    misses M, or None when every candidate intersects it.
+
+    None means unknown, never "not shifted-set bounded": the property is
+    existential over an unbounded space and this module does not pretend
+    to refute it.
+    """
     if not candidates:
         raise ValueError("candidate list must not be empty")
     for y0, eps in candidates:
@@ -182,8 +171,8 @@ def is_H_lower_bounded(
         if e <= 0:
             raise ValueError("every candidate eps must be positive")
         if union_disjoint_from(M, y0, e, H, K):
-            return HLowerResult(True, (frac_vec(y0), e))
-    return HLowerResult(None, None)
+            return frac_vec(y0), e
+    return None
 
 
 @dataclass(frozen=True)
@@ -231,14 +220,14 @@ def classify(
     if kstar is not None and candidates:
         y = candidates[0][0]
         candidates.append((y, separating_epsilon_for(M, kstar, y)))
-    h_res = is_H_lower_bounded(M, K, H, candidates)
+    h_witness = is_H_lower_bounded(M, K, H, candidates)
     return BoundednessReport(
         k_lower=b is not None,
         k_lower_witness=b,
         quasi_k_lower=quasi,
         kstar_h_lower=kstar is not None,
         kstar_witness=kstar,
-        h_lower=h_res.status,
-        h_lower_witness=h_res.witness,
+        h_lower=True if h_witness is not None else None,
+        h_lower_witness=h_witness,
         ladder_consistent=not (quasi and kstar is None),
     )

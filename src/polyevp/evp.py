@@ -37,6 +37,7 @@ perturbation direction.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import warnings
@@ -174,21 +175,17 @@ class FiniteMetricSpace:
                 f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})"
             )
 
-    @property
+    @functools.cached_property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
-        d = self.__dict__.get("_dist")
-        if d is None:
-            d = tuple(tuple(Fraction(x, self.den) for x in row) for row in self.matrix)
-            object.__setattr__(self, "_dist", d)
-        return d
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.matrix)
+
+    @functools.cached_property
+    def _index(self) -> dict[str, int]:
+        return {l: i for i, l in enumerate(self.labels)}
 
     def _index_of(self, label: str) -> int:
-        idx = self.__dict__.get("_index")
-        if idx is None:
-            idx = {l: i for i, l in enumerate(self.labels)}
-            object.__setattr__(self, "_index", idx)
         try:
-            return idx[label]
+            return self._index[label]
         except KeyError:
             raise ValueError(f"unknown label {label!r}") from None
 
@@ -225,13 +222,13 @@ class SetValuedMapTable:
     def dim(self) -> int:
         return len(self.entries[0][1][0])
 
+    @functools.cached_property
+    def _table(self) -> dict[str, tuple[Vec, ...]]:
+        return dict(self.entries)
+
     def images(self, label: str) -> tuple[Vec, ...]:
-        table = self.__dict__.get("_table")
-        if table is None:
-            table = dict(self.entries)
-            object.__setattr__(self, "_table", table)
         try:
-            return table[label]
+            return self._table[label]
         except KeyError:
             raise ValueError(f"no image entry for label {label!r}") from None
 
@@ -289,10 +286,13 @@ class EVPProblem:
             object.__setattr__(self, "feasible", tuple(self.space.labels))
         else:
             object.__setattr__(self, "feasible", tuple(str(l) for l in self.feasible))
-        label_set = set(self.space.labels)
+        label_set, seen = set(self.space.labels), set()
         for l in self.feasible:
             if l not in label_set:
                 raise InvalidConfigurationError(f"feasible point {l!r} is not in the space")
+            if l in seen:
+                raise InvalidConfigurationError(f"feasible point {l!r} is listed twice")
+            seen.add(l)
         if not self.feasible:
             raise InvalidConfigurationError("feasible set must not be empty")
         if self.x0 not in self.feasible:
@@ -328,6 +328,13 @@ class EVPProblem:
 
     def images(self, label: str) -> tuple[Vec, ...]:
         return self.f.images(label)
+
+    @functools.cached_property
+    def _image_rows(self) -> _ImageRows:
+        """The solver's row products, built on first use."""
+        plus, minus = self._separation.halfspaces()
+        scale, (at_plus, at_minus) = _image_products(self, plus, minus)
+        return _ImageRows(scale, plus, minus, at_plus, at_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -367,24 +374,14 @@ class _ImageRows:
     minus: dict[str, list[tuple[int, ...]]]
 
 
-def _image_rows(p: EVPProblem) -> _ImageRows:
-    rows = p.__dict__.get("_image_rows")
-    if rows is None:
-        plus, minus = p._separation.halfspaces()
-        scale, (at_plus, at_minus) = _image_products(p, plus, minus)
-        rows = _ImageRows(scale, plus, minus, at_plus, at_minus)
-        object.__setattr__(p, "_image_rows", rows)
-    return rows
-
-
 def dominates(p: EVPProblem, xprime: str, x: str) -> bool:
     """Is xprime below x, i.e. f(x) within f(xprime) + scale*d*H + K?
 
     Each image of f(x) must be reachable from some image of f(xprime);
     each pair is a sign check of stored integer row products
-    (`_image_rows`).
+    (`EVPProblem._image_rows`).
     """
-    rows = _image_rows(p)
+    rows = p._image_rows
     den, bounds = rows.plus_hs.bounds(p.scale * p.space.d(xprime, x) * rows.scale)
     sources = rows.plus[xprime]
     return all(
@@ -411,7 +408,7 @@ def _escaping_image(
     a point in scope reaches, y0 - y in eps*H + K, or is None when every
     image is reached; ``blocking`` maps each image before it to the first
     (point, image y) that reaches it."""
-    rows = _image_rows(p)
+    rows = p._image_rows
     den, bounds = rows.plus_hs.bounds(eps * rows.scale)
     blocking: dict = {}
     for i, (y0, y0_rows) in enumerate(zip(p.images(x), rows.plus[x])):
@@ -489,7 +486,7 @@ def solve(p: EVPProblem) -> EVPCertificate:
     halfspaces of the cones over t*H + K and t*H - K with no LP, in
     exact integer arithmetic.
     """
-    rows = _image_rows(p)
+    rows = p._image_rows
     # one lower section per chain point: x0's is the hypothesis scope
     # (outside efficiency mode), the bound check's range and the first
     # descent step
@@ -595,12 +592,12 @@ def coradiant_escape_check(p: EVPProblem, xbar: str) -> Optional[Vec]:
     it avoids H + K; H's first vertex escapes with no LP.
     """
     gamma = p.mode.gamma if isinstance(p.mode, EfficiencyMode) else 1
-    ratio = p.epsilon / gamma
+    radius = p.epsilon / gamma
     dist = p.space.d(p.x0, xbar)
     if dist == 0:
         return p.H.vertices[0]
     for h in p.H.vertices:
-        if not scaled_H_plus_K_contains(p.H, p.K, tuple(dist * c for c in h), ratio):
+        if not scaled_H_plus_K_contains(p.H, p.K, tuple(dist * c for c in h), radius):
             return h
     return None
 

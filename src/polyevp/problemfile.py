@@ -3,7 +3,8 @@
 A problem document carries the geometry ("dimension", "cone", "H"),
 optionally a metric-space problem ("space", "map", "x0", "epsilon",
 "mode"), optionally a ranges block for boundedness diagnostics, and
-optional evaluation settings ("tolerance", "t_max").  Numbers may be
+optional bisection settings ("tolerance", "t_max"), which
+`evaluation_settings` reads with their defaults.  Numbers may be
 written as integers, decimals, or "p/q" strings; everything is parsed
 exactly, each number once, by `rational.ratio`.  The distances of
 "space"."dist" go to `FiniteMetricSpace` as written, and it forms its
@@ -34,14 +35,12 @@ from .evp import (
 )
 from .geometry import ConeGen, Polytope, VPolyhedralUnion
 from .rational import Vec, frac, to_jsonable
-from .scalarization import SeparationFunctional
 
 __all__ = [
     "ProblemFileError",
     "load_document",
     "build_cone",
     "build_polytope",
-    "build_separation",
     "build_ranges",
     "build_problem",
     "certificate_to_document",
@@ -119,23 +118,13 @@ def build_polytope(doc: dict) -> Polytope:
 
 
 def evaluation_settings(doc: dict) -> tuple[Fraction, Fraction]:
-    """(tolerance, t_max) with the package defaults filled in."""
+    """(tolerance, t_max) for `scalarization.evaluate_bisection`, with the
+    package defaults filled in; this is the only place they are written."""
     tol = _num(doc.get("tolerance", "1/1000000000"), '"tolerance"')
     t_max = _num(doc.get("t_max", 2**20), '"t_max"')
     if tol <= 0 or t_max <= 0:
         raise ProblemFileError('"tolerance" and "t_max" must be positive')
     return tol, t_max
-
-
-def build_separation(
-    doc: dict, settings: Optional[tuple[Fraction, Fraction]] = None
-) -> SeparationFunctional:
-    """The scalarizer of ``doc``; ``settings`` is (tol, t_max) already
-    resolved by the caller, else the document's own `evaluation_settings`."""
-    tol, t_max = settings or evaluation_settings(doc)
-    return SeparationFunctional(
-        build_polytope(doc), build_cone(doc), t_max=t_max, tol=tol
-    )
 
 
 def build_ranges(doc: dict) -> VPolyhedralUnion:

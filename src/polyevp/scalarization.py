@@ -31,13 +31,17 @@ the question is one extreme scale.  Three routes compute it:
   shares nothing with `evaluate` but H and K, and is a genuinely
   independent cross-check for it.
 
+The functional is the pair (H, K) and nothing else; the bisection's
+width and bracket bound are arguments of `evaluate_bisection`, the one
+route that reads them.
+
 The descent solver (`evp.solve`) scores by the closed form, from row
 products it computes once per problem.  The certificate verifier
 re-scores a trace by the LP route.  The ``scalarize`` command uses the
 LP route and cross-checks it by bisection, so it builds the halfspaces
 once per functional.  A facet missing from them lets bisection accept
 scales below phi, and the two routes disagree; a row that fails the
-check is dropped.  `attainment_check` stays on the membership LP.
+check is dropped.
 
 This module never reads a halfspace row: `geometry.ConeHalfspaces` owns
 the row format and answers each question, and `rational.integerize`
@@ -62,7 +66,6 @@ from .geometry import (
     cone_contains,
     homogenized_halfspaces,
     reaches,
-    scaled_H_minus_K_contains,
 )
 from .lp_core import LinearProgram, solve
 from .rational import Number, Vec, frac, frac_vec, integerize
@@ -72,11 +75,9 @@ __all__ = [
     "BracketExhaustedError",
     "ExtendedReal",
     "SeparationFunctional",
-    "BisectionResult",
     "evaluate",
     "evaluate_bisection",
     "phi_from_rows",
-    "attainment_check",
 ]
 
 
@@ -124,7 +125,7 @@ class ExtendedReal:
 
 @dataclass(frozen=True)
 class SeparationFunctional:
-    """The pair (H, K) with evaluation tolerances.
+    """The pair (H, K) that defines phi.
 
     Construction validates the configuration the evaluators require:
     every vertex of H lies in K but not in -K.  Those vertex checks
@@ -135,16 +136,10 @@ class SeparationFunctional:
 
     H: Polytope
     K: ConeGen
-    t_max: Fraction = Fraction(2**20)
-    tol: Fraction = Fraction(1, 10**9)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t_max", frac(self.t_max))
-        object.__setattr__(self, "tol", frac(self.tol))
         if self.H.dim != self.K.dim:
             raise DimensionMismatchError("H and K dimensions differ")
-        if self.t_max <= 0 or self.tol <= 0:
-            raise InvalidConfigurationError("t_max and tol must be positive")
         for v in self.H.vertices:
             if not cone_contains(self.K, v):
                 raise InvalidConfigurationError(
@@ -160,17 +155,17 @@ class SeparationFunctional:
         # weight in h, so that vertex lies in L, within -K, and the loop
         # above has raised.
 
+    @functools.cached_property
+    def _halfspaces(self) -> tuple[ConeHalfspaces, ConeHalfspaces]:
+        return tuple(homogenized_halfspaces(self.H, self.K, s) for s in (1, -1))
+
     def halfspaces(self) -> tuple[ConeHalfspaces, ConeHalfspaces]:
         """Halfspaces of the cones over t*H + K and t*H - K, in that order.
 
         Built on the first call and kept on the functional, so only
         callers of the closed form pay for them.
         """
-        hs = self.__dict__.get("_halfspaces")
-        if hs is None:
-            hs = tuple(homogenized_halfspaces(self.H, self.K, s) for s in (1, -1))
-            object.__setattr__(self, "_halfspaces", hs)
-        return hs
+        return self._halfspaces
 
 
 def phi_from_rows(
@@ -250,30 +245,19 @@ def evaluate(F: SeparationFunctional, y: Sequence[Number]) -> ExtendedReal:
     return ExtendedReal.plus_infinity()
 
 
-@dataclass(frozen=True)
-class BisectionResult:
-    """Bracketed value plus a flag for an unconfirmed +infinity verdict.
-
-    `unconfirmed_at_t_max` distinguishes "no feasible scale up to the
-    bracket bound" from a certified empty scale set, which bisection
-    alone can never establish.  The bound t_max is itself probed, so an
-    unconfirmed verdict agrees with any phi(y) > t_max.
-    """
-
-    value: ExtendedReal
-    unconfirmed_at_t_max: bool = False
-
-
-def evaluate_bisection(F: SeparationFunctional, y: Sequence[Number]) -> BisectionResult:
-    """Bracket-and-bisect phi(y) to within F.tol.
+def evaluate_bisection(
+    F: SeparationFunctional, y: Sequence[Number], tol: Number, t_max: Number
+) -> ExtendedReal:
+    """Bracket-and-bisect phi(y) to within tol.
 
     Doubles outward from +-1, each step clamped to +-t_max, to find a
     feasible upper scale and an infeasible lower scale, then bisects.
     Returns the feasible endpoint of the final bracket, which sits within
     tol above the infimum.  When no probed scale up to max(1, t_max) is
-    feasible the result is +infinity, unconfirmed at t_max; when every
-    probed scale down to -max(1, t_max) is, `BracketExhaustedError`
-    names the last one.
+    feasible the result is +infinity, which bisection alone can never
+    certify: it agrees with any phi(y) > t_max, since t_max itself is
+    probed.  When every probed scale down to -max(1, t_max) is feasible,
+    `BracketExhaustedError` names the last one.
 
     "y in t*H - K" is asked of the checked rows of F's halfspaces
     (`geometry.checked_rows`): for t >= 0 it reads (y, t) in the cone
@@ -282,6 +266,9 @@ def evaluate_bisection(F: SeparationFunctional, y: Sequence[Number]) -> Bisectio
     check at T = t * scale in z's frame, where the bracket is kept; the
     row products of z are formed once per call.
     """
+    tol, t_max = frac(tol), frac(t_max)
+    if tol <= 0 or t_max <= 0:
+        raise InvalidConfigurationError("t_max and tol must be positive")
     yv = frac_vec(y)
     if len(yv) != F.H.dim:
         raise DimensionMismatchError(
@@ -299,13 +286,11 @@ def evaluate_bisection(F: SeparationFunctional, y: Sequence[Number]) -> Bisectio
             return reaches(*plus.bounds(-T), zero, at_plus_z)
         return reaches(*minus.bounds(T), at_z, zero)
 
-    t_max, tol = F.t_max * scale, F.tol * scale
+    t_max, tol = t_max * scale, tol * scale
     hi = Fraction(scale)
     while not feasible(hi):
         if hi >= t_max:
-            return BisectionResult(
-                ExtendedReal.plus_infinity(), unconfirmed_at_t_max=True
-            )
+            return ExtendedReal.plus_infinity()
         hi = min(2 * hi, t_max)
     lo = Fraction(-scale)
     while feasible(lo):
@@ -320,18 +305,4 @@ def evaluate_bisection(F: SeparationFunctional, y: Sequence[Number]) -> Bisectio
             hi = mid
         else:
             lo = mid
-    return BisectionResult(ExtendedReal.finite(hi / scale))
-
-
-def attainment_check(
-    F: SeparationFunctional, y: Sequence[Number], value: ExtendedReal
-) -> bool:
-    """Does y itself belong to value*H - K, for value = `evaluate`(F, y)?
-
-    With compact H and closed K the infimum is always attained, so a
-    False here is a bug detector rather than a legitimate outcome.  The
-    caller passes the value it already has; one membership LP decides.
-    """
-    if not value.is_finite:
-        raise ValueError("attainment is only defined for finite values")
-    return scaled_H_minus_K_contains(F.H, F.K, y, value.value)
+    return ExtendedReal.finite(hi / scale)

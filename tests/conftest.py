@@ -30,6 +30,10 @@ from polyevp.geometry import ConeGen, Polytope, VPolyhedralUnion
 from polyevp.rational import dot, frac, to_jsonable
 
 
+# the bisection settings a problem document gets by default
+TOL, T_MAX = Fraction(1, 10**9), Fraction(2**20)
+
+
 def dual_cone_contains(K: ConeGen, l) -> bool:
     """Is the linear functional l nonnegative on the whole cone?  That is
     l . g >= 0 for every generator g, so no LP is needed."""

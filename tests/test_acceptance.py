@@ -43,6 +43,8 @@ from polyevp.scalarization import (
 from polyevp.evp import HypothesisViolatedError
 
 from conftest import (
+    T_MAX,
+    TOL,
     brute_force_minimal_set,
     make_chain3,
     problem_to_document,
@@ -195,12 +197,12 @@ def test_criterion_3_oracle_agreement():
                 rand_point_in_cone(rng, K),
             )
             lp_val = evaluate(sf, y)
-            bis = evaluate_bisection(sf, y)
+            bis = evaluate_bisection(sf, y, TOL, T_MAX)
             queries += 1
             if not (
                 lp_val.is_finite
-                and bis.value.is_finite
-                and abs(lp_val.value - bis.value.value) <= Fraction(1, 10**6)
+                and bis.is_finite
+                and abs(lp_val.value - bis.value) <= Fraction(1, 10**6)
             ):
                 disagreements += 1
             if queries >= 500:

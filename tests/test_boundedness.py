@@ -20,6 +20,7 @@ from polyevp.geometry import (
     cone_contains,
     union_disjoint_from,
 )
+from polyevp.lp_core import LinearProgram
 from polyevp.rational import dot
 
 from conftest import (
@@ -94,8 +95,7 @@ class TestShiftedSetBound:
         res = is_H_lower_bounded(
             axis_cross_range, orthant2, slanted_segment, [((0, 0), 1)]
         )
-        assert res.status is True
-        assert res.witness == ((Fraction(0), Fraction(0)), Fraction(1))
+        assert res == ((Fraction(0), Fraction(0)), Fraction(1))
 
     def test_whole_plane_stays_unknown(self, slanted_segment, orthant2):
         plane = VPolyhedralUnion(
@@ -104,11 +104,11 @@ class TestShiftedSetBound:
         res = is_H_lower_bounded(
             plane, orthant2, slanted_segment, [((0, 0), 1), ((9, 9), 4)]
         )
-        assert res.status is None and res.witness is None
+        assert res is None
 
     def test_vee_confirmed(self, vee_range, simplex_segment, orthant2):
         res = is_H_lower_bounded(vee_range, orthant2, simplex_segment, [((0, 0), 1)])
-        assert res.status is True
+        assert res is not None
 
     def test_empty_candidates_rejected(self, vee_range, simplex_segment, orthant2):
         with pytest.raises(ValueError):
@@ -189,4 +189,49 @@ def test_strictness_of_every_ladder_step(
     assert find_kstar(axis_cross_range, orthant2, slanted_segment) is None
     assert is_H_lower_bounded(
         axis_cross_range, orthant2, slanted_segment, [((0, 0), 1)]
-    ).status
+    ) is not None
+
+
+def _kstar_lp_by_rows(M, K, H) -> LinearProgram:
+    """`find_kstar`'s program written out row by row: one row per
+    constraint w . l >= bound, with l = a - b and a slack per row."""
+    n = M.dim
+    constraints = [(g, Fraction(0)) for g in K.generators]
+    constraints += [(h, Fraction(1)) for h in H.vertices]
+    constraints += [(r, Fraction(0)) for r in M.all_rays()]
+    k = len(constraints)
+    rows, rhs = [], []
+    for ci, (w, bound) in enumerate(constraints):
+        row = [Fraction(0)] * (2 * n + k)
+        for r in range(n):
+            row[r] = w[r]
+            row[n + r] = -w[r]
+        row[2 * n + ci] = Fraction(-1)
+        rows.append(row)
+        rhs.append(bound)
+    objective = [Fraction(1)] * (2 * n) + [Fraction(0)] * k
+    return LinearProgram.optimize(objective, "min", rows, rhs, [True] * (2 * n + k))
+
+
+def test_find_kstar_builds_the_row_by_row_program(monkeypatch):
+    # the program goes to the solver unchanged, so equal programs give
+    # equal pivots and an equal witness
+    from polyevp import boundedness
+
+    seen = []
+    solve = boundedness.solve
+
+    def spy(lp):
+        seen.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(boundedness, "solve", spy)
+    rng = random.Random(20170817)
+    for _ in range(200):
+        K, H, _ = rand_cone_polytope(
+            rng, rng.randint(2, 3), rng.randint(1, 3), rng.randint(1, 2)
+        )
+        M = rand_union(rng, K)
+        seen.clear()
+        find_kstar(M, K, H)
+        assert seen == [_kstar_lp_by_rows(M, K, H)], (M, K, H)

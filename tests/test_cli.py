@@ -132,19 +132,17 @@ class TestScalarize:
         self, tmp_path, segment_doc, monkeypatch
     ):
         seen = []
-        evaluate = cli.scalarization.evaluate
+        evaluate_bisection = cli.scalarization.evaluate_bisection
 
-        def spy(F, y):
-            seen.append(F)
-            return evaluate(F, y)
+        def spy(F, y, tol, t_max):
+            seen.append((tol, t_max))
+            return evaluate_bisection(F, y, tol, t_max)
 
-        monkeypatch.setattr(cli.scalarization, "evaluate", spy)
+        monkeypatch.setattr(cli.scalarization, "evaluate_bisection", spy)
         f = write(tmp_path / "p.json", segment_doc)
         argv = ["scalarize", f, "--point", "1,1", "--tol", "1/1000", "--t-max", "8"]
         assert cli.main(argv) == 0
-        assert seen and all(
-            (F.tol, F.t_max) == (Fraction(1, 1000), 8) for F in seen
-        )
+        assert seen == [(Fraction(1, 1000), 8)]
 
     @pytest.mark.parametrize("flag", ["--tol", "--t-max"])
     def test_zero_denominator_setting_exits_2(
@@ -369,6 +367,16 @@ _CERTIFICATE = {"xbar": "c", "y0": [0, 0], "chain": ["a", "c"], "xi_trace": [0, 
             {"mode": {"efficiency": {"gamma": 1, "feasible": "a"}}}, None,
             '"mode"."efficiency"."feasible" must be a list of labels',
             id="feasible-not-labels",
+        ),
+        pytest.param(
+            ["solve", "{problem}"],
+            {"mode": {"efficiency": {"gamma": 1, "feasible": ["a", "a"]}}}, None,
+            "feasible point 'a' is listed twice", id="feasible-repeated-start",
+        ),
+        pytest.param(
+            ["solve", "{problem}"],
+            {"mode": {"efficiency": {"gamma": 1, "feasible": ["a", "c", "c"]}}}, None,
+            "feasible point 'c' is listed twice", id="feasible-repeated",
         ),
         pytest.param(
             ["solve", "{problem}"], {"space": [0]}, None,

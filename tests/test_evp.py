@@ -491,6 +491,18 @@ class TestEfficiency:
         assert cert.xbar == "b"  # c is outside the feasible set
         assert verify_certificate(p, cert).passed
 
+    @pytest.mark.parametrize(
+        "feasible, repeated", [(("a", "a"), "a"), (("a", "c", "c"), "c")]
+    )
+    def test_repeated_feasible_label_rejected(self, chain3_eps5, feasible, repeated):
+        # a repeated label would enter a lower section twice, so the point
+        # would not be the section's only member below itself
+        with pytest.raises(InvalidConfigurationError) as exc:
+            dataclasses.replace(
+                chain3_eps5, mode=EfficiencyMode(1), feasible=feasible
+            )
+        assert str(exc.value) == f"feasible point {repeated!r} is listed twice"
+
 
 class TestCoradiantEscape:
     def test_zero_step_degenerates_to_origin_exclusion(self, chain3_eps5):

@@ -10,15 +10,16 @@ from polyevp.evp import ScaledMode, solve, verify_certificate
 from polyevp.problemfile import (
     ProblemFileError,
     build_cone,
+    build_polytope,
     build_problem,
     build_ranges,
-    build_separation,
     certificate_from_document,
     certificate_to_document,
+    evaluation_settings,
     load_document,
 )
 
-from conftest import make_chain3, problem_to_document, rand_problem
+from conftest import T_MAX, TOL, make_chain3, problem_to_document, rand_problem
 
 
 def load_from(tmp_path, doc):
@@ -39,8 +40,8 @@ def test_decimal_strings_parse_exactly(tmp_path):
     K = build_cone(doc)
     assert K.generators[0][0] == Fraction(1, 10)  # not the binary float
     assert K.generators[1][1] == Fraction(2, 3)
-    sf = build_separation(doc)
-    assert sf.H.vertices[0][0] == Fraction(1, 4)
+    H = build_polytope(doc)
+    assert H.vertices[0][0] == Fraction(1, 4)
 
 
 def test_settings_defaults_and_overrides(tmp_path):
@@ -54,9 +55,9 @@ def test_settings_defaults_and_overrides(tmp_path):
             "t_max": 64,
         },
     )
-    sf = build_separation(doc)
-    assert sf.tol == Fraction(1, 100000)
-    assert sf.t_max == 64
+    assert evaluation_settings(doc) == (Fraction(1, 100000), 64)
+    del doc["tolerance"], doc["t_max"]
+    assert evaluation_settings(doc) == (TOL, T_MAX)
 
 
 def test_problem_document_round_trip():

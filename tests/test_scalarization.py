@@ -16,18 +16,18 @@ from polyevp.geometry import (
 )
 from polyevp.rational import frac_vec, integerize, vec_sub
 from polyevp.scalarization import (
-    BisectionResult,
     BracketExhaustedError,
     ExtendedReal,
     InternalConsistencyError,
     SeparationFunctional,
-    attainment_check,
     evaluate,
     evaluate_bisection,
     phi_from_rows,
 )
 
 from conftest import (
+    T_MAX,
+    TOL,
     instance_point_scales,
     rand_cone_polytope,
     rand_point_in_cone,
@@ -71,9 +71,10 @@ class TestWorkedValues:
         assert evaluate(segment_functional, (0, 0)) == ExtendedReal.finite(0)
 
     def test_dimension_mismatch(self, segment_functional):
-        for route in (evaluate, evaluate_bisection):
-            with pytest.raises(ValueError):
-                route(segment_functional, (1, 2, 3))
+        with pytest.raises(ValueError):
+            evaluate(segment_functional, (1, 2, 3))
+        with pytest.raises(ValueError):
+            evaluate_bisection(segment_functional, (1, 2, 3), TOL, T_MAX)
 
     def test_unreachable_point_is_plus_infinity(self):
         sf = SeparationFunctional(Polytope(2, ((1, 0),)), ConeGen(2, ((1, 0),)))
@@ -196,12 +197,7 @@ class TestAlgebraicLaws:
             )
             phi = evaluate(sf, y)
             assert phi.is_finite
-            assert attainment_check(sf, y, phi)
-
-    def test_attainment_rejects_infinite_values(self):
-        sf = SeparationFunctional(Polytope(2, ((1, 0),)), ConeGen(2, ((1, 0),)))
-        with pytest.raises(ValueError):
-            attainment_check(sf, (0, 1), evaluate(sf, (0, 1)))
+            assert scaled_H_minus_K_contains(sf.H, sf.K, y, phi.value)
 
 
 class TestShiftedEvaluation:
@@ -217,30 +213,47 @@ class TestShiftedEvaluation:
 
 class TestBisection:
     def test_agrees_at_unit_threshold(self, segment_functional):
-        res = evaluate_bisection(segment_functional, (1, 1))
-        assert abs(res.value.value - 1) <= segment_functional.tol
+        res = evaluate_bisection(segment_functional, (1, 1), TOL, T_MAX)
+        assert abs(res.value - 1) <= TOL
 
     def test_agrees_on_negative_branch(self, segment_functional):
-        res = evaluate_bisection(segment_functional, (-1, -1))
-        assert abs(res.value.value - (-2)) <= segment_functional.tol
+        res = evaluate_bisection(segment_functional, (-1, -1), TOL, T_MAX)
+        assert abs(res.value - (-2)) <= TOL
 
     def test_far_vertex_scores_one(self, segment_functional):
-        res = evaluate_bisection(segment_functional, (1, 1))
-        assert abs(res.value.value - 1) <= segment_functional.tol
+        res = evaluate_bisection(segment_functional, (1, 1), TOL, T_MAX)
+        assert abs(res.value - 1) <= TOL
         # every vertex is reachable at unit scale
         for v in segment_functional.H.vertices:
             assert evaluate(segment_functional, v) <= ExtendedReal.finite(1)
 
     def test_unreachable_point_flagged_unconfirmed(self):
+        # +inf from bisection means no feasible scale up to t_max
         sf = SeparationFunctional(Polytope(2, ((1, 0),)), ConeGen(2, ((1, 0),)))
-        res = evaluate_bisection(sf, (0, 1))
-        assert not res.value.is_finite
-        assert res.unconfirmed_at_t_max
+        res = evaluate_bisection(sf, (0, 1), TOL, T_MAX)
+        assert res == ExtendedReal.plus_infinity()
 
     def test_lower_bracket_exhaustion_is_distinct(self, diagonal_segment, orthant2):
-        sf = SeparationFunctional(diagonal_segment, orthant2, t_max=2)
+        sf = SeparationFunctional(diagonal_segment, orthant2)
         with pytest.raises(BracketExhaustedError):
-            evaluate_bisection(sf, (-8, -8))  # value -16 sits beyond t_max
+            evaluate_bisection(sf, (-8, -8), TOL, 2)  # value -16 sits beyond t_max
+
+    @pytest.mark.parametrize(
+        "tol, t_max, error",
+        [
+            (0, T_MAX, "must be positive"),
+            ("-1/2", T_MAX, "must be positive"),
+            (TOL, 0, "must be positive"),
+            (TOL, -3, "must be positive"),
+            ("abc", T_MAX, "is not a number"),
+            (TOL, "1/0", "is not a number"),
+            (None, T_MAX, "is not a number"),
+            (TOL, [2], "is not a number"),
+        ],
+    )
+    def test_bad_settings_rejected(self, segment_functional, tol, t_max, error):
+        with pytest.raises((ValueError, TypeError), match=error):
+            evaluate_bisection(segment_functional, (1, 1), tol, t_max)
 
     def test_agreement_on_random_finite_queries(self):
         rng = random.Random(79)
@@ -253,9 +266,9 @@ class TestBisection:
                 rand_point_in_cone(rng, K),
             )
             lp_val = evaluate(sf, y)
-            bis = evaluate_bisection(sf, y)
-            assert lp_val.is_finite and bis.value.is_finite
-            assert abs(lp_val.value - bis.value.value) <= sf.tol
+            bis = evaluate_bisection(sf, y, TOL, T_MAX)
+            assert lp_val.is_finite and bis.is_finite
+            assert abs(lp_val.value - bis.value) <= TOL
 
 
 @given(instance_point_scales())
@@ -266,14 +279,14 @@ def test_lp_and_bisection_routes_agree_on_degenerate_shapes(data):
     K, H, y, _, _ = data
     sf = SeparationFunctional(H, K)
     phi = evaluate(sf, y)
-    bis = evaluate_bisection(sf, y)
-    assert phi.is_finite == bis.value.is_finite
+    bis = evaluate_bisection(sf, y, TOL, T_MAX)
+    assert phi.is_finite == bis.is_finite
     if phi.is_finite:
-        assert 0 <= bis.value.value - phi.value <= sf.tol
-        assert attainment_check(sf, y, phi)
+        assert 0 <= bis.value - phi.value <= TOL
+        assert scaled_H_minus_K_contains(sf.H, sf.K, y, phi.value)
 
 
-def _lp_oracle_bisection(F, y):
+def _lp_oracle_bisection(F, y, tol, t_max):
     """`evaluate_bisection`'s loop with every question put to the
     membership LP, a reference that never reads halfspace rows."""
 
@@ -283,25 +296,25 @@ def _lp_oracle_bisection(F, y):
     hi = Fraction(1)
     while not feasible(hi):
         hi *= 2
-        if hi > F.t_max:
-            return BisectionResult(ExtendedReal.plus_infinity(), unconfirmed_at_t_max=True)
+        if hi > t_max:
+            return ExtendedReal.plus_infinity()
     lo = Fraction(-1)
     while feasible(lo):
         lo *= 2
-        if -lo > F.t_max:
+        if -lo > t_max:
             raise BracketExhaustedError(f"still feasible at scale {lo}")
-    while hi - lo > F.tol:
+    while hi - lo > tol:
         mid = (hi + lo) / 2
         if feasible(mid):
             hi = mid
         else:
             lo = mid
-    return BisectionResult(ExtendedReal.finite(hi))
+    return ExtendedReal.finite(hi)
 
 
-def _bisection_outcome(route, F, y):
+def _bisection_outcome(route, F, y, t_max):
     try:
-        return route(F, y)
+        return route(F, y, TOL, t_max)
     except BracketExhaustedError:
         return "bracket exhausted"
 
@@ -313,12 +326,12 @@ def test_bisection_over_rows_matches_an_lp_oracle_bisection(data):
     # branches, and t_max = 2 pushes values past the bracket both ways,
     # so unconfirmed +inf and an exhausted lower bracket are compared too
     K, H, y, _, _ = data
-    for t_max in (Fraction(2**20), Fraction(2)):
-        sf = SeparationFunctional(H, K, t_max=t_max)
+    sf = SeparationFunctional(H, K)
+    for t_max in (T_MAX, Fraction(2)):
         for z in (y, tuple(-c for c in y)):
-            assert _bisection_outcome(evaluate_bisection, sf, z) == _bisection_outcome(
-                _lp_oracle_bisection, sf, z
-            ), (K, H, z, t_max)
+            assert _bisection_outcome(
+                evaluate_bisection, sf, z, t_max
+            ) == _bisection_outcome(_lp_oracle_bisection, sf, z, t_max), (K, H, z, t_max)
 
 
 @given(instance_point_scales())
@@ -413,8 +426,6 @@ class TestConfigurationGuards:
         bad = SeparationFunctional.__new__(SeparationFunctional)
         object.__setattr__(bad, "H", Polytope(2, ((1, 1), (-1, -1))))
         object.__setattr__(bad, "K", orthant2)
-        object.__setattr__(bad, "t_max", Fraction(2**20))
-        object.__setattr__(bad, "tol", Fraction(1, 10**9))
         with pytest.raises(InternalConsistencyError):
             evaluate(bad, (5, 5))
         with pytest.raises(InternalConsistencyError):
