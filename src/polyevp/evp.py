@@ -54,6 +54,7 @@ from .geometry import (
     checked_rows,
     is_pointed,
     reaches,
+    scaled_H_minus_K_contains,
     scaled_H_plus_K_contains,
 )
 from .rational import Number, Vec, frac, frac_vec, integerize, ratio, vec_sub
@@ -63,6 +64,7 @@ from .scalarization import (
     SeparationFunctional,
     evaluate,
     phi_from_rows,
+    phi_lower_bound,
 )
 
 __all__ = [
@@ -333,8 +335,10 @@ class EVPProblem:
     def _image_rows(self) -> _ImageRows:
         """The solver's row products, built on first use."""
         plus, minus = self._separation.halfspaces()
-        scale, (at_plus, at_minus) = _image_products(self, plus, minus)
-        return _ImageRows(scale, plus, minus, at_plus, at_minus)
+        scale, ints = _scaled_images(self)
+        return _ImageRows(
+            scale, plus, minus, _products(plus, ints), _products(minus, ints)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +346,19 @@ class EVPProblem:
 # ---------------------------------------------------------------------------
 
 
-def _image_products(p: EVPProblem, *cones: ConeHalfspaces) -> tuple[int, list[dict]]:
-    """(scale, one {label: [row products per image]} per cone).
-
-    Every image is scaled by one common ``scale`` to integers z, and
-    each cone contributes its `ConeHalfspaces.products` of z.  Products
-    are linear in z, so those of a difference of images are differences
-    of these.
-    """
+def _scaled_images(p: EVPProblem) -> tuple[int, dict[str, list[list[int]]]]:
+    """(scale, {label: [z per image]}): every image times one common
+    ``scale``, in integers."""
     flat, scale = integerize([c for _, imgs in p.f.entries for y in imgs for c in y])
     it = iter(flat)
-    ints = {l: [[next(it) for _ in y] for y in imgs] for l, imgs in p.f.entries}
-    return scale, [
-        {l: [hs.products(z) for z in zs] for l, zs in ints.items()} for hs in cones
-    ]
+    return scale, {l: [[next(it) for _ in y] for y in imgs] for l, imgs in p.f.entries}
+
+
+def _products(hs: ConeHalfspaces, ints: dict) -> dict[str, list[tuple[int, ...]]]:
+    """{label: [`ConeHalfspaces.products` of z per image]} for the
+    scaled images of `_scaled_images`.  Products are linear in z, so
+    those of a difference of images are differences of these."""
+    return {l: [hs.products(z) for z in zs] for l, zs in ints.items()}
 
 
 @dataclass(frozen=True)
@@ -642,24 +645,34 @@ class VerificationReport:
 
 
 class _CheckedRelation:
-    """The pre-order and the hypothesis check as the verifier decides them.
+    """The pre-order, the hypothesis check and the trace values as the
+    verifier decides them.
 
-    Shares no answer with the solver.  A "no" for "y - ysrc in t*H + K"
-    is a Farkas certificate: a row of ``halfspaces``, the rows of the
-    problem's cone over t*H + K that `geometry.checked_rows` has found
-    nonnegative on every generator (h, 1) and (k, 0), taken from H and K
-    directly, that is negative at (y - ysrc, t) (`geometry.reaches`).
-    Such a row is nonnegative on the whole cone, so the point lies
-    outside.  A row that fails the check is dropped, and a point that no
+    Shares no answer with the solver.  ``halfspaces`` and
+    ``minus_halfspaces`` are the rows of the problem's cones over
+    t*H + K and t*H - K that `geometry.checked_rows` has found
+    nonnegative on every generator (h, 1) and (+-k, 0), taken from H and
+    K directly.  Such a row is nonnegative on the whole cone, so a point
+    where it is negative lies outside, and the scales the kept rows
+    allow contain the true ones.  A row that fails the check is dropped.
+
+    A "no" for "y - ysrc in t*H + K" is a Farkas certificate: a checked
+    row negative at (y - ysrc, t) (`geometry.reaches`).  A point that no
     checked row excludes goes to the membership LP, so every "yes" is an
-    exact LP answer.
+    exact LP answer.  A trace value is checked by `potential_is`.  The
+    row products of the cone over t*H + K are formed for every image;
+    those of the cone over t*H - K only for the points whose potential
+    is checked, once each.
     """
 
     def __init__(self, p: EVPProblem):
         self.p = p
-        plus, _ = p._separation.halfspaces()
+        plus, minus = p._separation.halfspaces()
         self.halfspaces = checked_rows(plus, p.H, p.K, 1)
-        self.scale, (self.products,) = _image_products(p, self.halfspaces)
+        self.minus_halfspaces = checked_rows(minus, p.H, p.K, -1)
+        self.scale, self._ints = _scaled_images(p)
+        self.products = _products(self.halfspaces, self._ints)
+        self._minus_products: dict[str, list[tuple[int, ...]]] = {}
         self._dominance: dict = {}
 
     def _in_sum(self, y: Vec, ysrc: Vec, prod, prod_src, t: Fraction) -> bool:
@@ -696,20 +709,64 @@ class _CheckedRelation:
                 return False
         return True
 
+    def _minus_at(self, label: str) -> list[tuple[int, ...]]:
+        prods = self._minus_products.get(label)
+        if prods is None:
+            prods = [self.minus_halfspaces.products(z) for z in self._ints[label]]
+            self._minus_products[label] = prods
+        return prods
 
-def _lp_potential(p: EVPProblem, label: str, y0: Vec) -> ExtendedReal:
-    """xi at a point by the LP route: the least phi(y - y0) over its images."""
-    return min(evaluate(p._separation, vec_sub(y, y0)) for y in p.images(label))
+    def potential_is(self, label: str, y0: Vec, v: Fraction) -> bool:
+        """Is v = xi(label), the least phi(y - y0) over the images y of
+        the point, for y0 an image of x0?
+
+        Two facts decide it.  Every image has phi(y - y0) >= v: the
+        checked rows give a lower bound (`phi_lower_bound`), and an image
+        whose bound is missing or below v is scored exactly by the LP
+        `evaluate`; for a true v that happens only where a dropped row
+        left the bound short.  Some image
+        reaches v: one whose bound equals v is confirmed by the
+        membership LP y - y0 in v*H - K, which shows phi(y - y0) <= v.
+        """
+        p = self.p
+        i0 = p.images(p.x0).index(y0)
+        plus0, minus0 = self.products[p.x0][i0], self._minus_at(p.x0)[i0]
+        target = ExtendedReal.finite(v)
+        reached = False
+        candidates = []
+        for y, plus_y, minus_y in zip(
+            p.images(label), self.products[label], self._minus_at(label)
+        ):
+            bound = phi_lower_bound(
+                self.halfspaces,
+                tuple(map(operator.sub, plus0, plus_y)),
+                self.minus_halfspaces,
+                tuple(map(operator.sub, minus_y, minus0)),
+                self.scale,
+            )
+            if bound is None or bound < target:
+                exact = evaluate(p._separation, vec_sub(y, y0))
+                if exact < target:
+                    return False
+                reached = reached or exact == target
+            elif bound == target:
+                candidates.append(y)
+        return reached or any(
+            scaled_H_minus_K_contains(p.H, p.K, vec_sub(y, y0), v) for y in candidates
+        )
 
 
 def verify_certificate(p: EVPProblem, cert: EVPCertificate) -> VerificationReport:
     """Re-check every conclusion from scratch; never raises on failure.
 
-    The route is independent of the solver's.  Dominance and the
-    hypothesis witness are decided by `_CheckedRelation`: each "no" by a
-    halfspace row the verifier has checked against H and K itself, each
-    "yes" by an exact membership LP, sharing no answer with the solver.
-    The trace is re-scored by the LP `evaluate`.
+    The route is independent of the solver's.  Dominance, the
+    hypothesis witness and the trace values are decided by
+    `_CheckedRelation`, from halfspace rows the verifier has checked
+    against H and K itself, sharing no answer with the solver.  Each
+    "no" for dominance and the witness is a checked row; each "yes" is
+    an exact membership LP.  Each trace value is bounded below by the
+    checked rows and shown reached by one membership LP, with the LP
+    `evaluate` only for an image whose rows bound it below the value.
     """
     rel = _CheckedRelation(p)
     a = rel.dominates(cert.xbar, p.x0)
@@ -743,8 +800,7 @@ def verify_certificate(p: EVPProblem, cert: EVPCertificate) -> VerificationRepor
     trace_consistent = len(cert.xi_trace) == len(cert.chain)
     if trace_consistent and chain_valid and witness_valid:
         for label, claimed in zip(cert.chain, cert.xi_trace):
-            actual = _lp_potential(p, label, y0)
-            if not actual.is_finite or actual.value != claimed:
+            if not rel.potential_is(label, y0, frac(claimed)):
                 trace_consistent = False
                 break
         if trace_consistent:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -155,13 +156,19 @@ def _combination_lp(
     is one such program, so this fixed layout also fixes the pivots.
     The target, vectors and scales are Fractions already, so the rows go
     into the program as built; only the caller's objective is coerced.
+    A block at scale -1 is negated entry by entry, with no product.
     """
     cols: list[Sequence[Fraction]] = []
     spans = []  # column range of each convex block
     for vectors, scale, convex in blocks:
         if convex:
             spans.append(range(len(cols), len(cols) + len(vectors)))
-        cols += vectors if scale == 1 else [[scale * c for c in v] for v in vectors]
+        if scale == 1:
+            cols += vectors
+        elif scale == -1:
+            cols += [[-c for c in v] for v in vectors]
+        else:
+            cols += [[scale * c for c in v] for v in vectors]
     one, zero = Fraction(1), Fraction(0)
     rows = [tuple(v[r] for v in cols) for r in range(len(target))]
     rows += [tuple(one if j in span else zero for j in range(len(cols))) for span in spans]
@@ -306,8 +313,8 @@ class ConeHalfspaces:
 
     def products(self, z: Sequence[int]) -> tuple[int, ...]:
         """a_z . z for every row (a_z, a_t) of a homogenized cone."""
-        # zip stops at the end of z, leaving out each row's last entry a_t
-        return tuple(sum(a * c for a, c in zip(r, z)) for r in self.rows)
+        # map stops at the end of z, leaving out each row's last entry a_t
+        return tuple(sum(map(operator.mul, r, z)) for r in self.rows)
 
     def bounds(self, T: Fraction) -> tuple[int, list[int]]:
         """(den, bounds) with (z - zsrc, T) in the cone iff every row has
@@ -350,7 +357,7 @@ def reaches(den: int, bounds: Sequence[int], target, source) -> bool:
 
 
 def _idot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def _primitive(v: Sequence[int]) -> tuple[int, ...]:

@@ -21,7 +21,10 @@ the question is one extreme scale.  Three routes compute it:
   each branch is the extreme t allowed by rows a_z . z + a_t * t >= 0, a
   one-dimensional ratio test (`ConeHalfspaces.scale_range`).  This is
   the polyhedral form of the Gerstewitz functional (Goepfert, Riahi,
-  Tammer & Zalinescu, 2003).
+  Tammer & Zalinescu, 2003).  `phi_lower_bound` reads the same ratio
+  tests without the consistency checks: on rows valid on the two cones
+  but perhaps not all of their facets, the least scale they allow is a
+  lower bound on phi.
 * `evaluate_bisection` never looks at the branch decomposition: it
   brackets the threshold by doubling and bisects fixed-scale membership
   questions down to a requested width.  Each question is a sign check
@@ -36,9 +39,13 @@ width and bracket bound are arguments of `evaluate_bisection`, the one
 route that reads them.
 
 The descent solver (`evp.solve`) scores by the closed form, from row
-products it computes once per problem.  The certificate verifier
-re-scores a trace by the LP route.  The ``scalarize`` command uses the
-LP route and cross-checks it by bisection, so it builds the halfspaces
+products it computes once per problem.  The certificate verifier checks
+a claimed trace value v rather than recomputing it: `phi_lower_bound`
+on the rows it has checked shows phi(y - y0) >= v for every image y,
+and one membership LP, y - y0 in v*H - K, shows that some image reaches
+v.  Only an image that the checked rows bound below v, or not at all,
+is scored by the LP `evaluate`.  The ``scalarize`` command uses the LP
+route and cross-checks it by bisection, so it builds the halfspaces
 once per functional.  A facet missing from them lets bisection accept
 scales below phi, and the two routes disagree; a row that fails the
 check is dropped.
@@ -78,6 +85,7 @@ __all__ = [
     "evaluate",
     "evaluate_bisection",
     "phi_from_rows",
+    "phi_lower_bound",
 ]
 
 
@@ -204,6 +212,38 @@ def phi_from_rows(
             "negative branch feasible at zero while t >= 0 branch is not"
         )
     return ExtendedReal.plus_infinity()
+
+
+def phi_lower_bound(
+    plus: ConeHalfspaces,
+    at_minus_z: Sequence[int],
+    minus: ConeHalfspaces,
+    at_z: Sequence[int],
+    scale: int,
+) -> Optional[ExtendedReal]:
+    """A lower bound on phi(z / scale) from rows valid on the two cones,
+    or None when they bound nothing below; never raises.
+
+    The arguments are those of `phi_from_rows`.  Rows that are
+    nonnegative on a cone (`geometry.checked_rows`) describe a cone
+    containing it, so every scale the true rows allow, on either branch,
+    is also allowed here, and the least scale allowed here is at most
+    phi.  That least scale is minus the greatest s of the negative
+    branch when it has one, else the least t of the branch t >= 0, else
+    +infinity.  An unbounded negative branch gives no bound.  With the
+    exact rows the bound is phi itself.
+    """
+    neg = plus.scale_range(at_minus_z)
+    if neg is not None:
+        if neg[1] is None:
+            return None
+        n, d = neg[1]
+        return ExtendedReal.finite(Fraction(-n, d * scale))
+    pos = minus.scale_range(at_z)
+    if pos is None:
+        return ExtendedReal.plus_infinity()
+    n, d = pos[0]
+    return ExtendedReal.finite(Fraction(n, d * scale))
 
 
 def _branch_lp(

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyevp import evp, geometry
+from polyevp import evp, geometry, scalarization
 from polyevp.evp import (
     _CheckedRelation,
     EfficiencyMode,
@@ -42,6 +42,7 @@ from polyevp.geometry import (
 from polyevp.lp_core import solve as lp_solve
 from polyevp.problemfile import build_problem
 from polyevp.scalarization import (
+    ExtendedReal,
     InternalConsistencyError,
     SeparationFunctional,
     evaluate,
@@ -756,24 +757,50 @@ def _lp_claims(p: EVPProblem, cert: EVPCertificate) -> tuple[bool, bool]:
     return b, witness
 
 
-def _corrupted(p: EVPProblem, corrupt) -> EVPProblem:
+def _corrupted(p: EVPProblem, corrupt, which: int = 0) -> EVPProblem:
     """A fresh copy of p whose solver and verifier read corrupt(rows) as
-    the halfspaces of the cone over t*H + K."""
+    the halfspaces of the cone over t*H + K (``which`` 0) or over
+    t*H - K (``which`` 1)."""
     q = dataclasses.replace(p)
-    plus, minus = q._separation.halfspaces()
-    object.__setattr__(q._separation, "_halfspaces", (corrupt(plus), minus))
+    cones = list(q._separation.halfspaces())
+    cones[which] = corrupt(cones[which])
+    object.__setattr__(q._separation, "_halfspaces", tuple(cones))
     return q
 
 
-def _dropped_facet(plus: ConeHalfspaces) -> ConeHalfspaces:
-    return ConeHalfspaces(plus.equalities, plus.inequalities[1:])
+def _dropped_facet(hs: ConeHalfspaces) -> ConeHalfspaces:
+    return ConeHalfspaces(hs.equalities, hs.inequalities[1:])
 
 
-def _added_bad_row(plus: ConeHalfspaces) -> ConeHalfspaces:
+def _added_bad_row(hs: ConeHalfspaces) -> ConeHalfspaces:
     # minus the sum of the facet rows: negative on every generator that is
     # not on all facets, so with it the cone shrinks to (almost) its apex
-    bad = tuple(-sum(col) for col in zip(*plus.inequalities))
-    return ConeHalfspaces(plus.equalities, plus.inequalities + (bad,))
+    bad = tuple(-sum(col) for col in zip(*hs.inequalities))
+    return ConeHalfspaces(hs.equalities, hs.inequalities + (bad,))
+
+
+def _lp_xi(p: EVPProblem, label: str, y0) -> ExtendedReal:
+    """xi at a point by the LP route alone, for reference."""
+    return min(evaluate(p._separation, vec_sub(y, y0)) for y in p.images(label))
+
+
+def _counting_evaluate(monkeypatch) -> list:
+    """Count the verifier's fallback calls of the LP `evaluate`."""
+    calls = []
+
+    def counted(F, y):
+        calls.append(y)
+        return evaluate(F, y)
+
+    monkeypatch.setattr(evp, "evaluate", counted)
+    return calls
+
+
+_CORRUPTIONS = pytest.mark.parametrize(
+    "corrupt, which",
+    [(_dropped_facet, 0), (_added_bad_row, 0), (_dropped_facet, 1), (_added_bad_row, 1)],
+    ids=["dropped", "added", "minus-dropped", "minus-added"],
+)
 
 
 class TestIndependentVerification:
@@ -809,31 +836,38 @@ class TestIndependentVerification:
         forged = EVPCertificate(xbar="b", y0=(4, 4), chain=("a", "b"), xi_trace=(0, -2))
         assert "(b)" in verify_certificate(p, forged).failures
 
-    @pytest.mark.parametrize(
-        "corrupt", [_dropped_facet, _added_bad_row], ids=["dropped", "added"]
-    )
-    def test_corrupt_rows_do_not_change_an_honest_report(self, corrupt):
+    @_CORRUPTIONS
+    def test_corrupt_rows_do_not_change_an_honest_report(
+        self, corrupt, which, monkeypatch
+    ):
+        fallbacks = _counting_evaluate(monkeypatch)
         for p in self._draws(73, 12):
             cert = solve(p)
             honest = verify_certificate(p, cert)
-            plus = p._separation.halfspaces()[0]
-            if not plus.inequalities:
+            given = p._separation.halfspaces()[which]
+            if not given.inequalities:
                 continue
-            q = _corrupted(p, corrupt)
+            q = _corrupted(p, corrupt, which)
             # the verifier keeps exactly the valid rows it was given
-            kept = _dropped_facet(plus) if corrupt is _dropped_facet else plus
-            assert set(_CheckedRelation(q).halfspaces.rows) == set(kept.rows)
+            kept = _dropped_facet(given) if corrupt is _dropped_facet else given
+            rel = _CheckedRelation(q)
+            checked = (rel.halfspaces, rel.minus_halfspaces)[which]
+            assert set(checked.rows) == set(kept.rows)
             assert verify_certificate(q, cert) == honest
+        if (corrupt, which) == (_dropped_facet, 0):
+            # a dropped facet lowers some row bound below the trace value,
+            # and the LP evaluate decides that image without raising; an
+            # honest trace never reaches the fallback through the cone over
+            # t*H - K (see TestTraceCheck)
+            assert fallbacks
 
-    @pytest.mark.parametrize(
-        "corrupt", [_dropped_facet, _added_bad_row], ids=["dropped", "added"]
-    )
-    def test_corrupt_solver_never_gets_a_false_claim_through(self, corrupt):
+    @_CORRUPTIONS
+    def test_corrupt_solver_never_gets_a_false_claim_through(self, corrupt, which):
         false_claims = 0
         for p in self._draws(79, 25):
-            if not p._separation.halfspaces()[0].inequalities:
+            if not p._separation.halfspaces()[which].inequalities:
                 continue
-            q = _corrupted(p, corrupt)
+            q = _corrupted(p, corrupt, which)
             try:
                 cert = solve(q)
             except (HypothesisViolatedError, InternalConsistencyError):
@@ -841,10 +875,100 @@ class TestIndependentVerification:
             true_b, true_witness = _lp_claims(p, cert)
             report = verify_certificate(q, cert)
             assert (report.b, report.witness_valid) == (true_b, true_witness)
-            if not (true_b and true_witness):
+            true_trace = all(
+                _lp_xi(p, l, cert.y0) == ExtendedReal.finite(v)
+                for l, v in zip(cert.chain, cert.xi_trace)
+            )
+            if report.chain_valid and report.witness_valid and not true_trace:
+                assert not report.trace_consistent
+            if not (true_b and true_witness and true_trace):
                 false_claims += 1
                 assert not report.passed
-        if corrupt is _added_bad_row:
+        if (corrupt, which) == (_added_bad_row, 0):
             # the test has teeth: a cut-down cone makes the solver claim
-            # minimality or an escaping witness where neither holds
+            # minimality, an escaping witness or a trace where none holds
             assert false_claims > 0
+
+
+class TestTraceCheck:
+    """`_CheckedRelation.potential_is`: checked row bounds plus one
+    membership LP decide each trace value."""
+
+    OFF = Fraction(1, 10**12)
+
+    def test_claims_off_by_a_trillionth_fail(self):
+        p = build_problem(_TIGHT_TRACE_DOC)
+        cert = solve(p)
+        label, true = cert.chain[-1], cert.xi_trace[-1]
+        assert len(p.images(label)) == 3
+        rel = _CheckedRelation(p)
+        assert rel.potential_is(label, cert.y0, true)
+        assert verify_certificate(p, cert).passed
+        for v in (true + self.OFF, true - self.OFF):
+            assert not rel.potential_is(label, cert.y0, v)
+            forged = dataclasses.replace(cert, xi_trace=cert.xi_trace[:-1] + (v,))
+            assert verify_certificate(p, forged).failures == ("(trace)",)
+
+    def test_every_value_matches_the_lp_route(self, monkeypatch):
+        # every label against every image of x0, so values of both signs
+        # and +inf occur; with honest rows and with each corruption of
+        # either cone, the true value passes and values a trillionth off
+        # fail
+        fallbacks = _counting_evaluate(monkeypatch)
+        variants = [(None, 0), (_dropped_facet, 0), (_added_bad_row, 0),
+                    (_dropped_facet, 1), (_added_bad_row, 1)]
+        reached = set()
+        for p in TestIndependentVerification._draws(71, 8):
+            truths = {
+                (l, y0): _lp_xi(p, l, y0)
+                for l in p.space.labels
+                for y0 in p.images(p.x0)
+            }
+            for corrupt, which in variants:
+                if corrupt is None:
+                    q = p
+                elif p._separation.halfspaces()[which].inequalities:
+                    q = _corrupted(p, corrupt, which)
+                else:
+                    continue
+                rel = _CheckedRelation(q)
+                for (l, y0), xi in truths.items():
+                    if not xi.is_finite:
+                        assert not rel.potential_is(l, y0, Fraction(0))
+                        continue
+                    before = len(fallbacks)
+                    assert rel.potential_is(l, y0, xi.value)
+                    if len(fallbacks) > before:
+                        reached.add((corrupt, which))
+                    assert not rel.potential_is(l, y0, xi.value + self.OFF)
+                    assert not rel.potential_is(l, y0, xi.value - self.OFF)
+        # true values need the LP evaluate only where a facet is missing,
+        # and a missing facet of either cone does send some there
+        assert reached == {(_dropped_facet, 0), (_dropped_facet, 1)}
+
+    def test_one_membership_lp_per_chain_point(self, monkeypatch):
+        p = make_chain3(5)
+        cert = solve(p)
+        inside, lps = [], {"membership": 0, "evaluate": 0}
+
+        def counted(lp):
+            if inside:
+                lps["membership"] += 1
+            return lp_solve(lp)
+
+        def membership(*args):
+            inside.append(args)
+            try:
+                return geometry.scaled_H_minus_K_contains(*args)
+            finally:
+                inside.pop()
+
+        def counted_evaluate(lp):
+            lps["evaluate"] += 1
+            return lp_solve(lp)
+
+        monkeypatch.setattr(geometry, "solve", counted)
+        monkeypatch.setattr(evp, "scaled_H_minus_K_contains", membership)
+        monkeypatch.setattr(scalarization, "solve", counted_evaluate)
+        assert verify_certificate(p, cert).passed
+        assert lps == {"membership": len(cert.chain), "evaluate": 0}

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from polyevp.geometry import (
     ConeGen,
+    ConeHalfspaces,
     InvalidConfigurationError,
     Polytope,
     cone_contains,
@@ -23,6 +24,7 @@ from polyevp.scalarization import (
     evaluate,
     evaluate_bisection,
     phi_from_rows,
+    phi_lower_bound,
 )
 
 from conftest import (
@@ -42,6 +44,18 @@ def evaluate_closed_form(F: SeparationFunctional, y) -> ExtendedReal:
     return phi_from_rows(
         plus, plus.products([-c for c in z]), minus, minus.products(z), scale
     )
+
+
+def lower_bound_from_rows(plus, minus, y) -> ExtendedReal:
+    """`phi_lower_bound` of y on the given rows of the two cones."""
+    z, scale = integerize(frac_vec(y))
+    return phi_lower_bound(
+        plus, plus.products([-c for c in z]), minus, minus.products(z), scale
+    )
+
+
+def without_first_facet(hs: ConeHalfspaces) -> ConeHalfspaces:
+    return ConeHalfspaces(hs.equalities, hs.inequalities[1:])
 
 
 @pytest.fixture
@@ -354,9 +368,12 @@ class TestClosedForm:
 
     def test_every_kind_of_value_matches_the_lp_route(self):
         # dimensions 2-4, with fewer generators than the dimension and
-        # one-vertex H among the draws
+        # one-vertex H among the draws; the lower bound is phi on the
+        # exact rows, and at most phi, or absent, with a facet of either
+        # cone left out
         rng = random.Random(61)
         kinds = set()
+        below = 0
         for _ in range(120):
             n = rng.randint(2, 4)
             n_gens, n_verts = rng.randint(1, n + 1), rng.randint(1, 3)
@@ -371,11 +388,21 @@ class TestClosedForm:
                     y = vec_sub(tuple(t * c for c in h), rand_point_in_cone(rng, K))
                 phi = evaluate(sf, y)
                 assert evaluate_closed_form(sf, y) == phi, (K, H, y)
+                plus, minus = sf.halfspaces()
+                assert lower_bound_from_rows(plus, minus, y) == phi
+                for cut in (
+                    (without_first_facet(plus), minus),
+                    (plus, without_first_facet(minus)),
+                ):
+                    bound = lower_bound_from_rows(*cut, y)
+                    assert bound is None or not phi < bound, (K, H, y)
+                    below += bound is None or bound < phi
                 if not phi.is_finite:
                     kinds.add("+inf")
                 else:
                     kinds.add("negative" if phi.value < 0 else "nonnegative")
         assert kinds == {"+inf", "negative", "nonnegative"}
+        assert below > 0
 
 
 class TestConfigurationGuards:
