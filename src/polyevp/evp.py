@@ -109,12 +109,21 @@ class ScaleMismatchWarning(UserWarning):
 class FiniteMetricSpace:
     """Finitely many labelled points with an exact metric matrix.
 
-    ``FiniteMetricSpace(labels, dist)`` reads each distance once with
-    `rational.ratio` and keeps the integer matrix ``matrix`` over the
-    common denominator ``den``, the lcm of the reduced denominators, so
-    equal metrics give equal fields.  The metric axioms are checked on
-    that matrix.  ``dist`` reads as rows of Fractions, built on first
-    read.
+    ``FiniteMetricSpace(labels, dist)`` keeps the integer matrix
+    ``matrix`` over the common denominator ``den``, the lcm of the
+    reduced denominators, so equal metrics give equal fields.  Each
+    distinct str or int token is read once with `rational.ratio`, through
+    a memo local to the construction, so ``1``, ``"1"`` and ``"2/2"``
+    give one entry; any other token goes to `ratio` on its own and fails
+    there as it would alone.
+
+    The metric axioms are checked on the matrix in bulk: a zero
+    diagonal, ``m == transpose(m)``, and off-diagonal entries positive.
+    The triangle inequality is then one test per unordered pair on rows
+    packed into single integers (`_triangle_holds`).  Any failure is
+    searched again in row-major order, so the message names the first
+    failing entry or (i, j, k) triple, exactly as a plain triple loop
+    would.  ``dist`` reads as rows of Fractions, built on first read.
     """
 
     labels: tuple[str, ...]
@@ -134,37 +143,39 @@ class FiniteMetricSpace:
             raise InvalidConfigurationError("duplicate labels in metric space")
         if not labels:
             raise InvalidConfigurationError("metric space needs at least one point")
-        pairs = [[ratio(x) for x in row] for row in dist]
+        # token -> index of its (num, den) in `pairs`; True hashes like 1
+        # and a list is unhashable, so only str and int tokens are kept
+        memo: dict = {}
+        pairs: list[tuple[int, int]] = []
+
+        def index(x) -> int:
+            if type(x) is str or type(x) is int:
+                i = memo.get(x)
+                if i is None:
+                    i = memo[x] = len(pairs)
+                    pairs.append(ratio(x))
+                return i
+            pairs.append(ratio(x))
+            return len(pairs) - 1
+
+        rows = [list(map(index, row)) for row in dist]
         n = len(labels)
-        if len(pairs) != n or any(len(row) != n for row in pairs):
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise InvalidConfigurationError("distance matrix shape does not match labels")
-        den = math.lcm(*(q for row in pairs for _, q in row))
-        m = tuple(tuple(p * (den // q) for p, q in row) for row in pairs)
+        den = math.lcm(*{q for _, q in pairs})
+        entries = [p * (den // q) for p, q in pairs]
+        m = tuple(tuple(map(entries.__getitem__, row)) for row in rows)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "den", den)
-        for i in range(n):
-            if m[i][i] != 0:
-                raise InvalidConfigurationError(f"nonzero self-distance at {labels[i]!r}")
-            for j in range(n):
-                if m[i][j] != m[j][i]:
-                    raise InvalidConfigurationError(
-                        f"asymmetric distances between {labels[i]!r} and {labels[j]!r}"
-                    )
-                if i != j and m[i][j] <= 0:
-                    raise InvalidConfigurationError(
-                        f"distinct points {labels[i]!r}, {labels[j]!r} "
-                        f"at distance {Fraction(m[i][j], den)}"
-                    )
-        # For a symmetric m, d[i][k] <= d[i][j] + d[j][k] and
-        # d[j][k] <= d[j][i] + d[i][k] for every k iff every
-        # |m[i][k] - m[j][k]| is at most m[i][j], so each unordered pair
-        # is tested once.  A failure is searched again in (i, j, k)
-        # order, so the first failing triple is the one reported.
-        if not all(
-            max(map(abs, map(operator.sub, m[i], m[j]))) <= m[i][j]
-            for i in range(n)
-            for j in range(i + 1, n)
+        # with a zero diagonal, a row's entries are all positive off the
+        # diagonal iff its least entry is 0 and it holds one 0
+        if not (
+            m == tuple(zip(*m))
+            and all(m[i][i] == 0 for i in range(n))
+            and all(min(row) == 0 and row.count(0) == 1 for row in m)
         ):
+            self._raise_first_entry_failure()
+        if not _triangle_holds(m):
             i, j, k = next(
                 (i, j, k)
                 for i, mi in enumerate(m)
@@ -176,6 +187,24 @@ class FiniteMetricSpace:
                 "triangle inequality fails on "
                 f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})"
             )
+
+    def _raise_first_entry_failure(self) -> None:
+        """Raise for the first entry, in row-major order, that breaks the
+        zero diagonal, symmetry or positivity."""
+        labels, m = self.labels, self.matrix
+        for i, row in enumerate(m):
+            if row[i] != 0:
+                raise InvalidConfigurationError(f"nonzero self-distance at {labels[i]!r}")
+            for j, x in enumerate(row):
+                if x != m[j][i]:
+                    raise InvalidConfigurationError(
+                        f"asymmetric distances between {labels[i]!r} and {labels[j]!r}"
+                    )
+                if i != j and x <= 0:
+                    raise InvalidConfigurationError(
+                        f"distinct points {labels[i]!r}, {labels[j]!r} "
+                        f"at distance {Fraction(x, self.den)}"
+                    )
 
     @functools.cached_property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -191,8 +220,41 @@ class FiniteMetricSpace:
         except KeyError:
             raise ValueError(f"unknown label {label!r}") from None
 
+    def entry(self, a: str, b: str) -> int:
+        """``den * d(a, b)``: the integer matrix entry."""
+        return self.matrix[self._index_of(a)][self._index_of(b)]
+
     def d(self, a: str, b: str) -> Fraction:
-        return Fraction(self.matrix[self._index_of(a)][self._index_of(b)], self.den)
+        return Fraction(self.entry(a, b), self.den)
+
+
+def _triangle_holds(m: Sequence[Sequence[int]]) -> bool:
+    """The triangle inequality on a symmetric matrix of integers >= 0.
+
+    For a symmetric m, d[i][k] <= d[i][j] + d[j][k] and
+    d[j][k] <= d[j][i] + d[i][k] for every k iff every
+    |m[i][k] - m[j][k]| is at most m[i][j], so each unordered pair is
+    tested once, on whole rows at a time.  Row i is packed into the
+    integer A_i with m[i][k] in the w-bit field k, w two bits wider than
+    the largest entry M.  With c = m[i][j] in every field plus 2**(w-1)
+    (``high``, the top bit of each field), field k of c + A_i - A_j is
+    2**(w-1) + m[i][j] + m[i][k] - m[j][k], which lies in
+    [2**(w-1) - M, 2**(w-1) + 2M], inside [0, 2**w): no borrow or carry
+    crosses a field, and its top bit is set iff
+    m[j][k] - m[i][k] <= m[i][j].  c - (A_i - A_j) tests the other sign.
+    """
+    w = max(map(max, m)).bit_length() + 2
+    shifts = range(0, w * len(m), w)
+    ones = sum(1 << s for s in shifts)
+    high = ones << (w - 1)
+    packed = [sum(map(operator.lshift, row, shifts)) for row in m]
+    for i, (row, ai) in enumerate(zip(m, packed)):
+        for j in range(i + 1, len(m)):
+            diff = ai - packed[j]
+            c = row[j] * ones + high
+            if (c + diff) & (c - diff) & high != high:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -320,7 +382,7 @@ class EVPProblem:
                 stacklevel=2,
             )
 
-    @property
+    @functools.cached_property
     def scale(self) -> Fraction:
         if isinstance(self.mode, ScaledMode):
             return self.mode.epsilon / self.mode.lam
@@ -337,7 +399,12 @@ class EVPProblem:
         plus, minus = self._separation.halfspaces()
         scale, ints = _scaled_images(self)
         return _ImageRows(
-            scale, plus, minus, _products(plus, ints), _products(minus, ints)
+            scale,
+            plus,
+            minus,
+            _products(plus, ints),
+            _products(minus, ints),
+            _unit_bounds(self, plus, scale),
         )
 
 
@@ -354,6 +421,24 @@ def _scaled_images(p: EVPProblem) -> tuple[int, dict[str, list[list[int]]]]:
     return scale, {l: [[next(it) for _ in y] for y in imgs] for l, imgs in p.f.entries}
 
 
+def _unit_bounds(p: EVPProblem, hs: ConeHalfspaces, scale: int) -> tuple[int, list[int]]:
+    """`ConeHalfspaces.bounds` at the scale of one unit of the integer
+    metric, for images scaled by ``scale``: T = p.scale * scale / den.
+
+    The pair (x', x) is at scale ``p.space.entry(x', x)`` times that.
+    `reaches` is unchanged when den and the bounds are multiplied by one
+    positive number, so (den, entry * bounds) answers it exactly, and
+    at entry 0 every bound is 0.
+    """
+    return hs.bounds(p.scale * scale / p.space.den)
+
+
+def _pair_bounds(unit: tuple[int, list[int]], entry: int) -> tuple[int, list[int]]:
+    """`_unit_bounds` scaled to the integer distance ``entry``."""
+    den, bounds = unit
+    return den, [entry * c for c in bounds]
+
+
 def _products(hs: ConeHalfspaces, ints: dict) -> dict[str, list[tuple[int, ...]]]:
     """{label: [`ConeHalfspaces.products` of z per image]} for the
     scaled images of `_scaled_images`.  Products are linear in z, so
@@ -367,7 +452,9 @@ class _ImageRows:
 
     ``plus[label][i]`` holds the products of ``plus_hs``, the cone over
     t*H + K, at image i scaled by ``scale``, and ``minus[label][i]``
-    those of ``minus_hs``, the cone over t*H - K.
+    those of ``minus_hs``, the cone over t*H - K.  ``unit`` holds
+    `plus_hs`'s bounds at one unit of the integer metric
+    (`_unit_bounds`).
     """
 
     scale: int
@@ -375,6 +462,7 @@ class _ImageRows:
     minus_hs: ConeHalfspaces
     plus: dict[str, list[tuple[int, ...]]]
     minus: dict[str, list[tuple[int, ...]]]
+    unit: tuple[int, list[int]]
 
 
 def dominates(p: EVPProblem, xprime: str, x: str) -> bool:
@@ -382,10 +470,11 @@ def dominates(p: EVPProblem, xprime: str, x: str) -> bool:
 
     Each image of f(x) must be reachable from some image of f(xprime);
     each pair is a sign check of stored integer row products
-    (`EVPProblem._image_rows`).
+    (`EVPProblem._image_rows`) against the unit bounds times the integer
+    distance.
     """
     rows = p._image_rows
-    den, bounds = rows.plus_hs.bounds(p.scale * p.space.d(xprime, x) * rows.scale)
+    den, bounds = _pair_bounds(rows.unit, p.space.entry(xprime, x))
     sources = rows.plus[xprime]
     return all(
         any(reaches(den, bounds, target, src) for src in sources)
@@ -662,7 +751,10 @@ class _CheckedRelation:
     exact LP answer.  A trace value is checked by `potential_is`.  The
     row products of the cone over t*H + K are formed for every image;
     those of the cone over t*H - K only for the points whose potential
-    is checked, once each.
+    is checked, once each.  The checked rows' bounds at one unit of the
+    integer metric (`_unit_bounds`) are formed once; each call of
+    `dominates` or `escapes` forms its own bounds once, and the
+    Fraction t only for a membership LP.
     """
 
     def __init__(self, p: EVPProblem):
@@ -672,23 +764,30 @@ class _CheckedRelation:
         self.minus_halfspaces = checked_rows(minus, p.H, p.K, -1)
         self.scale, self._ints = _scaled_images(p)
         self.products = _products(self.halfspaces, self._ints)
+        self._unit = _unit_bounds(p, self.halfspaces, self.scale)
         self._minus_products: dict[str, list[tuple[int, ...]]] = {}
         self._dominance: dict = {}
 
-    def _in_sum(self, y: Vec, ysrc: Vec, prod, prod_src, t: Fraction) -> bool:
-        if not reaches(*self.halfspaces.bounds(t * self.scale), prod, prod_src):
+    def _in_sum(self, y: Vec, ysrc: Vec, prod, prod_src, bounds, t) -> bool:
+        """Is y - ysrc in t*H + K?  ``bounds`` are the checked rows'
+        (den, bounds) at t, and ``t`` a callable giving t for the LP."""
+        if not reaches(*bounds, prod, prod_src):
             return False  # a checked row is negative at (y - ysrc, t)
-        return scaled_H_plus_K_contains(self.p.H, self.p.K, vec_sub(y, ysrc), t)
+        return scaled_H_plus_K_contains(self.p.H, self.p.K, vec_sub(y, ysrc), t())
 
     def dominates(self, xprime: str, x: str) -> bool:
         key = (xprime, x)
         ans = self._dominance.get(key)
         if ans is None:
             p = self.p
-            t = p.scale * p.space.d(x, xprime)
+            bounds = _pair_bounds(self._unit, p.space.entry(x, xprime))
+
+            def t() -> Fraction:
+                return p.scale * p.space.d(x, xprime)
+
             sources = list(zip(p.images(xprime), self.products[xprime]))
             ans = all(
-                any(self._in_sum(y, ys, prod, ps, t) for ys, ps in sources)
+                any(self._in_sum(y, ys, prod, ps, bounds, t) for ys, ps in sources)
                 for y, prod in zip(p.images(x), self.products[x])
             )
             self._dominance[key] = ans
@@ -701,9 +800,14 @@ class _CheckedRelation:
         p = self.p
         prod0 = self.products[p.x0][p.images(p.x0).index(y0)]
         efficiency = isinstance(p.mode, EfficiencyMode)
+        bounds = self.halfspaces.bounds(p.epsilon * self.scale)
+
+        def eps() -> Fraction:
+            return p.epsilon
+
         for x in p.feasible:
             if any(
-                self._in_sum(y0, y, prod0, prod, p.epsilon)
+                self._in_sum(y0, y, prod0, prod, bounds, eps)
                 for y, prod in zip(p.images(x), self.products[x])
             ) and (efficiency or self.dominates(x, p.x0)):
                 return False

@@ -6,11 +6,12 @@ their shortest decimal representation, which matches what a user wrote
 in an input file rather than the binary expansion of the float.
 
 Integers are formed in two places.  `ratio` reads each number of a
-problem file straight to a (numerator, denominator) pair, which
-`FiniteMetricSpace` keeps as one integer matrix over a common
-denominator and `frac` wraps in a Fraction.  `integerize` scales
-Fractions already built to integers, for the LP tableau and the
-halfspace routes.
+problem file straight to a (numerator, denominator) pair, which `frac`
+wraps in a Fraction.  `FiniteMetricSpace` calls it once per distinct
+str or int distance token and keeps one integer matrix over the common
+denominator; the metric checks and the pre-order's scales stay in those
+integers.  `integerize` scales Fractions already built to integers, for
+the LP tableau and the halfspace routes.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ from polyevp.scalarization import (
     SeparationFunctional,
     evaluate,
 )
-from polyevp.rational import vec_sub
+from polyevp.rational import ratio, vec_sub
 
 from conftest import (
     brute_force_minimal_set,
@@ -174,22 +174,139 @@ class TestMetricSpace:
         ]:
             assert verdicts.get((edit, kind), 0) > 5, verdicts
 
-    @pytest.mark.parametrize(
-        "dist, triple",
-        [
-            # (b, a) fails at c while (a, b) holds; (b, d) and (c, d)
-            # fail later in row-major order
-            (((0, 2, 2, 2), (2, 0, 6, 2), (2, 6, 0, 1), (2, 2, 1, 0)), "('b', 'a', 'c')"),
-            # the first unordered pair that fails, {a, b}, fails only as
-            # (b, a); the row-major first failure is (a, d, c), and (b, a),
-            # (c, d) and (d, a) fail after it
-            (((0, 2, 5, 1), (2, 0, 4, 4), (5, 4, 0, 3), (1, 4, 3, 0)), "('a', 'd', 'c')"),
-        ],
-    )
+    @staticmethod
+    def _edited(rng, d, edit):
+        """d, an integer matrix, with one rule broken by ``edit``."""
+        n = len(d)
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if edit == "triangle" and n > 2:
+            k = rng.choice([x for x in range(n) if x not in (i, j)])
+            d[i][j] = d[j][i] = d[i][k] + d[k][j] + 1
+        elif edit == "symmetry" and n > 1:
+            d[i][j] += 1
+        elif edit == "positive" and n > 1:
+            d[i][j] = d[j][i] = -rng.randint(0, 2)
+        elif edit == "diagonal":
+            d[i][i] = rng.choice([-1, 1])
+        return d
+
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_packed_check_matches_triple_loop_on_wide_fields(self, n):
+        # entries up to 10**30 with small ones next to them, so rows pack
+        # into fields of very different widths; line metrics make many
+        # triangles tight, where a one-unit edit is the whole violation
+        rng = random.Random(n)
+        labels = tuple(f"p{i}" for i in range(n))
+        verdicts = {}
+        for trial in range(40 if n < 40 else 12):
+            tops = rng.sample([9, 10**6, 2**62, 10**30], 2)
+            if trial % 2:
+                xs = [rng.randint(0, rng.choice(tops)) for _ in range(n)]
+                xs = list(dict.fromkeys(xs))  # distinct points
+                while len(xs) < n:
+                    xs.append(xs[-1] + 1 + rng.randint(0, 9))
+                d = [[abs(a - b) for b in xs] for a in xs]
+            else:
+                d = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        d[i][j] = d[j][i] = rng.randint(1, rng.choice(tops))
+                for k in range(n):
+                    for i in range(n):
+                        dik = d[i][k]
+                        d[i] = [min(a, dik + b) for a, b in zip(d[i], d[k])]
+            edit = ["none", "triangle", "symmetry", "positive", "diagonal"][trial % 5]
+            d = self._edited(rng, d, edit)
+            # the same value as an int, a "p/q" string or a Fraction
+            den = rng.choice([1, 7])
+            dist = tuple(
+                tuple(
+                    rng.choice([Fraction(x, den), f"{x}/{den}"] + [x] * (den == 1))
+                    for x in row
+                )
+                for row in d
+            )
+            message = self._assert_same_verdict(labels, dist)
+            kind = message.split(" ")[0] if message else None
+            verdicts[edit, kind] = verdicts.get((edit, kind), 0) + 1
+        expected = {("none", None), ("diagonal", "nonzero")}
+        if n > 1:
+            expected |= {("symmetry", "asymmetric"), ("positive", "distinct")}
+        if n > 2:
+            expected |= {("triangle", "triangle")}
+        assert expected <= set(verdicts), verdicts
+
+    _PINNED_TRIPLES = [
+        # (b, a) fails at c while (a, b) holds; (b, d) and (c, d)
+        # fail later in row-major order
+        (((0, 2, 2, 2), (2, 0, 6, 2), (2, 6, 0, 1), (2, 2, 1, 0)), "('b', 'a', 'c')"),
+        # the first unordered pair that fails, {a, b}, fails only as
+        # (b, a); the row-major first failure is (a, d, c), and (b, a),
+        # (c, d) and (d, a) fail after it
+        (((0, 2, 5, 1), (2, 0, 4, 4), (5, 4, 0, 3), (1, 4, 3, 0)), "('a', 'd', 'c')"),
+    ]
+
+    @pytest.mark.parametrize("dist, triple", _PINNED_TRIPLES)
     def test_triangle_failure_in_one_direction_reports_first_triple(self, dist, triple):
         labels = ("a", "b", "c", "d")
         expected = self._assert_same_verdict(labels, dist)
         assert expected == f"triangle inequality fails on {triple}"
+
+    @pytest.mark.parametrize("dist, triple", _PINNED_TRIPLES)
+    @pytest.mark.parametrize("factor", [Fraction(1, 3), 2**62, 10**30])
+    def test_pinned_triples_at_other_scales(self, dist, triple, factor):
+        # every triangle keeps its sign under a positive factor, and at
+        # 10**30 the rows pack into ~100-bit fields
+        scaled = tuple(tuple(str(factor * x) for x in row) for row in dist)
+        expected = self._assert_same_verdict(("a", "b", "c", "d"), scaled)
+        assert expected == f"triangle inequality fails on {triple}"
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (True, TypeError, "True is not a number"),
+            ([1], TypeError, "[1] is not a number"),
+            (float("nan"), ValueError, "nan is not a number"),
+            ("1/0", ValueError, "'1/0' is not a number"),
+        ],
+        ids=["true", "list", "nan", "zero-denominator"],
+    )
+    def test_bad_token_fails_as_it_would_alone(self, bad, error, message):
+        # a 1 read first must not answer for True, which hashes like 1
+        for dist in [((0, 1), (bad, 0)), ((0, bad), (1, 0)), ((0, "1"), (bad, 0))]:
+            with pytest.raises(error) as exc:
+                FiniteMetricSpace(("a", "b"), dist)
+            assert str(exc.value) == message
+
+    def test_equal_tokens_give_one_matrix(self):
+        spaces = [
+            FiniteMetricSpace(("a", "b"), ((0, x), (y, 0)))
+            for x, y in itertools.product([1, "1", "2/2", "1.0"], repeat=2)
+        ]
+        assert all(s == spaces[0] for s in spaces)
+        assert spaces[0].matrix == ((0, 1), (1, 0)) and spaces[0].den == 1
+
+    def test_ratio_runs_once_per_distinct_token(self, monkeypatch):
+        seen = []
+
+        def counted(x):
+            seen.append(x)
+            return ratio(x)
+
+        monkeypatch.setattr(evp, "ratio", counted)
+        labels = tuple("abcd")
+        dist = (
+            (0, "1/2", 1, Fraction(3, 2)),
+            ("1/2", 0, "1/2", 1),
+            (1, "1/2", 0, 0.5),
+            (Fraction(3, 2), 1, 0.5, 0),
+        )
+        space = FiniteMetricSpace(labels, dist)
+        assert space.matrix[0] == (0, 1, 2, 3) and space.den == 2
+        # 0, "1/2" and 1 once each; Fractions and floats every time
+        assert sorted(map(str, seen)) == sorted(
+            ["0", "1/2", "1", "3/2", "3/2", "0.5", "0.5"]
+        )
 
     def test_integer_check_on_one_point(self):
         for dist in [(0,), ("1/3",), (-1,), ("0/7",)]:
@@ -246,6 +363,52 @@ class TestDominance:
                     for c in labels:
                         if dominates(p, b, a) and dominates(p, c, b):
                             assert dominates(p, c, a)
+
+
+class TestDominanceRoutes:
+    """The solver's `dominates`, the verifier's `_CheckedRelation` and
+    membership LPs alone decide the pre-order alike."""
+
+    @staticmethod
+    def _assert_routes_agree(p):
+        rel = _CheckedRelation(p)
+        answers = set()
+        for xp, x in itertools.product(p.space.labels, repeat=2):
+            lp = _lp_dominates(p, xp, x)
+            assert dominates(p, xp, x) == lp == rel.dominates(xp, x), (xp, x)
+            answers.add(lp)
+        return answers
+
+    def test_scaled_problems_with_fractional_scale_and_metric(self):
+        # eps/lam > 1 and a metric denominator > 1, so the unit bounds
+        # carry both, and each pair multiplies them by its integer entry
+        rng = random.Random(29)
+        answers, drawn, fractional = set(), 0, 0
+        while drawn < 20:
+            lam = Fraction(rng.randint(2, 6), 7)
+            p = rand_problem(
+                rng, max_points=6, max_images=3,
+                mode_factory=lambda eps: ScaledMode(eps, lam),
+                require_witness=False,
+            )
+            if p.space.den == 1:
+                continue
+            assert p.scale > 1
+            answers |= self._assert_routes_agree(p)
+            fractional += p.scale.denominator > 1
+            drawn += 1
+        assert answers == {True, False} and fractional
+
+    @pytest.mark.parametrize(
+        "mode, scale",
+        [(PlainMode(), 1), (ScaledMode(2, 4), Fraction(1, 2))],
+        ids=["plain", "scaled"],
+    )
+    def test_tight_step(self, mode, scale):
+        p = _tight_step_problem(mode, scale)
+        assert p.space.den == 2
+        assert self._assert_routes_agree(p) == {True, False}
+        assert dominates(p, "b", "a") and not dominates(p, "a", "b")
 
 
 class TestHypothesisCheck:
@@ -327,21 +490,12 @@ class TestSolve:
         ids=["plain", "scaled"],
     )
     def test_tight_descent_step(self, mode, scale):
-        # one-vertex H; b sits exactly scale * d(a, b) * h below a, so the
-        # step a -> b drops the potential by exactly scale * d(a, b)
-        d = Fraction(3, 2)
-        space = FiniteMetricSpace(("a", "b"), ((0, d), (d, 0)))
-        table = map_table(
-            {"a": [(4, 4)], "b": [(4 - scale * d, 4 - scale * d)]}
-        )
-        p = EVPProblem(
-            space=space, f=table, K=ConeGen(2, ((1, 0), (0, 1))),
-            H=Polytope(2, ((1, 1),)), x0="a", epsilon=2, mode=mode,
-        )
+        # the step a -> b drops the potential by exactly scale * d(a, b)
+        p = _tight_step_problem(mode, scale)
         assert p.scale == scale
         cert = solve(p)
         assert cert.chain == ("a", "b")
-        assert cert.xi_trace[0] - cert.xi_trace[1] == scale * d
+        assert cert.xi_trace[0] - cert.xi_trace[1] == scale * p.space.d("a", "b")
         assert verify_certificate(p, cert).passed
         # a claimed value moved toward its neighbour breaks the trace
         for i, j in ((0, 1), (1, 0)):
@@ -728,6 +882,18 @@ class TestRandomInstances:
             cert = solve(found)
             report = verify_certificate(found, cert)
             assert report.a and report.b and report.c
+
+
+def _tight_step_problem(mode, scale) -> EVPProblem:
+    """Two points at distance 3/2 and a one-vertex H; b sits exactly
+    scale * d(a, b) * h below a, so b is below a with no slack."""
+    d = Fraction(3, 2)
+    space = FiniteMetricSpace(("a", "b"), ((0, d), (d, 0)))
+    table = map_table({"a": [(4, 4)], "b": [(4 - scale * d, 4 - scale * d)]})
+    return EVPProblem(
+        space=space, f=table, K=ConeGen(2, ((1, 0), (0, 1))),
+        H=Polytope(2, ((1, 1),)), x0="a", epsilon=2, mode=mode,
+    )
 
 
 def _lp_dominates(p: EVPProblem, xprime: str, x: str) -> bool:
