@@ -44,6 +44,7 @@ from .geometry import (
     VPolyhedralUnion,
     cone_contains,
     cone_halfspaces,
+    homogenized_generators,
     homogenized_halfspaces,
     is_pointed,
     scaled_H_minus_K_contains,

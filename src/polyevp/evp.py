@@ -23,8 +23,11 @@ xi(y) = phi(y - y0), and repeatedly move to the argmin of the current
 lower section.  Each move strictly drops the score by at least
 scale * step distance, so the walk terminates in at most |X| steps.
 Dominance, the hypothesis check and the scores ask their questions of
-`geometry.ConeHalfspaces`, from row products of the images scaled to
-integers once per problem; this module never reads a halfspace row.
+`geometry.ConeHalfspaces`, from row products of the images.  The images
+are scaled to integers once per problem (`EVPProblem._scaled_images`),
+and one class, `_ImageRows`, forms their row products: the solver's
+instance over the functional's halfspaces, the verifier's own instance
+over its checked rows.  This module never reads a halfspace row.
 
 Three scale modes cover the standard statements: ``plain`` uses scale 1;
 ``scaled(eps, lam)`` uses eps/lam and additionally guarantees
@@ -43,7 +46,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .geometry import (
     ConeGen,
@@ -51,7 +54,6 @@ from .geometry import (
     DimensionMismatchError,
     InvalidConfigurationError,
     Polytope,
-    checked_rows,
     is_pointed,
     reaches,
     scaled_H_minus_K_contains,
@@ -394,18 +396,18 @@ class EVPProblem:
         return self.f.images(label)
 
     @functools.cached_property
+    def _scaled_images(self) -> tuple[int, dict[str, list[list[int]]]]:
+        """(scale, {label: [z per image]}): every image times one common
+        ``scale``, in integers, as the solver and the verifier read it."""
+        f = self.f
+        flat, scale = integerize([c for _, imgs in f.entries for y in imgs for c in y])
+        it = iter(flat)
+        return scale, {l: [[next(it) for _ in y] for y in imgs] for l, imgs in f.entries}
+
+    @functools.cached_property
     def _image_rows(self) -> _ImageRows:
         """The solver's row products, built on first use."""
-        plus, minus = self._separation.halfspaces()
-        scale, ints = _scaled_images(self)
-        return _ImageRows(
-            scale,
-            plus,
-            minus,
-            _products(plus, ints),
-            _products(minus, ints),
-            _unit_bounds(self, plus, scale),
-        )
+        return _ImageRows(self, *self._separation.halfspaces())
 
 
 # ---------------------------------------------------------------------------
@@ -413,56 +415,54 @@ class EVPProblem:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_images(p: EVPProblem) -> tuple[int, dict[str, list[list[int]]]]:
-    """(scale, {label: [z per image]}): every image times one common
-    ``scale``, in integers."""
-    flat, scale = integerize([c for _, imgs in p.f.entries for y in imgs for c in y])
-    it = iter(flat)
-    return scale, {l: [[next(it) for _ in y] for y in imgs] for l, imgs in p.f.entries}
-
-
-def _unit_bounds(p: EVPProblem, hs: ConeHalfspaces, scale: int) -> tuple[int, list[int]]:
-    """`ConeHalfspaces.bounds` at the scale of one unit of the integer
-    metric, for images scaled by ``scale``: T = p.scale * scale / den.
-
-    The pair (x', x) is at scale ``p.space.entry(x', x)`` times that.
-    `reaches` is unchanged when den and the bounds are multiplied by one
-    positive number, so (den, entry * bounds) answers it exactly, and
-    at entry 0 every bound is 0.
-    """
-    return hs.bounds(p.scale * scale / p.space.den)
-
-
-def _pair_bounds(unit: tuple[int, list[int]], entry: int) -> tuple[int, list[int]]:
-    """`_unit_bounds` scaled to the integer distance ``entry``."""
-    den, bounds = unit
-    return den, [entry * c for c in bounds]
-
-
-def _products(hs: ConeHalfspaces, ints: dict) -> dict[str, list[tuple[int, ...]]]:
-    """{label: [`ConeHalfspaces.products` of z per image]} for the
-    scaled images of `_scaled_images`.  Products are linear in z, so
-    those of a difference of images are differences of these."""
-    return {l: [hs.products(z) for z in zs] for l, zs in ints.items()}
-
-
-@dataclass(frozen=True)
 class _ImageRows:
-    """The solver's row products, computed once per problem.
+    """Row products of a problem's scaled images with ``plus_hs``, rows
+    of the cone over t*H + K, and ``minus_hs``, rows of the cone over
+    t*H - K.
 
-    ``plus[label][i]`` holds the products of ``plus_hs``, the cone over
-    t*H + K, at image i scaled by ``scale``, and ``minus[label][i]``
-    those of ``minus_hs``, the cone over t*H - K.  ``unit`` holds
-    `plus_hs`'s bounds at one unit of the integer metric
-    (`_unit_bounds`).
+    ``plus[label][i]`` holds the products of ``plus_hs`` at image i of
+    the point; `minus` forms those of ``minus_hs`` per point on first
+    use.  Products are linear in z, so those of a difference of images
+    are differences of these.  ``unit`` holds ``plus_hs``'s bounds at one
+    unit of the integer metric, T = p.scale * scale / den.
     """
 
-    scale: int
-    plus_hs: ConeHalfspaces
-    minus_hs: ConeHalfspaces
-    plus: dict[str, list[tuple[int, ...]]]
-    minus: dict[str, list[tuple[int, ...]]]
-    unit: tuple[int, list[int]]
+    def __init__(self, p: EVPProblem, plus_hs: ConeHalfspaces, minus_hs: ConeHalfspaces):
+        self.scale, self._ints = p._scaled_images
+        self.plus_hs, self.minus_hs = plus_hs, minus_hs
+        self.plus = {l: [plus_hs.products(z) for z in zs] for l, zs in self._ints.items()}
+        self._minus: dict[str, list[tuple[int, ...]]] = {}
+        self.unit = plus_hs.bounds(p.scale * self.scale / p.space.den)
+        self._x0 = p.x0
+
+    def pair_bounds(self, entry: int) -> tuple[int, list[int]]:
+        """``plus_hs``'s bounds for a pair at the integer distance
+        ``entry``.  `reaches` is unchanged when den and the bounds are
+        multiplied by one positive number, so (den, entry * unit bounds)
+        answers it exactly, and at entry 0 every bound is 0."""
+        den, bounds = self.unit
+        return den, [entry * c for c in bounds]
+
+    def minus(self, label: str) -> list[tuple[int, ...]]:
+        prods = self._minus.get(label)
+        if prods is None:
+            prods = [self.minus_hs.products(z) for z in self._ints[label]]
+            self._minus[label] = prods
+        return prods
+
+    def phi_args(self, i0: int, label: str) -> Iterator[tuple]:
+        """Per image y of ``label``, the five arguments that
+        `phi_from_rows` and `phi_lower_bound` take for y - y0, with y0
+        image ``i0`` of the start point."""
+        plus0, minus0 = self.plus[self._x0][i0], self.minus(self._x0)[i0]
+        for plus_y, minus_y in zip(self.plus[label], self.minus(label)):
+            yield (
+                self.plus_hs,
+                tuple(map(operator.sub, plus0, plus_y)),
+                self.minus_hs,
+                tuple(map(operator.sub, minus_y, minus0)),
+                self.scale,
+            )
 
 
 def dominates(p: EVPProblem, xprime: str, x: str) -> bool:
@@ -474,7 +474,7 @@ def dominates(p: EVPProblem, xprime: str, x: str) -> bool:
     distance.
     """
     rows = p._image_rows
-    den, bounds = _pair_bounds(rows.unit, p.space.entry(xprime, x))
+    den, bounds = rows.pair_bounds(p.space.entry(xprime, x))
     sources = rows.plus[xprime]
     return all(
         any(reaches(den, bounds, target, src) for src in sources)
@@ -597,24 +597,15 @@ def solve(p: EVPProblem) -> EVPCertificate:
             blocking,
         )
 
-    plus0, minus0 = rows.plus[p.x0][witness], rows.minus[p.x0][witness]
     score_cache: dict[str, ExtendedReal] = {}
 
     def score(label: str) -> ExtendedReal:
         """xi at a point: the least phi(y - y0) over its images."""
         val = score_cache.get(label)
         if val is None:
-            val = min(
-                phi_from_rows(
-                    rows.plus_hs,
-                    tuple(map(operator.sub, plus0, plus_y)),
-                    rows.minus_hs,
-                    tuple(map(operator.sub, minus_y, minus0)),
-                    rows.scale,
-                )
-                for plus_y, minus_y in zip(rows.plus[label], rows.minus[label])
+            val = score_cache[label] = min(
+                phi_from_rows(*args) for args in rows.phi_args(witness, label)
             )
-            score_cache[label] = val
         return val
 
     section_min = min(score(l) for l in section)
@@ -703,8 +694,9 @@ class VerificationReport:
     radius.  ``coradiant_gap`` (efficiency mode): some h in H steps
     outside the scaled coradiant set (`coradiant_escape_check`); False
     refutes that for every h in H.  The chain, trace, and
-    hypothesis-witness checks guard the certificate's own bookkeeping.  ``failures`` names the failed
-    checks; a ``c`` or ``coradiant_gap`` of None is not a failure.
+    hypothesis-witness checks guard the certificate's own bookkeeping.
+    ``failures`` names the failed checks; a ``c`` or ``coradiant_gap``
+    of None is not a failure.
     """
 
     a: bool
@@ -737,9 +729,10 @@ class _CheckedRelation:
     """The pre-order, the hypothesis check and the trace values as the
     verifier decides them.
 
-    Shares no answer with the solver.  ``halfspaces`` and
-    ``minus_halfspaces`` are the rows of the problem's cones over
-    t*H + K and t*H - K that `geometry.checked_rows` has found
+    Shares no answer with the solver.  ``rows`` is the verifier's own
+    `_ImageRows`, over the problem's checked rows
+    (`SeparationFunctional.checked_halfspaces`) of the cones over
+    t*H + K and t*H - K: the rows that `geometry.checked_rows` has found
     nonnegative on every generator (h, 1) and (+-k, 0), taken from H and
     K directly.  Such a row is nonnegative on the whole cone, so a point
     where it is negative lies outside, and the scales the kept rows
@@ -748,24 +741,14 @@ class _CheckedRelation:
     A "no" for "y - ysrc in t*H + K" is a Farkas certificate: a checked
     row negative at (y - ysrc, t) (`geometry.reaches`).  A point that no
     checked row excludes goes to the membership LP, so every "yes" is an
-    exact LP answer.  A trace value is checked by `potential_is`.  The
-    row products of the cone over t*H + K are formed for every image;
-    those of the cone over t*H - K only for the points whose potential
-    is checked, once each.  The checked rows' bounds at one unit of the
-    integer metric (`_unit_bounds`) are formed once; each call of
-    `dominates` or `escapes` forms its own bounds once, and the
+    exact LP answer.  A trace value is checked by `potential_is`.  Each
+    call of `dominates` or `escapes` forms its own bounds once, and the
     Fraction t only for a membership LP.
     """
 
     def __init__(self, p: EVPProblem):
         self.p = p
-        plus, minus = p._separation.halfspaces()
-        self.halfspaces = checked_rows(plus, p.H, p.K, 1)
-        self.minus_halfspaces = checked_rows(minus, p.H, p.K, -1)
-        self.scale, self._ints = _scaled_images(p)
-        self.products = _products(self.halfspaces, self._ints)
-        self._unit = _unit_bounds(p, self.halfspaces, self.scale)
-        self._minus_products: dict[str, list[tuple[int, ...]]] = {}
+        self.rows = _ImageRows(p, *p._separation.checked_halfspaces)
         self._dominance: dict = {}
 
     def _in_sum(self, y: Vec, ysrc: Vec, prod, prod_src, bounds, t) -> bool:
@@ -779,16 +762,16 @@ class _CheckedRelation:
         key = (xprime, x)
         ans = self._dominance.get(key)
         if ans is None:
-            p = self.p
-            bounds = _pair_bounds(self._unit, p.space.entry(x, xprime))
+            p, plus = self.p, self.rows.plus
+            bounds = self.rows.pair_bounds(p.space.entry(x, xprime))
 
             def t() -> Fraction:
                 return p.scale * p.space.d(x, xprime)
 
-            sources = list(zip(p.images(xprime), self.products[xprime]))
+            sources = list(zip(p.images(xprime), plus[xprime]))
             ans = all(
                 any(self._in_sum(y, ys, prod, ps, bounds, t) for ys, ps in sources)
-                for y, prod in zip(p.images(x), self.products[x])
+                for y, prod in zip(p.images(x), plus[x])
             )
             self._dominance[key] = ans
         return ans
@@ -797,10 +780,10 @@ class _CheckedRelation:
         """Is y0, an image of x0, outside y - eps*H - K for every image y
         of every point in the hypothesis scope?  Whether a point is in
         the scope is asked only of points with a reaching image."""
-        p = self.p
-        prod0 = self.products[p.x0][p.images(p.x0).index(y0)]
+        p, rows = self.p, self.rows
+        prod0 = rows.plus[p.x0][p.images(p.x0).index(y0)]
         efficiency = isinstance(p.mode, EfficiencyMode)
-        bounds = self.halfspaces.bounds(p.epsilon * self.scale)
+        bounds = rows.plus_hs.bounds(p.epsilon * rows.scale)
 
         def eps() -> Fraction:
             return p.epsilon
@@ -808,17 +791,10 @@ class _CheckedRelation:
         for x in p.feasible:
             if any(
                 self._in_sum(y0, y, prod0, prod, bounds, eps)
-                for y, prod in zip(p.images(x), self.products[x])
+                for y, prod in zip(p.images(x), rows.plus[x])
             ) and (efficiency or self.dominates(x, p.x0)):
                 return False
         return True
-
-    def _minus_at(self, label: str) -> list[tuple[int, ...]]:
-        prods = self._minus_products.get(label)
-        if prods is None:
-            prods = [self.minus_halfspaces.products(z) for z in self._ints[label]]
-            self._minus_products[label] = prods
-        return prods
 
     def potential_is(self, label: str, y0: Vec, v: Fraction) -> bool:
         """Is v = xi(label), the least phi(y - y0) over the images y of
@@ -828,26 +804,17 @@ class _CheckedRelation:
         checked rows give a lower bound (`phi_lower_bound`), and an image
         whose bound is missing or below v is scored exactly by the LP
         `evaluate`; for a true v that happens only where a dropped row
-        left the bound short.  Some image
-        reaches v: one whose bound equals v is confirmed by the
-        membership LP y - y0 in v*H - K, which shows phi(y - y0) <= v.
+        left the bound short.  Some image reaches v: one whose bound
+        equals v is confirmed by the membership LP y - y0 in v*H - K,
+        which shows phi(y - y0) <= v.
         """
         p = self.p
         i0 = p.images(p.x0).index(y0)
-        plus0, minus0 = self.products[p.x0][i0], self._minus_at(p.x0)[i0]
         target = ExtendedReal.finite(v)
         reached = False
         candidates = []
-        for y, plus_y, minus_y in zip(
-            p.images(label), self.products[label], self._minus_at(label)
-        ):
-            bound = phi_lower_bound(
-                self.halfspaces,
-                tuple(map(operator.sub, plus0, plus_y)),
-                self.minus_halfspaces,
-                tuple(map(operator.sub, minus_y, minus0)),
-                self.scale,
-            )
+        for y, args in zip(p.images(label), self.rows.phi_args(i0, label)):
+            bound = phi_lower_bound(*args)
             if bound is None or bound < target:
                 exact = evaluate(p._separation, vec_sub(y, y0))
                 if exact < target:

@@ -9,8 +9,9 @@ Three value types cover every set this package manipulates:
 
 The membership oracles answer each question with one exact LP over the
 generators and vertices.  For a question asked many times about one
-pair (H, K) at varying scale t, `homogenized_halfspaces` converts the
-cone over {(h, 1) : h in H} + {(+-k, 0) : k in K} once into integer
+pair (H, K) at varying scale t, `homogenized_generators` forms the
+integer generators (h, 1) and (+-k, 0) of the cone over t*H +- K, and
+`homogenized_halfspaces` converts that cone once into integer
 halfspaces by the double description method (`cone_halfspaces`); then
 "z in t*H +- K" for every t >= 0 is a sign check of integer row
 products, with no LP.  `ConeHalfspaces` owns that row format: its
@@ -50,6 +51,7 @@ __all__ = [
     "is_pointed",
     "checked_rows",
     "cone_halfspaces",
+    "homogenized_generators",
     "homogenized_halfspaces",
     "reaches",
     "scaled_H_minus_K_contains",
@@ -434,42 +436,41 @@ def cone_halfspaces(generators: Sequence[Sequence[int]], dim: int) -> ConeHalfsp
     return ConeHalfspaces(tuple(lin), tuple(rays))
 
 
-def homogenized_halfspaces(H: Polytope, K: ConeGen, k_sign: int) -> ConeHalfspaces:
-    """Halfspaces of the cone over t*H + k_sign*K in R^(dim+1).
+def homogenized_generators(
+    H: Polytope, K: ConeGen, k_sign: int
+) -> tuple[tuple[int, ...], ...]:
+    """Generators of the cone over t*H + k_sign*K in R^(dim+1): (h, 1)
+    for the vertices h of H and (k_sign * k, 0) for the generators k of
+    K, each a positive multiple in integers (`integerize`).
 
-    The cone is generated by (h, 1) for the vertices h of H and
-    (k_sign * k, 0) for the generators k of K.  H is bounded and
-    nonempty, so for every t >= 0 the pair (z, t) lies in it exactly
-    when z lies in t*H + k_sign*K; at t = 0 the H-weights must vanish
-    and the test reads z in k_sign*K.
+    H is bounded and nonempty, so for every t >= 0 the pair (z, t) lies
+    in that cone exactly when z lies in t*H + k_sign*K; at t = 0 the
+    H-weights must vanish and the test reads z in k_sign*K.
     """
-    return cone_halfspaces(_homogenized_generators(H, K, k_sign), H.dim + 1)
-
-
-def _homogenized_generators(H: Polytope, K: ConeGen, k_sign: int) -> list[list[int]]:
-    """(h, 1) and (k_sign * k, 0) for H's vertices and K's generators,
-    each a positive multiple in integers (`integerize`)."""
     if H.dim != K.dim:
         raise DimensionMismatchError("polytope and cone dimensions differ")
     one, zero = Fraction(1), Fraction(0)
     gens = [h + (one,) for h in H.vertices]
     gens += [tuple(k_sign * c for c in k) + (zero,) for k in K.generators]
-    return [integerize(g)[0] for g in gens]
+    return tuple(tuple(integerize(g)[0]) for g in gens)
 
 
-def checked_rows(
-    hs: ConeHalfspaces, H: Polytope, K: ConeGen, k_sign: int
-) -> ConeHalfspaces:
-    """The rows of hs nonnegative on every generator of the cone over
-    t*H + k_sign*K, each generator formed from H and K directly, kept in
+def homogenized_halfspaces(gens: Sequence[Sequence[int]]) -> ConeHalfspaces:
+    """Halfspaces of the cone over t*H +- K from its generators
+    (`homogenized_generators`), with the scale's coefficient last."""
+    return cone_halfspaces(gens, len(gens[0]))
+
+
+def checked_rows(hs: ConeHalfspaces, gens: Sequence[Sequence[int]]) -> ConeHalfspaces:
+    """The rows of hs nonnegative on every generator in ``gens``, kept in
     order as the inequalities of a cone with no equalities.
 
-    A kept row is nonnegative on the whole cone, so a point where it is
-    negative lies outside, whatever produced the rows.  The generators
-    are positive integer multiples of (h, 1) and (k_sign * k, 0), which
-    keeps every sign.
+    A kept row is nonnegative on the whole cone that ``gens`` generates,
+    so a point where it is negative lies outside, whatever produced the
+    rows.  For the cone over t*H +- K, ``gens`` are
+    `homogenized_generators`: positive integer multiples of (h, 1) and
+    (+-k, 0), formed from H and K directly, which keeps every sign.
     """
-    gens = _homogenized_generators(H, K, k_sign)
     return ConeHalfspaces(
         (), tuple(r for r in hs.rows if all(_idot(r, g) >= 0 for g in gens))
     )

@@ -10,8 +10,10 @@ problem file straight to a (numerator, denominator) pair, which `frac`
 wraps in a Fraction.  `FiniteMetricSpace` calls it once per distinct
 str or int distance token and keeps one integer matrix over the common
 denominator; the metric checks and the pre-order's scales stay in those
-integers.  `integerize` scales Fractions already built to integers, for
-the LP tableau and the halfspace routes.
+integers.  `integerize` scales Fractions already built to integers: a
+problem's images once per problem (`EVPProblem._scaled_images`), the
+generators of the cones over t*H + K and t*H - K once per
+`SeparationFunctional`, and each LP and each query point as it comes.
 """
 
 from __future__ import annotations

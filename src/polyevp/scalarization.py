@@ -45,10 +45,12 @@ on the rows it has checked shows phi(y - y0) >= v for every image y,
 and one membership LP, y - y0 in v*H - K, shows that some image reaches
 v.  Only an image that the checked rows bound below v, or not at all,
 is scored by the LP `evaluate`.  The ``scalarize`` command uses the LP
-route and cross-checks it by bisection, so it builds the halfspaces
-once per functional.  A facet missing from them lets bisection accept
-scales below phi, and the two routes disagree; a row that fails the
-check is dropped.
+route and cross-checks it by bisection.  The functional forms the
+integer generators of each cone once; the halfspaces are built from
+them and checked against them once per functional.  The solver reads
+the halfspaces, the verifier and bisection the checked rows.  A facet
+missing from them lets bisection accept scales below phi, and the two
+routes disagree; a row that fails the check is dropped.
 
 This module never reads a halfspace row: `geometry.ConeHalfspaces` owns
 the row format and answers each question, and `rational.integerize`
@@ -71,6 +73,7 @@ from .geometry import (
     _combination_lp,
     checked_rows,
     cone_contains,
+    homogenized_generators,
     homogenized_halfspaces,
     reaches,
 )
@@ -164,8 +167,14 @@ class SeparationFunctional:
         # above has raised.
 
     @functools.cached_property
+    def _generators(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """`geometry.homogenized_generators` of the cones over t*H + K
+        and t*H - K, in that order."""
+        return tuple(homogenized_generators(self.H, self.K, s) for s in (1, -1))
+
+    @functools.cached_property
     def _halfspaces(self) -> tuple[ConeHalfspaces, ConeHalfspaces]:
-        return tuple(homogenized_halfspaces(self.H, self.K, s) for s in (1, -1))
+        return tuple(homogenized_halfspaces(g) for g in self._generators)
 
     def halfspaces(self) -> tuple[ConeHalfspaces, ConeHalfspaces]:
         """Halfspaces of the cones over t*H + K and t*H - K, in that order.
@@ -174,6 +183,13 @@ class SeparationFunctional:
         callers of the closed form pay for them.
         """
         return self._halfspaces
+
+    @functools.cached_property
+    def checked_halfspaces(self) -> tuple[ConeHalfspaces, ConeHalfspaces]:
+        """The rows of `halfspaces` that `geometry.checked_rows` finds
+        nonnegative on the generators formed from H and K, in the same
+        order; built on first use.  The solver never reads them."""
+        return tuple(map(checked_rows, self.halfspaces(), self._generators))
 
 
 def phi_from_rows(
@@ -299,12 +315,12 @@ def evaluate_bisection(
     probed.  When every probed scale down to -max(1, t_max) is feasible,
     `BracketExhaustedError` names the last one.
 
-    "y in t*H - K" is asked of the checked rows of F's halfspaces
-    (`geometry.checked_rows`): for t >= 0 it reads (y, t) in the cone
-    over t*H - K, and for t < 0 it reads (-y, -t) in the cone over
-    t*H + K.  With y = z / scale, each is a `geometry.reaches` sign
-    check at T = t * scale in z's frame, where the bracket is kept; the
-    row products of z are formed once per call.
+    "y in t*H - K" is asked of F's checked rows
+    (`SeparationFunctional.checked_halfspaces`): for t >= 0 it reads
+    (y, t) in the cone over t*H - K, and for t < 0 it reads (-y, -t) in
+    the cone over t*H + K.  With y = z / scale, each is a
+    `geometry.reaches` sign check at T = t * scale in z's frame, where
+    the bracket is kept; the row products of z are formed once per call.
     """
     tol, t_max = frac(tol), frac(t_max)
     if tol <= 0 or t_max <= 0:
@@ -314,9 +330,7 @@ def evaluate_bisection(
         raise DimensionMismatchError(
             f"query has length {len(yv)}, expected {F.H.dim}"
         )
-    plus_hs, minus_hs = F.halfspaces()
-    plus = checked_rows(plus_hs, F.H, F.K, 1)
-    minus = checked_rows(minus_hs, F.H, F.K, -1)
+    plus, minus = F.checked_halfspaces
     z, scale = integerize(yv)
     at_plus_z, at_z = plus.products(z), minus.products(z)
     zero = (0,) * max(len(at_plus_z), len(at_z))  # the origin's products

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import itertools
+import json
 import math
 import random
 import warnings
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyevp import evp, geometry, scalarization
+from polyevp import cli, evp, geometry, scalarization
 from polyevp.evp import (
     _CheckedRelation,
     EfficiencyMode,
@@ -46,6 +47,7 @@ from polyevp.scalarization import (
     InternalConsistencyError,
     SeparationFunctional,
     evaluate,
+    evaluate_bisection,
 )
 from polyevp.rational import ratio, vec_sub
 
@@ -1002,6 +1004,32 @@ class TestIndependentVerification:
         forged = EVPCertificate(xbar="b", y0=(4, 4), chain=("a", "b"), xi_trace=(0, -2))
         assert "(b)" in verify_certificate(p, forged).failures
 
+    @pytest.mark.parametrize("corrupt", ["dropped-facet", "zero-products"])
+    def test_corrupt_solver_rows_do_not_change_the_report(self, corrupt):
+        # the solver and the verifier share the row-product class, not an
+        # instance: corrupting the solver's rows after solve moves the
+        # solver's own answers and leaves the verifier's report alone
+        moved = 0
+        for p in self._draws(71, 12):
+            cert = solve(p)
+            honest = verify_certificate(p, cert)
+            pairs = list(itertools.product(p.feasible, repeat=2))
+            before = [dominates(p, xp, x) for xp, x in pairs]
+            rows = p._image_rows
+            if corrupt == "dropped-facet":
+                if not rows.plus_hs.inequalities:
+                    continue
+                p.__dict__["_image_rows"] = evp._ImageRows(
+                    p, _dropped_facet(rows.plus_hs), rows.minus_hs
+                )
+            else:
+                rows.plus = {l: [(0,) * len(r) for r in rs] for l, rs in rows.plus.items()}
+            after = [dominates(p, xp, x) for xp, x in pairs]
+            moved += after != before
+            assert _CheckedRelation(p).rows is not p._image_rows
+            assert verify_certificate(p, cert) == honest
+        assert moved
+
     @_CORRUPTIONS
     def test_corrupt_rows_do_not_change_an_honest_report(
         self, corrupt, which, monkeypatch
@@ -1017,7 +1045,7 @@ class TestIndependentVerification:
             # the verifier keeps exactly the valid rows it was given
             kept = _dropped_facet(given) if corrupt is _dropped_facet else given
             rel = _CheckedRelation(q)
-            checked = (rel.halfspaces, rel.minus_halfspaces)[which]
+            checked = (rel.rows.plus_hs, rel.rows.minus_hs)[which]
             assert set(checked.rows) == set(kept.rows)
             assert verify_certificate(q, cert) == honest
         if (corrupt, which) == (_dropped_facet, 0):
@@ -1054,6 +1082,50 @@ class TestIndependentVerification:
             # the test has teeth: a cut-down cone makes the solver claim
             # minimality, an escaping witness or a trace where none holds
             assert false_claims > 0
+
+
+class TestIntegerDataOnce:
+    """Each piece of integer data behind the relation is formed once."""
+
+    @staticmethod
+    def _count(monkeypatch) -> dict:
+        calls = {"integerize": 0, "generators": [], "checked_rows": 0}
+        evp_integerize = evp.integerize
+
+        def integerize(values):
+            calls["integerize"] += 1
+            return evp_integerize(values)
+
+        def generators(H, K, k_sign):
+            calls["generators"].append(k_sign)
+            return geometry.homogenized_generators(H, K, k_sign)
+
+        def checked_rows(hs, gens):
+            calls["checked_rows"] += 1
+            return geometry.checked_rows(hs, gens)
+
+        monkeypatch.setattr(evp, "integerize", integerize)
+        monkeypatch.setattr(scalarization, "homogenized_generators", generators)
+        monkeypatch.setattr(scalarization, "checked_rows", checked_rows)
+        return calls
+
+    def test_solve_and_its_self_check(self, tmp_path, monkeypatch, capsys):
+        # the ``solve`` command solves one problem and verifies its answer
+        # on that problem; exit code 0 means the self-check passed
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(_TIGHT_TRACE_DOC))
+        calls = self._count(monkeypatch)
+        assert cli.main(["solve", str(path), "--json"]) == 0
+        assert all(json.loads(capsys.readouterr().out)["checks"].values())
+        assert calls == {"integerize": 1, "generators": [1, -1], "checked_rows": 2}
+
+    def test_bisection_reads_the_checked_rows_of_its_functional(self, monkeypatch):
+        p = build_problem(_TIGHT_TRACE_DOC)
+        calls = self._count(monkeypatch)
+        F = SeparationFunctional(p.H, p.K)
+        for y in p.images("p4"):
+            assert evaluate_bisection(F, y, Fraction(1, 64), 100) >= evaluate(F, y)
+        assert calls == {"integerize": 0, "generators": [1, -1], "checked_rows": 2}
 
 
 class TestTraceCheck:

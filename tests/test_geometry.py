@@ -19,6 +19,7 @@ from polyevp.geometry import (
     checked_rows,
     cone_contains,
     cone_halfspaces,
+    homogenized_generators,
     homogenized_halfspaces,
     is_pointed,
     reaches,
@@ -234,7 +235,7 @@ class TestHalfspaces:
     def test_one_vertex_H_on_a_ray(self):
         # H = {(1, 1)}, K = cone{(1, 1)}: z in t*H + K iff z = s*(1, 1), s >= t
         H, K = Polytope(2, ((1, 1),)), ConeGen(2, ((1, 1),))
-        hs = homogenized_halfspaces(H, K, 1)
+        hs = homogenized_halfspaces(homogenized_generators(H, K, 1))
         assert contains(hs, (2, 2, 2)) and contains(hs, (3, 3, 2))
         assert not contains(hs, (1, 1, 2)) and not contains(hs, (2, 3, 2))
 
@@ -314,15 +315,20 @@ def test_halfspaces_match_the_membership_lps(data):
         (1, scaled_H_plus_K_contains, None if plus_thr is None else -plus_thr),
         (-1, scaled_H_minus_K_contains, minus_thr),
     ):
-        hs = homogenized_halfspaces(H, K, sign)
+        int_gens = homogenized_generators(H, K, sign)
+        hs = homogenized_halfspaces(int_gens)
         gens = [h + (1,) for h in H.vertices]
         gens += [tuple(sign * c for c in k) + (0,) for k in K.generators]
+        for g, ig in zip(gens, int_gens, strict=True):
+            # each integer generator is a positive multiple of its own
+            m = next(a / b for a, b in zip(ig, g) if b)
+            assert m > 0 and all(a == m * b for a, b in zip(ig, g))
         for g in gens:
             assert all(dot(e, g) == 0 for e in hs.equalities)
             assert all(dot(a, g) >= 0 for a in hs.inequalities)
         bad = tuple(-c for c in integerize(gens[0])[0])  # negative on gens[0]
         for given_hs in (hs, ConeHalfspaces(hs.equalities, hs.inequalities + (bad,))):
-            checked = checked_rows(given_hs, H, K, sign)
+            checked = checked_rows(given_hs, int_gens)
             assert isinstance(checked, ConeHalfspaces) and checked.rows == hs.rows
         at_z, at_w = hs.products(z), hs.products(w)
         at_zw = hs.products([a + b for a, b in zip(z, w)])
