@@ -35,12 +35,11 @@ from .geometry import (
     DimensionMismatchError,
     Polytope,
     VPolyhedralUnion,
-    _combination_lp,
     cone_contains,
     union_disjoint_from,
     zero_notin_H_plus_K,
 )
-from .lp_core import LinearProgram, solve
+from .lp_core import combination_lp, solve
 from .rational import Number, Vec, dot, frac, frac_vec
 
 __all__ = [
@@ -77,23 +76,21 @@ def _common_lower_point(M: VPolyhedralUnion, K: ConeGen) -> Optional[Vec]:
     Together with every ray lying in K this decides M within b + K.
     """
     verts = M.all_vertices()
-    n, m = M.dim, len(K.generators)
-    # variables: b (free, n) then one generator-weight block per vertex
-    nvars = n + m * len(verts)
-    rows = []
-    rhs = []
-    for vi, v in enumerate(verts):
-        for r in range(n):
-            row = [Fraction(0)] * nvars
-            row[r] = Fraction(1)
-            base = n + m * vi
-            for j in range(m):
-                row[base + j] = K.generators[j][r]
-            rows.append(row)
-            rhs.append(v[r])
-    nonneg = [False] * n + [True] * (m * len(verts))
-    res = solve(LinearProgram.feasibility(rows, rhs, nonneg))
-    return tuple(res.witness[:n]) if res.is_feasible else None
+    n = M.dim
+    zero, one = Fraction(0), Fraction(1)
+    # One row per vertex coordinate.  b = b+ - b-, the two columns of each
+    # coordinate side by side, then one generator-weight block per vertex.
+    blocks = []
+    for r in range(n):
+        unit = (tuple(one if i == r else zero for i in range(n)) * len(verts),)
+        blocks += [(unit, 1, False), (unit, -1, False)]
+    for vi in range(len(verts)):
+        before, after = (zero,) * (n * vi), (zero,) * (n * (len(verts) - vi - 1))
+        blocks.append(([before + g + after for g in K.generators], 1, False))
+    res = solve(combination_lp([c for v in verts for c in v], blocks))
+    if not res.is_feasible:
+        return None
+    return tuple(res.witness[2 * r] - res.witness[2 * r + 1] for r in range(n))
 
 
 def find_kstar(M: VPolyhedralUnion, K: ConeGen, H: Polytope) -> Optional[Vec]:
@@ -122,11 +119,10 @@ def find_kstar(M: VPolyhedralUnion, K: ConeGen, H: Polytope) -> Optional[Vec]:
     cols = [tuple(w[r] for w, _ in constraints) for r in range(n)]
     zero, minus_one = Fraction(0), Fraction(-1)
     slacks = [tuple(minus_one if i == j else zero for i in range(k)) for j in range(k)]
-    lp = _combination_lp(
+    lp = combination_lp(
         [bound for _, bound in constraints],
         [(cols, 1, False), (cols, -1, False), (slacks, 1, False)],
         [1] * (2 * n) + [0] * k,
-        "min",
     )
     res = solve(lp)
     if not res.is_feasible:

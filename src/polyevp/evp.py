@@ -407,7 +407,7 @@ class EVPProblem:
     @functools.cached_property
     def _image_rows(self) -> _ImageRows:
         """The solver's row products, built on first use."""
-        return _ImageRows(self, *self._separation.halfspaces())
+        return _ImageRows(self, *self._separation.halfspaces)
 
 
 # ---------------------------------------------------------------------------

@@ -8,19 +8,19 @@ Three value types cover every set this package manipulates:
   ranges of set-valued maps that may be unbounded.
 
 The membership oracles answer each question with one exact LP over the
-generators and vertices.  For a question asked many times about one
-pair (H, K) at varying scale t, `homogenized_generators` forms the
-integer generators (h, 1) and (+-k, 0) of the cone over t*H +- K, and
-`homogenized_halfspaces` converts that cone once into integer
-halfspaces by the double description method (`cone_halfspaces`); then
-"z in t*H +- K" for every t >= 0 is a sign check of integer row
-products, with no LP.  `ConeHalfspaces` owns that row format: its
-`products`, `bounds` with `reaches`, and `scale_range` answer every
-such question, so no other module reads a row.  `checked_rows` keeps
-the rows that are nonnegative on every generator of that cone, so a
-caller that answers "no" from them never depends on the construction
-being right.  Points and generators are scaled to integers by
-`rational.integerize`.
+generators and vertices, built by `lp_core.combination_lp`.  For a
+question asked many times about one pair (H, K) at varying scale t,
+`homogenized_generators` forms the integer generators (h, 1) and
+(+-k, 0) of the cone over t*H +- K, and `homogenized_halfspaces`
+converts that cone once into integer halfspaces by the double
+description method (`cone_halfspaces`); then "z in t*H +- K" for every
+t >= 0 is a sign check of integer row products, with no LP.
+`ConeHalfspaces` owns that row format: its `products`, `bounds` with
+`reaches`, and `scale_range` answer every such question, so no other
+module reads a row.  `checked_rows` keeps the rows that are nonnegative
+on every generator of that cone, so a caller that answers "no" from
+them never depends on the construction being right.  Points and
+generators are scaled to integers by `rational.integerize`.
 
 A note on closures: sums of polytopes and finitely generated cones are
 closed, so the distinction between a set, its topological closure, and
@@ -35,9 +35,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .lp_core import LinearProgram, solve
+from .lp_core import combination_lp, solve
 from .rational import Number, Vec, frac, frac_vec, integerize
 
 __all__ = [
@@ -143,52 +143,11 @@ class VPolyhedralUnion:
 # ---------------------------------------------------------------------------
 
 
-def _combination_lp(
-    target: Sequence[Fraction],
-    blocks: Sequence[tuple[Sequence[Vec], Number, bool]],
-    objective: Optional[Sequence[Number]] = None,
-    sense: str = "feasibility",
-) -> LinearProgram:
-    """Program for target = sum over blocks of scale * (nonnegative
-    combination of the block's vectors).
-
-    ``blocks`` lists (vectors, scale, convex) in column order.  A convex
-    block's weights sum to one, in a row after the coordinate rows; such
-    rows follow block order.  Every membership question in this package
-    is one such program, so this fixed layout also fixes the pivots.
-    The target, vectors and scales are Fractions already, so the rows go
-    into the program as built; only the caller's objective is coerced.
-    A block at scale -1 is negated entry by entry, with no product.
-    """
-    cols: list[Sequence[Fraction]] = []
-    spans = []  # column range of each convex block
-    for vectors, scale, convex in blocks:
-        if convex:
-            spans.append(range(len(cols), len(cols) + len(vectors)))
-        if scale == 1:
-            cols += vectors
-        elif scale == -1:
-            cols += [[-c for c in v] for v in vectors]
-        else:
-            cols += [[scale * c for c in v] for v in vectors]
-    one, zero = Fraction(1), Fraction(0)
-    rows = [tuple(v[r] for v in cols) for r in range(len(target))]
-    rows += [tuple(one if j in span else zero for j in range(len(cols))) for span in spans]
-    return LinearProgram(
-        n_vars=len(cols),
-        rows=tuple(rows),
-        rhs=tuple(target) + (one,) * len(spans),
-        nonneg=(True,) * len(cols),
-        objective=None if objective is None else frac_vec(objective),
-        sense=sense,
-    )
-
-
 def cone_contains(K: ConeGen, y: Sequence[Number]) -> bool:
     """Is y a nonnegative combination of the generators?"""
     yv = frac_vec(y)
     _check_dim(K.dim, yv, "query point")
-    lp = _combination_lp(yv, [(K.generators, 1, False)])
+    lp = combination_lp(yv, [(K.generators, 1, False)])
     return solve(lp).is_feasible
 
 
@@ -213,7 +172,7 @@ def scaled_H_minus_K_contains(
     _check_dim(H.dim, yv, "query point")
     if H.dim != K.dim:
         raise DimensionMismatchError("polytope and cone dimensions differ")
-    lp = _combination_lp(yv, [(H.vertices, tq, True), (K.generators, -1, False)])
+    lp = combination_lp(yv, [(H.vertices, tq, True), (K.generators, -1, False)])
     return solve(lp).is_feasible
 
 
@@ -229,7 +188,7 @@ def scaled_H_plus_K_contains(
     _check_dim(H.dim, yv, "query point")
     if H.dim != K.dim:
         raise DimensionMismatchError("polytope and cone dimensions differ")
-    lp = _combination_lp(yv, [(H.vertices, tq, True), (K.generators, 1, False)])
+    lp = combination_lp(yv, [(H.vertices, tq, True), (K.generators, 1, False)])
     return solve(lp).is_feasible
 
 
@@ -242,7 +201,7 @@ def zero_notin_H_plus_K(H: Polytope, K: ConeGen) -> bool:
     if H.dim != K.dim:
         raise DimensionMismatchError("polytope and cone dimensions differ")
     origin = [Fraction(0)] * H.dim
-    lp = _combination_lp(origin, [(H.vertices, 1, True), (K.generators, 1, False)])
+    lp = combination_lp(origin, [(H.vertices, 1, True), (K.generators, 1, False)])
     return not solve(lp).is_feasible
 
 
@@ -271,7 +230,7 @@ def union_disjoint_from(
             (verts, 1, True), (rays, 1, False), (H.vertices, e, True),
             (K.generators, 1, False),
         ]
-        if solve(_combination_lp(y0v, blocks)).is_feasible:
+        if solve(combination_lp(y0v, blocks)).is_feasible:
             return False
     return True
 

@@ -1,11 +1,13 @@
 """Deterministic linear feasibility/optimization oracle.
 
-Programs are stated as equality rows over variables that are either
-nonnegative or free, with an optional linear objective.  A two-phase
-simplex method with Bland's rule solves them on an integer tableau
-with fraction-free (Bareiss) pivots, so every feasible/infeasible/
-unbounded verdict is certified by the arithmetic and the method
-provably terminates.
+Every program is in standard form: equality rows over nonnegative
+variables, minimizing a linear objective when one is given and a
+feasibility question when it is not.  `combination_lp` builds every
+program the package solves, in one column layout.  A two-phase simplex
+method with Bland's rule solves them on an integer tableau with
+fraction-free (Bareiss) pivots, so every feasible/infeasible/unbounded
+verdict is certified by the arithmetic and the method provably
+terminates.
 
 The tableau is dense and small on purpose: every caller in this package
 produces programs with at most a few dozen variables, and correctness
@@ -16,14 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
-from .rational import Vec, frac_vec, integerize
+from .rational import Number, Vec, frac_vec, integerize
 
 __all__ = [
     "LPFormatError",
     "LinearProgram",
     "LPResult",
+    "combination_lp",
     "solve",
 ]
 
@@ -34,18 +37,16 @@ class LPFormatError(ValueError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Equality-constrained program: rows @ x == rhs, x[j] >= 0 where flagged.
+    """Standard form: rows @ x == rhs with x >= 0.
 
-    ``sense`` is "min", "max", or "feasibility".  Feasibility-only
-    programs carry no objective (equivalently an all-zero one).
+    With an ``objective`` the program minimizes objective @ x; with
+    None it asks only whether a feasible x exists.
     """
 
     n_vars: int
     rows: tuple[Vec, ...]
     rhs: Vec
-    nonneg: tuple[bool, ...]
     objective: Optional[Vec] = None
-    sense: str = "feasibility"
 
     def __post_init__(self) -> None:
         if self.n_vars < 0:
@@ -59,51 +60,57 @@ class LinearProgram:
                 raise LPFormatError(
                     f"row {i} has width {len(row)}, expected {self.n_vars}"
                 )
-        if len(self.nonneg) != self.n_vars:
-            raise LPFormatError(
-                f"{len(self.nonneg)} nonnegativity flags for {self.n_vars} variables"
-            )
-        if self.sense not in ("min", "max", "feasibility"):
-            raise LPFormatError(f"unknown sense {self.sense!r}")
-        if self.sense == "feasibility":
-            if self.objective is not None and any(c != 0 for c in self.objective):
-                raise LPFormatError("feasibility-only program with nonzero objective")
+        if self.objective is not None and len(self.objective) != self.n_vars:
+            raise LPFormatError("objective width does not match variable count")
+
+
+def combination_lp(
+    target: Sequence[Fraction],
+    blocks: Sequence[tuple[Sequence[Vec], Number, bool]],
+    objective: Optional[Sequence[Number]] = None,
+) -> LinearProgram:
+    """Program for target = sum over blocks of scale * (nonnegative
+    combination of the block's vectors).
+
+    ``blocks`` lists (vectors, scale, convex) in column order.  A convex
+    block's weights sum to one, in a row after the coordinate rows; such
+    rows follow block order.  Every program in this package is one such
+    program, so this fixed layout also fixes the pivots.
+    The target, vectors and scales are Fractions already, so the rows go
+    into the program as built; only the caller's objective is coerced.
+    A block at scale -1 is negated entry by entry, with no product.
+    """
+    cols: list[Sequence[Fraction]] = []
+    spans = []  # column range of each convex block
+    for vectors, scale, convex in blocks:
+        if convex:
+            spans.append(range(len(cols), len(cols) + len(vectors)))
+        if scale == 1:
+            cols += vectors
+        elif scale == -1:
+            cols += [[-c for c in v] for v in vectors]
         else:
-            if self.objective is None:
-                raise LPFormatError(f"sense {self.sense!r} requires an objective")
-            if len(self.objective) != self.n_vars:
-                raise LPFormatError("objective width does not match variable count")
-
-    @classmethod
-    def feasibility(cls, rows, rhs, nonneg) -> "LinearProgram":
-        rows = tuple(frac_vec(r) for r in rows)
-        return cls(
-            n_vars=len(nonneg),
-            rows=rows,
-            rhs=frac_vec(rhs),
-            nonneg=tuple(bool(b) for b in nonneg),
-        )
-
-    @classmethod
-    def optimize(cls, objective, sense, rows, rhs, nonneg) -> "LinearProgram":
-        rows = tuple(frac_vec(r) for r in rows)
-        return cls(
-            n_vars=len(nonneg),
-            rows=rows,
-            rhs=frac_vec(rhs),
-            nonneg=tuple(bool(b) for b in nonneg),
-            objective=frac_vec(objective),
-            sense=sense,
-        )
+            cols += [[scale * c for c in v] for v in vectors]
+    one, zero = Fraction(1), Fraction(0)
+    rows = [tuple(v[r] for v in cols) for r in range(len(target))]
+    rows += [tuple(one if j in span else zero for j in range(len(cols))) for span in spans]
+    return LinearProgram(
+        n_vars=len(cols),
+        rows=tuple(rows),
+        rhs=tuple(target) + (one,) * len(spans),
+        objective=None if objective is None else frac_vec(objective),
+    )
 
 
 @dataclass(frozen=True)
 class LPResult:
     """Solver outcome.
 
-    ``status`` is "feasible", "infeasible", or "unbounded".  For feasible
-    results ``witness`` satisfies every row exactly and ``value`` is the
-    objective value (0 for feasibility-only programs).
+    ``status`` is "feasible", "infeasible", or "unbounded" (only a
+    program with an objective is unbounded).  For feasible results
+    ``witness`` satisfies every row exactly, with every entry
+    nonnegative, and ``value`` is the least objective value (0 for a
+    feasibility question).
     """
 
     status: str
@@ -126,15 +133,15 @@ def solve(lp: LinearProgram) -> LPResult:
 # the two-phase simplex on a fraction-free integer tableau
 # ---------------------------------------------------------------------------
 #
-# The driver owns the split of free columns, the artificial basis, phase
-# 1, the drive-out of artificials, phase 2 and the witness.  The tableau
-# (``rows`` with the rhs last, ``basis``, the reduced-cost row ``obj``,
-# the running determinant ``det``) owns the pivoting.
+# The driver owns the artificial basis, phase 1, the drive-out of
+# artificials, phase 2 and the witness.  The tableau (``rows`` with the
+# rhs last, ``basis``, the reduced-cost row ``obj``, the running
+# determinant ``det``) owns the pivoting.
 #
 # `rational.integerize` loads each row and the objective once as integer
-# vectors, and `_solve_exact` splits free columns and flips rows by +-1 on
-# those integers, so it forms no Fraction product.  All rows then share
-# one scale, as in Edmonds (1967) and Bareiss (1968): ``det > 0`` is the
+# vectors, and `_solve_exact` negates a row with a negative rhs on those
+# integers, so it forms no Fraction product.  All rows then share one
+# scale, as in Edmonds (1967) and Bareiss (1968): ``det > 0`` is the
 # absolute determinant of the current basis (1 for the artificial
 # identity), and every basic column holds ``det`` in its own row and 0 in
 # every other row.  So the tableau is det * B^-1 [A | b], the basic value
@@ -149,37 +156,31 @@ def solve(lp: LinearProgram) -> LPResult:
 
 def _solve_exact(lp: LinearProgram) -> LPResult:
     tab = _Tableau()
-    # Split free variables into positive/negative parts.
-    cols: list[tuple[int, int]] = []
-    for j, nn in enumerate(lp.nonneg):
-        cols.append((j, 1))
-        if not nn:
-            cols.append((j, -1))
-    n_struct = len(cols)
+    n = lp.n_vars
     m = len(lp.rows)
 
     # One artificial identity column per row, basic at the start.
     for r in range(m):
         row, _ = integerize([*lp.rows[r], lp.rhs[r]])
-        flip = -1 if row[-1] < 0 else 1
+        if row[-1] < 0:
+            row = [-e for e in row]
         art = [0] * m
         art[r] = 1
-        split = [row[j] * (flip * s) for (j, s) in cols]
-        tab.rows.append(split + art + [row[-1] * flip])
-    tab.basis = [n_struct + i for i in range(m)]
+        tab.rows.append(row[:-1] + art + row[-1:])
+    tab.basis = [n + i for i in range(m)]
 
     if m:
-        tab.set_objective([0] * n_struct + [1] * m)
-        tab.run_bland(range(n_struct + m))
+        tab.set_objective([0] * n + [1] * m)
+        tab.run_bland(range(n + m))
         # phase 1 ends at a feasible basis, so no artificial is negative
-        if any(tab.rows[i][-1] for i in range(m) if tab.basis[i] >= n_struct):
+        if any(tab.rows[i][-1] for i in range(m) if tab.basis[i] >= n):
             return LPResult(status="infeasible")
         # Basic artificials sit at value zero after a successful phase 1;
         # pivot them onto structural columns, or drop redundant rows.
         i = 0
         while i < len(tab.rows):
-            if tab.basis[i] >= n_struct:
-                q = next((j for j in range(n_struct) if tab.rows[i][j]), -1)
+            if tab.basis[i] >= n:
+                q = next((j for j in range(n) if tab.rows[i][j]), -1)
                 if q < 0:
                     del tab.rows[i]
                     del tab.basis[i]
@@ -187,22 +188,19 @@ def _solve_exact(lp: LinearProgram) -> LPResult:
                 tab.pivot(i, q)
             i += 1
 
-    if lp.sense != "feasibility":
-        sign = 1 if lp.sense == "min" else -1
-        width = (len(tab.rows[0]) - 1) if tab.rows else n_struct
+    if lp.objective is not None:
+        width = (len(tab.rows[0]) - 1) if tab.rows else n
         c, _ = integerize(lp.objective)
-        pad = [0] * (width - n_struct)
-        tab.set_objective([c[j] * (sign * s) for (j, s) in cols] + pad)
-        if tab.run_bland(range(n_struct)) == "unbounded":
+        tab.set_objective(c + [0] * (width - n))
+        if tab.run_bland(range(n)) == "unbounded":
             return LPResult(status="unbounded")
 
     # Every basic column is structural now.
-    x = [Fraction(0)] * lp.n_vars
+    x = [Fraction(0)] * n
     for i, b in enumerate(tab.basis):
-        j, s = cols[b]
-        x[j] += s * tab.basic_value(i)
+        x[b] = tab.basic_value(i)
     value = Fraction(0)
-    if lp.sense != "feasibility":
+    if lp.objective is not None:
         value = sum((c * xv for c, xv in zip(lp.objective, x)), Fraction(0))
     return LPResult(status="feasible", value=value, witness=tuple(x))
 

@@ -13,8 +13,9 @@ the question is one extreme scale.  Three routes compute it:
   branch t >= 0 the substitution mu_i = t * lambda_i turns the bilinear
   constraint into ``y = sum mu_i h_i - k`` with objective ``min sum mu``;
   on the branch t < 0 the substitution mu_i = -t * lambda_i yields
-  ``-y = sum mu_i h_i + k`` with objective ``max sum mu``.  The smaller
-  achievable value across branches is the infimum.
+  ``-y = sum mu_i h_i + k`` with objective ``min -sum mu``, whose value
+  is t itself.  The smaller achievable value across branches is the
+  infimum.
 * `phi_from_rows` is the solver's closed form.  It reads the same two
   branches off the row products of a point with the integer halfspaces
   of the cones over t*H - K and t*H + K (`SeparationFunctional.halfspaces`):
@@ -70,14 +71,13 @@ from .geometry import (
     DimensionMismatchError,
     InvalidConfigurationError,
     Polytope,
-    _combination_lp,
     checked_rows,
     cone_contains,
     homogenized_generators,
     homogenized_halfspaces,
     reaches,
 )
-from .lp_core import LinearProgram, solve
+from .lp_core import LinearProgram, combination_lp, solve
 from .rational import Number, Vec, frac, frac_vec, integerize
 
 __all__ = [
@@ -173,23 +173,20 @@ class SeparationFunctional:
         return tuple(homogenized_generators(self.H, self.K, s) for s in (1, -1))
 
     @functools.cached_property
-    def _halfspaces(self) -> tuple[ConeHalfspaces, ConeHalfspaces]:
-        return tuple(homogenized_halfspaces(g) for g in self._generators)
-
     def halfspaces(self) -> tuple[ConeHalfspaces, ConeHalfspaces]:
         """Halfspaces of the cones over t*H + K and t*H - K, in that order.
 
-        Built on the first call and kept on the functional, so only
-        callers of the closed form pay for them.
+        Built on first use and kept on the functional, so only callers
+        of the closed form pay for them.
         """
-        return self._halfspaces
+        return tuple(homogenized_halfspaces(g) for g in self._generators)
 
     @functools.cached_property
     def checked_halfspaces(self) -> tuple[ConeHalfspaces, ConeHalfspaces]:
         """The rows of `halfspaces` that `geometry.checked_rows` finds
         nonnegative on the generators formed from H and K, in the same
         order; built on first use.  The solver never reads them."""
-        return tuple(map(checked_rows, self.halfspaces(), self._generators))
+        return tuple(map(checked_rows, self.halfspaces, self._generators))
 
 
 def phi_from_rows(
@@ -263,12 +260,13 @@ def phi_lower_bound(
 
 
 def _branch_lp(
-    F: SeparationFunctional, target: Vec, k_sign: int, sense: str
+    F: SeparationFunctional, target: Vec, k_sign: int, cost: int
 ) -> LinearProgram:
+    """target = sum mu h + k_sign * k, minimizing cost * sum mu."""
     p, m = len(F.H.vertices), len(F.K.generators)
-    objective = [Fraction(1)] * p + [Fraction(0)] * m
+    objective = [Fraction(cost)] * p + [Fraction(0)] * m
     blocks = [(F.H.vertices, 1, False), (F.K.generators, k_sign, False)]
-    return _combination_lp(target, blocks, objective, sense)
+    return combination_lp(target, blocks, objective)
 
 
 def evaluate(F: SeparationFunctional, y: Sequence[Number]) -> ExtendedReal:
@@ -278,20 +276,20 @@ def evaluate(F: SeparationFunctional, y: Sequence[Number]) -> ExtendedReal:
         raise DimensionMismatchError(
             f"query has length {len(yv)}, expected {F.H.dim}"
         )
-    # t < 0 branch: -y = sum mu h + k, maximize sum mu; value is -max.
-    neg = solve(_branch_lp(F, tuple(-c for c in yv), +1, "max"))
+    # t < 0 branch: -y = sum mu h + k, minimize -sum mu; the value is t.
+    neg = solve(_branch_lp(F, tuple(-c for c in yv), +1, -1))
     if neg.status == "unbounded":
         raise InternalConsistencyError(
             "negative branch unbounded despite origin-separation invariant"
         )
     # t >= 0 branch: y = sum mu h - k, minimize sum mu.
-    pos = solve(_branch_lp(F, yv, -1, "min"))
-    if neg.is_feasible and neg.value > 0:
+    pos = solve(_branch_lp(F, yv, -1, 1))
+    if neg.is_feasible and neg.value < 0:
         if not pos.is_feasible:
             raise InternalConsistencyError(
                 "scale feasibility failed to be upward closed"
             )
-        return ExtendedReal.finite(-neg.value)
+        return ExtendedReal.finite(neg.value)
     if pos.is_feasible:
         return ExtendedReal.finite(pos.value)
     if neg.is_feasible:

@@ -207,10 +207,10 @@ def _kstar_lp_by_rows(M, K, H) -> LinearProgram:
             row[r] = w[r]
             row[n + r] = -w[r]
         row[2 * n + ci] = Fraction(-1)
-        rows.append(row)
+        rows.append(tuple(row))
         rhs.append(bound)
-    objective = [Fraction(1)] * (2 * n) + [Fraction(0)] * k
-    return LinearProgram.optimize(objective, "min", rows, rhs, [True] * (2 * n + k))
+    objective = (Fraction(1),) * (2 * n) + (Fraction(0),) * k
+    return LinearProgram(2 * n + k, tuple(rows), tuple(rhs), objective)
 
 
 def test_find_kstar_builds_the_row_by_row_program(monkeypatch):
@@ -235,3 +235,54 @@ def test_find_kstar_builds_the_row_by_row_program(monkeypatch):
         seen.clear()
         find_kstar(M, K, H)
         assert seen == [_kstar_lp_by_rows(M, K, H)], (M, K, H)
+
+
+def _lower_point_lp_by_rows(M, K) -> LinearProgram:
+    """`is_K_lower_bounded`'s program written out row by row: one row per
+    vertex coordinate v_r = b_r + sum_j w_j g_j[r], with b = b+ - b-, the
+    two columns of each coordinate side by side, then the generator
+    weights of each vertex."""
+    verts, n, m = M.all_vertices(), M.dim, len(K.generators)
+    width = 2 * n + m * len(verts)
+    rows, rhs = [], []
+    for vi, v in enumerate(verts):
+        for r in range(n):
+            row = [Fraction(0)] * width
+            row[2 * r], row[2 * r + 1] = Fraction(1), Fraction(-1)
+            for j, g in enumerate(K.generators):
+                row[2 * n + m * vi + j] = g[r]
+            rows.append(tuple(row))
+            rhs.append(v[r])
+    return LinearProgram(width, tuple(rows), tuple(rhs))
+
+
+def test_k_lower_bound_builds_the_row_by_row_program(monkeypatch):
+    # the same pinning as find_kstar's; every returned b is checked by
+    # membership of v - b in K for each vertex v
+    from polyevp import boundedness
+
+    seen = []
+    solve = boundedness.solve
+
+    def spy(lp):
+        seen.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(boundedness, "solve", spy)
+    rng = random.Random(20170818)
+    found = 0
+    for _ in range(200):
+        K, _, _ = rand_cone_polytope(
+            rng, rng.randint(2, 3), rng.randint(1, 3), rng.randint(1, 2)
+        )
+        M = rand_union(rng, K, force_quasi=True)
+        seen.clear()
+        bounded, b = is_K_lower_bounded(M, K)
+        assert seen == [_lower_point_lp_by_rows(M, K)], (M, K)
+        if bounded:
+            found += 1
+            assert all(
+                cone_contains(K, tuple(x - y for x, y in zip(v, b)))
+                for v in M.all_vertices()
+            ), (M, K, b)
+    assert 0 < found < 200

@@ -206,11 +206,11 @@ class TestBisectionBracketBound:
 def _read_rows_as(monkeypatch, corrupt):
     """Make every functional hand out corrupt(plus, minus) as its
     halfspaces, the honest rows of the cones over t*H + K and t*H - K."""
-    honest = cli.scalarization.SeparationFunctional.halfspaces
+    honest = cli.scalarization.SeparationFunctional.halfspaces.func
     monkeypatch.setattr(
         cli.scalarization.SeparationFunctional,
         "halfspaces",
-        lambda self: corrupt(*honest(self)),
+        property(lambda self: corrupt(*honest(self))),
     )
 
 

@@ -930,9 +930,9 @@ def _corrupted(p: EVPProblem, corrupt, which: int = 0) -> EVPProblem:
     the halfspaces of the cone over t*H + K (``which`` 0) or over
     t*H - K (``which`` 1)."""
     q = dataclasses.replace(p)
-    cones = list(q._separation.halfspaces())
+    cones = list(q._separation.halfspaces)
     cones[which] = corrupt(cones[which])
-    object.__setattr__(q._separation, "_halfspaces", tuple(cones))
+    object.__setattr__(q._separation, "halfspaces", tuple(cones))
     return q
 
 
@@ -1038,7 +1038,7 @@ class TestIndependentVerification:
         for p in self._draws(73, 12):
             cert = solve(p)
             honest = verify_certificate(p, cert)
-            given = p._separation.halfspaces()[which]
+            given = p._separation.halfspaces[which]
             if not given.inequalities:
                 continue
             q = _corrupted(p, corrupt, which)
@@ -1059,7 +1059,7 @@ class TestIndependentVerification:
     def test_corrupt_solver_never_gets_a_false_claim_through(self, corrupt, which):
         false_claims = 0
         for p in self._draws(79, 25):
-            if not p._separation.halfspaces()[which].inequalities:
+            if not p._separation.halfspaces[which].inequalities:
                 continue
             q = _corrupted(p, corrupt, which)
             try:
@@ -1165,7 +1165,7 @@ class TestTraceCheck:
             for corrupt, which in variants:
                 if corrupt is None:
                     q = p
-                elif p._separation.halfspaces()[which].inequalities:
+                elif p._separation.halfspaces[which].inequalities:
                     q = _corrupted(p, corrupt, which)
                 else:
                     continue

@@ -1,7 +1,8 @@
 """Every imported name is used, every module-level private function or
-class of the package is referenced, and every exported name exists: a
-stdlib `ast` scan of the package and the tests, since no linter is part
-of the toolchain."""
+class of the package is referenced, every exported name exists, no
+package module imports another's private name, and only `lp_core`
+builds a `LinearProgram`: a stdlib `ast` scan of the package and the
+tests, since no linter is part of the toolchain."""
 
 import ast
 import importlib
@@ -105,3 +106,41 @@ def stale_exports() -> list[str]:
 
 def test_no_stale_exports():
     assert stale_exports() == []
+
+
+def private_imports() -> list[str]:
+    """Underscore names a package module imports from another one."""
+    found = []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "polyevp"
+            ):
+                found += [
+                    f"{path.relative_to(ROOT)}:{node.lineno}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    return found
+
+
+def test_no_private_names_imported_across_modules():
+    assert private_imports() == []
+
+
+def program_builders() -> list[str]:
+    """Calls of `LinearProgram` in package modules other than `lp_core`."""
+    found = []
+    for path in PACKAGE:
+        if path.name == "lp_core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and "LinearProgram" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_only_lp_core_builds_programs():
+    assert program_builders() == []

@@ -11,13 +11,58 @@ import pytest
 from polyevp.lp_core import (
     LinearProgram,
     LPFormatError,
+    LPResult,
     _Tableau,
     solve,
 )
-from polyevp.rational import integerize
+from polyevp.rational import frac_vec, integerize
 
 
-def check_witness(lp: LinearProgram, witness) -> bool:
+class General:
+    """A program with free variables (``nonneg`` False) and a sense of
+    "min", "max" or "feasibility", solved through its standard form.
+
+    `lp` writes each free variable as x+ - x-, its two columns side by
+    side, and negates a max objective; `solve` maps the witness and the
+    value back.
+    """
+
+    def __init__(self, rows, rhs, nonneg, objective=None, sense="feasibility"):
+        self.n_vars = len(nonneg)
+        self.rows = tuple(frac_vec(r) for r in rows)
+        self.rhs = frac_vec(rhs)
+        self.nonneg = tuple(nonneg)
+        self.objective = None if objective is None else frac_vec(objective)
+        self.sense = sense
+        # (variable, sign) of each standard-form column
+        self.columns = [
+            (j, s) for j, nn in enumerate(self.nonneg) for s in ((1,) if nn else (1, -1))
+        ]
+        self.sign = -1 if sense == "max" else 1
+
+    @property
+    def lp(self) -> LinearProgram:
+        cols = self.columns
+        return LinearProgram(
+            n_vars=len(cols),
+            rows=tuple(tuple(s * row[j] for j, s in cols) for row in self.rows),
+            rhs=self.rhs,
+            objective=None if self.sense == "feasibility" else tuple(
+                self.sign * s * self.objective[j] for j, s in cols
+            ),
+        )
+
+    def solve(self) -> LPResult:
+        res = solve(self.lp)
+        if not res.is_feasible:
+            return res
+        x = [Fraction(0)] * self.n_vars
+        for (j, s), v in zip(self.columns, res.witness):
+            x[j] += s * v
+        return LPResult(status="feasible", value=self.sign * res.value, witness=tuple(x))
+
+
+def check_witness(lp: General, witness) -> bool:
     """Re-check a witness exactly against every constraint."""
     return (
         len(witness) == lp.n_vars
@@ -30,8 +75,7 @@ def check_witness(lp: LinearProgram, witness) -> bool:
 
 
 def test_min_over_nonnegative_ray_hits_zero():
-    lp = LinearProgram.optimize([1], "min", [], [], [True])
-    res = solve(lp)
+    res = solve(LinearProgram(n_vars=1, rows=(), rhs=(), objective=(1,)))
     assert res.status == "feasible"
     assert res.value == 0
     assert res.witness == (Fraction(0),)
@@ -39,48 +83,38 @@ def test_min_over_nonnegative_ray_hits_zero():
 
 def test_empty_box_is_infeasible():
     # x >= 0 and x <= -1, with the upper bound written as x + s = -1
-    lp = LinearProgram.feasibility([[1, 1]], [-1], [True, True])
+    lp = LinearProgram(n_vars=2, rows=((1, 1),), rhs=(-1,))
     assert solve(lp).status == "infeasible"
 
 
 def test_max_over_nonnegative_ray_is_unbounded():
-    lp = LinearProgram.optimize([1], "max", [], [], [True])
-    assert solve(lp).status == "unbounded"
+    assert General([], [], [True], [1], "max").solve().status == "unbounded"
 
 
 def test_zero_variable_programs():
-    assert solve(LinearProgram.feasibility([], [], [])).status == "feasible"
-    assert solve(LinearProgram.feasibility([], [], [])).witness == ()
-    assert solve(LinearProgram.feasibility([[], []], [0, 0], [])).status == "feasible"
+    assert solve(LinearProgram(0, (), ())).status == "feasible"
+    assert solve(LinearProgram(0, (), ())).witness == ()
+    assert solve(LinearProgram(0, ((), ()), (0, 0))).status == "feasible"
     # a contradictory row stays infeasible even with no variables
-    assert solve(LinearProgram.feasibility([[]], [1], [])).status == "infeasible"
+    assert solve(LinearProgram(0, ((),), (1,))).status == "infeasible"
 
 
 def test_free_variable_optimum_and_split_roundtrip():
-    lp = LinearProgram.optimize([1], "min", [[1]], [-5], [False])
-    res = solve(lp)
+    res = General([[1]], [-5], [False], [1], "min").solve()
     assert res.status == "feasible"
     assert res.witness == (Fraction(-5),)
     assert res.value == -5
 
 
 def test_free_variable_unconstrained_is_unbounded():
-    assert solve(LinearProgram.optimize([1], "min", [], [], [False])).status == "unbounded"
+    assert General([], [], [False], [1], "min").solve().status == "unbounded"
 
 
 def test_malformed_dimensions_raise():
     with pytest.raises(LPFormatError):
-        LinearProgram(n_vars=2, rows=((Fraction(1),),), rhs=(Fraction(0),),
-                      nonneg=(True, True))
+        LinearProgram(n_vars=2, rows=((Fraction(1),),), rhs=(Fraction(0),))
     with pytest.raises(LPFormatError):
-        LinearProgram(n_vars=1, rows=(), rhs=(), nonneg=(True, True))
-    with pytest.raises(LPFormatError):
-        LinearProgram(n_vars=1, rows=(), rhs=(), nonneg=(True,), sense="min")
-    with pytest.raises(LPFormatError):
-        LinearProgram(
-            n_vars=1, rows=(), rhs=(), nonneg=(True,),
-            objective=(Fraction(1),), sense="feasibility",
-        )
+        LinearProgram(n_vars=1, rows=(), rhs=(), objective=(Fraction(1), Fraction(0)))
 
 
 def test_classic_degenerate_cycling_instance_terminates():
@@ -92,8 +126,7 @@ def test_classic_degenerate_cycling_instance_terminates():
     ]
     rhs = [0, 0, 1]
     obj = [Fraction(-3, 4), 150, Fraction(-1, 50), 6, 0, 0, 0]
-    lp = LinearProgram.optimize(obj, "min", rows, rhs, [True] * 7)
-    res = solve(lp)
+    res = solve(LinearProgram(7, tuple(map(frac_vec, rows)), frac_vec(rhs), frac_vec(obj)))
     assert res.status == "feasible"
     assert res.value == Fraction(-1, 20)
 
@@ -110,7 +143,7 @@ def _lps_seed_7():
         rhs = [Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(m)]
         nonneg = [rng.random() < 0.8 for _ in range(n)]
         obj = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
-        yield LinearProgram.optimize(obj, rng.choice(["min", "max"]), rows, rhs, nonneg)
+        yield General(rows, rhs, nonneg, obj, rng.choice(["min", "max"]))
 
 
 def _lps_seed_99():
@@ -122,17 +155,15 @@ def _lps_seed_99():
         rhs = [Fraction(rng.randint(-6, 6)) for _ in range(m)]
         nonneg = [rng.random() < 0.7 for _ in range(n)]
         if rng.random() < 0.5:
-            yield LinearProgram.feasibility(rows, rhs, nonneg)
+            yield General(rows, rhs, nonneg)
         else:
             obj = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
-            yield LinearProgram.optimize(
-                obj, rng.choice(["min", "max"]), rows, rhs, nonneg
-            )
+            yield General(rows, rhs, nonneg, obj, rng.choice(["min", "max"]))
 
 
 def test_witness_recheck_exact():
     for lp in _lps_seed_7():
-        res = solve(lp)
+        res = lp.solve()
         if res.status == "feasible":
             assert check_witness(lp, res.witness)
 
@@ -207,7 +238,7 @@ def _reference(lp):
 def test_status_and_value_match_basic_solution_enumeration():
     statuses = []
     for lp in itertools.chain(_lps_seed_99(), _lps_seed_7()):
-        res = solve(lp)
+        res = lp.solve()
         status, value = _reference(lp)
         assert res.status == status, lp
         if status == "feasible":
@@ -273,15 +304,13 @@ def test_pivots_and_determinant_invariant(monkeypatch):
     monkeypatch.setattr(_Tableau, "set_objective", recording_set_objective)
     monkeypatch.setattr(_Tableau, "pivot", checked_pivot)
     for lp in itertools.chain(_lps_seed_99(), _lps_seed_7()):
-        solve(lp)
+        solve(lp.lp)
     assert len(pivots) == SEED_PIVOTS
     assert hashlib.sha256(repr(pivots).encode()).hexdigest() == SEED_PIVOT_DIGEST
     # phase 1 pivots row 1; the drive-out drops the redundant row 0, then
     # pivots a negative entry of the last row, whose reference tableau
     # needs the dropped artificial
-    lp = LinearProgram.feasibility(
-        [[-1, -1, 0], [1, 1, 0], [1, 0, -1]], [0, 0, 0], [True] * 3
-    )
+    lp = LinearProgram(3, ((-1, -1, 0), (1, 1, 0), (1, 0, -1)), (0, 0, 0))
     assert solve(lp).status == "feasible"
     assert pivots[SEED_PIVOTS:] == [(1, 0), (1, 1)]
 
@@ -308,8 +337,8 @@ def test_free_variable_with_negative_fractions_has_exact_witness():
     ]
     rhs = [Fraction(-11, 9), Fraction(-2, 3)]
     obj = [Fraction(-1, 2), Fraction(3, 8), Fraction(5, 11)]
-    lp = LinearProgram.optimize(obj, "max", rows, rhs, [False, True, True])
-    res = solve(lp)
+    lp = General(rows, rhs, [False, True, True], obj, "max")
+    res = lp.solve()
     assert res.status == "feasible"
     assert check_witness(lp, res.witness)
     assert res.witness == (Fraction(-8, 15), 0, Fraction(457, 105))

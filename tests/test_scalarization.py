@@ -15,6 +15,7 @@ from polyevp.geometry import (
     scaled_H_minus_K_contains,
     zero_notin_H_plus_K,
 )
+from polyevp.lp_core import LinearProgram
 from polyevp.rational import frac_vec, integerize, vec_sub
 from polyevp.scalarization import (
     BracketExhaustedError,
@@ -40,7 +41,7 @@ from conftest import (
 
 def evaluate_closed_form(F: SeparationFunctional, y) -> ExtendedReal:
     """phi(y) by the solver's closed form, from the halfspaces of F."""
-    (plus, minus), (z, scale) = F.halfspaces(), integerize(frac_vec(y))
+    (plus, minus), (z, scale) = F.halfspaces, integerize(frac_vec(y))
     return phi_from_rows(
         plus, plus.products([-c for c in z]), minus, minus.products(z), scale
     )
@@ -388,7 +389,7 @@ class TestClosedForm:
                     y = vec_sub(tuple(t * c for c in h), rand_point_in_cone(rng, K))
                 phi = evaluate(sf, y)
                 assert evaluate_closed_form(sf, y) == phi, (K, H, y)
-                plus, minus = sf.halfspaces()
+                plus, minus = sf.halfspaces
                 assert lower_bound_from_rows(plus, minus, y) == phi
                 for cut in (
                     (without_first_facet(plus), minus),
@@ -467,3 +468,54 @@ def test_extended_real_total_order():
     assert inf <= inf
     assert min(inf, one) == one
     assert str(inf) == "+inf" and str(one) == "1"
+
+
+def _branch_lps_by_rows(F: SeparationFunctional, y) -> list[LinearProgram]:
+    """`evaluate`'s two programs written out row by row, columns mu for
+    H's vertices then the weights of K's generators: t < 0 as
+    -y = sum mu h + sum w k minimizing -sum mu, then t >= 0 as
+    y = sum mu h - sum w k minimizing sum mu."""
+    p, m = len(F.H.vertices), len(F.K.generators)
+
+    def program(target, k_sign, cost):
+        rows = tuple(
+            tuple(h[r] for h in F.H.vertices) + tuple(k_sign * g[r] for g in F.K.generators)
+            for r in range(F.H.dim)
+        )
+        objective = (Fraction(cost),) * p + (Fraction(0),) * m
+        return LinearProgram(p + m, rows, tuple(target), objective)
+
+    yv = frac_vec(y)
+    return [program(tuple(-c for c in yv), 1, -1), program(yv, -1, 1)]
+
+
+def test_evaluate_builds_the_row_by_row_programs(monkeypatch):
+    # equal programs give equal pivots; the t < 0 branch's value is phi
+    # itself whenever that branch decides
+    from polyevp import scalarization
+
+    seen = []
+    solve = scalarization.solve
+
+    def spy(lp):
+        seen.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(scalarization, "solve", spy)
+    rng = random.Random(20170819)
+    negative = 0
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        K, H, _ = rand_cone_polytope(rng, n, rng.randint(1, n + 1), rng.randint(1, 3))
+        sf = SeparationFunctional(H, K)
+        if rng.random() < 0.3:
+            y = rand_vector(rng, n)
+        else:
+            t = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+            h = convex_mix(rng, H.vertices)
+            y = vec_sub(tuple(t * c for c in h), rand_point_in_cone(rng, K))
+        seen.clear()
+        phi = evaluate(sf, y)
+        assert seen == _branch_lps_by_rows(sf, y), (K, H, y)
+        negative += phi.is_finite and phi.value < 0
+    assert negative > 0
