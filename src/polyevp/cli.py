@@ -5,7 +5,8 @@ Four workflows over JSON problem files:
 * ``scalarize``: evaluate the cone-separation functional at a point by
   both the exact route and the bisection cross-check, whose tolerance
   and bracket bound come from the document or ``--tol``/``--t-max``
-  (`_settings`), and check that the exact value is attained.
+  (`problemfile.evaluation_settings`), and check that the exact value
+  is attained.
 * ``diagnose``: classify a ranges block on the lower-boundedness ladder.
 * ``solve``: run the descent, self-verify, and write a certificate.
 * ``verify``: independently re-check a certificate against its problem.
@@ -37,17 +38,6 @@ EXIT_HYPOTHESIS = 4
 EXIT_SELF_CHECK = 5
 
 
-def _settings(doc: dict, opts: dict) -> tuple[Fraction, Fraction]:
-    tol, t_max = problemfile.evaluation_settings(doc)
-    if opts.get("tol") is not None:
-        tol = problemfile._num(opts["tol"], "--tol")
-    if opts.get("t_max") is not None:
-        t_max = problemfile._num(opts["t_max"], "--t-max")
-    if tol <= 0 or t_max <= 0:
-        raise ProblemFileError("--tol and --t-max must be positive")
-    return tol, t_max
-
-
 def _vec_text(v) -> str:
     return "(" + ", ".join(str(c) for c in v) + ")"
 
@@ -59,7 +49,7 @@ def _vec_text(v) -> str:
 
 def _do_scalarize(path: str, opts: dict) -> tuple[int, str]:
     doc = problemfile.load_document(path)
-    tol, t_max = _settings(doc, opts)
+    tol, t_max = problemfile.evaluation_settings(doc, opts["tol"], opts["t_max"])
     sf = scalarization.SeparationFunctional(
         problemfile.build_polytope(doc), problemfile.build_cone(doc)
     )
@@ -288,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true", help="machine-readable output")
 
     sp = sub.add_parser("scalarize", help="evaluate the separation functional")
-    sp.add_argument("file")
+    sp.add_argument("files", nargs=1, metavar="file")
     sp.add_argument(
         "--point", required=True,
         help="comma-separated coordinates; a negative first coordinate needs "
@@ -311,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("verify", help="re-check a certificate")
-    sp.add_argument("file")
+    sp.add_argument("files", nargs=1, metavar="file")
     sp.add_argument("certificate")
     common(sp)
 
@@ -324,29 +314,20 @@ def main(argv=None) -> int:
 
     if args.command == "scalarize":
         opts.update(point=args.point, tol=args.tol, t_max=args.t_max)
-        code, text = _guarded("scalarize", args.file, opts)
-        print(text)
-        return code
-
-    if args.command == "verify":
+    elif args.command in ("solve", "verify"):
         opts["certificate"] = args.certificate
-        code, text = _guarded("verify", args.file, opts)
-        print(text)
-        return code
 
+    # only diagnose and solve take several files, and only they have --batch
     files = args.files
-    if args.command == "solve":
-        if args.certificate is not None and len(files) > 1:
-            print("input error: --certificate needs a single input file")
-            return EXIT_INPUT
-        opts["certificate"] = args.certificate
-
+    if len(files) > 1 and opts.get("certificate") is not None:
+        print("input error: --certificate needs a single input file")
+        return EXIT_INPUT
     if len(files) > 1 and not args.batch:
         print("input error: multiple files need --batch")
         return EXIT_INPUT
 
     tasks = [(args.command, f, opts) for f in files]
-    if args.batch and len(tasks) > 1:
+    if len(tasks) > 1 and args.batch:
         # imported here: the process pool and multiprocessing are about a
         # fifth of the package's import time, and only a batch needs them
         from concurrent.futures import ProcessPoolExecutor

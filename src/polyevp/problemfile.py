@@ -117,13 +117,21 @@ def build_polytope(doc: dict) -> Polytope:
     return Polytope(dim, verts)
 
 
-def evaluation_settings(doc: dict) -> tuple[Fraction, Fraction]:
+def evaluation_settings(
+    doc: dict, tol: Optional[str] = None, t_max: Optional[str] = None
+) -> tuple[Fraction, Fraction]:
     """(tolerance, t_max) for `scalarization.evaluate_bisection`, with the
-    package defaults filled in; this is the only place they are written."""
-    tol = _num(doc.get("tolerance", "1/1000000000"), '"tolerance"')
-    t_max = _num(doc.get("t_max", 2**20), '"t_max"')
-    if tol <= 0 or t_max <= 0:
+    package defaults filled in; this is the only place they are written.
+    ``tol`` and ``t_max`` are the ``--tol``/``--t-max`` overrides, parsed
+    and checked after the document's own values."""
+    doc_tol = _num(doc.get("tolerance", "1/1000000000"), '"tolerance"')
+    doc_t_max = _num(doc.get("t_max", 2**20), '"t_max"')
+    if doc_tol <= 0 or doc_t_max <= 0:
         raise ProblemFileError('"tolerance" and "t_max" must be positive')
+    tol = doc_tol if tol is None else _num(tol, "--tol")
+    t_max = doc_t_max if t_max is None else _num(t_max, "--t-max")
+    if tol <= 0 or t_max <= 0:
+        raise ProblemFileError("--tol and --t-max must be positive")
     return tol, t_max
 
 
@@ -141,10 +149,9 @@ def build_ranges(doc: dict) -> VPolyhedralUnion:
         if not isinstance(piece, dict) or "vertices" not in piece:
             raise ProblemFileError(f"{where}: expected an object with vertices")
         verts = _matrix(piece["vertices"], dim, f"{where}.vertices")
+        # only an absent key or [] means no rays: false, 0 or null is bad input
         rays_doc = piece.get("rays", [])
-        rays: tuple[Vec, ...] = ()
-        if rays_doc:
-            rays = _matrix(rays_doc, dim, f"{where}.rays")
+        rays = () if rays_doc == [] else _matrix(rays_doc, dim, f"{where}.rays")
         parsed.append((verts, rays))
     return VPolyhedralUnion(dim, tuple(parsed))
 

@@ -436,6 +436,19 @@ _CERTIFICATE = {"xbar": "c", "y0": [0, 0], "chain": ["a", "c"], "xi_trace": [0, 
             'certificate "xi_trace" must be a list of numbers',
             id="certificate-trace-not-list",
         ),
+        # a falsy rays value is bad input, not "no rays": only [] is that
+        *(
+            pytest.param(
+                ["diagnose", "{problem}"],
+                {"ranges": {"pieces": [{"vertices": [[0, 0]], "rays": rays}]}}, None,
+                '"ranges"."pieces"[0].rays: expected a nonempty list of vectors',
+                id=f"rays-{name}",
+            )
+            for name, rays in (
+                ("false", False), ("zero", 0), ("empty-string", ""),
+                ("empty-object", {}), ("null", None),
+            )
+        ),
     ],
 )
 def test_malformed_input_exits_2(

@@ -424,6 +424,24 @@ class TestHypothesisCheck:
         p = make_chain3(100)
         assert condition_ii_witness(p) == (4, 4)
 
+    def test_efficiency_mode_scope_is_the_feasible_set(self):
+        # z is feasible but not below x0, since d(x0, z) = 5 is too far,
+        # yet (0,0) - (-1,-1) = (1,1) lies in eps*H + K
+        space = FiniteMetricSpace(("x0", "z"), ((0, 5), (5, 0)))
+        plain = EVPProblem(
+            space=space, f=map_table({"x0": [(0, 0)], "z": [(-1, -1)]}),
+            K=ConeGen(2, ((1, 0), (0, 1))), H=Polytope(2, ((1, 1),)),
+            x0="x0", epsilon=1,
+        )
+        assert lower_section(plain, "x0") == ("x0",)
+        assert condition_ii_witness(plain) == (0, 0)
+        assert verify_certificate(plain, solve(plain)).passed
+        efficiency = dataclasses.replace(plain, mode=EfficiencyMode(1))
+        assert condition_ii_witness(efficiency) is None
+        with pytest.raises(HypothesisViolatedError) as exc:
+            solve(efficiency)
+        assert exc.value.blocking == {(0, 0): ("z", (-1, -1))}
+
 
 class TestSolve:
     def test_chain3_descends_to_bottom(self, chain3_eps5):

@@ -1,12 +1,17 @@
 """Every imported name is used, every module-level private function or
 class of the package is referenced, every exported name exists, no
-package module imports another's private name, and only `lp_core`
+package module reads another's private name, and only `lp_core`
 builds a `LinearProgram`: a stdlib `ast` scan of the package and the
-tests, since no linter is part of the toolchain."""
+tests, since no linter is part of the toolchain.  Each module, imported
+alone, loads exactly the package modules of the layers below it."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "polyevp").glob("*.py"))
@@ -35,8 +40,6 @@ def unused_imports(path: Path) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     exempt = _exported(tree)
-    if path.name == "__init__.py":
-        exempt |= set(imported)  # the package's public names are re-exports
     return [
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for name, line in sorted(imported.items(), key=lambda kv: kv[1])
@@ -80,27 +83,17 @@ def test_no_dead_private_definitions():
 
 
 def stale_exports() -> list[str]:
-    """`__all__` entries a module does not define, and names the package
-    `__init__` imports that are not in the source module's `__all__`."""
+    """`__all__` entries a module does not define."""
     stale = []
     for path in PACKAGE:
-        if path.name == "__init__.py":
-            continue
-        module = importlib.import_module(f"polyevp.{path.stem}")
+        module = importlib.import_module(
+            "polyevp" if path.stem == "__init__" else f"polyevp.{path.stem}"
+        )
         stale += [
             f"{path.name}: __all__ names {name}"
             for name in getattr(module, "__all__", ())
             if not hasattr(module, name)
         ]
-    init = ROOT / "src" / "polyevp" / "__init__.py"
-    for node in ast.parse(init.read_text()).body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            exported = importlib.import_module(f"polyevp.{node.module}").__all__
-            stale += [
-                f"__init__.py:{node.lineno}: {alias.name} not in {node.module}.__all__"
-                for alias in node.names
-                if alias.name not in exported
-            ]
     return stale
 
 
@@ -109,10 +102,14 @@ def test_no_stale_exports():
 
 
 def private_imports() -> list[str]:
-    """Underscore names a package module imports from another one."""
+    """Underscore names a package module imports from another one, or
+    reads as ``module._name`` off a package module it imported."""
+    modules = {path.stem for path in PACKAGE}
     found = []
     for path in PACKAGE:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = set()  # local names of imported package modules
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (
                 node.level or (node.module or "").split(".")[0] == "polyevp"
             ):
@@ -121,6 +118,21 @@ def private_imports() -> list[str]:
                     for alias in node.names
                     if alias.name.startswith("_")
                 ]
+                if node.module in (None, "polyevp"):
+                    bound |= {
+                        alias.asname or alias.name
+                        for alias in node.names
+                        if alias.name in modules
+                    }
+        found += [
+            f"{path.relative_to(ROOT)}:{node.lineno}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in bound
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ]
     return found
 
 
@@ -144,3 +156,46 @@ def program_builders() -> list[str]:
 
 def test_only_lp_core_builds_programs():
     assert program_builders() == []
+
+
+# What importing each module alone loads of the package besides itself:
+# only the layers below it, never a module beside or above it.
+LAYERS = {
+    "polyevp": set(),
+    "rational": set(),
+    "lp_core": {"rational"},
+    "geometry": {"lp_core", "rational"},
+    "scalarization": {"geometry", "lp_core", "rational"},
+    "boundedness": {"geometry", "lp_core", "rational"},
+    "evp": {"scalarization", "geometry", "lp_core", "rational"},
+    "problemfile": {"evp", "scalarization", "geometry", "lp_core", "rational"},
+    "cli": {path.stem for path in PACKAGE} - {"__init__", "cli"},
+}
+
+
+def loaded_modules(name: str) -> set[str]:
+    """The package modules a fresh interpreter holds after importing
+    ``name`` (a module of the package, or the package itself) from this
+    checkout, without the module itself."""
+    module = name if name == "polyevp" else f"polyevp.{name}"
+    script = (
+        "import importlib, sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        f"importlib.import_module({module!r})\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('polyevp.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout
+    return {m.removeprefix("polyevp.") for m in out.split()} - {name}
+
+
+def test_layers_cover_every_module():
+    modules = {path.stem for path in PACKAGE}
+    assert set(LAYERS) == modules - {"__init__"} | {"polyevp"}
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_module_loads_only_the_layers_below_it(name):
+    assert loaded_modules(name) == LAYERS[name]

@@ -60,6 +60,33 @@ def test_settings_defaults_and_overrides(tmp_path):
     assert evaluation_settings(doc) == (TOL, T_MAX)
 
 
+def test_one_setting_override_keeps_the_other_document_value():
+    assert evaluation_settings({"t_max": 64}, "1/8") == (Fraction(1, 8), 64)
+    assert evaluation_settings({"tolerance": "1/4"}, t_max="0.5") == (
+        Fraction(1, 4), Fraction(1, 2)
+    )
+
+
+@pytest.mark.parametrize(
+    "settings, tol, t_max, message",
+    [
+        # the document's values are checked before any override
+        ({"tolerance": 0}, "1", None, '"tolerance" and "t_max" must be positive'),
+        ({"t_max": "x"}, "y", None, '"t_max": '),
+        ({}, "1/0", "z", "--tol: "),
+        ({}, "1", "z", "--t-max: "),
+        ({}, "1", "0", "--tol and --t-max must be positive"),
+        ({}, "-1", None, "--tol and --t-max must be positive"),
+    ],
+)
+def test_setting_overrides_are_checked_after_the_document(
+    settings, tol, t_max, message
+):
+    with pytest.raises(ProblemFileError) as exc:
+        evaluation_settings(settings, tol, t_max)
+    assert str(exc.value).startswith(message)
+
+
 def test_problem_document_round_trip():
     rng = random.Random(71)
     for _ in range(5):
