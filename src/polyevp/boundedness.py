@@ -191,18 +191,12 @@ class BoundednessReport:
     ladder_consistent: bool
 
 
-def classify(
-    M: VPolyhedralUnion,
-    K: ConeGen,
-    H: Polytope,
-    candidates: Sequence[tuple[Sequence[Number], Number]],
-) -> BoundednessReport:
+def classify(M: VPolyhedralUnion, K: ConeGen, H: Polytope) -> BoundednessReport:
     """Run all four checks and assemble the ladder report.
 
-    The shifted-set search tries the caller's (y0, eps) candidates in
-    order.  When a dual witness k* exists, one more candidate follows
-    them: the first candidate's anchor y with the escape scale
-    `separating_epsilon_for(M, k*, y)`, which always misses M, so a
+    The shifted-set search tries the origin at eps = 1.  When a dual
+    witness k* exists, it then tries the origin at the escape scale
+    `separating_epsilon_for(M, k*, origin)`, which always misses M, so a
     dual-witness bounded range is also reported shifted-set bounded.
     """
     if not zero_notin_H_plus_K(H, K):
@@ -212,10 +206,10 @@ def classify(
     quasi = is_quasi_K_lower_bounded(M, K)
     b = _common_lower_point(M, K) if quasi else None
     kstar = find_kstar(M, K, H)
-    candidates = list(candidates)
-    if kstar is not None and candidates:
-        y = candidates[0][0]
-        candidates.append((y, separating_epsilon_for(M, kstar, y)))
+    origin = (Fraction(0),) * M.dim
+    candidates = [(origin, Fraction(1))]
+    if kstar is not None:
+        candidates.append((origin, separating_epsilon_for(M, kstar, origin)))
     h_witness = is_H_lower_bounded(M, K, H, candidates)
     return BoundednessReport(
         k_lower=b is not None,

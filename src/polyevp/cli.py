@@ -23,7 +23,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import boundedness, evp, geometry, problemfile, scalarization
@@ -105,8 +104,7 @@ def _do_diagnose(path: str, opts: dict) -> tuple[int, str]:
     K = problemfile.build_cone(doc)
     H = problemfile.build_polytope(doc)
     M = problemfile.build_ranges(doc)
-    zero = tuple(Fraction(0) for _ in range(M.dim))
-    report = boundedness.classify(M, K, H, [(zero, Fraction(1))])
+    report = boundedness.classify(M, K, H)
 
     if opts.get("json"):
         payload = {

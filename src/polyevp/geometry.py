@@ -11,16 +11,16 @@ The membership oracles answer each question with one exact LP over the
 generators and vertices, built by `lp_core.combination_lp`.  For a
 question asked many times about one pair (H, K) at varying scale t,
 `homogenized_generators` forms the integer generators (h, 1) and
-(+-k, 0) of the cone over t*H +- K, and `homogenized_halfspaces`
-converts that cone once into integer halfspaces by the double
-description method (`cone_halfspaces`); then "z in t*H +- K" for every
-t >= 0 is a sign check of integer row products, with no LP.
-`ConeHalfspaces` owns that row format: its `products`, `bounds` with
-`reaches`, and `scale_range` answer every such question, so no other
-module reads a row.  `checked_rows` keeps the rows that are nonnegative
-on every generator of that cone, so a caller that answers "no" from
-them never depends on the construction being right.  Points and
-generators are scaled to integers by `rational.integerize`.
+(+-k, 0) of the cone over t*H +- K, and `cone_halfspaces` converts that
+cone once into integer rows by the double description method; then
+"z in t*H +- K" for every t >= 0 is a sign check of integer row
+products, with no LP.  `ConeHalfspaces` owns that row list: its
+`products`, `bounds` with `reaches`, and `scale_range` answer every
+such question, so no other module reads a row.  `checked_rows` keeps
+the rows that are nonnegative on every generator of that cone, so a
+caller that answers "no" from them never depends on the construction
+being right.  Points and generators are scaled to integers by
+`rational.integerize`.
 
 A note on closures: sums of polytopes and finitely generated cones are
 closed, so the distinction between a set, its topological closure, and
@@ -52,7 +52,6 @@ __all__ = [
     "checked_rows",
     "cone_halfspaces",
     "homogenized_generators",
-    "homogenized_halfspaces",
     "reaches",
     "scaled_H_minus_K_contains",
     "scaled_H_plus_K_contains",
@@ -160,6 +159,20 @@ def is_pointed(K: ConeGen) -> bool:
     return all(not cone_contains(K, tuple(-c for c in g)) for g in K.generators)
 
 
+def _in_scaled_sum(
+    H: Polytope, K: ConeGen, y: Sequence[Number], t: Number, k_sign: int
+) -> bool:
+    """Does y lie in t*H + k_sign*K?  The one membership LP behind the
+    three oracles below."""
+    yv = frac_vec(y)
+    tq = frac(t)
+    _check_dim(H.dim, yv, "query point")
+    if H.dim != K.dim:
+        raise DimensionMismatchError("polytope and cone dimensions differ")
+    lp = combination_lp(yv, [(H.vertices, tq, True), (K.generators, k_sign, False)])
+    return solve(lp).is_feasible
+
+
 def scaled_H_minus_K_contains(
     H: Polytope,
     K: ConeGen,
@@ -167,13 +180,7 @@ def scaled_H_minus_K_contains(
     t: Number,
 ) -> bool:
     """Does y lie in t*H - K for the fixed scale t?"""
-    yv = frac_vec(y)
-    tq = frac(t)
-    _check_dim(H.dim, yv, "query point")
-    if H.dim != K.dim:
-        raise DimensionMismatchError("polytope and cone dimensions differ")
-    lp = combination_lp(yv, [(H.vertices, tq, True), (K.generators, -1, False)])
-    return solve(lp).is_feasible
+    return _in_scaled_sum(H, K, y, t, -1)
 
 
 def scaled_H_plus_K_contains(
@@ -183,13 +190,7 @@ def scaled_H_plus_K_contains(
     t: Number,
 ) -> bool:
     """Does y lie in t*H + K for the fixed scale t >= 0?"""
-    yv = frac_vec(y)
-    tq = frac(t)
-    _check_dim(H.dim, yv, "query point")
-    if H.dim != K.dim:
-        raise DimensionMismatchError("polytope and cone dimensions differ")
-    lp = combination_lp(yv, [(H.vertices, tq, True), (K.generators, 1, False)])
-    return solve(lp).is_feasible
+    return _in_scaled_sum(H, K, y, t, 1)
 
 
 def zero_notin_H_plus_K(H: Polytope, K: ConeGen) -> bool:
@@ -198,11 +199,7 @@ def zero_notin_H_plus_K(H: Polytope, K: ConeGen) -> bool:
     H + K is closed here, so this single LP settles the strict separation
     condition every downstream construction relies on.
     """
-    if H.dim != K.dim:
-        raise DimensionMismatchError("polytope and cone dimensions differ")
-    origin = [Fraction(0)] * H.dim
-    lp = combination_lp(origin, [(H.vertices, 1, True), (K.generators, 1, False)])
-    return not solve(lp).is_feasible
+    return not _in_scaled_sum(H, K, (Fraction(0),) * H.dim, 1, 1)
 
 
 def union_disjoint_from(
@@ -242,11 +239,8 @@ def union_disjoint_from(
 
 @dataclass(frozen=True)
 class ConeHalfspaces:
-    """The cone {w : E w = 0, A w >= 0} in integer rows.
-
-    The rows of ``equalities`` (E) span the orthogonal complement of the
-    cone's linear span, so a lower-dimensional cone is described
-    exactly; ``inequalities`` (A) holds one row per facet.
+    """The cone {w : r . w >= 0 for each row r} in integer rows; an
+    equality is a row and its negation (see `cone_halfspaces`).
 
     For a homogenized cone, the cone over t*H +- K in R^(dim+1), each
     row is (a_z, a_t) with the scale's coefficient a_t last.  The
@@ -254,17 +248,7 @@ class ConeHalfspaces:
     from its row products a_z . z, so callers never read a row.
     """
 
-    equalities: tuple[tuple[int, ...], ...]
-    inequalities: tuple[tuple[int, ...], ...]
-
-    @functools.cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """Rows r with the cone = {w : r . w >= 0 for each r}: A, E, -E."""
-        return (
-            self.inequalities
-            + self.equalities
-            + tuple(tuple(-c for c in e) for e in self.equalities)
-        )
+    rows: tuple[tuple[int, ...], ...]
 
     @functools.cached_property
     def t_coefficients(self) -> tuple[int, ...]:
@@ -330,12 +314,12 @@ def cone_halfspaces(generators: Sequence[Sequence[int]], dim: int) -> ConeHalfsp
     """Halfspaces of cone(generators), for integer generators in R^dim.
 
     The rows generate the dual cone {a : a . g >= 0 for each generator g}:
-    its lineality space, the orthogonal complement of the generators'
-    span, gives E, and its extreme rays give A; by duality the cone is
-    {w : E w = 0, A w >= 0}.  The dual cone is built by the double
-    description method (Motzkin et al. 1953; Fukuda & Prodon 1996),
-    starting from the whole space and adding a . g >= 0 one generator
-    at a time:
+    its extreme rays A, then a basis E of its lineality space, the
+    orthogonal complement of the generators' span, then -E; by duality
+    the cone is {w : r . w >= 0 for each row r}, with E w = 0 exactly.
+    The dual cone is built by the double description method (Motzkin et
+    al. 1953; Fukuda & Prodon 1996), starting from the whole space and
+    adding a . g >= 0 one generator at a time:
 
     * if g is not orthogonal to some lineality vector b, oriented so
       that g . b > 0, then b becomes a ray and every other lineality
@@ -392,7 +376,7 @@ def cone_halfspaces(generators: Sequence[Sequence[int]], dim: int) -> ConeHalfsp
                 kept.append((ray, common | 1 << i))
         rays = [r for r, _ in kept]
         tight = [t for _, t in kept]
-    return ConeHalfspaces(tuple(lin), tuple(rays))
+    return ConeHalfspaces(tuple(rays + lin + [tuple(-c for c in b) for b in lin]))
 
 
 def homogenized_generators(
@@ -414,15 +398,9 @@ def homogenized_generators(
     return tuple(tuple(integerize(g)[0]) for g in gens)
 
 
-def homogenized_halfspaces(gens: Sequence[Sequence[int]]) -> ConeHalfspaces:
-    """Halfspaces of the cone over t*H +- K from its generators
-    (`homogenized_generators`), with the scale's coefficient last."""
-    return cone_halfspaces(gens, len(gens[0]))
-
-
 def checked_rows(hs: ConeHalfspaces, gens: Sequence[Sequence[int]]) -> ConeHalfspaces:
     """The rows of hs nonnegative on every generator in ``gens``, kept in
-    order as the inequalities of a cone with no equalities.
+    order.
 
     A kept row is nonnegative on the whole cone that ``gens`` generates,
     so a point where it is negative lies outside, whatever produced the
@@ -431,5 +409,5 @@ def checked_rows(hs: ConeHalfspaces, gens: Sequence[Sequence[int]]) -> ConeHalfs
     (+-k, 0), formed from H and K directly, which keeps every sign.
     """
     return ConeHalfspaces(
-        (), tuple(r for r in hs.rows if all(_idot(r, g) >= 0 for g in gens))
+        tuple(r for r in hs.rows if all(_idot(r, g) >= 0 for g in gens))
     )

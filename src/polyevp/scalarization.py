@@ -73,8 +73,8 @@ from .geometry import (
     Polytope,
     checked_rows,
     cone_contains,
+    cone_halfspaces,
     homogenized_generators,
-    homogenized_halfspaces,
     reaches,
 )
 from .lp_core import LinearProgram, combination_lp, solve
@@ -179,7 +179,7 @@ class SeparationFunctional:
         Built on first use and kept on the functional, so only callers
         of the closed form pay for them.
         """
-        return tuple(homogenized_halfspaces(g) for g in self._generators)
+        return tuple(cone_halfspaces(g, len(g[0])) for g in self._generators)
 
     @functools.cached_property
     def checked_halfspaces(self) -> tuple[ConeHalfspaces, ConeHalfspaces]:

@@ -121,25 +121,25 @@ class TestShiftedSetBound:
 
 class TestClassify:
     def test_strip(self, strip_range, halfline):
-        rep = classify(strip_range, halfline, Polytope(2, ((1, 0),)), [((0, 0), 1)])
+        rep = classify(strip_range, halfline, Polytope(2, ((1, 0),)))
         assert not rep.k_lower and rep.quasi_k_lower
         assert rep.ladder_consistent
 
     def test_vee(self, vee_range, simplex_segment, orthant2):
-        rep = classify(vee_range, orthant2, simplex_segment, [((0, 0), 1)])
+        rep = classify(vee_range, orthant2, simplex_segment)
         assert not rep.quasi_k_lower and rep.kstar_h_lower
         assert rep.kstar_witness[0] == rep.kstar_witness[1] > 0
         assert rep.ladder_consistent
 
     def test_axis_cross(self, axis_cross_range, slanted_segment, orthant2):
-        rep = classify(axis_cross_range, orthant2, slanted_segment, [((0, 0), 1)])
+        rep = classify(axis_cross_range, orthant2, slanted_segment)
         assert not rep.kstar_h_lower and rep.h_lower is True
         assert rep.h_lower_witness == ((Fraction(0), Fraction(0)), Fraction(1))
         assert rep.ladder_consistent
 
     def test_rejects_origin_in_sum(self, vee_range, orthant2):
         with pytest.raises(ValueError):
-            classify(vee_range, orthant2, Polytope(2, ((0, 0),)), [((0, 0), 1)])
+            classify(vee_range, orthant2, Polytope(2, ((0, 0),)))
 
 
 def test_ladder_chain_on_random_instances():
@@ -164,13 +164,13 @@ def test_ladder_chain_on_random_instances():
 
 
 def test_classify_reports_shifted_set_bound_whenever_kstar_exists():
-    # level 3 implies level 4: classify follows the caller's candidates
+    # level 3 implies level 4: classify follows its origin candidate
     # with the escape scale derived from k*, which always verifies
     rng = random.Random(31)
     for _ in range(200):
         K, H, _ = rand_cone_polytope(rng, rng.randint(2, 3), rng.randint(1, 3), rng.randint(1, 2))
         M = rand_union(rng, K)
-        rep = classify(M, K, H, [(tuple(Fraction(0) for _ in range(K.dim)), 1)])
+        rep = classify(M, K, H)
         if rep.kstar_h_lower:
             assert rep.h_lower is True, (M, K, H)
 

@@ -221,9 +221,9 @@ class TestBisectionOverCorruptRows:
         self, tmp_path, segment_doc, monkeypatch, capsys
     ):
         def drop(plus, minus):
-            rows = tuple(r for r in minus.inequalities if r != (-1, 0, 1))
-            assert len(rows) == len(minus.inequalities) - 1
-            return plus, ConeHalfspaces(minus.equalities, rows)
+            rows = tuple(r for r in minus.rows if r != (-1, 0, 1))
+            assert len(rows) == len(minus.rows) - 1
+            return plus, ConeHalfspaces(rows)
 
         f = write(tmp_path / "p.json", segment_doc)
         _read_rows_as(monkeypatch, drop)
@@ -247,10 +247,7 @@ class TestBisectionOverCorruptRows:
             # minus the sum of the facet rows: negative at (1, 1, 1), a
             # generator of both cones; kept, it would empty the t >= 1 range
             return tuple(
-                ConeHalfspaces(
-                    hs.equalities,
-                    hs.inequalities + (tuple(-sum(c) for c in zip(*hs.inequalities)),),
-                )
+                ConeHalfspaces(hs.rows + (tuple(-sum(c) for c in zip(*hs.rows)),))
                 for hs in (plus, minus)
             )
 
@@ -379,6 +376,34 @@ _CERTIFICATE = {"xbar": "c", "y0": [0, 0], "chain": ["a", "c"], "xi_trace": [0, 
             "feasible point 'c' is listed twice", id="feasible-repeated",
         ),
         pytest.param(
+            ["solve", "{problem}"],
+            {"mode": {"efficiency": {"gamma": 1, "feasible": ["a", "zz"]}}}, None,
+            "feasible point 'zz' is not in the space", id="feasible-unknown",
+        ),
+        pytest.param(
+            ["solve", "{problem}"],
+            {"mode": {"efficiency": {"gamma": 1, "feasible": []}}}, None,
+            "feasible set must not be empty", id="feasible-empty",
+        ),
+        pytest.param(
+            ["solve", "{problem}"],
+            {"mode": {"efficiency": {"gamma": 1, "feasible": ["b", "c"]}}}, None,
+            "start point 'a' is not feasible", id="start-not-feasible",
+        ),
+        pytest.param(
+            ["solve", "{problem}"], {"epsilon": 0}, None,
+            "epsilon must be positive", id="epsilon-zero",
+        ),
+        pytest.param(
+            ["solve", "{problem}"], {"mode": {"scaled": {"epsilon": 5, "lambda": 0}}},
+            None, "scaled mode needs positive epsilon and lambda", id="lambda-zero",
+        ),
+        pytest.param(
+            ["solve", "{problem}"], {"cone": {"generators": [5]}}, None,
+            '"cone"."generators"[0]: expected a list of 2 numbers',
+            id="generator-not-list",
+        ),
+        pytest.param(
             ["solve", "{problem}"], {"space": [0]}, None,
             '"space" must be an object with labels and dist', id="space-not-object",
         ),
@@ -435,6 +460,11 @@ _CERTIFICATE = {"xbar": "c", "y0": [0, 0], "chain": ["a", "c"], "xi_trace": [0, 
             ["verify", "{problem}", "{cert}"], {}, {**_CERTIFICATE, "xi_trace": 0},
             'certificate "xi_trace" must be a list of numbers',
             id="certificate-trace-not-list",
+        ),
+        pytest.param(
+            ["diagnose", "{problem}"], {"ranges": {"pieces": [5]}}, None,
+            '"ranges"."pieces"[0]: expected an object with vertices',
+            id="piece-not-object",
         ),
         # a falsy rays value is bad input, not "no rays": only [] is that
         *(

@@ -55,6 +55,7 @@ from conftest import (
     brute_force_minimal_set,
     make_chain3,
     map_table,
+    problem_to_document,
     rand_cone_polytope,
     rand_metric_space,
     rand_problem,
@@ -443,6 +444,18 @@ class TestHypothesisCheck:
         assert exc.value.blocking == {(0, 0): ("z", (-1, -1))}
 
 
+def _fake_scorer(scores):
+    """A stand-in for `phi_from_rows` that returns ``scores`` in order,
+    None as +inf."""
+    values = iter(scores)
+
+    def phi(*args):
+        v = next(values)
+        return ExtendedReal.plus_infinity() if v is None else ExtendedReal.finite(v)
+
+    return phi
+
+
 class TestSolve:
     def test_chain3_descends_to_bottom(self, chain3_eps5):
         cert = solve(chain3_eps5)
@@ -525,6 +538,45 @@ class TestSolve:
                 xbar=cert.xbar, y0=cert.y0, chain=cert.chain, xi_trace=tuple(trace)
             )
             assert "(trace)" in verify_certificate(p, forged).failures
+
+    @pytest.mark.parametrize(
+        "scores, message",
+        [
+            pytest.param(
+                (1, 1, 1),
+                "potential minimum 1 over the start section violates the [-eps, 0] bound",
+                id="start-minimum-above-zero",
+            ),
+            pytest.param(
+                (0, 0, 0),
+                "'a' is its own section argmin but the section has 3 points",
+                id="start-is-argmin",
+            ),
+            pytest.param(
+                (0, Fraction(-1, 10), Fraction(-1, 5)),
+                "descent step 'a' -> 'c' dropped the potential by less than "
+                "scale * distance",
+                id="short-step",
+            ),
+            pytest.param(
+                (None, -1, -2), "chain point scored +inf", id="infinite-chain-point"
+            ),
+        ],
+    )
+    def test_descent_self_checks(
+        self, chain3_eps5, tmp_path, monkeypatch, capsys, scores, message
+    ):
+        # ``scores`` are the potentials of a, b and c, each scored once
+        monkeypatch.setattr(evp, "phi_from_rows", _fake_scorer(scores))
+        with pytest.raises(InternalConsistencyError) as exc:
+            solve(chain3_eps5)
+        assert str(exc.value) == message
+        # the solve command reports the failure with exit code 3
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(problem_to_document(chain3_eps5)))
+        monkeypatch.setattr(evp, "phi_from_rows", _fake_scorer(scores))
+        assert cli.main(["solve", str(path)]) == 3
+        assert capsys.readouterr().out == f"internal consistency failure: {message}\n"
 
     def test_dominance_memo_dies_with_the_problem(self):
         p = make_chain3(5)
@@ -955,14 +1007,14 @@ def _corrupted(p: EVPProblem, corrupt, which: int = 0) -> EVPProblem:
 
 
 def _dropped_facet(hs: ConeHalfspaces) -> ConeHalfspaces:
-    return ConeHalfspaces(hs.equalities, hs.inequalities[1:])
+    return ConeHalfspaces(hs.rows[1:])
 
 
 def _added_bad_row(hs: ConeHalfspaces) -> ConeHalfspaces:
     # minus the sum of the facet rows: negative on every generator that is
     # not on all facets, so with it the cone shrinks to (almost) its apex
-    bad = tuple(-sum(col) for col in zip(*hs.inequalities))
-    return ConeHalfspaces(hs.equalities, hs.inequalities + (bad,))
+    bad = tuple(-sum(col) for col in zip(*hs.rows))
+    return ConeHalfspaces(hs.rows + (bad,))
 
 
 def _lp_xi(p: EVPProblem, label: str, y0) -> ExtendedReal:
@@ -1035,7 +1087,7 @@ class TestIndependentVerification:
             before = [dominates(p, xp, x) for xp, x in pairs]
             rows = p._image_rows
             if corrupt == "dropped-facet":
-                if not rows.plus_hs.inequalities:
+                if not rows.plus_hs.rows:
                     continue
                 p.__dict__["_image_rows"] = evp._ImageRows(
                     p, _dropped_facet(rows.plus_hs), rows.minus_hs
@@ -1057,7 +1109,7 @@ class TestIndependentVerification:
             cert = solve(p)
             honest = verify_certificate(p, cert)
             given = p._separation.halfspaces[which]
-            if not given.inequalities:
+            if not given.rows:
                 continue
             q = _corrupted(p, corrupt, which)
             # the verifier keeps exactly the valid rows it was given
@@ -1077,7 +1129,7 @@ class TestIndependentVerification:
     def test_corrupt_solver_never_gets_a_false_claim_through(self, corrupt, which):
         false_claims = 0
         for p in self._draws(79, 25):
-            if not p._separation.halfspaces[which].inequalities:
+            if not p._separation.halfspaces[which].rows:
                 continue
             q = _corrupted(p, corrupt, which)
             try:
@@ -1183,7 +1235,7 @@ class TestTraceCheck:
             for corrupt, which in variants:
                 if corrupt is None:
                     q = p
-                elif p._separation.halfspaces[which].inequalities:
+                elif p._separation.halfspaces[which].rows:
                     q = _corrupted(p, corrupt, which)
                 else:
                     continue

@@ -20,7 +20,6 @@ from polyevp.geometry import (
     cone_contains,
     cone_halfspaces,
     homogenized_generators,
-    homogenized_halfspaces,
     is_pointed,
     reaches,
     scaled_H_minus_K_contains,
@@ -217,25 +216,28 @@ class TestHalfspaces:
     def test_orthant_cone(self):
         # cone{(1, 0), (0, 1)} is the quadrant x >= 0, y >= 0
         hs = cone_halfspaces([(1, 0), (0, 1)], 2)
-        assert hs.equalities == ()
-        assert sorted(hs.inequalities) == [(0, 1), (1, 0)]
+        assert sorted(hs.rows) == [(0, 1), (1, 0)]
 
     def test_ray_in_the_plane(self):
-        # cone{(1, 1)}: one equality x = y and one facet x + y >= 0
+        # cone{(1, 1)}: one facet x + y >= 0, then x = y as a row and its
+        # negation
         hs = cone_halfspaces([(1, 1)], 2)
-        assert len(hs.equalities) == 1 and len(hs.inequalities) == 1
+        _, e, minus_e = hs.rows
+        assert minus_e == tuple(-c for c in e)
         assert contains(hs, (2, 2)) and not contains(hs, (-1, -1))
         assert not contains(hs, (1, 0))
 
     def test_line_has_no_facet(self):
         hs = cone_halfspaces([(1, 0), (-1, 0)], 2)
-        assert hs.inequalities == () and len(hs.equalities) == 1
+        e, minus_e = hs.rows
+        assert minus_e == tuple(-c for c in e)
         assert contains(hs, (-5, 0)) and not contains(hs, (0, 1))
 
     def test_one_vertex_H_on_a_ray(self):
         # H = {(1, 1)}, K = cone{(1, 1)}: z in t*H + K iff z = s*(1, 1), s >= t
         H, K = Polytope(2, ((1, 1),)), ConeGen(2, ((1, 1),))
-        hs = homogenized_halfspaces(homogenized_generators(H, K, 1))
+        gens = homogenized_generators(H, K, 1)
+        hs = cone_halfspaces(gens, len(gens[0]))
         assert contains(hs, (2, 2, 2)) and contains(hs, (3, 3, 2))
         assert not contains(hs, (1, 1, 2)) and not contains(hs, (2, 3, 2))
 
@@ -288,11 +290,10 @@ def test_facets_match_a_brute_force_reference():
         if not any(_det(list(sub)) for sub in itertools.combinations(gens, dim)):
             continue  # not full-dimensional
         hs = cone_halfspaces(gens, dim)
-        assert hs.equalities == ()
-        assert len(set(hs.inequalities)) == len(hs.inequalities)
-        assert set(hs.inequalities) == _brute_force_facets(gens, dim), gens
+        assert len(set(hs.rows)) == len(hs.rows)
+        assert set(hs.rows) == _brute_force_facets(gens, dim), gens
         checked += 1
-        facets += len(hs.inequalities)
+        facets += len(hs.rows)
     assert checked >= 150 and facets >= 1000
 
 
@@ -316,7 +317,7 @@ def test_halfspaces_match_the_membership_lps(data):
         (-1, scaled_H_minus_K_contains, minus_thr),
     ):
         int_gens = homogenized_generators(H, K, sign)
-        hs = homogenized_halfspaces(int_gens)
+        hs = cone_halfspaces(int_gens, len(int_gens[0]))
         gens = [h + (1,) for h in H.vertices]
         gens += [tuple(sign * c for c in k) + (0,) for k in K.generators]
         for g, ig in zip(gens, int_gens, strict=True):
@@ -324,10 +325,9 @@ def test_halfspaces_match_the_membership_lps(data):
             m = next(a / b for a, b in zip(ig, g) if b)
             assert m > 0 and all(a == m * b for a, b in zip(ig, g))
         for g in gens:
-            assert all(dot(e, g) == 0 for e in hs.equalities)
-            assert all(dot(a, g) >= 0 for a in hs.inequalities)
+            assert all(dot(r, g) >= 0 for r in hs.rows)
         bad = tuple(-c for c in integerize(gens[0])[0])  # negative on gens[0]
-        for given_hs in (hs, ConeHalfspaces(hs.equalities, hs.inequalities + (bad,))):
+        for given_hs in (hs, ConeHalfspaces(hs.rows + (bad,))):
             checked = checked_rows(given_hs, int_gens)
             assert isinstance(checked, ConeHalfspaces) and checked.rows == hs.rows
         at_z, at_w = hs.products(z), hs.products(w)

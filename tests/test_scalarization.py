@@ -56,7 +56,7 @@ def lower_bound_from_rows(plus, minus, y) -> ExtendedReal:
 
 
 def without_first_facet(hs: ConeHalfspaces) -> ConeHalfspaces:
-    return ConeHalfspaces(hs.equalities, hs.inequalities[1:])
+    return ConeHalfspaces(hs.rows[1:])
 
 
 @pytest.fixture
