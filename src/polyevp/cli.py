@@ -42,17 +42,17 @@ def _vec_text(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# single-file command bodies; each returns (exit_code, output_text)
+# single-file command bodies: (path, document, (tolerance, t_max), parsed
+# arguments) -> (exit_code, output_text); `_worker` reads the middle two
 # ---------------------------------------------------------------------------
 
 
-def _do_scalarize(path: str, opts: dict) -> tuple[int, str]:
-    doc = problemfile.load_document(path)
-    tol, t_max = problemfile.evaluation_settings(doc, opts["tol"], opts["t_max"])
+def _do_scalarize(path: str, doc: dict, settings, args) -> tuple[int, str]:
+    tol, t_max = settings
     sf = scalarization.SeparationFunctional(
         problemfile.build_polytope(doc), problemfile.build_cone(doc)
     )
-    point_text = opts["point"]
+    point_text = args.point
     try:
         y = tuple(frac(c) for c in point_text.split(","))
     except ValueError as e:
@@ -76,7 +76,7 @@ def _do_scalarize(path: str, opts: dict) -> tuple[int, str]:
         # here is a bug detector rather than a legitimate outcome
         attained = geometry.scaled_H_minus_K_contains(sf.H, sf.K, y, phi.value)
 
-    if opts.get("json"):
+    if args.json:
         payload = {
             "phi": to_jsonable(phi.value) if phi.is_finite else "+inf",
             "bisection": to_jsonable(bis.value) if bis.is_finite else "+inf",
@@ -98,15 +98,13 @@ def _do_scalarize(path: str, opts: dict) -> tuple[int, str]:
     return EXIT_OK, text
 
 
-def _do_diagnose(path: str, opts: dict) -> tuple[int, str]:
-    doc = problemfile.load_document(path)
-    problemfile.evaluation_settings(doc)  # a malformed setting is bad input
+def _do_diagnose(path: str, doc: dict, settings, args) -> tuple[int, str]:
     K = problemfile.build_cone(doc)
     H = problemfile.build_polytope(doc)
     M = problemfile.build_ranges(doc)
     report = boundedness.classify(M, K, H)
 
-    if opts.get("json"):
+    if args.json:
         payload = {
             "k_lower": report.k_lower,
             "k_lower_witness": [to_jsonable(c) for c in report.k_lower_witness]
@@ -146,9 +144,7 @@ def _do_diagnose(path: str, opts: dict) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines)
 
 
-def _do_solve(path: str, opts: dict) -> tuple[int, str]:
-    doc = problemfile.load_document(path)
-    problemfile.evaluation_settings(doc)  # a malformed setting is bad input
+def _do_solve(path: str, doc: dict, settings, args) -> tuple[int, str]:
     problem = problemfile.build_problem(doc)
     cert = evp.solve(problem)
     report = evp.verify_certificate(problem, cert)
@@ -158,13 +154,13 @@ def _do_solve(path: str, opts: dict) -> tuple[int, str]:
             "self-verification FAILED: " + " ".join(report.failures),
         )
     cert_doc = problemfile.certificate_to_document(cert, problem, report)
-    cert_path = opts.get("certificate")
+    cert_path = args.certificate
     if cert_path is None:
         p = Path(path)
         cert_path = str(p.with_name(p.stem + ".cert.json"))
     problemfile.write_document(cert_path, cert_doc)
 
-    if opts.get("json"):
+    if args.json:
         payload = dict(cert_doc)
         payload["certificate_path"] = str(cert_path)
         return EXIT_OK, json.dumps(payload, sort_keys=True)
@@ -182,15 +178,13 @@ def _do_solve(path: str, opts: dict) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines)
 
 
-def _do_verify(path: str, opts: dict) -> tuple[int, str]:
-    doc = problemfile.load_document(path)
-    problemfile.evaluation_settings(doc)  # a malformed setting is bad input
+def _do_verify(path: str, doc: dict, settings, args) -> tuple[int, str]:
     problem = problemfile.build_problem(doc)
-    cert_doc = problemfile.load_document(opts["certificate"])
+    cert_doc = problemfile.load_document(args.certificate)
     cert = problemfile.certificate_from_document(cert_doc, problem)
     report = evp.verify_certificate(problem, cert)
 
-    if opts.get("json"):
+    if args.json:
         payload = {
             "a": report.a,
             "b": report.b,
@@ -234,30 +228,32 @@ _COMMANDS = {
 }
 
 
-def _guarded(command: str, path: str, opts: dict) -> tuple[int, str]:
+def _worker(task: tuple[str, argparse.Namespace]) -> tuple[str, int, str]:
+    """(path, exit_code, output_text) for one file: load it, read its
+    settings with any ``--tol``/``--t-max`` override (a malformed setting is
+    bad input to every command), run the command, map errors to exit codes."""
+    path, args = task
     try:
-        return _COMMANDS[command](path, opts)
+        doc = problemfile.load_document(path)
+        settings = problemfile.evaluation_settings(
+            doc, getattr(args, "tol", None), getattr(args, "t_max", None)
+        )
+        return (path, *_COMMANDS[args.command](path, doc, settings, args))
     except evp.HypothesisViolatedError as e:
-        return EXIT_HYPOTHESIS, f"hypothesis violated: {e}"
+        return path, EXIT_HYPOTHESIS, f"hypothesis violated: {e}"
     except (
         scalarization.InternalConsistencyError,
         scalarization.BracketExhaustedError,
     ) as e:
-        return EXIT_INTERNAL, f"internal consistency failure: {e}"
+        return path, EXIT_INTERNAL, f"internal consistency failure: {e}"
     except ValueError as e:
         # ProblemFileError, InvalidConfigurationError, DimensionMismatchError
         # and LPFormatError are all ValueErrors
-        return EXIT_INPUT, f"input error: {e}"
+        return path, EXIT_INPUT, f"input error: {e}"
     except Exception as e:
         # any other failure is a bug; report it for this file only, so a
         # batch keeps the other files' results
-        return EXIT_INTERNAL, f"internal error: {type(e).__name__}: {e}"
-
-
-def _worker(task: tuple[str, str, dict]) -> tuple[str, int, str]:
-    command, path, opts = task
-    code, text = _guarded(command, path, opts)
-    return path, code, text
+        return path, EXIT_INTERNAL, f"internal error: {type(e).__name__}: {e}"
 
 
 @functools.cache
@@ -308,23 +304,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    opts = {"json": args.json}
-
-    if args.command == "scalarize":
-        opts.update(point=args.point, tol=args.tol, t_max=args.t_max)
-    elif args.command in ("solve", "verify"):
-        opts["certificate"] = args.certificate
-
     # only diagnose and solve take several files, and only they have --batch
     files = args.files
-    if len(files) > 1 and opts.get("certificate") is not None:
+    if len(files) > 1 and getattr(args, "certificate", None) is not None:
         print("input error: --certificate needs a single input file")
         return EXIT_INPUT
     if len(files) > 1 and not args.batch:
         print("input error: multiple files need --batch")
         return EXIT_INPUT
 
-    tasks = [(args.command, f, opts) for f in files]
+    tasks = [(f, args) for f in files]
     if len(tasks) > 1 and args.batch:
         # imported here: the process pool and multiprocessing are about a
         # fifth of the package's import time, and only a batch needs them

@@ -30,12 +30,12 @@ instance over the functional's halfspaces, the verifier's own instance
 over its checked rows.  This module never reads a halfspace row.
 
 Three scale modes cover the standard statements: ``plain`` uses scale 1;
-``scaled(eps, lam)`` uses eps/lam and additionally guarantees
-d(x0, xbar) <= lam; ``efficiency(gamma)`` restricts to a feasible subset
-S, uses scale gamma, requires the start point to be approximately
-efficient in the shifted-set sense, and additionally guarantees
-d(x0, xbar) <= eps/gamma plus a coradiant escape property of the
-perturbation direction.
+``scaled(lam)`` uses eps/lam, with the problem's own eps, and
+additionally guarantees d(x0, xbar) <= lam; ``efficiency(gamma)``
+restricts to a feasible subset S, uses scale gamma, requires the start
+point to be approximately efficient in the shifted-set sense, and
+additionally guarantees d(x0, xbar) <= eps/gamma plus a coradiant escape
+property of the perturbation direction.
 """
 
 from __future__ import annotations
@@ -43,10 +43,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import ClassVar, Iterable, Iterator, Optional, Sequence
 
 from .geometry import (
     ConeGen,
@@ -71,7 +70,6 @@ from .scalarization import (
 
 __all__ = [
     "HypothesisViolatedError",
-    "ScaleMismatchWarning",
     "FiniteMetricSpace",
     "SetValuedMapTable",
     "PlainMode",
@@ -103,10 +101,6 @@ class HypothesisViolatedError(RuntimeError):
         self.blocking = blocking
 
 
-class ScaleMismatchWarning(UserWarning):
-    """Scaled mode carries an eps differing from the hypothesis eps."""
-
-
 @dataclass(frozen=True, init=False)
 class FiniteMetricSpace:
     """Finitely many labelled points with an exact metric matrix.
@@ -125,7 +119,7 @@ class FiniteMetricSpace:
     packed into single integers (`_triangle_holds`).  Any failure is
     searched again in row-major order, so the message names the first
     failing entry or (i, j, k) triple, exactly as a plain triple loop
-    would.  ``dist`` reads as rows of Fractions, built on first read.
+    would.  ``d(a, b)`` reads one distance as a Fraction.
     """
 
     labels: tuple[str, ...]
@@ -207,10 +201,6 @@ class FiniteMetricSpace:
                         f"distinct points {labels[i]!r}, {labels[j]!r} "
                         f"at distance {Fraction(x, self.den)}"
                     )
-
-    @functools.cached_property
-    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.matrix)
 
     @functools.cached_property
     def _index(self) -> dict[str, int]:
@@ -301,26 +291,24 @@ class SetValuedMapTable:
 
 @dataclass(frozen=True)
 class PlainMode:
-    name: str = "plain"
+    name: ClassVar[str] = "plain"
 
 
 @dataclass(frozen=True)
 class ScaledMode:
-    epsilon: Fraction
     lam: Fraction
-    name: str = "scaled"
+    name: ClassVar[str] = "scaled"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "epsilon", frac(self.epsilon))
         object.__setattr__(self, "lam", frac(self.lam))
-        if self.epsilon <= 0 or self.lam <= 0:
-            raise InvalidConfigurationError("scaled mode needs positive epsilon and lambda")
+        if self.lam <= 0:
+            raise InvalidConfigurationError("scaled mode needs a positive lambda")
 
 
 @dataclass(frozen=True)
 class EfficiencyMode:
     gamma: Fraction
-    name: str = "efficiency"
+    name: ClassVar[str] = "efficiency"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gamma", frac(self.gamma))
@@ -376,18 +364,11 @@ class EVPProblem:
                 raise InvalidConfigurationError(
                     "efficiency mode needs a pointed ordering cone"
                 )
-        if isinstance(self.mode, ScaledMode) and self.mode.epsilon != self.epsilon:
-            warnings.warn(
-                "scaled mode eps differs from the hypothesis eps; the distance "
-                "bound (c) is only guaranteed when they agree",
-                ScaleMismatchWarning,
-                stacklevel=2,
-            )
 
     @functools.cached_property
     def scale(self) -> Fraction:
         if isinstance(self.mode, ScaledMode):
-            return self.mode.epsilon / self.mode.lam
+            return self.epsilon / self.mode.lam
         if isinstance(self.mode, EfficiencyMode):
             return self.mode.gamma
         return Fraction(1)
@@ -838,6 +819,14 @@ def verify_certificate(p: EVPProblem, cert: EVPCertificate) -> VerificationRepor
     an exact membership LP.  Each trace value is bounded below by the
     checked rows and shown reached by one membership LP, with the LP
     `evaluate` only for an image whose rows bound it below the value.
+
+    The drop check on the trace is a second line of defence: it cannot
+    fail once every value is exact, the chain valid and y0 in f(x0).  Take
+    a step z1 -> z2, t = scale * d(z1, z2) and r = xi(z1) <= 0, attained
+    at an image of z1 that, less y0, is w + t*h + k with w + y0 an image
+    of z2.  It lies in r*H - K, so w lies in (r - t)*H - K, as
+    r*h' - t*h is (r - t) times a convex combination of h' and h; hence
+    xi(z2) <= r - t.
     """
     rel = _CheckedRelation(p)
     a = rel.dominates(cert.xbar, p.x0)

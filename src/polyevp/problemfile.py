@@ -2,14 +2,15 @@
 
 A problem document carries the geometry ("dimension", "cone", "H"),
 optionally a metric-space problem ("space", "map", "x0", "epsilon",
-"mode"), optionally a ranges block for boundedness diagnostics, and
-optional bisection settings ("tolerance", "t_max"), which
-`evaluation_settings` reads with their defaults.  Numbers may be
-written as integers, decimals, or "p/q" strings; everything is parsed
-exactly, each number once, by `rational.ratio`.  The distances of
-"space"."dist" go to `FiniteMetricSpace` as written, and it forms its
-integer matrix from them with no Fraction in between; a bad entry is
-located only when that construction fails.
+"mode"; a "scaled" mode's "epsilon" must equal "epsilon"), optionally a
+ranges block for boundedness diagnostics, and optional bisection
+settings ("tolerance", "t_max"), which `evaluation_settings` reads with
+their defaults.  Numbers may be written as integers, decimals, or "p/q"
+strings; everything is parsed exactly, each number once, by
+`rational.ratio`.  The distances of "space"."dist" go to
+`FiniteMetricSpace` as written, and it forms its integer matrix from
+them with no Fraction in between; a bad entry is located only when that
+construction fails.
 
 Certificates serialize as {"xbar", "y0", "chain", "xi_trace", "mode",
 "checks"} where checks carries "a", "b" and, when applicable, "c" and
@@ -156,7 +157,7 @@ def build_ranges(doc: dict) -> VPolyhedralUnion:
     return VPolyhedralUnion(dim, tuple(parsed))
 
 
-def _build_mode(doc: dict) -> tuple[Any, Optional[tuple[str, ...]]]:
+def _build_mode(doc: dict, eps: Fraction) -> tuple[Any, Optional[tuple[str, ...]]]:
     mode_doc = doc.get("mode", "plain")
     if mode_doc == "plain":
         return PlainMode(), None
@@ -164,9 +165,11 @@ def _build_mode(doc: dict) -> tuple[Any, Optional[tuple[str, ...]]]:
         block = mode_doc["scaled"]
         if not isinstance(block, dict):
             raise ProblemFileError('"mode"."scaled" must be an object')
-        eps = _num(block.get("epsilon"), '"mode"."scaled"."epsilon"')
+        scaled_eps = _num(block.get("epsilon"), '"mode"."scaled"."epsilon"')
         lam = _num(block.get("lambda"), '"mode"."scaled"."lambda"')
-        return ScaledMode(eps, lam), None
+        if scaled_eps != eps:
+            raise ProblemFileError('"mode"."scaled"."epsilon" must equal "epsilon"')
+        return ScaledMode(lam), None
     if isinstance(mode_doc, dict) and "efficiency" in mode_doc:
         block = mode_doc["efficiency"]
         if not isinstance(block, dict):
@@ -237,7 +240,7 @@ def build_problem(doc: dict) -> EVPProblem:
     if not isinstance(x0, str):
         raise ProblemFileError('"x0" must be a label string')
     eps = _num(doc.get("epsilon"), '"epsilon"')
-    mode, feasible = _build_mode(doc)
+    mode, feasible = _build_mode(doc, eps)
 
     return EVPProblem(
         space=space, f=table, K=K, H=H, x0=x0, epsilon=eps, mode=mode,

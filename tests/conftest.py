@@ -66,7 +66,9 @@ def problem_to_document(p: EVPProblem) -> dict:
         "H": {"vertices": [_vec_doc(v) for v in p.H.vertices]},
         "space": {
             "labels": list(p.space.labels),
-            "dist": [_vec_doc(row) for row in p.space.dist],
+            "dist": [
+                _vec_doc(Fraction(x, p.space.den) for x in row) for row in p.space.matrix
+            ],
         },
         "map": {l: [_vec_doc(y) for y in p.images(l)] for l in p.space.labels},
         "x0": p.x0,
@@ -75,7 +77,7 @@ def problem_to_document(p: EVPProblem) -> dict:
     if isinstance(p.mode, ScaledMode):
         doc["mode"] = {
             "scaled": {
-                "epsilon": to_jsonable(p.mode.epsilon),
+                "epsilon": to_jsonable(p.epsilon),
                 "lambda": to_jsonable(p.mode.lam),
             }
         }

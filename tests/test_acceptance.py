@@ -330,7 +330,7 @@ def solver_batch():
         factory = None
         if scaled:
             stretch = Fraction(rng.randint(1, 4))
-            factory = lambda eps, s=stretch: ScaledMode(eps, eps * s)
+            factory = lambda eps, s=stretch: ScaledMode(eps * s)
         p = rand_problem(
             rng,
             max_points=12,

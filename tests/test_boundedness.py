@@ -15,6 +15,7 @@ from polyevp.boundedness import (
 )
 from polyevp.geometry import (
     ConeGen,
+    DimensionMismatchError,
     Polytope,
     VPolyhedralUnion,
     cone_contains,
@@ -140,6 +141,39 @@ class TestClassify:
     def test_rejects_origin_in_sum(self, vee_range, orthant2):
         with pytest.raises(ValueError):
             classify(vee_range, orthant2, Polytope(2, ((0, 0),)))
+
+
+_UNION2 = VPolyhedralUnion(2, ((((0, 0),), ()),))
+_ORTHANT2 = ConeGen(2, ((1, 0), (0, 1)))
+_ORTHANT3 = ConeGen(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: is_quasi_K_lower_bounded(_UNION2, _ORTHANT3),
+            "union and cone dimensions differ", id="quasi-k-lower",
+        ),
+        # is_quasi_K_lower_bounded, which it calls next, raises the same
+        pytest.param(
+            lambda: is_K_lower_bounded(_UNION2, _ORTHANT3),
+            "union and cone dimensions differ", id="k-lower",
+        ),
+        pytest.param(
+            lambda: find_kstar(_UNION2, _ORTHANT3, Polytope(2, ((1, 1),))),
+            "union and cone dimensions differ", id="kstar-cone",
+        ),
+        pytest.param(
+            lambda: find_kstar(_UNION2, _ORTHANT2, Polytope(3, ((1, 1, 1),))),
+            "polytope dimension differs", id="kstar-polytope",
+        ),
+    ],
+)
+def test_dimension_mismatch_raises(call, message):
+    with pytest.raises(DimensionMismatchError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 def test_ladder_chain_on_random_instances():

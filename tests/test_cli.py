@@ -155,12 +155,13 @@ class TestScalarize:
     def test_unexpected_exception_is_internal_error_for_that_file(
         self, tmp_path, segment_doc, monkeypatch
     ):
-        def boom(path, opts):
+        def boom(path, doc, settings, args):
             raise RuntimeError("forced")
 
         monkeypatch.setitem(cli._COMMANDS, "scalarize", boom)
         f = write(tmp_path / "p.json", segment_doc)
-        path, code, text = cli._worker(("scalarize", f, {}))
+        args = cli._build_parser().parse_args(["scalarize", f, "--point", "1,1"])
+        path, code, text = cli._worker((f, args))
         assert (path, code) == (f, 3)
         assert text == "internal error: RuntimeError: forced"
 
@@ -396,7 +397,12 @@ _CERTIFICATE = {"xbar": "c", "y0": [0, 0], "chain": ["a", "c"], "xi_trace": [0, 
         ),
         pytest.param(
             ["solve", "{problem}"], {"mode": {"scaled": {"epsilon": 5, "lambda": 0}}},
-            None, "scaled mode needs positive epsilon and lambda", id="lambda-zero",
+            None, "scaled mode needs a positive lambda", id="lambda-zero",
+        ),
+        pytest.param(
+            ["solve", "{problem}"], {"mode": {"scaled": {"epsilon": 1, "lambda": 1}}},
+            None, '"mode"."scaled"."epsilon" must equal "epsilon"',
+            id="scaled-epsilon-mismatch",
         ),
         pytest.param(
             ["solve", "{problem}"], {"cone": {"generators": [5]}}, None,
@@ -568,7 +574,7 @@ def test_distance_literals_build_the_fraction_space(tmp_path, chain3_doc):
         ("a", "b", "c"), ((0, half, 1), (half, 0, half), (Fraction(1), half, 0))
     )
     assert space == expected and hash(space) == hash(expected)
-    assert space.dist == expected.dist
+    assert (space.matrix, space.den) == (expected.matrix, expected.den)
     assert space.d("a", "b") == half
 
 

@@ -6,7 +6,6 @@ import itertools
 import json
 import math
 import random
-import warnings
 import weakref
 from fractions import Fraction
 
@@ -22,7 +21,6 @@ from polyevp.evp import (
     HypothesisViolatedError,
     PlainMode,
     ScaledMode,
-    ScaleMismatchWarning,
     ae_efficient,
     condition_ii_witness,
     coradiant_escape_check,
@@ -34,6 +32,7 @@ from polyevp.evp import (
 from polyevp.geometry import (
     ConeGen,
     ConeHalfspaces,
+    DimensionMismatchError,
     InvalidConfigurationError,
     Polytope,
     is_pointed,
@@ -137,7 +136,9 @@ class TestMetricSpace:
             assert str(e) == expected
         else:
             assert expected is None
-            assert space.dist == tuple(tuple(Fraction(x) for x in row) for row in dist)
+            assert [[space.d(a, b) for b in labels] for a in labels] == [
+                [Fraction(x) for x in row] for row in dist
+            ]
         return expected
 
     def test_integer_check_matches_fraction_triple_loop(self):
@@ -314,7 +315,7 @@ class TestMetricSpace:
     def test_integer_check_on_one_point(self):
         for dist in [(0,), ("1/3",), (-1,), ("0/7",)]:
             self._assert_same_verdict(("only",), (dist,))
-        assert FiniteMetricSpace(("only",), ((0,),)).dist == ((Fraction(0),),)
+        assert FiniteMetricSpace(("only",), ((0,),)).d("only", "only") == 0
 
     def test_random_generator_produces_valid_spaces(self):
         rng = random.Random(1)
@@ -391,7 +392,7 @@ class TestDominanceRoutes:
             lam = Fraction(rng.randint(2, 6), 7)
             p = rand_problem(
                 rng, max_points=6, max_images=3,
-                mode_factory=lambda eps: ScaledMode(eps, lam),
+                mode_factory=lambda eps: ScaledMode(lam),
                 require_witness=False,
             )
             if p.space.den == 1:
@@ -404,7 +405,7 @@ class TestDominanceRoutes:
 
     @pytest.mark.parametrize(
         "mode, scale",
-        [(PlainMode(), 1), (ScaledMode(2, 4), Fraction(1, 2))],
+        [(PlainMode(), 1), (ScaledMode(4), Fraction(1, 2))],
         ids=["plain", "scaled"],
     )
     def test_tight_step(self, mode, scale):
@@ -519,7 +520,7 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "mode, scale",
-        [(PlainMode(), 1), (ScaledMode(2, 4), Fraction(1, 2))],
+        [(PlainMode(), 1), (ScaledMode(4), Fraction(1, 2))],
         ids=["plain", "scaled"],
     )
     def test_tight_descent_step(self, mode, scale):
@@ -602,7 +603,7 @@ class TestForgedCertificates:
         assert report.failures == ("(a)", "(b)", "(chain)")
 
     def test_endpoint_beyond_lambda_fails_c(self):
-        p = make_chain3(5, ScaledMode(5, 1))
+        p = make_chain3(5, ScaledMode(1))
         forged = EVPCertificate(xbar="c", y0=(4, 4), chain=("a", "c"), xi_trace=(0, -4))
         report = verify_certificate(p, forged)
         assert report.c is False and report.coradiant_gap is None
@@ -652,24 +653,85 @@ class TestForgedCertificates:
         report = verify_certificate(chain3_eps5, forged)
         assert "(witness)" in report.failures
 
+    @pytest.mark.parametrize(
+        "trace, failures",
+        [
+            pytest.param((0, 0, 0), ("(trace)",), id="no-drop"),
+            pytest.param((0, -1, Fraction(-3, 2)), ("(trace)",), id="short-last-step"),
+            # each step drops by exactly scale * d = 1
+            pytest.param((0, -1, -2), (), id="tight"),
+        ],
+    )
+    def test_trace_drop_check_without_the_value_check(
+        self, chain3_eps5, monkeypatch, trace, failures
+    ):
+        # a valid chain with exact values always drops far enough, so the
+        # drop check is reached here only with the value check switched off
+        monkeypatch.setattr(_CheckedRelation, "potential_is", lambda *args: True)
+        forged = EVPCertificate(
+            xbar="c", y0=(4, 4), chain=("a", "b", "c"), xi_trace=trace
+        )
+        assert verify_certificate(chain3_eps5, forged).failures == failures
+
 
 class TestScaledMode:
     def test_distance_bound_holds(self):
-        p = make_chain3(5, ScaledMode(5, 10))
+        p = make_chain3(5, ScaledMode(10))
         cert = solve(p)
         report = verify_certificate(p, cert)
         assert report.c is True and report.passed
         assert p.space.d(p.x0, cert.xbar) <= 10
 
-    def test_mismatched_eps_warns(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            make_chain3(5, ScaledMode(3, 10))
-        assert any(issubclass(w.category, ScaleMismatchWarning) for w in caught)
-
     def test_scale_is_ratio(self):
-        p = make_chain3(5, ScaledMode(5, 10))
+        p = make_chain3(5, ScaledMode(10))
         assert p.scale == Fraction(1, 2)
+
+    def test_mode_names_are_not_arguments(self):
+        # a certificate writes mode.name, so no instance may carry another
+        for mode, args in ((PlainMode, ()), (ScaledMode, (10,)), (EfficiencyMode, (1,))):
+            with pytest.raises(TypeError):
+                mode(*args, name="plain")
+        assert [m.name for m in (PlainMode(), ScaledMode(10), EfficiencyMode(1))] == [
+            "plain", "scaled", "efficiency"
+        ]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: FiniteMetricSpace(("a", "b"), ((0, 1),)), InvalidConfigurationError,
+            "distance matrix shape does not match labels", id="metric-shape",
+        ),
+        pytest.param(
+            lambda: map_table({"a": [(0, 0)]}).images("zz"), ValueError,
+            "no image entry for label 'zz'", id="unknown-image-label",
+        ),
+        pytest.param(
+            lambda: EVPProblem(
+                space=FiniteMetricSpace(("a",), ((0,),)), f=map_table({"a": [(0, 0, 0)]}),
+                K=ConeGen(2, ((1, 0), (0, 1))), H=Polytope(2, ((1, 1),)), x0="a",
+                epsilon=1,
+            ),
+            DimensionMismatchError, "map, cone, and polytope dimensions differ",
+            id="problem-dimensions",
+        ),
+        pytest.param(
+            lambda: ae_efficient(make_chain3(5), "a", 0), ValueError,
+            "eps must be positive", id="efficiency-eps-zero",
+        ),
+        pytest.param(
+            lambda: ae_efficient(
+                dataclasses.replace(make_chain3(5), feasible=("a", "b")), "c", 1
+            ),
+            ValueError, "'c' is not a feasible point", id="efficiency-infeasible-point",
+        ),
+    ],
+)
+def test_malformed_input_raises(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 class TestEfficiency:
@@ -855,7 +917,7 @@ class TestZeroDistance:
 
     @pytest.mark.parametrize(
         "mode_factory",
-        [None, lambda eps: ScaledMode(eps, Fraction(1, 2)), lambda eps: ScaledMode(eps, 4)],
+        [None, lambda eps: ScaledMode(Fraction(1, 2)), lambda eps: ScaledMode(4)],
         ids=["plain", "scaled-short", "scaled-long"],
     )
     def test_singleton_start_section_stays_put(self, mode_factory):

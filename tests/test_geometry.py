@@ -179,6 +179,42 @@ def test_plus_cone_membership_matches_hand_check(orthant2):
     assert scaled_H_plus_K_contains(H, orthant2, (0, 0), 0)
 
 
+_POINT2 = Polytope(2, ((1, 1),))
+_ORTHANT3 = ConeGen(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: VPolyhedralUnion(2, ()), InvalidConfigurationError,
+            "the union needs at least one piece", id="union-without-pieces",
+        ),
+        pytest.param(
+            lambda: scaled_H_plus_K_contains(_POINT2, _ORTHANT3, (1, 1), 1),
+            DimensionMismatchError, "polytope and cone dimensions differ",
+            id="membership",
+        ),
+        pytest.param(
+            lambda: homogenized_generators(_POINT2, _ORTHANT3, 1),
+            DimensionMismatchError, "polytope and cone dimensions differ",
+            id="homogenized-generators",
+        ),
+        pytest.param(
+            lambda: union_disjoint_from(
+                VPolyhedralUnion(2, ((((0, 0),), ()),)), (0, 0), 1, _POINT2, _ORTHANT3
+            ),
+            DimensionMismatchError, "union, polytope, and cone dimensions differ",
+            id="union-disjoint-from",
+        ),
+    ],
+)
+def test_malformed_input_raises(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 class TestValidation:
     def test_orthant_is_pointed_nontrivial(self, orthant2):
         assert is_pointed(orthant2)

@@ -115,6 +115,10 @@ def test_malformed_dimensions_raise():
         LinearProgram(n_vars=2, rows=((Fraction(1),),), rhs=(Fraction(0),))
     with pytest.raises(LPFormatError):
         LinearProgram(n_vars=1, rows=(), rhs=(), objective=(Fraction(1), Fraction(0)))
+    with pytest.raises(LPFormatError, match="^negative variable count$"):
+        LinearProgram(-1, (), ())
+    with pytest.raises(LPFormatError, match="^1 rows but 0 right-hand sides$"):
+        LinearProgram(1, ((1,),), ())
 
 
 def test_classic_degenerate_cycling_instance_terminates():

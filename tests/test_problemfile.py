@@ -95,7 +95,7 @@ def test_problem_document_round_trip():
 
 
 def test_scaled_mode_round_trip():
-    p = make_chain3(5, ScaledMode(5, 10))
+    p = make_chain3(5, ScaledMode(10))
     q = build_problem(problem_to_document(p))
     assert q == p and q.scale == Fraction(1, 2)
 

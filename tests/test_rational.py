@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyevp.rational import frac, ratio
+from polyevp.rational import dot, frac, ratio, vec_sub
 
 _EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
 
@@ -78,3 +78,14 @@ def test_corpus_matches_fraction_route(x):
 @given(st.text(alphabet="0123456789/+-_.e ", max_size=12))
 def test_literals_match_fraction_route(text):
     assert_same_as_reference(text)
+
+
+@pytest.mark.parametrize(
+    "op, message",
+    [(dot, "dot of length 2 with length 3"), (vec_sub, "vector lengths differ: 2 vs 3")],
+    ids=["dot", "vec_sub"],
+)
+def test_vectors_of_different_lengths_raise(op, message):
+    with pytest.raises(ValueError) as caught:
+        op((1, 2), (1, 2, 3))
+    assert str(caught.value) == message

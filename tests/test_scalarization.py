@@ -411,6 +411,10 @@ class TestConfigurationGuards:
         with pytest.raises(ValueError):
             SeparationFunctional(Polytope(2, ((-1, 0),)), orthant2)
 
+    def test_dimension_mismatch_rejected(self, orthant2):
+        with pytest.raises(ValueError, match="^H and K dimensions differ$"):
+            SeparationFunctional(Polytope(3, ((1, 1, 1),)), orthant2)
+
     def test_origin_inside_sum_rejected(self, orthant2):
         with pytest.raises(ValueError):
             SeparationFunctional(Polytope(2, ((0, 0),)), orthant2)
@@ -448,16 +452,38 @@ class TestConfigurationGuards:
                 assert not in_minus_k
         assert 0 < rejected < draws
 
-    def test_unbounded_branch_is_reported_as_internal(self, orthant2):
-        # forge an invalid functional: 0 sits in H + K, making the negative
-        # branch unbounded; construction would reject it, so bypass it
+    @pytest.mark.parametrize(
+        "vertices, y, message",
+        [
+            # 0 sits in H + K, so the negative branch is unbounded
+            pytest.param(
+                ((1, 1), (-1, -1)), (5, 5),
+                "negative branch unbounded despite origin-separation invariant",
+                id="unbounded-negative-branch",
+            ),
+            # -y = h lies in 1*H + K, so t = -1 is feasible, yet no t >= 0
+            # has y in t*H - K: H is not inside K
+            pytest.param(
+                ((1, -1),), (-1, 1),
+                "scale feasibility failed to be upward closed",
+                id="not-upward-closed",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "route", [evaluate, evaluate_closed_form], ids=["lp", "closed-form"]
+    )
+    def test_broken_invariant_is_reported_as_internal(
+        self, orthant2, vertices, y, message, route
+    ):
+        # forge an invalid functional; construction would reject it, so
+        # bypass it
         bad = SeparationFunctional.__new__(SeparationFunctional)
-        object.__setattr__(bad, "H", Polytope(2, ((1, 1), (-1, -1))))
+        object.__setattr__(bad, "H", Polytope(2, vertices))
         object.__setattr__(bad, "K", orthant2)
-        with pytest.raises(InternalConsistencyError):
-            evaluate(bad, (5, 5))
-        with pytest.raises(InternalConsistencyError):
-            evaluate_closed_form(bad, (5, 5))
+        with pytest.raises(InternalConsistencyError) as caught:
+            route(bad, y)
+        assert str(caught.value) == message
 
 
 def test_extended_real_total_order():
