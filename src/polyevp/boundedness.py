@@ -17,8 +17,9 @@ For piecewise (vertices + rays) data the reductions are:
   outside the closed cone K escapes every B + K, because separating r
   from K gives a functional negative on r, nonnegative on K, hence
   unbounded below along the ray but bounded below on B + K.
-* level 1 additionally needs one LP placing every piece vertex above a
-  common point b.
+* level 1 additionally needs v - v1 in span K for every piece vertex v,
+  with v1 the first one.  Exact Gauss-Jordan decides it with no LP, and
+  its weights certify the common point b (see `_common_lower_point`).
 * level 3 is a single LP over functionals; level 4 is existential over
   an unbounded candidate space, so the check is honest: it confirms a
   candidate or reports unknown, never "impossible".
@@ -62,8 +63,6 @@ def is_quasi_K_lower_bounded(M: VPolyhedralUnion, K: ConeGen) -> bool:
 
 def is_K_lower_bounded(M: VPolyhedralUnion, K: ConeGen) -> tuple[bool, Optional[Vec]]:
     """Decide M within b + K, returning the witness b when one exists."""
-    if M.dim != K.dim:
-        raise DimensionMismatchError("union and cone dimensions differ")
     if not is_quasi_K_lower_bounded(M, K):
         return False, None
     b = _common_lower_point(M, K)
@@ -71,26 +70,41 @@ def is_K_lower_bounded(M: VPolyhedralUnion, K: ConeGen) -> tuple[bool, Optional[
 
 
 def _common_lower_point(M: VPolyhedralUnion, K: ConeGen) -> Optional[Vec]:
-    """A point b with every piece vertex in b + K, by one LP, or None.
+    """A point b with every piece vertex in b + K, or None; no LP.
 
-    Together with every ray lying in K this decides M within b + K.
+    Together with every ray lying in K this decides M within b + K.  With
+    v1 the first vertex, such a b exists iff every difference v - v1 lies
+    in span K: v - v1 = (v - b) - (v1 - b) lies in K - K.  Conversely,
+    Gauss-Jordan on K's generators gives exact weights mu with
+    v - v1 = sum_j mu_j g_j for each v (0 on a generator that depends on
+    earlier ones).  Let lam = max(0, -mu_j over all v and j) and
+    b = v1 - lam * sum_j g_j.
+    Then v - b = sum_j (mu_j + lam) g_j, so these nonnegative weights
+    certify each v - b in K.
     """
     verts = M.all_vertices()
-    n = M.dim
-    zero, one = Fraction(0), Fraction(1)
-    # One row per vertex coordinate.  b = b+ - b-, the two columns of each
-    # coordinate side by side, then one generator-weight block per vertex.
-    blocks = []
-    for r in range(n):
-        unit = (tuple(one if i == r else zero for i in range(n)) * len(verts),)
-        blocks += [(unit, 1, False), (unit, -1, False)]
-    for vi in range(len(verts)):
-        before, after = (zero,) * (n * vi), (zero,) * (n * (len(verts) - vi - 1))
-        blocks.append(([before + g + after for g in K.generators], 1, False))
-    res = solve(combination_lp([c for v in verts for c in v], blocks))
-    if not res.is_feasible:
+    gens = K.generators
+    v1, m, n = verts[0], len(gens), M.dim
+    # [G | D]: the generators as columns, then one column per difference
+    aug = [[g[r] for g in gens] + [v[r] - v1[r] for v in verts[1:]] for r in range(n)]
+    rank = 0
+    for j in range(m):
+        p = next((i for i in range(rank, n) if aug[i][j]), -1)
+        if p < 0:
+            continue
+        aug[rank], aug[p] = aug[p], aug[rank]
+        piv = aug[rank][j]
+        prow = aug[rank] = [e / piv for e in aug[rank]]
+        for i, row in enumerate(aug):
+            f = row[j]
+            if i != rank and f:
+                aug[i] = [a - f * e for a, e in zip(row, prow)]
+        rank += 1
+    # a row with no generator entry left must have no difference entry either
+    if any(any(row[m:]) for row in aug[rank:]):
         return None
-    return tuple(res.witness[2 * r] - res.witness[2 * r + 1] for r in range(n))
+    lam = max([Fraction(0)] + [-mu for row in aug[:rank] for mu in row[m:]])
+    return tuple(c - lam * sum(g[r] for g in gens) for r, c in enumerate(v1))
 
 
 def find_kstar(M: VPolyhedralUnion, K: ConeGen, H: Polytope) -> Optional[Vec]:

@@ -7,7 +7,9 @@ program the package solves, in one column layout.  A two-phase simplex
 method with Bland's rule solves them on an integer tableau with
 fraction-free (Bareiss) pivots, so every feasible/infeasible/unbounded
 verdict is certified by the arithmetic and the method provably
-terminates.
+terminates.  A crash start (Bixby 1992) begins each row that can on a
+structural column found in that row alone, so only the other rows need
+an artificial column and phase 1.
 
 The tableau is dense and small on purpose: every caller in this package
 produces programs with at most a few dozen variables, and correctness
@@ -133,21 +135,34 @@ def solve(lp: LinearProgram) -> LPResult:
 # the two-phase simplex on a fraction-free integer tableau
 # ---------------------------------------------------------------------------
 #
-# The driver owns the artificial basis, phase 1, the drive-out of
+# The driver owns the starting basis, phase 1, the drive-out of
 # artificials, phase 2 and the witness.  The tableau (``rows`` with the
 # rhs last, ``basis``, the reduced-cost row ``obj``, the running
 # determinant ``det``) owns the pivoting.
 #
 # `rational.integerize` loads each row and the objective once as integer
 # vectors, and `_solve_exact` negates a row with a negative rhs on those
-# integers, so it forms no Fraction product.  All rows then share one
-# scale, as in Edmonds (1967) and Bareiss (1968): ``det > 0`` is the
-# absolute determinant of the current basis (1 for the artificial
-# identity), and every basic column holds ``det`` in its own row and 0 in
-# every other row.  So the tableau is det * B^-1 [A | b], the basic value
-# of row i is rhs_i / det, and the reduced-cost row is det times the true
-# one.  A pivot on (p, q), with row p negated if needed so that
-# piv = T[p][q] > 0, replaces every other row r (and the cost row) by
+# integers, so it forms no Fraction product.
+#
+# The starting basis is a crash basis (Bixby, "Implementing the simplex
+# method: the initial basis", ORSA J. Computing 4(3), 1992).  A row
+# starts on the first structural column that is nonzero in it alone,
+# when that entry is positive, or negative on a zero rhs, which the
+# row's negation makes positive.  With a the entry then, the column is
+# divided by a, which only sets its one entry to 1; the variable becomes
+# a * x_j, so the witness divides it by a again and phase 2 reads its
+# cost as c_j / a.  Every other row gets an artificial column, and
+# phase 1 minimizes their sum from there.  Bland's rule terminates from
+# any feasible basis, so the start changes pivots but no verdict.
+#
+# All rows then share one scale, as in Edmonds (1967) and Bareiss
+# (1968): ``det > 0`` is the absolute determinant of the current basis
+# (1 for the starting identity), and every basic column holds ``det`` in
+# its own row and 0 in every other row.  So the tableau is
+# det * B^-1 [A | b], the basic value of row i is rhs_i / det, and the
+# reduced-cost row is det times the true one.  A pivot on (p, q), with
+# row p negated if needed so that piv = T[p][q] > 0, replaces every
+# other row r (and the cost row) by
 # (row_r * piv - T[r][q] * row_p) // det and then sets det = piv.  By
 # Sylvester's identity each division is exact, so no row is ever reduced
 # by its gcd.  Bland's rule reads only signs and ratio cross-products,
@@ -159,19 +174,46 @@ def _solve_exact(lp: LinearProgram) -> LPResult:
     n = lp.n_vars
     m = len(lp.rows)
 
-    # One artificial identity column per row, basic at the start.
+    rows = []
     for r in range(m):
         row, _ = integerize([*lp.rows[r], lp.rhs[r]])
-        if row[-1] < 0:
-            row = [-e for e in row]
-        art = [0] * m
-        art[r] = 1
-        tab.rows.append(row[:-1] + art + row[-1:])
-    tab.basis = [n + i for i in range(m)]
+        rows.append([-e for e in row] if row[-1] < 0 else row)
 
-    if m:
-        tab.set_objective([0] * n + [1] * m)
-        tab.run_bland(range(n + m))
+    # Crash: each row takes the first singleton column that can start
+    # basic in it, scaled to a unit column; ``scale`` maps it back.
+    crash = [-1] * m
+    scale = {}
+    for j, col in zip(range(n), zip(*rows)):
+        if col.count(0) != m - 1:
+            continue
+        r = next(i for i, e in enumerate(col) if e)
+        if crash[r] >= 0:
+            continue
+        row, a = rows[r], col[r]
+        if a < 0:
+            if row[-1]:
+                continue
+            row[:] = [-e for e in row]
+            a = -a
+        row[j] = 1
+        crash[r] = j
+        if a != 1:
+            scale[j] = a
+
+    # One artificial identity column per row left without a crash column.
+    k = crash.count(-1)
+    placed = 0
+    for r, row in enumerate(rows):
+        row[n:n] = [0] * k
+        if crash[r] < 0:
+            row[n + placed] = 1
+            crash[r] = n + placed
+            placed += 1
+    tab.rows, tab.basis = rows, crash
+
+    if k:
+        tab.set_objective([0] * n + [1] * k)
+        tab.run_bland(range(n + k))
         # phase 1 ends at a feasible basis, so no artificial is negative
         if any(tab.rows[i][-1] for i in range(m) if tab.basis[i] >= n):
             return LPResult(status="infeasible")
@@ -189,16 +231,18 @@ def _solve_exact(lp: LinearProgram) -> LPResult:
             i += 1
 
     if lp.objective is not None:
-        width = (len(tab.rows[0]) - 1) if tab.rows else n
-        c, _ = integerize(lp.objective)
-        tab.set_objective(c + [0] * (width - n))
+        costs = list(lp.objective)
+        for j, a in scale.items():
+            costs[j] = Fraction(costs[j], a)
+        c, _ = integerize(costs)
+        tab.set_objective(c + [0] * k)
         if tab.run_bland(range(n)) == "unbounded":
             return LPResult(status="unbounded")
 
     # Every basic column is structural now.
     x = [Fraction(0)] * n
     for i, b in enumerate(tab.basis):
-        x[b] = tab.basic_value(i)
+        x[b] = Fraction(tab.rows[i][-1], tab.det * scale.get(b, 1))
     value = Fraction(0)
     if lp.objective is not None:
         value = sum((c * xv for c, xv in zip(lp.objective, x)), Fraction(0))
@@ -234,9 +278,6 @@ class _Tableau:
         self.obj = _eliminate(self.obj, prow, q, piv, det)
         self.det = piv
         self.basis[p] = q
-
-    def basic_value(self, i: int) -> Fraction:
-        return Fraction(self.rows[i][-1], self.det)
 
     def run_bland(self, allowed: range) -> str:
         """Minimize until optimal ('optimal') or an unbounded ray ('unbounded')."""

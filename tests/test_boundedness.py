@@ -21,12 +21,13 @@ from polyevp.geometry import (
     cone_contains,
     union_disjoint_from,
 )
-from polyevp.lp_core import LinearProgram
+from polyevp.lp_core import LinearProgram, _Tableau, solve
 from polyevp.rational import dot
 
 from conftest import (
     dual_cone_contains,
     rand_cone_polytope,
+    rand_point_in_cone,
     rand_union,
     rand_vector,
 )
@@ -155,7 +156,7 @@ _ORTHANT3 = ConeGen(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
             lambda: is_quasi_K_lower_bounded(_UNION2, _ORTHANT3),
             "union and cone dimensions differ", id="quasi-k-lower",
         ),
-        # is_quasi_K_lower_bounded, which it calls next, raises the same
+        # raised by is_quasi_K_lower_bounded, which it calls first
         pytest.param(
             lambda: is_K_lower_bounded(_UNION2, _ORTHANT3),
             "union and cone dimensions differ", id="k-lower",
@@ -247,6 +248,12 @@ def _kstar_lp_by_rows(M, K, H) -> LinearProgram:
     return LinearProgram(2 * n + k, tuple(rows), tuple(rhs), objective)
 
 
+# Pivots of the 200 programs below; counts do not depend on the machine.
+# The crash start begins each K-generator and ray row on its slack, so
+# only H's rows start on artificials.
+KSTAR_PIVOTS = 634
+
+
 def test_find_kstar_builds_the_row_by_row_program(monkeypatch):
     # the program goes to the solver unchanged, so equal programs give
     # equal pivots and an equal witness
@@ -254,12 +261,20 @@ def test_find_kstar_builds_the_row_by_row_program(monkeypatch):
 
     seen = []
     solve = boundedness.solve
+    pivots = 0
+    pivot = _Tableau.pivot
 
     def spy(lp):
         seen.append(lp)
         return solve(lp)
 
+    def counted_pivot(tab, p, q):
+        nonlocal pivots
+        pivots += 1
+        pivot(tab, p, q)
+
     monkeypatch.setattr(boundedness, "solve", spy)
+    monkeypatch.setattr(_Tableau, "pivot", counted_pivot)
     rng = random.Random(20170817)
     for _ in range(200):
         K, H, _ = rand_cone_polytope(
@@ -269,13 +284,15 @@ def test_find_kstar_builds_the_row_by_row_program(monkeypatch):
         seen.clear()
         find_kstar(M, K, H)
         assert seen == [_kstar_lp_by_rows(M, K, H)], (M, K, H)
+    assert pivots == KSTAR_PIVOTS
 
 
 def _lower_point_lp_by_rows(M, K) -> LinearProgram:
-    """`is_K_lower_bounded`'s program written out row by row: one row per
-    vertex coordinate v_r = b_r + sum_j w_j g_j[r], with b = b+ - b-, the
-    two columns of each coordinate side by side, then the generator
-    weights of each vertex."""
+    """The LP route to a common lower point, written out row by row: one
+    row per vertex coordinate v_r = b_r + sum_j w_j g_j[r], with
+    b = b+ - b-, the two columns of each coordinate side by side, then
+    the generator weights of each vertex.  It is feasible iff some b has
+    every piece vertex in b + K."""
     verts, n, m = M.all_vertices(), M.dim, len(K.generators)
     width = 2 * n + m * len(verts)
     rows, rhs = [], []
@@ -290,33 +307,86 @@ def _lower_point_lp_by_rows(M, K) -> LinearProgram:
     return LinearProgram(width, tuple(rows), tuple(rhs))
 
 
-def test_k_lower_bound_builds_the_row_by_row_program(monkeypatch):
-    # the same pinning as find_kstar's; every returned b is checked by
-    # membership of v - b in K for each vertex v
-    from polyevp import boundedness
+def _rank(vectors) -> int:
+    """The rank of a list of vectors, by Fraction elimination."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][j] / rows[rank][j]
+            rows[i] = [a - f * e for a, e in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
-    seen = []
-    solve = boundedness.solve
 
-    def spy(lp):
-        seen.append(lp)
-        return solve(lp)
+def _cone_in_subspace(rng, n) -> ConeGen:
+    """A cone of 1-4 generators drawn in a random subspace of dimension
+    1..n, so it is often not full-dimensional and its generators are often
+    dependent."""
+    basis = [rand_vector(rng, n, -3, 3, 1) for _ in range(rng.randint(1, n))]
+    basis = [b for b in basis if any(b)] or [(Fraction(1),) * n]
+    count = rng.randint(1, 4)
+    gens = []
+    while len(gens) < count:
+        w = [rng.randint(-2, 2) for _ in basis]
+        g = tuple(sum((c * b[r] for c, b in zip(w, basis)), Fraction(0)) for r in range(n))
+        if any(g):
+            gens.append(g)
+    return ConeGen(n, tuple(gens))
 
-    monkeypatch.setattr(boundedness, "solve", spy)
+
+def _range_over(rng, K) -> VPolyhedralUnion:
+    """1-3 pieces with rays in K.  Each vertex after the first is a free
+    point or the first plus a combination of K's generators with weights
+    of either sign, so level 1 can hold when K is not full-dimensional."""
+    n = K.dim
+    v1 = rand_vector(rng, n)
+    verts = [v1]
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.5:
+            verts.append(rand_vector(rng, n))
+        else:
+            mu = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in K.generators]
+            verts.append(tuple(
+                v1[r] + sum((c * g[r] for c, g in zip(mu, K.generators)), Fraction(0))
+                for r in range(n)
+            ))
+    rng.shuffle(verts)
+    cuts = sorted(rng.sample(range(1, len(verts)), rng.randint(0, min(2, len(verts) - 1))))
+    pieces = []
+    for lo, hi in zip([0] + cuts, cuts + [len(verts)]):
+        ray = rand_point_in_cone(rng, K)
+        rays = (ray,) if any(ray) and rng.random() < 0.5 else ()
+        pieces.append((tuple(verts[lo:hi]), rays))
+    return VPolyhedralUnion(n, tuple(pieces))
+
+
+def test_k_lower_bound_agrees_with_the_lp_route():
+    # the span test decides level 1 exactly when the LP is feasible, and
+    # every b it returns puts each vertex in b + K, checked by membership
     rng = random.Random(20170818)
-    found = 0
-    for _ in range(200):
-        K, _, _ = rand_cone_polytope(
-            rng, rng.randint(2, 3), rng.randint(1, 3), rng.randint(1, 2)
-        )
-        M = rand_union(rng, K, force_quasi=True)
-        seen.clear()
+    seen = {"yes": 0, "no": 0, "low-rank yes": 0, "dependent yes": 0, "one vertex": 0}
+    for _ in range(300):
+        n = rng.randint(2, 3)
+        K = _cone_in_subspace(rng, n)
+        M = _range_over(rng, K)
+        verts = M.all_vertices()
         bounded, b = is_K_lower_bounded(M, K)
-        assert seen == [_lower_point_lp_by_rows(M, K)], (M, K)
+        assert bounded == solve(_lower_point_lp_by_rows(M, K)).is_feasible, (M, K)
+        rank = _rank(K.generators)
         if bounded:
-            found += 1
             assert all(
-                cone_contains(K, tuple(x - y for x, y in zip(v, b)))
-                for v in M.all_vertices()
+                cone_contains(K, tuple(x - y for x, y in zip(v, b))) for v in verts
             ), (M, K, b)
-    assert 0 < found < 200
+            seen["low-rank yes"] += rank < n
+            seen["dependent yes"] += rank < len(K.generators)
+        else:
+            assert b is None
+        seen["yes" if bounded else "no"] += 1
+        seen["one vertex"] += len(verts) == 1
+    assert all(seen.values()), seen
+

@@ -271,11 +271,13 @@ def _gauss_jordan(rows, basis):
     return {b: rows[r] for b, r in of.items()}
 
 
-# Recorded before the tableau kept one running determinant (with a gcd
-# pass per row): pivot counts do not depend on the machine, so they gate
-# regressions, and Bland's rule must still make every choice it made then.
-SEED_PIVOTS = 201
-SEED_PIVOT_DIGEST = "15b3a752a92db14184473e288d7dc5d7e1941cf06e078a2b975b97cda6b143e0"
+# Pivot counts do not depend on the machine, so they gate regressions,
+# and Bland's rule must make the same choices on every run.  Recorded when
+# the crash start came in: rows that start on a singleton column skip
+# their phase-1 pivots, so the count fell from 201 (an artificial in
+# every row) to 147, with every status and value unchanged.
+SEED_PIVOTS = 147
+SEED_PIVOT_DIGEST = "5512a08bafe00885f1426e72806d128fb04d63cb9d48b2ba4cefa28d90077ce6"
 
 
 def test_pivots_and_determinant_invariant(monkeypatch):
@@ -313,10 +315,112 @@ def test_pivots_and_determinant_invariant(monkeypatch):
     assert hashlib.sha256(repr(pivots).encode()).hexdigest() == SEED_PIVOT_DIGEST
     # phase 1 pivots row 1; the drive-out drops the redundant row 0, then
     # pivots a negative entry of the last row, whose reference tableau
-    # needs the dropped artificial
-    lp = LinearProgram(3, ((-1, -1, 0), (1, 1, 0), (1, 0, -1)), (0, 0, 0))
+    # needs the dropped artificial.  No column is a singleton, so every
+    # row starts on its artificial.
+    lp = LinearProgram(3, ((-1, -1, -1), (1, 1, 1), (1, -1, -1)), (0, 0, 0))
     assert solve(lp).status == "feasible"
     assert pivots[SEED_PIVOTS:] == [(1, 0), (1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# the crash start: rows that begin basic on a singleton column
+# ---------------------------------------------------------------------------
+
+
+def _solve_from_start(monkeypatch, lp):
+    """(result, starting basis, loaded rows, pivots) of one solve.  The
+    start is read at the first objective, which every program given an
+    objective sets."""
+    start, pivots = [], []
+    set_objective, pivot = _Tableau.set_objective, _Tableau.pivot
+
+    def recording_set_objective(tab, costs):
+        if not start:
+            start.append((list(tab.basis), [list(r) for r in tab.rows]))
+        set_objective(tab, costs)
+
+    def recording_pivot(tab, p, q):
+        pivots.append((p, q))
+        pivot(tab, p, q)
+
+    monkeypatch.setattr(_Tableau, "set_objective", recording_set_objective)
+    monkeypatch.setattr(_Tableau, "pivot", recording_pivot)
+    res = solve(lp)
+    monkeypatch.undo()
+    return res, start[0][0], start[0][1], pivots
+
+
+def _agrees_with_enumeration(lp, res):
+    general = General(lp.rows, lp.rhs, [True] * lp.n_vars, lp.objective, "min")
+    status, value = _reference(general)
+    if status != "feasible":
+        return res.status == status
+    return res.value == value and check_witness(general, res.witness)
+
+
+def test_crash_flips_a_row_with_a_negative_entry_on_a_zero_rhs(monkeypatch):
+    # column 2 appears only in row 1, at -1 with rhs 0: the row is negated
+    # and starts on column 2; row 0 has no singleton and keeps its artificial
+    lp = LinearProgram(3, ((1, 1, 0), (1, -1, -1)), (2, 0), (1, 0, 0))
+    res, basis, rows, _ = _solve_from_start(monkeypatch, lp)
+    assert basis == [3, 2]
+    assert rows == [[1, 1, 0, 1, 2], [-1, 1, 1, 0, 0]]
+    assert res.witness == (1, 1, 0) and res.value == 1
+    assert _agrees_with_enumeration(lp, res)
+
+
+def test_crash_leaves_a_negative_entry_on_a_positive_rhs(monkeypatch):
+    # column 2 is a singleton of row 1, but at -1 against rhs 2 it would
+    # start negative, so both rows start on artificials
+    lp = LinearProgram(3, ((1, 1, 0), (1, 2, -1)), (4, 2), (0, 0, 1))
+    res, basis, rows, _ = _solve_from_start(monkeypatch, lp)
+    assert basis == [3, 4]
+    assert rows == [[1, 1, 0, 1, 0, 4], [1, 2, -1, 0, 1, 2]]
+    assert res.witness == (4, 0, 2) and res.value == 2
+    assert _agrees_with_enumeration(lp, res)
+
+
+def test_crash_takes_the_first_of_two_singletons_in_a_row(monkeypatch):
+    # columns 1 and 2 are both singletons of row 0; column 1, the first,
+    # starts basic, scaled from 2 to 1, and column 3 in row 1, so no row
+    # needs an artificial and phase 1 does not run
+    lp = LinearProgram(4, ((1, 2, 5, 0), (1, 0, 0, 1)), (10, 3), (-1, 1, 1, 0))
+    res, basis, rows, pivots = _solve_from_start(monkeypatch, lp)
+    assert basis == [1, 3]
+    assert rows == [[1, 1, 5, 0, 10], [1, 0, 0, 1, 3]]
+    # phase 2 moves x0 into row 1, then x2 for x1 in row 0
+    assert pivots == [(1, 0), (0, 2)]
+    assert res.witness == (3, 0, Fraction(7, 5), 0) and res.value == Fraction(-8, 5)
+    assert _agrees_with_enumeration(lp, res)
+
+
+def test_crash_maps_a_scaled_column_back_exactly(monkeypatch):
+    # row 0 loads as 6 x0 + 4 x1 = 5 and starts on x0' = 6 x0; row 1 loads
+    # as -3 x1 + 7 x2 = 0 after its flip and starts on x2' = 7 x2
+    rows = (frac_vec([Fraction(3, 2), 1, 0]), frac_vec([0, 1, Fraction(-7, 3)]))
+    rhs, objective = frac_vec([Fraction(5, 4), 0]), frac_vec([2, -1, Fraction(1, 2)])
+    lp = LinearProgram(3, rows, rhs, objective)
+    res, basis, loaded, _ = _solve_from_start(monkeypatch, lp)
+    assert basis == [0, 2]
+    assert loaded == [[1, 4, 0, 5], [0, -3, 1, 0]]
+    assert res.witness == (0, Fraction(5, 4), Fraction(15, 28))
+    assert res.value == Fraction(-55, 56)
+    assert _agrees_with_enumeration(lp, res)
+    # a basic scaled column is mapped back too: x0 = 2/3, with no pivot
+    lp = LinearProgram(2, ((3, 1),), (2,), (0, 1))
+    res, basis, _, pivots = _solve_from_start(monkeypatch, lp)
+    assert basis == [0] and pivots == []
+    assert res.witness == (Fraction(2, 3), 0) and res.value == 0
+
+
+def test_crash_with_no_rows(monkeypatch):
+    res, basis, rows, pivots = _solve_from_start(
+        monkeypatch, LinearProgram(2, (), (), (1, 2))
+    )
+    assert (basis, rows, pivots) == ([], [], [])
+    assert res.witness == (0, 0) and res.value == 0
+    assert solve(LinearProgram(2, (), (), (0, -1))).status == "unbounded"
+    assert solve(LinearProgram(2, (), ())).witness == (0, 0)
 
 
 def test_integerize_matches_fraction_products():
