@@ -23,6 +23,13 @@ For piecewise (vertices + rays) data the reductions are:
 * level 3 is a single LP over functionals; level 4 is existential over
   an unbounded candidate space, so the check is honest: it confirms a
   candidate or reports unknown, never "impossible".
+
+The level-3 witness k* is a certificate for more than level 3.  Checked
+in integers on the integer forms that `ConeGen`, `Polytope` and
+`VPolyhedralUnion` keep, it proves the origin outside H + K, which
+`classify` needs, and it places every shifted-set candidate with
+k*.y0 - eps below its infimum over M outside M.  Those facts then take
+no LP; a missing or failing k* leaves them to the geometry LPs.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .geometry import (
     zero_notin_H_plus_K,
 )
 from .lp_core import combination_lp, solve
-from .rational import Number, Vec, dot, frac, frac_vec
+from .rational import Number, Vec, dot, frac, frac_vec, idot, integerize
 
 __all__ = [
     "BoundednessReport",
@@ -144,6 +151,17 @@ def find_kstar(M: VPolyhedralUnion, K: ConeGen, H: Polytope) -> Optional[Vec]:
     return tuple(res.witness[r] - res.witness[n + r] for r in range(n))
 
 
+def _vertex_minimum(M: VPolyhedralUnion, ks: Sequence[int]) -> tuple[int, int]:
+    """(num, den) with den > 0 and num / den the least ks . v over the
+    piece vertices v, read on their integer forms by cross products."""
+    best_n, best_d = None, 1
+    for v, d in M.integer_vertices:
+        n = idot(ks, v)
+        if best_n is None or n * best_d < best_n * d:
+            best_n, best_d = n, d
+    return best_n, best_d
+
+
 def separating_epsilon_for(
     M: VPolyhedralUnion, kstar: Sequence[Number], y: Sequence[Number]
 ) -> Fraction:
@@ -156,9 +174,34 @@ def separating_epsilon_for(
     """
     ks = frac_vec(kstar)
     yv = frac_vec(y)
-    inf_m = min(dot(ks, v) for v in M.all_vertices())
-    gap = dot(ks, yv) - inf_m
+    if len(ks) != M.dim:
+        raise ValueError(f"dot of length {len(ks)} with length {M.dim}")
+    ints, den = integerize(ks)
+    n, d = _vertex_minimum(M, ints)
+    gap = dot(ks, yv) - Fraction(n, d * den)
     return max(gap, Fraction(0)) + 1
+
+
+def _kstar_infimum(
+    M: VPolyhedralUnion, K: ConeGen, H: Polytope, kstar: Vec
+) -> Optional[Fraction]:
+    """The infimum of k* over M when k* checks as a dual witness, else None.
+
+    The check is exact, in integers on the integer forms of K, H and M:
+    k*.g >= 0 for each generator g of K, k*.h >= 1 for each vertex h of
+    H and k*.r >= 0 for each ray r.  A checked k* proves the origin
+    outside H + K, as k*.(h + k) >= 1, and puts every candidate with
+    k*.y0 - eps below the infimum outside M (`separating_epsilon_for`).
+    """
+    ks, den = integerize(kstar)
+    if any(idot(ks, g) < 0 for g, _ in K.integer_generators):
+        return None
+    if any(idot(ks, h) < den * d for h, d in H.integer_vertices):
+        return None
+    if any(idot(ks, r) < 0 for r, _ in M.integer_rays):
+        return None
+    n, d = _vertex_minimum(M, ks)
+    return Fraction(n, d * den)
 
 
 def is_H_lower_bounded(
@@ -170,18 +213,42 @@ def is_H_lower_bounded(
     """The first (y0, eps) candidate whose translate y0 - eps*H - K
     misses M, or None when every candidate intersects it.
 
+    Every candidate's eps and dimension are checked before the first LP.
     None means unknown, never "not shifted-set bounded": the property is
     existential over an unbounded space and this module does not pretend
     to refute it.
     """
     if not candidates:
         raise ValueError("candidate list must not be empty")
+    checked = []
     for y0, eps in candidates:
         e = frac(eps)
         if e <= 0:
             raise ValueError("every candidate eps must be positive")
+        y0v = frac_vec(y0)
+        if len(y0v) != M.dim:
+            raise DimensionMismatchError(
+                f"anchor point has length {len(y0v)}, expected dimension {M.dim}"
+            )
+        checked.append((y0v, e))
+    return _first_missing(M, K, H, checked, None)
+
+
+def _first_missing(
+    M: VPolyhedralUnion,
+    K: ConeGen,
+    H: Polytope,
+    candidates: Sequence[tuple[Vec, Fraction]],
+    separator: Optional[tuple[Vec, Fraction]],
+) -> Optional[tuple[Vec, Fraction]]:
+    """`is_H_lower_bounded` on checked candidates.  With ``separator`` a
+    checked k* and its infimum over M (`_kstar_infimum`), a candidate
+    with k*.y0 - eps below it misses M with no LP."""
+    for y0, e in candidates:
+        if separator is not None and dot(separator[0], y0) - e < separator[1]:
+            return y0, e
         if union_disjoint_from(M, y0, e, H, K):
-            return frac_vec(y0), e
+            return y0, e
     return None
 
 
@@ -208,23 +275,34 @@ class BoundednessReport:
 def classify(M: VPolyhedralUnion, K: ConeGen, H: Polytope) -> BoundednessReport:
     """Run all four checks and assemble the ladder report.
 
-    The shifted-set search tries the origin at eps = 1.  When a dual
-    witness k* exists, it then tries the origin at the escape scale
-    `separating_epsilon_for(M, k*, origin)`, which always misses M, so a
-    dual-witness bounded range is also reported shifted-set bounded.
+    The ladder needs the origin outside H + K.  A dual witness k* that
+    passes its exact check (`_kstar_infimum`) proves that; without one,
+    `geometry.zero_notin_H_plus_K` decides it by LP.  The shifted-set
+    search tries the origin at eps = 1.  When k* exists, it then tries
+    the origin at the escape scale `separating_epsilon_for(M, k*,
+    origin)`, which always misses M, so a dual-witness bounded range is
+    also reported shifted-set bounded.  A checked k* settles each
+    candidate it separates; any other candidate takes
+    `geometry.union_disjoint_from`'s LPs.
     """
-    if not zero_notin_H_plus_K(H, K):
+    if H.dim != K.dim:
+        raise DimensionMismatchError("polytope and cone dimensions differ")
+    # with a union of another dimension the origin test still comes first,
+    # and `is_quasi_K_lower_bounded` reports the mismatch after it
+    kstar = find_kstar(M, K, H) if M.dim == K.dim else None
+    inf_m = None if kstar is None else _kstar_infimum(M, K, H, kstar)
+    if inf_m is None and not zero_notin_H_plus_K(H, K):
         raise ValueError(
             "dual-witness classification requires the origin outside H + K"
         )
     quasi = is_quasi_K_lower_bounded(M, K)
     b = _common_lower_point(M, K) if quasi else None
-    kstar = find_kstar(M, K, H)
     origin = (Fraction(0),) * M.dim
     candidates = [(origin, Fraction(1))]
     if kstar is not None:
         candidates.append((origin, separating_epsilon_for(M, kstar, origin)))
-    h_witness = is_H_lower_bounded(M, K, H, candidates)
+    separator = None if inf_m is None else (kstar, inf_m)
+    h_witness = _first_missing(M, K, H, candidates, separator)
     return BoundednessReport(
         k_lower=b is not None,
         k_lower_witness=b,

@@ -19,8 +19,17 @@ products, with no LP.  `ConeHalfspaces` owns that row list: its
 such question, so no other module reads a row.  `checked_rows` keeps
 the rows that are nonnegative on every generator of that cone, so a
 caller that answers "no" from them never depends on the construction
-being right.  Points and generators are scaled to integers by
-`rational.integerize`.
+being right.
+
+Integers are formed once per value.  `ConeGen`, `Polytope` and
+`VPolyhedralUnion` each keep their vectors' `rational.integerize` forms,
+(ints, den) with vector == ints / den, built on first use and cached on
+the instance.  `homogenized_generators` reads them, as do the
+certificate checks at the end of this module, which settle with integer
+arithmetic facts that would otherwise take an LP: a Farkas row for
+"-h not in K" (`rows_certify_outside_minus_K`) and an LP's own weights
+for "y in t*H - K" (`weights_certify_scaled_H_minus_K`).  Query points
+are scaled to integers by `rational.integerize` as they come.
 
 A note on closures: sums of polytopes and finitely generated cones are
 closed, so the distinction between a set, its topological closure, and
@@ -38,7 +47,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .lp_core import combination_lp, solve
-from .rational import Number, Vec, frac, frac_vec, integerize
+from .rational import Number, Vec, frac, frac_vec, idot, integerize
 
 __all__ = [
     "DimensionMismatchError",
@@ -57,6 +66,8 @@ __all__ = [
     "scaled_H_plus_K_contains",
     "zero_notin_H_plus_K",
     "union_disjoint_from",
+    "rows_certify_outside_minus_K",
+    "weights_certify_scaled_H_minus_K",
 ]
 
 
@@ -75,6 +86,11 @@ def _check_dim(dim: int, v: Sequence, what: str) -> None:
         )
 
 
+def _integer_forms(vectors: Sequence[Vec]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(ints, den) per vector, with vector == ints / den (`integerize`)."""
+    return tuple((tuple(ints), den) for ints, den in map(integerize, vectors))
+
+
 @dataclass(frozen=True)
 class ConeGen:
     """Convex cone of all nonnegative combinations of ``generators``."""
@@ -89,6 +105,11 @@ class ConeGen:
             _check_dim(self.dim, g, "cone generator")
             if all(c == 0 for c in g):
                 raise InvalidConfigurationError("zero vector is not a valid generator")
+
+    @functools.cached_property
+    def integer_generators(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(ints, den) per generator (`integerize`), formed on first use."""
+        return _integer_forms(self.generators)
 
 
 @dataclass(frozen=True)
@@ -105,6 +126,11 @@ class Polytope:
             raise InvalidConfigurationError("a polytope needs at least one vertex")
         for v in verts:
             _check_dim(self.dim, v, "polytope vertex")
+
+    @functools.cached_property
+    def integer_vertices(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(ints, den) per vertex (`integerize`), formed on first use."""
+        return _integer_forms(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -135,6 +161,18 @@ class VPolyhedralUnion:
 
     def all_vertices(self) -> list[Vec]:
         return [v for verts, _ in self.pieces for v in verts]
+
+    @functools.cached_property
+    def integer_vertices(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(ints, den) per piece vertex, in `all_vertices` order
+        (`integerize`), formed on first use."""
+        return _integer_forms(self.all_vertices())
+
+    @functools.cached_property
+    def integer_rays(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(ints, den) per ray, in `all_rays` order (`integerize`),
+        formed on first use."""
+        return _integer_forms(self.all_rays())
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +339,6 @@ def reaches(den: int, bounds: Sequence[int], target, source) -> bool:
     return True
 
 
-def _idot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(operator.mul, a, b))
-
-
 def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     g = math.gcd(*v)
     return tuple(c // g for c in v) if g > 1 else tuple(v)
@@ -335,7 +369,7 @@ def cone_halfspaces(generators: Sequence[Sequence[int]], dim: int) -> ConeHalfsp
     rays: list[tuple[int, ...]] = []
     tight: list[int] = []  # per ray, bit i set when constraint i is tight
     for i, g in enumerate(generators):
-        vals = [_idot(g, b) for b in lin]
+        vals = [idot(g, b) for b in lin]
         j = next((j for j, v in enumerate(vals) if v), None)
         if j is not None:
             b, v = lin.pop(j), vals.pop(j)
@@ -346,14 +380,14 @@ def cone_halfspaces(generators: Sequence[Sequence[int]], dim: int) -> ConeHalfsp
                 for c, w in zip(lin, vals)
             ]
             rays = [
-                _primitive([v * x - _idot(g, r) * y for x, y in zip(r, b)])
+                _primitive([v * x - idot(g, r) * y for x, y in zip(r, b)])
                 for r in rays
             ]
             # b lay in the lineality space, so constraints 0..i-1 are tight on it
             tight = [t | 1 << i for t in tight] + [(1 << i) - 1]
             rays.append(b)
             continue
-        vals = [_idot(g, r) for r in rays]
+        vals = [idot(g, r) for r in rays]
         kept = [
             (r, t | 1 << i if v == 0 else t)
             for r, t, v in zip(rays, tight, vals)
@@ -392,10 +426,10 @@ def homogenized_generators(
     """
     if H.dim != K.dim:
         raise DimensionMismatchError("polytope and cone dimensions differ")
-    one, zero = Fraction(1), Fraction(0)
-    gens = [h + (one,) for h in H.vertices]
-    gens += [tuple(k_sign * c for c in k) + (zero,) for k in K.generators]
-    return tuple(tuple(integerize(g)[0]) for g in gens)
+    # (h, 1) times h's denominator lcm is (ints, den); (k_sign * k, 0) is k_sign * ints
+    gens = [h + (den,) for h, den in H.integer_vertices]
+    gens += [tuple(k_sign * c for c in k) + (0,) for k, _ in K.integer_generators]
+    return tuple(gens)
 
 
 def checked_rows(hs: ConeHalfspaces, gens: Sequence[Sequence[int]]) -> ConeHalfspaces:
@@ -409,5 +443,56 @@ def checked_rows(hs: ConeHalfspaces, gens: Sequence[Sequence[int]]) -> ConeHalfs
     (+-k, 0), formed from H and K directly, which keeps every sign.
     """
     return ConeHalfspaces(
-        tuple(r for r in hs.rows if all(_idot(r, g) >= 0 for g in gens))
+        tuple(r for r in hs.rows if all(idot(r, g) >= 0 for g in gens))
     )
+
+
+# ---------------------------------------------------------------------------
+# certificate checks: integer arithmetic on the value types' integer forms
+# ---------------------------------------------------------------------------
+
+
+def rows_certify_outside_minus_K(hs: ConeHalfspaces, H: Polytope, K: ConeGen) -> bool:
+    """Does every vertex h of H have a row (a, c) of hs with a . k >= 0
+    at every generator k of K and a . h > 0?
+
+    Such a row is a Farkas certificate for -h outside K: a is nonnegative
+    on K and negative at -h.  The signs are read in integers on the
+    forms of H and K, so a "yes" does not depend on how the rows were
+    made.  For hs the halfspaces of the cone over t*H + K the a parts of
+    the rows generate the dual cone of K, so every vertex outside -K has
+    such a row.
+    """
+    gens = [k for k, _ in K.integer_generators]
+    valid = [r for r in hs.rows if all(idot(r, k) >= 0 for k in gens)]
+    return all(any(idot(r, h) > 0 for r in valid) for h, _ in H.integer_vertices)
+
+
+def weights_certify_scaled_H_minus_K(
+    H: Polytope, K: ConeGen, y: Sequence[Fraction], t: Fraction, weights: Sequence[Fraction]
+) -> bool:
+    """Do ``weights``, mu per vertex h of H and then w per generator k of
+    K, show y in t*H - K?
+
+    They do when every weight is nonnegative, sum mu = |t| and
+    y = sign(t) * sum mu h - sum w k: for t != 0, sum mu h / |t| is a
+    point of H, and for t = 0 every mu is 0 and y = -sum w k.  The sum
+    is checked in integers: a weight times a vector's form ints / den is
+    weight / den times ints.
+    """
+    forms = H.integer_vertices + K.integer_generators
+    p = len(H.vertices)
+    if len(weights) != len(forms) or sum(weights[:p]) != abs(t):
+        return False
+    ints, _ = integerize([w / den for w, (_, den) in zip(weights, forms)] + list(y))
+    coeffs, z = ints[: len(forms)], ints[len(forms):]
+    if any(c < 0 for c in coeffs):
+        return False
+    sign = -1 if t < 0 else 1
+    vecs = [v for v, _ in forms]
+    for r, zr in enumerate(z):
+        hpart = sum(c * v[r] for c, v in zip(coeffs[:p], vecs[:p]))
+        kpart = sum(c * v[r] for c, v in zip(coeffs[p:], vecs[p:]))
+        if sign * hpart - kpart != zr:
+            return False
+    return True

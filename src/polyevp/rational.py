@@ -12,13 +12,17 @@ str or int distance token and keeps one integer matrix over the common
 denominator; the metric checks and the pre-order's scales stay in those
 integers.  `integerize` scales Fractions already built to integers: a
 problem's images once per problem (`EVPProblem._scaled_images`), the
-generators of the cones over t*H + K and t*H - K once per
-`SeparationFunctional`, and each LP and each query point as it comes.
+vectors of each `geometry` value type (`ConeGen`, `Polytope`,
+`VPolyhedralUnion`) once per value, which the generators of the cones
+over t*H + K and t*H - K and the certificate checks of `geometry` and
+`boundedness` read, and each LP, dual witness and query point as it
+comes.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -114,6 +118,11 @@ def integerize(values: Sequence[Fraction]) -> tuple[list[int], int]:
     denominators (1 for no values)."""
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def idot(a: Sequence[int], b: Sequence[int]) -> int:
+    """a . b for integer vectors, stopping at the end of the shorter."""
+    return sum(map(operator.mul, a, b))
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:

@@ -46,10 +46,13 @@ on the rows it has checked shows phi(y - y0) >= v for every image y,
 and one membership LP, y - y0 in v*H - K, shows that some image reaches
 v.  Only an image that the checked rows bound below v, or not at all,
 is scored by the LP `evaluate`.  The ``scalarize`` command uses the LP
-route and cross-checks it by bisection.  The functional forms the
-integer generators of each cone once; the halfspaces are built from
-them and checked against them once per functional.  The solver reads
-the halfspaces, the verifier and bisection the checked rows.  A facet
+route and cross-checks it by bisection; `evaluate` certifies from its
+own LP weights that a finite value is attained.  The functional forms
+the integer generators of each cone once, from the integer forms of H
+and K; the halfspaces are built from them at construction, where their
+rows settle "not in -K", and checked against them once per functional.
+The solver reads the halfspaces, the verifier and bisection the checked
+rows.  A facet
 missing from them lets bisection accept scales below phi, and the two
 routes disagree; a row that fails the check is dropped.
 
@@ -76,6 +79,8 @@ from .geometry import (
     cone_halfspaces,
     homogenized_generators,
     reaches,
+    rows_certify_outside_minus_K,
+    weights_certify_scaled_H_minus_K,
 )
 from .lp_core import LinearProgram, combination_lp, solve
 from .rational import Number, Vec, frac, frac_vec, integerize
@@ -142,7 +147,9 @@ class SeparationFunctional:
     every vertex of H lies in K but not in -K.  Those vertex checks
     certify that the origin avoids H + K (see `__post_init__`).
     Violations raise `InvalidConfigurationError` immediately rather than
-    producing meaningless values later.
+    producing meaningless values later.  Construction also builds
+    `halfspaces`, whose rows settle "not in -K" with no LP; it does not
+    build `checked_halfspaces`.
     """
 
     H: Polytope
@@ -151,6 +158,16 @@ class SeparationFunctional:
     def __post_init__(self) -> None:
         if self.H.dim != self.K.dim:
             raise DimensionMismatchError("H and K dimensions differ")
+        # "h in K" needs an LP, whose weights are the certificate.  Once
+        # every vertex is in K, a row of the cone over t*H + K that is
+        # nonnegative on K and positive at h certifies -h outside K
+        # (`geometry.rows_certify_outside_minus_K`).  Without such rows the
+        # loop below decides both questions by LP, vertex by vertex, and
+        # raises for the first vertex that fails either.
+        if all(cone_contains(self.K, v) for v in self.H.vertices) and (
+            rows_certify_outside_minus_K(self.halfspaces[0], self.H, self.K)
+        ):
+            return
         for v in self.H.vertices:
             if not cone_contains(self.K, v):
                 raise InvalidConfigurationError(
@@ -163,8 +180,8 @@ class SeparationFunctional:
         # The origin avoids H + K: 0 = h + k with h in H within K puts h
         # in the lineality space L = K cap -K.  A functional positive on
         # K \ L and zero on L then vanishes on every vertex with positive
-        # weight in h, so that vertex lies in L, within -K, and the loop
-        # above has raised.
+        # weight in h, so that vertex lies in L, within -K, and the checks
+        # above have raised.
 
     @functools.cached_property
     def _generators(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -176,8 +193,8 @@ class SeparationFunctional:
     def halfspaces(self) -> tuple[ConeHalfspaces, ConeHalfspaces]:
         """Halfspaces of the cones over t*H + K and t*H - K, in that order.
 
-        Built on first use and kept on the functional, so only callers
-        of the closed form pay for them.
+        Built during construction, whose "not in -K" checks read the
+        first, and kept on the functional.
         """
         return tuple(cone_halfspaces(g, len(g[0])) for g in self._generators)
 
@@ -270,7 +287,12 @@ def _branch_lp(
 
 
 def evaluate(F: SeparationFunctional, y: Sequence[Number]) -> ExtendedReal:
-    """phi(y) = inf { t : y in t*H - K }, exactly via two LPs."""
+    """phi(y) = inf { t : y in t*H - K }, exactly via two LPs.
+
+    A finite value is attained: the optimal branch's weights place y in
+    phi*H - K, which `geometry.weights_certify_scaled_H_minus_K` checks
+    exactly; a failed check raises `InternalConsistencyError`.
+    """
     yv = frac_vec(y)
     if len(yv) != F.H.dim:
         raise DimensionMismatchError(
@@ -289,14 +311,20 @@ def evaluate(F: SeparationFunctional, y: Sequence[Number]) -> ExtendedReal:
             raise InternalConsistencyError(
                 "scale feasibility failed to be upward closed"
             )
-        return ExtendedReal.finite(neg.value)
-    if pos.is_feasible:
-        return ExtendedReal.finite(pos.value)
-    if neg.is_feasible:
+        best = neg
+    elif pos.is_feasible:
+        best = pos
+    elif neg.is_feasible:
         raise InternalConsistencyError(
             "negative branch feasible at zero while t >= 0 branch is not"
         )
-    return ExtendedReal.plus_infinity()
+    else:
+        return ExtendedReal.plus_infinity()
+    if not weights_certify_scaled_H_minus_K(F.H, F.K, yv, best.value, best.witness):
+        raise InternalConsistencyError(
+            f"the optimal branch's weights do not place y in {best.value}*H - K"
+        )
+    return ExtendedReal.finite(best.value)
 
 
 def evaluate_bisection(

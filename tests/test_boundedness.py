@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from polyevp import boundedness
 from polyevp.boundedness import (
+    BoundednessReport,
     classify,
     find_kstar,
     is_H_lower_bounded,
@@ -20,6 +22,7 @@ from polyevp.geometry import (
     VPolyhedralUnion,
     cone_contains,
     union_disjoint_from,
+    zero_notin_H_plus_K,
 )
 from polyevp.lp_core import LinearProgram, _Tableau, solve
 from polyevp.rational import dot
@@ -390,3 +393,209 @@ def test_k_lower_bound_agrees_with_the_lp_route():
         seen["one vertex"] += len(verts) == 1
     assert all(seen.values()), seen
 
+
+
+class TestCandidatesCheckedBeforeAnyLP:
+    """`is_H_lower_bounded` rejects a bad candidate wherever it stands in
+    the list, although an earlier candidate would already miss M."""
+
+    @pytest.fixture
+    def no_lp(self, monkeypatch):
+        from polyevp import boundedness
+
+        def refuse(*args):
+            raise AssertionError("an LP ran before every candidate was checked")
+
+        monkeypatch.setattr(boundedness, "union_disjoint_from", refuse)
+
+    def test_the_first_candidate_alone_misses_the_vee(
+        self, vee_range, simplex_segment, orthant2
+    ):
+        res = is_H_lower_bounded(vee_range, orthant2, simplex_segment, [((-5, -5), 1)])
+        assert res == ((Fraction(-5), Fraction(-5)), Fraction(1))
+
+    def test_later_nonpositive_eps(self, vee_range, simplex_segment, orthant2, no_lp):
+        with pytest.raises(ValueError) as caught:
+            is_H_lower_bounded(
+                vee_range, orthant2, simplex_segment, [((-5, -5), 1), ((0, 0), 0)]
+            )
+        assert str(caught.value) == "every candidate eps must be positive"
+
+    def test_later_anchor_of_another_dimension(
+        self, vee_range, simplex_segment, orthant2, no_lp
+    ):
+        with pytest.raises(DimensionMismatchError) as caught:
+            is_H_lower_bounded(
+                vee_range, orthant2, simplex_segment, [((-5, -5), 1), ((0, 0, 0), 1)]
+            )
+        assert str(caught.value) == "anchor point has length 3, expected dimension 2"
+
+
+def _is_dual_witness(M, K, H, kstar) -> bool:
+    """The defining inequalities of a dual witness, in Fractions."""
+    return (
+        all(dot(kstar, g) >= 0 for g in K.generators)
+        and all(dot(kstar, h) >= 1 for h in H.vertices)
+        and all(dot(kstar, r) >= 0 for r in M.all_rays())
+    )
+
+
+def _reference_classify(M, K, H) -> BoundednessReport:
+    """`classify` by the LP route: the origin LP, then one
+    `union_disjoint_from` per candidate, with the escape scale of k* in
+    Fractions.  k* comes from `boundedness.find_kstar`, so a test that
+    replaces it replaces it here too."""
+    if not zero_notin_H_plus_K(H, K):
+        raise ValueError("dual-witness classification requires the origin outside H + K")
+    quasi = is_quasi_K_lower_bounded(M, K)
+    _, b = is_K_lower_bounded(M, K)
+    kstar = boundedness.find_kstar(M, K, H)
+    origin = (Fraction(0),) * M.dim
+    candidates = [(origin, Fraction(1))]
+    if kstar is not None:
+        inf_m = min(dot(kstar, v) for v in M.all_vertices())
+        candidates.append((origin, max(-inf_m, Fraction(0)) + 1))
+    witness = next(
+        ((y0, e) for y0, e in candidates if union_disjoint_from(M, y0, e, H, K)), None
+    )
+    return BoundednessReport(
+        k_lower=b is not None,
+        k_lower_witness=b,
+        quasi_k_lower=quasi,
+        kstar_h_lower=kstar is not None,
+        kstar_witness=kstar,
+        h_lower=True if witness is not None else None,
+        h_lower_witness=witness,
+        ladder_consistent=not (quasi and kstar is None),
+    )
+
+
+def _count_lps(monkeypatch) -> dict:
+    """Count `classify`'s origin LPs and shifted-set LPs."""
+    calls = {"origin": 0, "shifted": 0}
+    origin, shifted = boundedness.zero_notin_H_plus_K, boundedness.union_disjoint_from
+
+    def counted_origin(H, K):
+        calls["origin"] += 1
+        return origin(H, K)
+
+    def counted_shifted(*args):
+        calls["shifted"] += 1
+        return shifted(*args)
+
+    monkeypatch.setattr(boundedness, "zero_notin_H_plus_K", counted_origin)
+    monkeypatch.setattr(boundedness, "union_disjoint_from", counted_shifted)
+    return calls
+
+
+def test_classify_matches_the_lp_route(monkeypatch):
+    # a checked k* replaces the origin LP and each candidate LP it
+    # settles; every other candidate still takes its LP
+    rng = random.Random(20221)
+    seen = {
+        "no k*": 0, "ray outside K": 0, "origin certified": 0,
+        "origin by LP": 0, "k* candidate certified": 0,
+    }
+    for _ in range(300):
+        K, H, _ = rand_cone_polytope(
+            rng, rng.randint(2, 3), rng.randint(1, 3), rng.randint(1, 2)
+        )
+        M = rand_union(rng, K)
+        expected = _reference_classify(M, K, H)
+        calls = _count_lps(monkeypatch)
+        rep = classify(M, K, H)
+        monkeypatch.undo()
+        assert rep == expected, (M, K, H)
+        kstar = rep.kstar_witness
+        seen["ray outside K"] += not rep.quasi_k_lower
+        if kstar is None:
+            seen["no k*"] += 1
+            # one LP per candidate: the origin at eps 1 is the only one
+            assert calls == {"origin": 1, "shifted": 1}
+            continue
+        assert _is_dual_witness(M, K, H, kstar)
+        # the k* candidate always passes, so no candidate after the first
+        # takes an LP, and the first takes one unless k* settles it
+        inf_m = min(dot(kstar, v) for v in M.all_vertices())
+        escape = max(-inf_m, Fraction(0)) + 1
+        first = -1 < inf_m
+        assert -escape < inf_m
+        assert calls == {"origin": 0, "shifted": 0 if first else 1}
+        seen["origin certified" if first else "origin by LP"] += 1
+        seen["k* candidate certified"] += rep.h_lower_witness[1] != 1
+    assert all(seen.values()), seen
+
+
+def test_a_corrupted_kstar_falls_back_to_the_lps(monkeypatch):
+    # k* with one entry lowered: whenever it is no longer a dual witness,
+    # classify runs the origin LP and a candidate LP, and its report is
+    # still the LP route's on that same k*
+    find = boundedness.find_kstar
+
+    def corrupted(M, K, H):
+        kstar = find(M, K, H)
+        return None if kstar is None else (kstar[0] - 3,) + kstar[1:]
+
+    rng = random.Random(20222)
+    fallbacks = 0
+    for _ in range(150):
+        K, H, _ = rand_cone_polytope(
+            rng, rng.randint(2, 3), rng.randint(1, 3), rng.randint(1, 2)
+        )
+        M = rand_union(rng, K)
+        monkeypatch.setattr(boundedness, "find_kstar", corrupted)
+        expected = _reference_classify(M, K, H)
+        calls = _count_lps(monkeypatch)
+        rep = classify(M, K, H)
+        monkeypatch.undo()
+        assert rep == expected, (M, K, H)
+        kstar = rep.kstar_witness
+        if kstar is not None and not _is_dual_witness(M, K, H, kstar):
+            fallbacks += 1
+            assert calls["origin"] == 1 and calls["shifted"] >= 1
+    assert fallbacks > 0
+
+
+@pytest.mark.parametrize(
+    "M, H, error, message",
+    [
+        # H of another dimension is reported before any LP
+        pytest.param(
+            _UNION2, Polytope(3, ((1, 1, 1),)), DimensionMismatchError,
+            "polytope and cone dimensions differ", id="polytope",
+        ),
+        pytest.param(
+            VPolyhedralUnion(3, ((((0, 0, 0),), ()),)), Polytope(2, ((1, 1),)),
+            DimensionMismatchError, "union and cone dimensions differ", id="union",
+        ),
+        # with both wrong, the origin test speaks first, as on the LP route
+        pytest.param(
+            VPolyhedralUnion(3, ((((0, 0, 0),), ()),)), Polytope(2, ((0, 0),)),
+            ValueError, "dual-witness classification requires the origin outside H + K",
+            id="union-and-origin",
+        ),
+    ],
+)
+def test_classify_reports_the_lp_routes_first_error(M, H, error, message):
+    with pytest.raises(error) as caught:
+        classify(M, _ORTHANT2, H)
+    assert str(caught.value) == message
+
+
+def test_separating_epsilon_matches_the_fraction_formula():
+    # the integer forms change how the infimum over M is found, not its value
+    rng = random.Random(20223)
+    found = 0
+    for _ in range(150):
+        K, H, _ = rand_cone_polytope(
+            rng, rng.randint(2, 3), rng.randint(1, 3), rng.randint(1, 2)
+        )
+        M = rand_union(rng, K)
+        kstar = find_kstar(M, K, H)
+        if kstar is None:
+            continue
+        found += 1
+        y = rand_vector(rng, K.dim)
+        gap = dot(kstar, y) - min(dot(kstar, v) for v in M.all_vertices())
+        assert separating_epsilon_for(M, kstar, y) == max(gap, Fraction(0)) + 1
+    assert found > 0

@@ -128,6 +128,33 @@ class TestScalarize:
         f = write(tmp_path / "p.json", segment_doc)
         assert cli.main(["scalarize", f, "--point", "1,1"]) == 3
 
+    @pytest.mark.parametrize("entry", [0, -1], ids=["vertex-weight", "cone-weight"])
+    def test_a_perturbed_branch_witness_exits_3(
+        self, tmp_path, segment_doc, monkeypatch, capsys, entry
+    ):
+        # evaluate checks its own weights for attainment; a weight moved
+        # by one breaks that check, which is a bug, not an "attained": false
+        import dataclasses
+
+        solve = cli.scalarization.solve
+
+        def perturbed(lp):
+            res = solve(lp)
+            if res.witness is None:
+                return res
+            witness = list(res.witness)
+            witness[entry] += 1
+            return dataclasses.replace(res, witness=tuple(witness))
+
+        monkeypatch.setattr(cli.scalarization, "solve", perturbed)
+        f = write(tmp_path / "p.json", segment_doc)
+        assert cli.main(["scalarize", f, "--point", "1,1", "--json"]) == 3
+        out = capsys.readouterr().out
+        assert out == (
+            "internal consistency failure: the optimal branch's weights do "
+            "not place y in 1*H - K\n"
+        )
+
     def test_setting_overrides_reach_the_functional(
         self, tmp_path, segment_doc, monkeypatch
     ):

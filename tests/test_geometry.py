@@ -22,9 +22,11 @@ from polyevp.geometry import (
     homogenized_generators,
     is_pointed,
     reaches,
+    rows_certify_outside_minus_K,
     scaled_H_minus_K_contains,
     scaled_H_plus_K_contains,
     union_disjoint_from,
+    weights_certify_scaled_H_minus_K,
     zero_notin_H_plus_K,
 )
 from polyevp.rational import dot, integerize
@@ -392,3 +394,85 @@ def test_halfspaces_match_the_membership_lps(data):
                     and lo <= t * scale
                     and (hi is None or t * scale <= hi)
                 ) == member, (sign, t)
+
+
+class TestIntegerForms:
+    def test_forms_are_integerize_once_per_value(self):
+        rng = random.Random(20226)
+        for _ in range(50):
+            K, H, _ = rand_cone_polytope(rng, rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3))
+            M = VPolyhedralUnion(K.dim, ((H.vertices, K.generators),))
+            for forms, vectors in [
+                (K.integer_generators, K.generators),
+                (H.integer_vertices, H.vertices),
+                (M.integer_vertices, M.all_vertices()),
+                (M.integer_rays, M.all_rays()),
+            ]:
+                assert forms == tuple((tuple(i), d) for i, d in map(integerize, vectors))
+            # cached on the instance
+            assert K.integer_generators is K.integer_generators
+            assert H.integer_vertices is H.integer_vertices
+
+    def test_homogenized_generators_scale_each_vector_alone(self):
+        # the same integers as integerize of (h, 1) and (k_sign * k, 0)
+        rng = random.Random(20227)
+        one, zero = Fraction(1), Fraction(0)
+        for _ in range(50):
+            K, H, _ = rand_cone_polytope(rng, rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3))
+            for sign in (1, -1):
+                gens = [h + (one,) for h in H.vertices]
+                gens += [tuple(sign * c for c in k) + (zero,) for k in K.generators]
+                expected = tuple(tuple(integerize(g)[0]) for g in gens)
+                assert homogenized_generators(H, K, sign) == expected
+
+
+class TestCertificateChecks:
+    def test_rows_certify_exactly_the_vertices_outside_minus_K(self):
+        # for H inside K, rows exist for every vertex iff none lies in -K
+        rng = random.Random(20228)
+        both = {True: 0, False: 0}
+        for _ in range(100):
+            n = rng.randint(2, 3)
+            K, H, _ = rand_cone_polytope(rng, n, rng.randint(1, 3), rng.randint(1, 3))
+            if rng.random() < 0.5:
+                g = rng.choice(K.generators)
+                K = ConeGen(n, K.generators + (tuple(-c for c in g),))
+            hs = cone_halfspaces(homogenized_generators(H, K, 1), n + 1)
+            outside = all(not cone_contains(K, tuple(-c for c in h)) for h in H.vertices)
+            assert rows_certify_outside_minus_K(hs, H, K) == outside
+            both[outside] += 1
+        assert all(both.values()), both
+
+    def test_rows_that_are_negative_on_K_certify_nothing(self, orthant2):
+        # both rows are positive at (1, 1), but only (0, 1, 0) is
+        # nonnegative at every generator of K; (-1, 2, 0) is not
+        H = Polytope(2, ((1, 1),))
+        assert rows_certify_outside_minus_K(ConeHalfspaces(((0, 1, 0),)), H, orthant2)
+        assert not rows_certify_outside_minus_K(ConeHalfspaces(((-1, 2, 0),)), H, orthant2)
+
+    @pytest.mark.parametrize(
+        "y, t, weights, holds",
+        [
+            # (1, 1) = 1 * (1, 1) - 0: the nonnegative branch
+            ((1, 1), 1, (1, 0, 0, 0), True),
+            # (1, 1/2) = 1/2 * (2, 1), with t = 1/2
+            ((1, Fraction(1, 2)), Fraction(1, 2), (0, Fraction(1, 2), 0, 0), True),
+            # (-2, -3) = -2 * (1, 1) - (0, 1): the negative branch
+            ((-2, -3), -2, (2, 0, 0, 1), True),
+            # t = 0: y in -K
+            ((-1, 0), 0, (0, 0, 1, 0), True),
+            # sum mu is not |t|
+            ((1, 1), 2, (1, 0, 0, 0), False),
+            # a negative weight
+            ((1, 0), 1, (1, 0, 0, -1), False),
+            # the sum misses y
+            ((1, 1), 1, (1, 0, 1, 0), False),
+            # one weight short
+            ((1, 1), 1, (1, 0, 0), False),
+        ],
+    )
+    def test_weights_certify(self, orthant2, y, t, weights, holds):
+        H = Polytope(2, ((1, 1), (2, 1)))
+        assert weights_certify_scaled_H_minus_K(
+            H, orthant2, tuple(map(Fraction, y)), Fraction(t), tuple(map(Fraction, weights))
+        ) == holds

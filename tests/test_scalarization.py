@@ -545,3 +545,102 @@ def test_evaluate_builds_the_row_by_row_programs(monkeypatch):
         assert seen == _branch_lps_by_rows(sf, y), (K, H, y)
         negative += phi.is_finite and phi.value < 0
     assert negative > 0
+
+
+def _vertex_loop_message(H: Polytope, K: ConeGen):
+    """The message of the first failing vertex check, asked per vertex
+    in order by LP: "in K", then "not in -K"; None when all pass."""
+    for v in H.vertices:
+        if not cone_contains(K, v):
+            return f"H vertex {tuple(map(str, v))} lies outside the cone"
+        if cone_contains(K, tuple(-c for c in v)):
+            return f"H vertex {tuple(map(str, v))} lies in -K"
+    return None
+
+
+def _with_a_line(rng, K: ConeGen) -> ConeGen:
+    """K plus the negation of one of its generators, so K meets -K in a line."""
+    g = rng.choice(K.generators)
+    return ConeGen(K.dim, K.generators + (tuple(-c for c in g),))
+
+
+def _outside(rng, K: ConeGen):
+    """A point outside K, or None when the draws find none."""
+    for _ in range(20):
+        v = rand_vector(rng, K.dim)
+        if any(v) and not cone_contains(K, v):
+            return v
+    return None
+
+
+class TestVertexChecks:
+    def test_bad_vertices_raise_the_per_vertex_loop_message(self):
+        # vertices outside K, in -K, and in K cap -K, mixed into a valid H
+        # in random order: construction raises what the loop would
+        rng = random.Random(20223)
+        seen = {"valid": 0, "outside the cone": 0, "in -K": 0}
+        for _ in range(150):
+            n = rng.randint(2, 3)
+            K, H, _ = rand_cone_polytope(rng, n, rng.randint(1, 3), rng.randint(1, 3))
+            if rng.random() < 0.5:
+                K = _with_a_line(rng, K)
+            verts = list(H.vertices)
+            kinds = {
+                "outside": _outside(rng, K),
+                "in -K": tuple(-c for c in rand_point_in_cone(rng, K)),
+                "in K cap -K": tuple(2 * c for c in K.generators[-1]),
+            }
+            for kind, v in kinds.items():
+                if v is not None and any(v) and rng.random() < 0.4:
+                    verts.insert(rng.randint(0, len(verts)), v)
+            H = Polytope(n, tuple(verts))
+            expected = _vertex_loop_message(H, K)
+            if expected is None:
+                SeparationFunctional(H, K)
+                seen["valid"] += 1
+                continue
+            with pytest.raises(InvalidConfigurationError) as caught:
+                SeparationFunctional(H, K)
+            assert str(caught.value) == expected, (H, K)
+            seen["in -K" if expected.endswith("-K") else "outside the cone"] += 1
+        assert all(seen.values()), seen
+
+    def test_a_valid_functional_runs_one_lp_per_vertex(self, monkeypatch):
+        from polyevp import scalarization
+
+        calls = []
+        contains = scalarization.cone_contains
+
+        def counted(K, y):
+            calls.append(y)
+            return contains(K, y)
+
+        monkeypatch.setattr(scalarization, "cone_contains", counted)
+        rng = random.Random(20224)
+        for _ in range(100):
+            n = rng.randint(2, 4)
+            K, H, _ = rand_cone_polytope(rng, n, rng.randint(1, n + 1), rng.randint(1, 3))
+            calls.clear()
+            SeparationFunctional(H, K)
+            # "h in K" per vertex; "-h not in K" comes from the rows
+            assert calls == list(H.vertices)
+
+
+def test_every_finite_value_is_attained():
+    rng = random.Random(20225)
+    signs = {"negative": 0, "nonnegative": 0}
+    for _ in range(150):
+        n = rng.randint(2, 4)
+        K, H, _ = rand_cone_polytope(rng, n, rng.randint(1, n + 1), rng.randint(1, 3))
+        F = SeparationFunctional(H, K)
+        if rng.random() < 0.3:
+            y = rand_vector(rng, n)
+        else:
+            t = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+            h = convex_mix(rng, H.vertices)
+            y = vec_sub(tuple(t * c for c in h), rand_point_in_cone(rng, K))
+        phi = evaluate(F, y)
+        if phi.is_finite:
+            assert scaled_H_minus_K_contains(H, K, y, phi.value), (H, K, y)
+            signs["negative" if phi.value < 0 else "nonnegative"] += 1
+    assert all(signs.values()), signs
