@@ -43,6 +43,7 @@ from .geometry import (
     DimensionMismatchError,
     Polytope,
     VPolyhedralUnion,
+    check_dim,
     cone_contains,
     union_disjoint_from,
     zero_notin_H_plus_K,
@@ -163,7 +164,10 @@ def _vertex_minimum(M: VPolyhedralUnion, ks: Sequence[int]) -> tuple[int, int]:
 
 
 def separating_epsilon_for(
-    M: VPolyhedralUnion, kstar: Sequence[Number], y: Sequence[Number]
+    M: VPolyhedralUnion,
+    kstar: Sequence[Number],
+    y: Sequence[Number],
+    infimum: Optional[Fraction] = None,
 ) -> Fraction:
     """Smallest guaranteed escape scale derived from a dual witness.
 
@@ -171,14 +175,17 @@ def separating_epsilon_for(
     y - eps*H - K scores at most k*.y - eps under k*, while M scores at
     least its vertex minimum.  Any eps strictly above the gap therefore
     separates; returned value adds one to stay clear of the boundary.
+    ``infimum``, when given, is that vertex minimum (`_kstar_infimum`).
     """
     ks = frac_vec(kstar)
     yv = frac_vec(y)
     if len(ks) != M.dim:
         raise ValueError(f"dot of length {len(ks)} with length {M.dim}")
-    ints, den = integerize(ks)
-    n, d = _vertex_minimum(M, ints)
-    gap = dot(ks, yv) - Fraction(n, d * den)
+    if infimum is None:
+        ints, den = integerize(ks)
+        n, d = _vertex_minimum(M, ints)
+        infimum = Fraction(n, d * den)
+    gap = dot(ks, yv) - infimum
     return max(gap, Fraction(0)) + 1
 
 
@@ -226,10 +233,7 @@ def is_H_lower_bounded(
         if e <= 0:
             raise ValueError("every candidate eps must be positive")
         y0v = frac_vec(y0)
-        if len(y0v) != M.dim:
-            raise DimensionMismatchError(
-                f"anchor point has length {len(y0v)}, expected dimension {M.dim}"
-            )
+        check_dim(M.dim, y0v, "anchor point")
         checked.append((y0v, e))
     return _first_missing(M, K, H, checked, None)
 
@@ -280,7 +284,8 @@ def classify(M: VPolyhedralUnion, K: ConeGen, H: Polytope) -> BoundednessReport:
     `geometry.zero_notin_H_plus_K` decides it by LP.  The shifted-set
     search tries the origin at eps = 1.  When k* exists, it then tries
     the origin at the escape scale `separating_epsilon_for(M, k*,
-    origin)`, which always misses M, so a dual-witness bounded range is
+    origin)`, read off k*'s checked infimum over M when it has one,
+    which always misses M, so a dual-witness bounded range is
     also reported shifted-set bounded.  A checked k* settles each
     candidate it separates; any other candidate takes
     `geometry.union_disjoint_from`'s LPs.
@@ -300,7 +305,7 @@ def classify(M: VPolyhedralUnion, K: ConeGen, H: Polytope) -> BoundednessReport:
     origin = (Fraction(0),) * M.dim
     candidates = [(origin, Fraction(1))]
     if kstar is not None:
-        candidates.append((origin, separating_epsilon_for(M, kstar, origin)))
+        candidates.append((origin, separating_epsilon_for(M, kstar, origin, inf_m)))
     separator = None if inf_m is None else (kstar, inf_m)
     h_witness = _first_missing(M, K, H, candidates, separator)
     return BoundednessReport(

@@ -26,8 +26,8 @@ Integers are formed once per value.  `ConeGen`, `Polytope` and
 (ints, den) with vector == ints / den, built on first use and cached on
 the instance.  `homogenized_generators` reads them, as do the
 certificate checks at the end of this module, which settle with integer
-arithmetic facts that would otherwise take an LP: a Farkas row for
-"-h not in K" (`rows_certify_outside_minus_K`) and an LP's own weights
+arithmetic facts that would otherwise take an LP: Farkas rows for
+"-h not in K" (`rows_nonnegative_on_K`) and an LP's own weights
 for "y in t*H - K" (`weights_certify_scaled_H_minus_K`).  Query points
 are scaled to integers by `rational.integerize` as they come.
 
@@ -66,7 +66,8 @@ __all__ = [
     "scaled_H_plus_K_contains",
     "zero_notin_H_plus_K",
     "union_disjoint_from",
-    "rows_certify_outside_minus_K",
+    "check_dim",
+    "rows_nonnegative_on_K",
     "weights_certify_scaled_H_minus_K",
 ]
 
@@ -79,7 +80,9 @@ class InvalidConfigurationError(ValueError):
     """Inputs violate a structural requirement (e.g. H not inside K)."""
 
 
-def _check_dim(dim: int, v: Sequence, what: str) -> None:
+def check_dim(dim: int, v: Sequence, what: str) -> None:
+    """Raise `DimensionMismatchError`, naming ``v`` as ``what``, unless
+    ``v`` has length ``dim``."""
     if len(v) != dim:
         raise DimensionMismatchError(
             f"{what} has length {len(v)}, expected dimension {dim}"
@@ -102,7 +105,7 @@ class ConeGen:
         gens = tuple(frac_vec(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         for g in gens:
-            _check_dim(self.dim, g, "cone generator")
+            check_dim(self.dim, g, "cone generator")
             if all(c == 0 for c in g):
                 raise InvalidConfigurationError("zero vector is not a valid generator")
 
@@ -125,7 +128,7 @@ class Polytope:
         if not verts:
             raise InvalidConfigurationError("a polytope needs at least one vertex")
         for v in verts:
-            _check_dim(self.dim, v, "polytope vertex")
+            check_dim(self.dim, v, "polytope vertex")
 
     @functools.cached_property
     def integer_vertices(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -150,9 +153,9 @@ class VPolyhedralUnion:
             if not verts:
                 raise InvalidConfigurationError("each piece needs at least one vertex")
             for v in verts:
-                _check_dim(self.dim, v, "piece vertex")
+                check_dim(self.dim, v, "piece vertex")
             for r in rays:
-                _check_dim(self.dim, r, "piece ray")
+                check_dim(self.dim, r, "piece ray")
             norm.append((verts, rays))
         object.__setattr__(self, "pieces", tuple(norm))
 
@@ -183,7 +186,7 @@ class VPolyhedralUnion:
 def cone_contains(K: ConeGen, y: Sequence[Number]) -> bool:
     """Is y a nonnegative combination of the generators?"""
     yv = frac_vec(y)
-    _check_dim(K.dim, yv, "query point")
+    check_dim(K.dim, yv, "query point")
     lp = combination_lp(yv, [(K.generators, 1, False)])
     return solve(lp).is_feasible
 
@@ -204,7 +207,7 @@ def _in_scaled_sum(
     three oracles below."""
     yv = frac_vec(y)
     tq = frac(t)
-    _check_dim(H.dim, yv, "query point")
+    check_dim(H.dim, yv, "query point")
     if H.dim != K.dim:
         raise DimensionMismatchError("polytope and cone dimensions differ")
     lp = combination_lp(yv, [(H.vertices, tq, True), (K.generators, k_sign, False)])
@@ -256,7 +259,7 @@ def union_disjoint_from(
     if e <= 0:
         raise ValueError("eps must be positive")
     y0v = frac_vec(y0)
-    _check_dim(M.dim, y0v, "anchor point")
+    check_dim(M.dim, y0v, "anchor point")
     if not (M.dim == H.dim == K.dim):
         raise DimensionMismatchError("union, polytope, and cone dimensions differ")
     for verts, rays in M.pieces:
@@ -452,20 +455,19 @@ def checked_rows(hs: ConeHalfspaces, gens: Sequence[Sequence[int]]) -> ConeHalfs
 # ---------------------------------------------------------------------------
 
 
-def rows_certify_outside_minus_K(hs: ConeHalfspaces, H: Polytope, K: ConeGen) -> bool:
-    """Does every vertex h of H have a row (a, c) of hs with a . k >= 0
-    at every generator k of K and a . h > 0?
+def rows_nonnegative_on_K(hs: ConeHalfspaces, K: ConeGen) -> ConeHalfspaces:
+    """The rows (a, c) of hs with a . k >= 0 at every generator k of K,
+    kept in order.
 
-    Such a row is a Farkas certificate for -h outside K: a is nonnegative
-    on K and negative at -h.  The signs are read in integers on the
-    forms of H and K, so a "yes" does not depend on how the rows were
-    made.  For hs the halfspaces of the cone over t*H + K the a parts of
-    the rows generate the dual cone of K, so every vertex outside -K has
-    such a row.
+    A kept row with a . h > 0 (`ConeHalfspaces.products`) at a point h
+    is a Farkas certificate for -h outside K: a is nonnegative on K and
+    negative at -h.  The signs are read in integers on K's forms, so a
+    certificate does not depend on how the rows were made.  For hs the
+    halfspaces of the cone over t*H + K the a parts of the rows generate
+    the dual cone of K, so every vertex of H outside -K has such a row.
     """
-    gens = [k for k, _ in K.integer_generators]
-    valid = [r for r in hs.rows if all(idot(r, k) >= 0 for k in gens)]
-    return all(any(idot(r, h) > 0 for r in valid) for h, _ in H.integer_vertices)
+    # the product of a row with a generator k stops at the end of k: a . k
+    return checked_rows(hs, [k for k, _ in K.integer_generators])
 
 
 def weights_certify_scaled_H_minus_K(

@@ -79,7 +79,7 @@ from .geometry import (
     cone_halfspaces,
     homogenized_generators,
     reaches,
-    rows_certify_outside_minus_K,
+    rows_nonnegative_on_K,
     weights_certify_scaled_H_minus_K,
 )
 from .lp_core import LinearProgram, combination_lp, solve
@@ -148,8 +148,8 @@ class SeparationFunctional:
     certify that the origin avoids H + K (see `__post_init__`).
     Violations raise `InvalidConfigurationError` immediately rather than
     producing meaningless values later.  Construction also builds
-    `halfspaces`, whose rows settle "not in -K" with no LP; it does not
-    build `checked_halfspaces`.
+    `halfspaces`, whose rows settle "not in -K" with no LP for every
+    vertex they certify; it does not build `checked_halfspaces`.
     """
 
     H: Polytope
@@ -158,22 +158,19 @@ class SeparationFunctional:
     def __post_init__(self) -> None:
         if self.H.dim != self.K.dim:
             raise DimensionMismatchError("H and K dimensions differ")
-        # "h in K" needs an LP, whose weights are the certificate.  Once
-        # every vertex is in K, a row of the cone over t*H + K that is
-        # nonnegative on K and positive at h certifies -h outside K
-        # (`geometry.rows_certify_outside_minus_K`).  Without such rows the
-        # loop below decides both questions by LP, vertex by vertex, and
-        # raises for the first vertex that fails either.
-        if all(cone_contains(self.K, v) for v in self.H.vertices) and (
-            rows_certify_outside_minus_K(self.halfspaces[0], self.H, self.K)
-        ):
-            return
-        for v in self.H.vertices:
+        # "h in K" needs an LP, whose weights are the certificate.  A row
+        # of the cone over t*H + K that is nonnegative on K and positive at
+        # h certifies -h outside K (`geometry.rows_nonnegative_on_K`); only
+        # a vertex without one takes the "-h in K" LP.
+        farkas = rows_nonnegative_on_K(self.halfspaces[0], self.K)
+        for v, (h, _) in zip(self.H.vertices, self.H.integer_vertices):
             if not cone_contains(self.K, v):
                 raise InvalidConfigurationError(
                     f"H vertex {tuple(map(str, v))} lies outside the cone"
                 )
-            if cone_contains(self.K, tuple(-c for c in v)):
+            if not any(p > 0 for p in farkas.products(h)) and cone_contains(
+                self.K, tuple(-c for c in v)
+            ):
                 raise InvalidConfigurationError(
                     f"H vertex {tuple(map(str, v))} lies in -K"
                 )

@@ -585,7 +585,7 @@ def test_classify_reports_the_lp_routes_first_error(M, H, error, message):
 def test_separating_epsilon_matches_the_fraction_formula():
     # the integer forms change how the infimum over M is found, not its value
     rng = random.Random(20223)
-    found = 0
+    found = checked = 0
     for _ in range(150):
         K, H, _ = rand_cone_polytope(
             rng, rng.randint(2, 3), rng.randint(1, 3), rng.randint(1, 2)
@@ -597,5 +597,11 @@ def test_separating_epsilon_matches_the_fraction_formula():
         found += 1
         y = rand_vector(rng, K.dim)
         gap = dot(kstar, y) - min(dot(kstar, v) for v in M.all_vertices())
-        assert separating_epsilon_for(M, kstar, y) == max(gap, Fraction(0)) + 1
-    assert found > 0
+        expected = max(gap, Fraction(0)) + 1
+        assert separating_epsilon_for(M, kstar, y) == expected
+        # classify passes the infimum of a checked k* instead
+        inf_m = boundedness._kstar_infimum(M, K, H, kstar)
+        if inf_m is not None:
+            checked += 1
+            assert separating_epsilon_for(M, kstar, y, inf_m) == expected
+    assert found > 0 and checked > 0

@@ -22,7 +22,7 @@ from polyevp.geometry import (
     homogenized_generators,
     is_pointed,
     reaches,
-    rows_certify_outside_minus_K,
+    rows_nonnegative_on_K,
     scaled_H_minus_K_contains,
     scaled_H_plus_K_contains,
     union_disjoint_from,
@@ -428,7 +428,7 @@ class TestIntegerForms:
 
 class TestCertificateChecks:
     def test_rows_certify_exactly_the_vertices_outside_minus_K(self):
-        # for H inside K, rows exist for every vertex iff none lies in -K
+        # for H inside K, a vertex has a row positive at it iff it is outside -K
         rng = random.Random(20228)
         both = {True: 0, False: 0}
         for _ in range(100):
@@ -438,17 +438,18 @@ class TestCertificateChecks:
                 g = rng.choice(K.generators)
                 K = ConeGen(n, K.generators + (tuple(-c for c in g),))
             hs = cone_halfspaces(homogenized_generators(H, K, 1), n + 1)
-            outside = all(not cone_contains(K, tuple(-c for c in h)) for h in H.vertices)
-            assert rows_certify_outside_minus_K(hs, H, K) == outside
-            both[outside] += 1
+            farkas = rows_nonnegative_on_K(hs, K)
+            for v, (h, _) in zip(H.vertices, H.integer_vertices):
+                outside = not cone_contains(K, tuple(-c for c in v))
+                assert any(p > 0 for p in farkas.products(h)) == outside
+                both[outside] += 1
         assert all(both.values()), both
 
     def test_rows_that_are_negative_on_K_certify_nothing(self, orthant2):
         # both rows are positive at (1, 1), but only (0, 1, 0) is
         # nonnegative at every generator of K; (-1, 2, 0) is not
-        H = Polytope(2, ((1, 1),))
-        assert rows_certify_outside_minus_K(ConeHalfspaces(((0, 1, 0),)), H, orthant2)
-        assert not rows_certify_outside_minus_K(ConeHalfspaces(((-1, 2, 0),)), H, orthant2)
+        hs = ConeHalfspaces(((0, 1, 0), (-1, 2, 0), (1, 0, 3)))
+        assert rows_nonnegative_on_K(hs, orthant2).rows == ((0, 1, 0), (1, 0, 3))
 
     @pytest.mark.parametrize(
         "y, t, weights, holds",
