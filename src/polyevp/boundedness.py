@@ -53,7 +53,6 @@ from .rational import Number, Vec, dot, frac, frac_vec, idot, integerize
 
 __all__ = [
     "BoundednessReport",
-    "is_K_lower_bounded",
     "is_quasi_K_lower_bounded",
     "find_kstar",
     "separating_epsilon_for",
@@ -67,14 +66,6 @@ def is_quasi_K_lower_bounded(M: VPolyhedralUnion, K: ConeGen) -> bool:
     if M.dim != K.dim:
         raise DimensionMismatchError("union and cone dimensions differ")
     return all(cone_contains(K, r) for r in M.all_rays())
-
-
-def is_K_lower_bounded(M: VPolyhedralUnion, K: ConeGen) -> tuple[bool, Optional[Vec]]:
-    """Decide M within b + K, returning the witness b when one exists."""
-    if not is_quasi_K_lower_bounded(M, K):
-        return False, None
-    b = _common_lower_point(M, K)
-    return b is not None, b
 
 
 def _common_lower_point(M: VPolyhedralUnion, K: ConeGen) -> Optional[Vec]:

@@ -19,9 +19,12 @@ automatically, so the principle's conclusions become finitely checkable:
 The solver realizes the constructive argument directly: pick an image
 y0 of x0 that escapes every eps-shifted image set (the lower-boundedness
 hypothesis), score points by the cone-separation potential
-xi(y) = phi(y - y0), and repeatedly move to the argmin of the current
-lower section.  Each move strictly drops the score by at least
-scale * step distance, so the walk terminates in at most |X| steps.
+xi(y) = phi(y - y0), and move at most once, to the argmin x1 of xi over
+S(x0).  Nothing else lies below x1, the ordering principle of Brezis and
+Browder on a finite set: a point z != x1 below x1 lies in S(x0) by
+transitivity, and since xi(x1) <= 0 the step argument of
+`verify_certificate` gives xi(z) <= xi(x1) - scale * d(z, x1) < xi(x1),
+against the choice of x1.  So a second move is never possible.
 Dominance, the hypothesis check and the scores ask their questions of
 `geometry.ConeHalfspaces`, from row products of the images.  The images
 are scaled to integers once per problem (`EVPProblem._scaled_images`),
@@ -80,10 +83,8 @@ __all__ = [
     "VerificationReport",
     "dominates",
     "lower_section",
-    "condition_ii_witness",
     "solve",
     "verify_certificate",
-    "ae_efficient",
     "coradiant_escape_check",
 ]
 
@@ -464,13 +465,14 @@ def dominates(p: EVPProblem, xprime: str, x: str) -> bool:
 
 
 def lower_section(p: EVPProblem, x: str) -> tuple[str, ...]:
-    """All feasible points below x, in label order; always contains x."""
+    """All feasible points below x, in `p.feasible` order; always
+    contains x."""
     p.space._index_of(x)
     return tuple(l for l in p.feasible if dominates(p, l, x))
 
 
 # ---------------------------------------------------------------------------
-# hypothesis check and efficiency notion
+# hypothesis check
 # ---------------------------------------------------------------------------
 
 
@@ -500,37 +502,6 @@ def _escaping_image(
     return None, blocking
 
 
-def condition_ii_witness(p: EVPProblem) -> Optional[Vec]:
-    """First image of x0 escaping every eps-shifted image set, if any.
-
-    The scope is the lower section of x0, except in efficiency mode
-    where the approximate-efficiency hypothesis quantifies over the
-    whole feasible set.  Decided exactly on the halfspaces.
-    """
-    if isinstance(p.mode, EfficiencyMode):
-        scope = p.feasible
-    else:
-        scope = lower_section(p, p.x0)
-    i, _ = _escaping_image(p, p.x0, scope, p.epsilon)
-    return None if i is None else p.images(p.x0)[i]
-
-
-def ae_efficient(p: EVPProblem, x: str, eps: Number) -> Optional[Vec]:
-    """Shifted-set approximate efficiency of x over the feasible set.
-
-    Returns an image y0 of x such that no feasible image falls inside
-    y0 - eps*H - K, or None when every candidate image is undercut.
-    Decided exactly on the halfspaces.
-    """
-    e = frac(eps)
-    if e <= 0:
-        raise ValueError("eps must be positive")
-    if x not in p.feasible:
-        raise ValueError(f"{x!r} is not a feasible point")
-    i, _ = _escaping_image(p, x, p.feasible, e)
-    return None if i is None else p.images(x)[i]
-
-
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
@@ -540,10 +511,12 @@ def ae_efficient(p: EVPProblem, x: str, eps: Number) -> Optional[Vec]:
 class EVPCertificate:
     """Solver output with enough data to re-verify every claim.
 
-    ``chain`` walks from x0 to xbar through the pre-order;
+    ``chain`` walks from x0 to xbar through the pre-order: `solve` writes
+    (x0,) when x0 is alone in its lower section and (x0, xbar) otherwise.
     ``xi_trace`` holds the exact potential minimum at each chain point
     and is strictly decreasing, by at least scale * step distance per
-    move.
+    move.  `verify_certificate` accepts a chain of any length, since a
+    certificate is input.
     """
 
     xbar: str
@@ -555,14 +528,22 @@ class EVPCertificate:
 def solve(p: EVPProblem) -> EVPCertificate:
     """Run the descent and return a certificate for its endpoint.
 
+    One argmin step: xbar is the point of x0's lower section with the
+    least potential, ties going to the first in label order, and x0
+    itself when the section holds nothing else.  The module docstring
+    shows that nothing else lies below it, so the section of xbar is not
+    computed; `verify_certificate` checks (b) on its own route.  Four
+    checks guard the scores: the [-eps, 0] bound, a start that is not its
+    own argmin, a drop of at least scale * distance and a finite score at
+    every chain point.
+
     Dominance, the hypothesis check and the scores are read off the
     halfspaces of the cones over t*H + K and t*H - K with no LP, in
     exact integer arithmetic.
     """
     rows = p._image_rows
-    # one lower section per chain point: x0's is the hypothesis scope
-    # (outside efficiency mode), the bound check's range and the first
-    # descent step
+    # x0's lower section is the hypothesis scope (outside efficiency
+    # mode), the bound check's range and the argmin's range
     section = lower_section(p, p.x0)
     scope = p.feasible if isinstance(p.mode, EfficiencyMode) else section
     witness, blocking = _escaping_image(p, p.x0, scope, p.epsilon)
@@ -578,59 +559,46 @@ def solve(p: EVPProblem) -> EVPCertificate:
             blocking,
         )
 
-    score_cache: dict[str, ExtendedReal] = {}
-
-    def score(label: str) -> ExtendedReal:
-        """xi at a point: the least phi(y - y0) over its images."""
-        val = score_cache.get(label)
-        if val is None:
-            val = score_cache[label] = min(
-                phi_from_rows(*args) for args in rows.phi_args(witness, label)
-            )
-        return val
-
-    section_min = min(score(l) for l in section)
+    scores = {
+        l: min(phi_from_rows(*args) for args in rows.phi_args(witness, l))
+        for l in section
+    }
+    section_min = min(scores.values())
     if not section_min.is_finite or not (-p.epsilon <= section_min.value <= 0):
         raise InternalConsistencyError(
             f"potential minimum {section_min} over the start section violates "
             f"the [-eps, 0] bound"
         )
 
-    order = {l: i for i, l in enumerate(p.space.labels)}
     chain = [p.x0]
-    current = p.x0
-    for _ in range(len(p.space.labels) + 1):
-        if section == (current,):
-            break
-        best = min(section, key=lambda l: (score(l), order[l]))
-        if best == current:
+    if section != (p.x0,):
+        # the section comes in `p.feasible` order, so ties are broken on
+        # label order by the key, not by position in the section
+        best = min(section, key=lambda l: (scores[l], p.space._index[l]))
+        if best == p.x0:
             raise InternalConsistencyError(
-                f"{current!r} is its own section argmin but the section has "
+                f"{p.x0!r} is its own section argmin but the section has "
                 f"{len(section)} points"
             )
-        step = p.scale * p.space.d(current, best)
-        before, after = score(current), score(best)
-        if not after.is_finite or (
-            before.is_finite and before.value - after.value < step
+        # the argmin's score is the finite section minimum
+        before, after = scores[p.x0], scores[best]
+        if before.is_finite and (
+            before.value - after.value < p.scale * p.space.d(p.x0, best)
         ):
             raise InternalConsistencyError(
-                f"descent step {current!r} -> {best!r} dropped the potential "
+                f"descent step {p.x0!r} -> {best!r} dropped the potential "
                 f"by less than scale * distance"
             )
         chain.append(best)
-        current = best
-        section = lower_section(p, current)
-    else:
-        raise InternalConsistencyError("descent failed to terminate within |X| moves")
 
     values = []
     for label in chain:
-        v = score(label)
+        v = scores[label]
         if not v.is_finite:
             raise InternalConsistencyError("chain point scored +inf")
         values.append(v.value)
     return EVPCertificate(
-        xbar=current,
+        xbar=chain[-1],
         y0=p.images(p.x0)[witness],
         chain=tuple(chain),
         xi_trace=tuple(values),

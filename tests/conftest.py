@@ -16,17 +16,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from polyevp.boundedness import _common_lower_point, is_quasi_K_lower_bounded
 from polyevp.evp import (
+    _escaping_image,
     EfficiencyMode,
     EVPProblem,
     FiniteMetricSpace,
     PlainMode,
     ScaledMode,
     SetValuedMapTable,
-    condition_ii_witness,
     lower_section,
 )
-from polyevp.geometry import ConeGen, Polytope, VPolyhedralUnion
+from polyevp.geometry import ConeGen, Polytope, VPolyhedralUnion, is_pointed
 from polyevp.rational import dot, frac, to_jsonable
 
 
@@ -52,6 +53,46 @@ def map_table(mapping) -> SetValuedMapTable:
     return SetValuedMapTable(
         tuple((k, tuple(tuple(v) for v in vs)) for k, vs in mapping.items())
     )
+
+
+def condition_ii_witness(p: EVPProblem):
+    """First image of x0 escaping every eps-shifted image set, if any.
+
+    The scope is the lower section of x0, except in efficiency mode
+    where the approximate-efficiency hypothesis quantifies over the
+    whole feasible set.  Decided exactly on the halfspaces.
+    """
+    if isinstance(p.mode, EfficiencyMode):
+        scope = p.feasible
+    else:
+        scope = lower_section(p, p.x0)
+    i, _ = _escaping_image(p, p.x0, scope, p.epsilon)
+    return None if i is None else p.images(p.x0)[i]
+
+
+def ae_efficient(p: EVPProblem, x: str, eps):
+    """Shifted-set approximate efficiency of x over the feasible set.
+
+    Returns an image y0 of x such that no feasible image falls inside
+    y0 - eps*H - K, or None when every candidate image is undercut.
+    Decided exactly on the halfspaces.
+    """
+    e = frac(eps)
+    if e <= 0:
+        raise ValueError("eps must be positive")
+    if x not in p.feasible:
+        raise ValueError(f"{x!r} is not a feasible point")
+    i, _ = _escaping_image(p, x, p.feasible, e)
+    return None if i is None else p.images(x)[i]
+
+
+def is_K_lower_bounded(M: VPolyhedralUnion, K: ConeGen):
+    """Decide M within b + K, returning (True, b) for a witness b, or
+    (False, None)."""
+    if not is_quasi_K_lower_bounded(M, K):
+        return False, None
+    b = _common_lower_point(M, K)
+    return b is not None, b
 
 
 def _vec_doc(v) -> list:
@@ -263,7 +304,8 @@ def rand_problem(
     has real structure without being rigged to a single answer.
 
     Returns None when no eps up to the retry bound yields the descent
-    hypothesis, so callers can regenerate.
+    hypothesis, or when an efficiency mode meets a cone that is not
+    pointed, so callers can regenerate.
     """
     K, H, _ = rand_cone_polytope(
         rng, n, rng.randint(1, max_gens), rng.randint(1, max_verts)
@@ -292,6 +334,8 @@ def rand_problem(
     eps = Fraction(rng.randint(1, 4))
     for _ in range(10):
         mode = mode_factory(eps) if mode_factory else PlainMode()
+        if isinstance(mode, EfficiencyMode) and not is_pointed(K):
+            return None
         problem = EVPProblem(
             space=space, f=table, K=K, H=H, x0=x0, epsilon=eps, mode=mode
         )

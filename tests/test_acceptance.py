@@ -14,13 +14,11 @@ import pytest
 from polyevp import cli
 from polyevp.boundedness import (
     find_kstar,
-    is_K_lower_bounded,
     is_quasi_K_lower_bounded,
     separating_epsilon_for,
 )
 from polyevp.evp import (
     ScaledMode,
-    ae_efficient,
     dominates,
     lower_section,
     solve,
@@ -45,7 +43,9 @@ from polyevp.evp import HypothesisViolatedError
 from conftest import (
     T_MAX,
     TOL,
+    ae_efficient,
     brute_force_minimal_set,
+    is_K_lower_bounded,
     make_chain3,
     problem_to_document,
     rand_cone_polytope,

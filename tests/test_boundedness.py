@@ -11,7 +11,6 @@ from polyevp.boundedness import (
     classify,
     find_kstar,
     is_H_lower_bounded,
-    is_K_lower_bounded,
     is_quasi_K_lower_bounded,
     separating_epsilon_for,
 )
@@ -29,6 +28,7 @@ from polyevp.rational import dot
 
 from conftest import (
     dual_cone_contains,
+    is_K_lower_bounded,
     rand_cone_polytope,
     rand_point_in_cone,
     rand_union,

@@ -21,8 +21,6 @@ from polyevp.evp import (
     HypothesisViolatedError,
     PlainMode,
     ScaledMode,
-    ae_efficient,
-    condition_ii_witness,
     coradiant_escape_check,
     dominates,
     lower_section,
@@ -51,7 +49,9 @@ from polyevp.scalarization import (
 from polyevp.rational import ratio, vec_sub
 
 from conftest import (
+    ae_efficient,
     brute_force_minimal_set,
+    condition_ii_witness,
     make_chain3,
     map_table,
     problem_to_document,
@@ -754,6 +754,22 @@ class TestEfficiency:
         assert report.coradiant_gap is True
         assert report.passed
 
+    def test_argmin_ties_go_to_the_first_label(self):
+        # b and c tie at -4; the section lists c before b, as the
+        # feasible set does, but the argmin takes the first label
+        p = EVPProblem(
+            space=FiniteMetricSpace(
+                ("a", "b", "c"), ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+            ),
+            f=map_table({"a": [(4, 4)], "b": [(0, 0)], "c": [(0, 0)]}),
+            K=ConeGen(2, ((1, 0), (0, 1))), H=Polytope(2, ((1, 1),)),
+            x0="a", epsilon=5, mode=EfficiencyMode(1), feasible=("a", "c", "b"),
+        )
+        assert lower_section(p, "a") == ("a", "c", "b")
+        cert = solve(p)
+        assert cert.xbar == "b" and cert.chain == ("a", "b")
+        assert verify_certificate(p, cert).passed
+
     def test_efficiency_mode_needs_pointed_cone(self):
         space = FiniteMetricSpace(("a",), ((0,),))
         table = map_table({"a": [(1, 0)]})
@@ -941,18 +957,28 @@ class TestZeroDistance:
 
 class TestRandomInstances:
     def test_solver_endpoint_is_brute_force_minimal(self):
-        rng = random.Random(37)
-        done = 0
-        while done < 15:
-            p = rand_problem(rng, max_points=6)
-            if p is None:
-                continue
-            done += 1
-            cert = solve(p)
-            minimal = brute_force_minimal_set(p)
-            assert cert.xbar in minimal
-            report = verify_certificate(p, cert)
-            assert report.passed, (p, cert, report)
+        # one argmin step reaches an endpoint in every mode: the chain has
+        # at most two points and nothing else lies below xbar
+        modes = {
+            "plain": None,
+            "scaled": lambda eps: ScaledMode(Fraction(1, 2)),
+            "efficiency": lambda eps: EfficiencyMode(1),
+            "efficiency-half": lambda eps: EfficiencyMode(Fraction(1, 2)),
+        }
+        for name, mode_factory in modes.items():
+            rng = random.Random(37)
+            done = 0
+            while done < 15:
+                p = rand_problem(rng, max_points=6, mode_factory=mode_factory)
+                if p is None:
+                    continue
+                done += 1
+                cert = solve(p)
+                assert cert.xbar in brute_force_minimal_set(p)
+                assert len(cert.chain) <= 2
+                assert lower_section(p, cert.xbar) == (cert.xbar,)
+                report = verify_certificate(p, cert)
+                assert report.passed, (name, p, cert, report)
 
     def test_no_mutual_domination_inside_start_section(self):
         rng = random.Random(43)
