@@ -29,7 +29,8 @@ in integers on the integer forms that `ConeGen`, `Polytope` and
 `VPolyhedralUnion` keep, it proves the origin outside H + K, which
 `classify` needs, and it places every shifted-set candidate with
 k*.y0 - eps below its infimum over M outside M.  Those facts then take
-no LP; a missing or failing k* leaves them to the geometry LPs.
+no LP; a missing k* leaves them to the geometry LPs, and a k* that fails
+its check is a bug, raised as `geometry.InternalConsistencyError`.
 """
 
 from __future__ import annotations
@@ -41,22 +42,21 @@ from typing import Optional, Sequence
 from .geometry import (
     ConeGen,
     DimensionMismatchError,
+    InternalConsistencyError,
     Polytope,
     VPolyhedralUnion,
-    check_dim,
     cone_contains,
     union_disjoint_from,
     zero_notin_H_plus_K,
 )
 from .lp_core import combination_lp, solve
-from .rational import Number, Vec, dot, frac, frac_vec, idot, integerize
+from .rational import Number, Vec, dot, frac_vec, idot, integerize
 
 __all__ = [
     "BoundednessReport",
     "is_quasi_K_lower_bounded",
     "find_kstar",
     "separating_epsilon_for",
-    "is_H_lower_bounded",
     "classify",
 ]
 
@@ -202,51 +202,6 @@ def _kstar_infimum(
     return Fraction(n, d * den)
 
 
-def is_H_lower_bounded(
-    M: VPolyhedralUnion,
-    K: ConeGen,
-    H: Polytope,
-    candidates: Sequence[tuple[Sequence[Number], Number]],
-) -> Optional[tuple[Vec, Fraction]]:
-    """The first (y0, eps) candidate whose translate y0 - eps*H - K
-    misses M, or None when every candidate intersects it.
-
-    Every candidate's eps and dimension are checked before the first LP.
-    None means unknown, never "not shifted-set bounded": the property is
-    existential over an unbounded space and this module does not pretend
-    to refute it.
-    """
-    if not candidates:
-        raise ValueError("candidate list must not be empty")
-    checked = []
-    for y0, eps in candidates:
-        e = frac(eps)
-        if e <= 0:
-            raise ValueError("every candidate eps must be positive")
-        y0v = frac_vec(y0)
-        check_dim(M.dim, y0v, "anchor point")
-        checked.append((y0v, e))
-    return _first_missing(M, K, H, checked, None)
-
-
-def _first_missing(
-    M: VPolyhedralUnion,
-    K: ConeGen,
-    H: Polytope,
-    candidates: Sequence[tuple[Vec, Fraction]],
-    separator: Optional[tuple[Vec, Fraction]],
-) -> Optional[tuple[Vec, Fraction]]:
-    """`is_H_lower_bounded` on checked candidates.  With ``separator`` a
-    checked k* and its infimum over M (`_kstar_infimum`), a candidate
-    with k*.y0 - eps below it misses M with no LP."""
-    for y0, e in candidates:
-        if separator is not None and dot(separator[0], y0) - e < separator[1]:
-            return y0, e
-        if union_disjoint_from(M, y0, e, H, K):
-            return y0, e
-    return None
-
-
 @dataclass(frozen=True)
 class BoundednessReport:
     """All four ladder levels plus a consistency flag.
@@ -270,35 +225,43 @@ class BoundednessReport:
 def classify(M: VPolyhedralUnion, K: ConeGen, H: Polytope) -> BoundednessReport:
     """Run all four checks and assemble the ladder report.
 
-    The ladder needs the origin outside H + K.  A dual witness k* that
-    passes its exact check (`_kstar_infimum`) proves that; without one,
-    `geometry.zero_notin_H_plus_K` decides it by LP.  The shifted-set
-    search tries the origin at eps = 1.  When k* exists, it then tries
-    the origin at the escape scale `separating_epsilon_for(M, k*,
-    origin)`, read off k*'s checked infimum over M when it has one,
-    which always misses M, so a dual-witness bounded range is
-    also reported shifted-set bounded.  A checked k* settles each
-    candidate it separates; any other candidate takes
-    `geometry.union_disjoint_from`'s LPs.
+    The ladder needs the origin outside H + K.  A dual witness k* must
+    pass its exact check (`_kstar_infimum`), which proves that, or
+    `InternalConsistencyError` is raised before any further LP; without
+    a k*, `geometry.zero_notin_H_plus_K` decides it by LP.  The
+    shifted-set search tries the origin at eps = 1, settled by k* when
+    -1 lies below its infimum over M and by `geometry.union_disjoint_from`
+    otherwise.  When that fails and k* exists, the origin at the escape
+    scale `separating_epsilon_for(M, k*, origin)` always misses M, with
+    no LP, so a dual-witness bounded range is also reported shifted-set
+    bounded.
     """
     if H.dim != K.dim:
         raise DimensionMismatchError("polytope and cone dimensions differ")
     # with a union of another dimension the origin test still comes first,
     # and `is_quasi_K_lower_bounded` reports the mismatch after it
     kstar = find_kstar(M, K, H) if M.dim == K.dim else None
-    inf_m = None if kstar is None else _kstar_infimum(M, K, H, kstar)
-    if inf_m is None and not zero_notin_H_plus_K(H, K):
+    if kstar is not None:
+        inf_m = _kstar_infimum(M, K, H, kstar)
+        if inf_m is None:
+            raise InternalConsistencyError(
+                f"k* = ({', '.join(map(str, kstar))}) fails its dual-witness check"
+            )
+    elif not zero_notin_H_plus_K(H, K):
         raise ValueError(
             "dual-witness classification requires the origin outside H + K"
         )
     quasi = is_quasi_K_lower_bounded(M, K)
     b = _common_lower_point(M, K) if quasi else None
     origin = (Fraction(0),) * M.dim
-    candidates = [(origin, Fraction(1))]
-    if kstar is not None:
-        candidates.append((origin, separating_epsilon_for(M, kstar, origin, inf_m)))
-    separator = None if inf_m is None else (kstar, inf_m)
-    h_witness = _first_missing(M, K, H, candidates, separator)
+    if (kstar is not None and -1 < inf_m) or union_disjoint_from(
+        M, origin, Fraction(1), H, K
+    ):
+        h_witness = origin, Fraction(1)
+    elif kstar is not None:
+        h_witness = origin, separating_epsilon_for(M, kstar, origin, inf_m)
+    else:
+        h_witness = None
     return BoundednessReport(
         k_lower=b is not None,
         k_lower_witness=b,

@@ -31,6 +31,13 @@ arithmetic facts that would otherwise take an LP: Farkas rows for
 for "y in t*H - K" (`weights_certify_scaled_H_minus_K`).  Query points
 are scaled to integers by `rational.integerize` as they come.
 
+Three error classes serve the whole package.  `DimensionMismatchError`
+and `InvalidConfigurationError` are `ValueError`s for bad input.
+`InternalConsistencyError` marks a result that contradicts an invariant
+already checked, such as a dual witness that fails its exact check: a
+bug, never bad input.  `boundedness`, `scalarization` and `evp` raise
+it, and the command line exits 3 on it.
+
 A note on closures: sums of polytopes and finitely generated cones are
 closed, so the distinction between a set, its topological closure, and
 its directional (vector) closure collapses for everything representable
@@ -52,6 +59,7 @@ from .rational import Number, Vec, frac, frac_vec, idot, integerize
 __all__ = [
     "DimensionMismatchError",
     "InvalidConfigurationError",
+    "InternalConsistencyError",
     "ConeGen",
     "ConeHalfspaces",
     "Polytope",
@@ -78,6 +86,10 @@ class DimensionMismatchError(ValueError):
 
 class InvalidConfigurationError(ValueError):
     """Inputs violate a structural requirement (e.g. H not inside K)."""
+
+
+class InternalConsistencyError(RuntimeError):
+    """A result contradicts a validated invariant; indicates a bug."""
 
 
 def check_dim(dim: int, v: Sequence, what: str) -> None:

@@ -72,6 +72,7 @@ from .geometry import (
     ConeGen,
     ConeHalfspaces,
     DimensionMismatchError,
+    InternalConsistencyError,
     InvalidConfigurationError,
     Polytope,
     checked_rows,
@@ -95,10 +96,6 @@ __all__ = [
     "phi_from_rows",
     "phi_lower_bound",
 ]
-
-
-class InternalConsistencyError(RuntimeError):
-    """A result contradicts a validated invariant; indicates a bug."""
 
 
 class BracketExhaustedError(RuntimeError):

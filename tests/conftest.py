@@ -27,8 +27,15 @@ from polyevp.evp import (
     SetValuedMapTable,
     lower_section,
 )
-from polyevp.geometry import ConeGen, Polytope, VPolyhedralUnion, is_pointed
-from polyevp.rational import dot, frac, to_jsonable
+from polyevp.geometry import (
+    ConeGen,
+    Polytope,
+    VPolyhedralUnion,
+    check_dim,
+    is_pointed,
+    union_disjoint_from,
+)
+from polyevp.rational import dot, frac, frac_vec, to_jsonable
 
 
 # the bisection settings a problem document gets by default
@@ -93,6 +100,30 @@ def is_K_lower_bounded(M: VPolyhedralUnion, K: ConeGen):
         return False, None
     b = _common_lower_point(M, K)
     return b is not None, b
+
+
+def is_H_lower_bounded(M: VPolyhedralUnion, K: ConeGen, H: Polytope, candidates):
+    """The first (y0, eps) candidate whose translate y0 - eps*H - K
+    misses M, or None when every candidate intersects it.
+
+    Every candidate's eps and dimension are checked before the first LP.
+    None means unknown, never "not shifted-set bounded": the property is
+    existential over an unbounded space.
+    """
+    if not candidates:
+        raise ValueError("candidate list must not be empty")
+    checked = []
+    for y0, eps in candidates:
+        e = frac(eps)
+        if e <= 0:
+            raise ValueError("every candidate eps must be positive")
+        y0v = frac_vec(y0)
+        check_dim(M.dim, y0v, "anchor point")
+        checked.append((y0v, e))
+    for y0, e in checked:
+        if union_disjoint_from(M, y0, e, H, K):
+            return y0, e
+    return None
 
 
 def _vec_doc(v) -> list:

@@ -1,22 +1,23 @@
 """Ladder classification on worked ranges and random instances."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from polyevp import boundedness
+from polyevp import boundedness, cli
 from polyevp.boundedness import (
     BoundednessReport,
     classify,
     find_kstar,
-    is_H_lower_bounded,
     is_quasi_K_lower_bounded,
     separating_epsilon_for,
 )
 from polyevp.geometry import (
     ConeGen,
     DimensionMismatchError,
+    InternalConsistencyError,
     Polytope,
     VPolyhedralUnion,
     cone_contains,
@@ -26,8 +27,10 @@ from polyevp.geometry import (
 from polyevp.lp_core import LinearProgram, _Tableau, solve
 from polyevp.rational import dot
 
+import conftest
 from conftest import (
     dual_cone_contains,
+    is_H_lower_bounded,
     is_K_lower_bounded,
     rand_cone_polytope,
     rand_point_in_cone,
@@ -401,12 +404,10 @@ class TestCandidatesCheckedBeforeAnyLP:
 
     @pytest.fixture
     def no_lp(self, monkeypatch):
-        from polyevp import boundedness
-
         def refuse(*args):
             raise AssertionError("an LP ran before every candidate was checked")
 
-        monkeypatch.setattr(boundedness, "union_disjoint_from", refuse)
+        monkeypatch.setattr(conftest, "union_disjoint_from", refuse)
 
     def test_the_first_candidate_alone_misses_the_vee(
         self, vee_range, simplex_segment, orthant2
@@ -526,10 +527,15 @@ def test_classify_matches_the_lp_route(monkeypatch):
     assert all(seen.values()), seen
 
 
-def test_a_corrupted_kstar_falls_back_to_the_lps(monkeypatch):
+def _kstar_failure(kstar) -> str:
+    """The message `classify` raises for a k* that fails its check."""
+    return f"k* = ({', '.join(str(c) for c in kstar)}) fails its dual-witness check"
+
+
+def test_a_corrupted_kstar_raises_before_any_lp(monkeypatch):
     # k* with one entry lowered: whenever it is no longer a dual witness,
-    # classify runs the origin LP and a candidate LP, and its report is
-    # still the LP route's on that same k*
+    # classify raises before the origin LP or any candidate LP; while it
+    # still is one, the report is the LP route's on that same k*
     find = boundedness.find_kstar
 
     def corrupted(M, K, H):
@@ -537,23 +543,62 @@ def test_a_corrupted_kstar_falls_back_to_the_lps(monkeypatch):
         return None if kstar is None else (kstar[0] - 3,) + kstar[1:]
 
     rng = random.Random(20222)
-    fallbacks = 0
+    seen = {"raised": 0, "still a witness": 0}
     for _ in range(150):
         K, H, _ = rand_cone_polytope(
             rng, rng.randint(2, 3), rng.randint(1, 3), rng.randint(1, 2)
         )
         M = rand_union(rng, K)
+        kstar = corrupted(M, K, H)
         monkeypatch.setattr(boundedness, "find_kstar", corrupted)
+        if kstar is not None and not _is_dual_witness(M, K, H, kstar):
+            calls = _count_lps(monkeypatch)
+            with pytest.raises(InternalConsistencyError) as caught:
+                classify(M, K, H)
+            monkeypatch.undo()
+            assert str(caught.value) == _kstar_failure(kstar)
+            assert calls == {"origin": 0, "shifted": 0}, (M, K, H)
+            seen["raised"] += 1
+            continue
         expected = _reference_classify(M, K, H)
-        calls = _count_lps(monkeypatch)
         rep = classify(M, K, H)
         monkeypatch.undo()
         assert rep == expected, (M, K, H)
-        kstar = rep.kstar_witness
-        if kstar is not None and not _is_dual_witness(M, K, H, kstar):
-            fallbacks += 1
-            assert calls["origin"] == 1 and calls["shifted"] >= 1
-    assert fallbacks > 0
+        seen["still a witness"] += kstar is not None
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize(
+    "kstar",
+    [
+        pytest.param((Fraction(-1), Fraction(3)), id="negative-on-a-generator"),
+        pytest.param((Fraction(0), Fraction(1, 2)), id="below-one-on-H"),
+        pytest.param((Fraction(1), Fraction(2)), id="negative-on-a-ray"),
+    ],
+)
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_a_kstar_failing_its_check_exits_3(tmp_path, monkeypatch, capsys, kstar, flags):
+    # K the orthant, H = {(1, 1)} and M the ray (1, -1) from the origin:
+    # each k* fails one inequality of its check, and passes those before it
+    doc = {
+        "dimension": 2,
+        "cone": {"generators": [[1, 0], [0, 1]]},
+        "H": {"vertices": [[1, 1]]},
+        "ranges": {"pieces": [{"vertices": [[0, 0]], "rays": [[1, -1]]}]},
+    }
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+
+    def refuse(*args):
+        raise AssertionError("an LP ran after k* failed its check")
+
+    monkeypatch.setattr(boundedness, "find_kstar", lambda M, K, H: kstar)
+    monkeypatch.setattr(boundedness, "zero_notin_H_plus_K", refuse)
+    monkeypatch.setattr(boundedness, "union_disjoint_from", refuse)
+    assert cli.main(["diagnose", str(path), *flags]) == 3
+    assert capsys.readouterr().out == (
+        f"internal consistency failure: {_kstar_failure(kstar)}\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -726,6 +726,11 @@ class TestScaledMode:
             ),
             ValueError, "'c' is not a feasible point", id="efficiency-infeasible-point",
         ),
+        pytest.param(
+            lambda: map_table({"a": [(0, 0)], "b": [(1, 2), (1, 2, 3)]}),
+            DimensionMismatchError, "image of 'b' has length 3, expected 2",
+            id="image-length",
+        ),
     ],
 )
 def test_malformed_input_raises(call, error, message):

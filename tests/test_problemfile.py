@@ -122,6 +122,9 @@ def test_certificate_validation_failures():
     wrong_mode = dict(doc, mode="efficiency")
     with pytest.raises(ProblemFileError):
         certificate_from_document(wrong_mode, p)
+    with pytest.raises(ProblemFileError) as caught:
+        certificate_from_document([doc], p)
+    assert str(caught.value) == "certificate must be a JSON object"
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 """Separation functional: worked values, algebraic laws, oracle agreement."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
+from polyevp import cli, scalarization
 from polyevp.geometry import (
     ConeGen,
     ConeHalfspaces,
@@ -15,7 +17,7 @@ from polyevp.geometry import (
     scaled_H_minus_K_contains,
     zero_notin_H_plus_K,
 )
-from polyevp.lp_core import LinearProgram
+from polyevp.lp_core import LinearProgram, LPResult
 from polyevp.rational import frac_vec, integerize, vec_sub
 from polyevp.scalarization import (
     BracketExhaustedError,
@@ -37,6 +39,9 @@ from conftest import (
     rand_vector,
     vec_add,
 )
+
+
+NEGATIVE_BRANCH_ALONE = "negative branch feasible at zero while t >= 0 branch is not"
 
 
 def evaluate_closed_form(F: SeparationFunctional, y) -> ExtendedReal:
@@ -484,6 +489,44 @@ class TestConfigurationGuards:
         with pytest.raises(InternalConsistencyError) as caught:
             route(bad, y)
         assert str(caught.value) == message
+
+    def test_rows_with_only_the_negative_branch_at_zero(self):
+        # hand-built rows (a_z, a_t) in dimension 1: the cone over t*H + K
+        # is -t >= 0, so it allows only s = 0 at -z; the cone over t*H - K
+        # is z >= 0, so it allows no t >= 0 at z = -1
+        plus, minus = ConeHalfspaces(((0, -1),)), ConeHalfspaces(((1, 0),))
+        at_minus_z, at_z = plus.products((1,)), minus.products((-1,))
+        assert plus.scale_range(at_minus_z) == ((0, 1), (0, 1))
+        assert minus.scale_range(at_z) is None
+        with pytest.raises(InternalConsistencyError) as caught:
+            phi_from_rows(plus, at_minus_z, minus, at_z, 1)
+        assert str(caught.value) == NEGATIVE_BRANCH_ALONE
+
+    def test_lps_with_only_the_negative_branch_at_zero(
+        self, segment_functional, tmp_path, monkeypatch, capsys
+    ):
+        def one_sided(lp):
+            # the t < 0 branch is the program costing each vertex weight -1
+            if lp.objective[0] < 0:
+                return LPResult("feasible", Fraction(0))
+            return LPResult("infeasible")
+
+        monkeypatch.setattr(scalarization, "solve", one_sided)
+        with pytest.raises(InternalConsistencyError) as caught:
+            evaluate(segment_functional, (1, 1))
+        assert str(caught.value) == NEGATIVE_BRANCH_ALONE
+        # the scalarize command reports the failure with exit code 3
+        doc = {
+            "dimension": 2,
+            "cone": {"generators": [[1, 0], [0, 1]]},
+            "H": {"vertices": [[1, 1], ["1/2", "1/2"]]},
+        }
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["scalarize", str(path), "--point", "1,1"]) == 3
+        assert capsys.readouterr().out == (
+            f"internal consistency failure: {NEGATIVE_BRANCH_ALONE}\n"
+        )
 
 
 def test_extended_real_total_order():
