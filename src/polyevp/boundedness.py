@@ -35,6 +35,7 @@ its check is a bug, raised as `geometry.InternalConsistencyError`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -49,14 +50,13 @@ from .geometry import (
     union_disjoint_from,
     zero_notin_H_plus_K,
 )
-from .lp_core import combination_lp, solve
-from .rational import Number, Vec, dot, frac_vec, idot, integerize
+from .lp_core import solve, surplus_lp
+from .rational import Vec, idot, integerize
 
 __all__ = [
     "BoundednessReport",
     "is_quasi_K_lower_bounded",
     "find_kstar",
-    "separating_epsilon_for",
     "classify",
 ]
 
@@ -80,30 +80,46 @@ def _common_lower_point(M: VPolyhedralUnion, K: ConeGen) -> Optional[Vec]:
     b = v1 - lam * sum_j g_j.
     Then v - b = sum_j (mu_j + lam) g_j, so these nonnegative weights
     certify each v - b in K.
+
+    The elimination is fraction-free, on the integer forms of K and M
+    brought to one denominator: as in `lp_core`'s tableau (Bareiss 1968),
+    each pivot row holds det in its pivot column, so mu is an entry over
+    det.  The reduced row echelon form is unique, so mu, lam and b are
+    those of Fraction Gauss-Jordan; only b is formed as Fractions.
     """
-    verts = M.all_vertices()
-    gens = K.generators
-    v1, m, n = verts[0], len(gens), M.dim
-    # [G | D]: the generators as columns, then one column per difference
-    aug = [[g[r] for g in gens] + [v[r] - v1[r] for v in verts[1:]] for r in range(n)]
-    rank = 0
+    gens, verts = K.integer_generators, M.integer_vertices
+    m, n = len(gens), M.dim
+    den = math.lcm(*(d for _, d in gens), *(d for _, d in verts))
+    gs = [[c * (den // d) for c in g] for g, d in gens]
+    vs = [[c * (den // d) for c in v] for v, d in verts]
+    v1 = vs[0]
+    # den * [G | D]: the generators as columns, then one column per difference
+    aug = [[g[r] for g in gs] + [v[r] - v1[r] for v in vs[1:]] for r in range(n)]
+    rank, det = 0, 1
     for j in range(m):
         p = next((i for i in range(rank, n) if aug[i][j]), -1)
         if p < 0:
             continue
         aug[rank], aug[p] = aug[p], aug[rank]
-        piv = aug[rank][j]
-        prow = aug[rank] = [e / piv for e in aug[rank]]
+        prow = aug[rank]
+        if prow[j] < 0:
+            prow = aug[rank] = [-e for e in prow]
+        piv = prow[j]
         for i, row in enumerate(aug):
-            f = row[j]
-            if i != rank and f:
-                aug[i] = [a - f * e for a, e in zip(row, prow)]
+            if i != rank:
+                f = row[j]
+                aug[i] = [(a * piv - f * e) // det for a, e in zip(row, prow)]
+        det = piv
         rank += 1
     # a row with no generator entry left must have no difference entry either
     if any(any(row[m:]) for row in aug[rank:]):
         return None
-    lam = max([Fraction(0)] + [-mu for row in aug[:rank] for mu in row[m:]])
-    return tuple(c - lam * sum(g[r] for g in gens) for r, c in enumerate(v1))
+    # lam = lam_num / det, and b = v1 - lam * sum_j g_j over den * det
+    lam_num = max([0] + [-mu for row in aug[:rank] for mu in row[m:]])
+    return tuple(
+        Fraction(c * det - lam_num * sum(g[r] for g in gs), den * det)
+        for r, c in enumerate(v1)
+    )
 
 
 def find_kstar(M: VPolyhedralUnion, K: ConeGen, H: Polytope) -> Optional[Vec]:
@@ -120,23 +136,10 @@ def find_kstar(M: VPolyhedralUnion, K: ConeGen, H: Polytope) -> Optional[Vec]:
     if H.dim != M.dim:
         raise DimensionMismatchError("polytope dimension differs")
     n = M.dim
-    rays = M.all_rays()
-    constraints = [(g, Fraction(0)) for g in K.generators]
-    constraints += [(h, Fraction(1)) for h in H.vertices]
-    constraints += [(r, Fraction(0)) for r in rays]
-    k = len(constraints)
-    # l = a - b with a, b >= 0, and one slack s_c >= 0 per constraint:
-    # l.w_c - s_c = bound_c, columns a (n), b (n), s (k).  The slack
-    # block is -I written out with shared entries: scaling I by -1 would
-    # form k*k Fraction products on every call.
-    cols = [tuple(w[r] for w, _ in constraints) for r in range(n)]
-    zero, minus_one = Fraction(0), Fraction(-1)
-    slacks = [tuple(minus_one if i == j else zero for i in range(k)) for j in range(k)]
-    lp = combination_lp(
-        [bound for _, bound in constraints],
-        [(cols, 1, False), (cols, -1, False), (slacks, 1, False)],
-        [1] * (2 * n) + [0] * k,
-    )
+    # one row per constraint l . w_c >= bound_c
+    forms = K.integer_generators + H.integer_vertices + M.integer_rays
+    bounds = [0] * len(K.generators) + [1] * len(H.vertices) + [0] * len(M.integer_rays)
+    lp = surplus_lp(n, forms, bounds, [1] * (2 * n) + [0] * len(forms))
     res = solve(lp)
     if not res.is_feasible:
         return None
@@ -154,32 +157,6 @@ def _vertex_minimum(M: VPolyhedralUnion, ks: Sequence[int]) -> tuple[int, int]:
     return best_n, best_d
 
 
-def separating_epsilon_for(
-    M: VPolyhedralUnion,
-    kstar: Sequence[Number],
-    y: Sequence[Number],
-    infimum: Optional[Fraction] = None,
-) -> Fraction:
-    """Smallest guaranteed escape scale derived from a dual witness.
-
-    For k* nonnegative on rays and >= 1 on H, any point of
-    y - eps*H - K scores at most k*.y - eps under k*, while M scores at
-    least its vertex minimum.  Any eps strictly above the gap therefore
-    separates; returned value adds one to stay clear of the boundary.
-    ``infimum``, when given, is that vertex minimum (`_kstar_infimum`).
-    """
-    ks = frac_vec(kstar)
-    yv = frac_vec(y)
-    if len(ks) != M.dim:
-        raise ValueError(f"dot of length {len(ks)} with length {M.dim}")
-    if infimum is None:
-        ints, den = integerize(ks)
-        n, d = _vertex_minimum(M, ints)
-        infimum = Fraction(n, d * den)
-    gap = dot(ks, yv) - infimum
-    return max(gap, Fraction(0)) + 1
-
-
 def _kstar_infimum(
     M: VPolyhedralUnion, K: ConeGen, H: Polytope, kstar: Vec
 ) -> Optional[Fraction]:
@@ -189,7 +166,7 @@ def _kstar_infimum(
     k*.g >= 0 for each generator g of K, k*.h >= 1 for each vertex h of
     H and k*.r >= 0 for each ray r.  A checked k* proves the origin
     outside H + K, as k*.(h + k) >= 1, and puts every candidate with
-    k*.y0 - eps below the infimum outside M (`separating_epsilon_for`).
+    k*.y0 - eps below the infimum outside M.
     """
     ks, den = integerize(kstar)
     if any(idot(ks, g) < 0 for g, _ in K.integer_generators):
@@ -231,10 +208,10 @@ def classify(M: VPolyhedralUnion, K: ConeGen, H: Polytope) -> BoundednessReport:
     a k*, `geometry.zero_notin_H_plus_K` decides it by LP.  The
     shifted-set search tries the origin at eps = 1, settled by k* when
     -1 lies below its infimum over M and by `geometry.union_disjoint_from`
-    otherwise.  When that fails and k* exists, the origin at the escape
-    scale `separating_epsilon_for(M, k*, origin)` always misses M, with
-    no LP, so a dual-witness bounded range is also reported shifted-set
-    bounded.
+    otherwise.  When that fails and k* exists, with infimum inf over M,
+    the origin at the escape scale max(-inf, 0) + 1 always misses M,
+    with no LP: k* scores every point of -eps*H - K at most -eps.  So a
+    dual-witness bounded range is also reported shifted-set bounded.
     """
     if H.dim != K.dim:
         raise DimensionMismatchError("polytope and cone dimensions differ")
@@ -259,7 +236,9 @@ def classify(M: VPolyhedralUnion, K: ConeGen, H: Polytope) -> BoundednessReport:
     ):
         h_witness = origin, Fraction(1)
     elif kstar is not None:
-        h_witness = origin, separating_epsilon_for(M, kstar, origin, inf_m)
+        # k*.(origin - eps*h - k) <= -eps < inf_m at every eps above -inf_m,
+        # and inf_m <= -1 here, so max(-inf_m, 0) + 1 is 1 - inf_m
+        h_witness = origin, 1 - inf_m
     else:
         h_witness = None
     return BoundednessReport(

@@ -8,28 +8,28 @@ Three value types cover every set this package manipulates:
   ranges of set-valued maps that may be unbounded.
 
 The membership oracles answer each question with one exact LP over the
-generators and vertices, built by `lp_core.combination_lp`.  For a
-question asked many times about one pair (H, K) at varying scale t,
-`homogenized_generators` forms the integer generators (h, 1) and
-(+-k, 0) of the cone over t*H +- K, and `cone_halfspaces` converts that
-cone once into integer rows by the double description method; then
-"z in t*H +- K" for every t >= 0 is a sign check of integer row
-products, with no LP.  `ConeHalfspaces` owns that row list: its
-`products`, `bounds` with `reaches`, and `scale_range` answer every
-such question, so no other module reads a row.  `checked_rows` keeps
-the rows that are nonnegative on every generator of that cone, so a
-caller that answers "no" from them never depends on the construction
-being right.
+generators and vertices, built in integers by `lp_core.combination_lp`
+from the integer forms below.  For a question asked many times about
+one pair (H, K) at varying scale t, `homogenized_generators` forms the
+integer generators (h, 1) and (+-k, 0) of the cone over t*H +- K, and
+`cone_halfspaces` converts that cone once into integer rows by the
+double description method; then "z in t*H +- K" for every t >= 0 is a
+sign check of integer row products, with no LP.  `ConeHalfspaces` owns
+that row list: its `products`, `admits`, `bounds` with `reaches`, and
+`scale_range` answer every such question, so no other module reads a
+row.  `checked_rows` keeps the rows that are nonnegative on every
+generator of that cone, so a caller that answers "no" from them never
+depends on the construction being right.
 
 Integers are formed once per value.  `ConeGen`, `Polytope` and
 `VPolyhedralUnion` each keep their vectors' `rational.integerize` forms,
 (ints, den) with vector == ints / den, built on first use and cached on
-the instance.  `homogenized_generators` reads them, as do the
-certificate checks at the end of this module, which settle with integer
-arithmetic facts that would otherwise take an LP: Farkas rows for
-"-h not in K" (`rows_nonnegative_on_K`) and an LP's own weights
-for "y in t*H - K" (`weights_certify_scaled_H_minus_K`).  Query points
-are scaled to integers by `rational.integerize` as they come.
+the instance.  The membership LPs and `homogenized_generators` read
+them, as do the certificate checks at the end of this module, which
+settle with integer arithmetic facts that would otherwise take an LP:
+Farkas rows for "-h not in K" (`rows_nonnegative_on_K`) and an LP's own
+weights for "y in t*H - K" (`weights_certify_scaled_H_minus_K`).  Query
+points are scaled to integers by `rational.integerize` as they come.
 
 Three error classes serve the whole package.  `DimensionMismatchError`
 and `InvalidConfigurationError` are `ValueError`s for bad input.
@@ -101,7 +101,10 @@ def check_dim(dim: int, v: Sequence, what: str) -> None:
         )
 
 
-def _integer_forms(vectors: Sequence[Vec]) -> tuple[tuple[tuple[int, ...], int], ...]:
+IntForms = tuple[tuple[tuple[int, ...], int], ...]
+
+
+def _integer_forms(vectors: Sequence[Vec]) -> IntForms:
     """(ints, den) per vector, with vector == ints / den (`integerize`)."""
     return tuple((tuple(ints), den) for ints, den in map(integerize, vectors))
 
@@ -122,7 +125,7 @@ class ConeGen:
                 raise InvalidConfigurationError("zero vector is not a valid generator")
 
     @functools.cached_property
-    def integer_generators(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+    def integer_generators(self) -> IntForms:
         """(ints, den) per generator (`integerize`), formed on first use."""
         return _integer_forms(self.generators)
 
@@ -143,7 +146,7 @@ class Polytope:
             check_dim(self.dim, v, "polytope vertex")
 
     @functools.cached_property
-    def integer_vertices(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+    def integer_vertices(self) -> IntForms:
         """(ints, den) per vertex (`integerize`), formed on first use."""
         return _integer_forms(self.vertices)
 
@@ -178,16 +181,20 @@ class VPolyhedralUnion:
         return [v for verts, _ in self.pieces for v in verts]
 
     @functools.cached_property
-    def integer_vertices(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(ints, den) per piece vertex, in `all_vertices` order
-        (`integerize`), formed on first use."""
-        return _integer_forms(self.all_vertices())
+    def integer_pieces(self) -> tuple[tuple[IntForms, IntForms], ...]:
+        """(vertex forms, ray forms) per piece, each an (ints, den) per
+        vector (`integerize`), formed on first use."""
+        return tuple((_integer_forms(v), _integer_forms(r)) for v, r in self.pieces)
 
     @functools.cached_property
-    def integer_rays(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(ints, den) per ray, in `all_rays` order (`integerize`),
-        formed on first use."""
-        return _integer_forms(self.all_rays())
+    def integer_vertices(self) -> IntForms:
+        """(ints, den) per piece vertex, in `all_vertices` order."""
+        return tuple(f for verts, _ in self.integer_pieces for f in verts)
+
+    @functools.cached_property
+    def integer_rays(self) -> IntForms:
+        """(ints, den) per ray, in `all_rays` order."""
+        return tuple(f for _, rays in self.integer_pieces for f in rays)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +206,7 @@ def cone_contains(K: ConeGen, y: Sequence[Number]) -> bool:
     """Is y a nonnegative combination of the generators?"""
     yv = frac_vec(y)
     check_dim(K.dim, yv, "query point")
-    lp = combination_lp(yv, [(K.generators, 1, False)])
+    lp = combination_lp(yv, [(K.integer_generators, 1, False)])
     return solve(lp).is_feasible
 
 
@@ -222,7 +229,8 @@ def _in_scaled_sum(
     check_dim(H.dim, yv, "query point")
     if H.dim != K.dim:
         raise DimensionMismatchError("polytope and cone dimensions differ")
-    lp = combination_lp(yv, [(H.vertices, tq, True), (K.generators, k_sign, False)])
+    blocks = [(H.integer_vertices, tq, True), (K.integer_generators, k_sign, False)]
+    lp = combination_lp(yv, blocks)
     return solve(lp).is_feasible
 
 
@@ -274,11 +282,11 @@ def union_disjoint_from(
     check_dim(M.dim, y0v, "anchor point")
     if not (M.dim == H.dim == K.dim):
         raise DimensionMismatchError("union, polytope, and cone dimensions differ")
-    for verts, rays in M.pieces:
+    for verts, rays in M.integer_pieces:
         # piece weights and H weights each sum to one
         blocks = [
-            (verts, 1, True), (rays, 1, False), (H.vertices, e, True),
-            (K.generators, 1, False),
+            (verts, 1, True), (rays, 1, False), (H.integer_vertices, e, True),
+            (K.integer_generators, 1, False),
         ]
         if solve(combination_lp(y0v, blocks)).is_feasible:
             return False
@@ -313,6 +321,16 @@ class ConeHalfspaces:
         """a_z . z for every row (a_z, a_t) of a homogenized cone."""
         # map stops at the end of z, leaving out each row's last entry a_t
         return tuple(sum(map(operator.mul, r, z)) for r in self.rows)
+
+    def admits(self, products: Sequence[int], num: int, den: int) -> bool:
+        """Is (z, num / den) in a homogenized cone, for den > 0 and
+        ``products`` = `products`(z)?  A sign check per row (a_z, a_t):
+        den * a_z . z >= -num * a_t, with no Fraction formed."""
+        n = -num
+        for p, a in zip(products, self.t_coefficients):
+            if den * p < n * a:
+                return False
+        return True
 
     def bounds(self, T: Fraction) -> tuple[int, list[int]]:
         """(den, bounds) with (z - zsrc, T) in the cone iff every row has

@@ -3,13 +3,14 @@
 Every program is in standard form: equality rows over nonnegative
 variables, minimizing a linear objective when one is given and a
 feasibility question when it is not.  `combination_lp` builds every
-program the package solves, in one column layout.  A two-phase simplex
-method with Bland's rule solves them on an integer tableau with
-fraction-free (Bareiss) pivots, so every feasible/infeasible/unbounded
-verdict is certified by the arithmetic and the method provably
-terminates.  A crash start (Bixby 1992) begins each row that can on a
-structural column found in that row alone, so only the other rows need
-an artificial column and phase 1.
+program the package solves in one column layout, except the dual
+witness program of `boundedness`, which `surplus_lp` builds; both build
+their rows in integers.  A two-phase simplex method with Bland's rule
+solves them on an integer tableau with fraction-free (Bareiss) pivots,
+so every feasible/infeasible/unbounded verdict is certified by the
+arithmetic and the method provably terminates.  A crash start (Bixby
+1992) begins each row that can on a structural column found in that row
+alone, so only the other rows need an artificial column and phase 1.
 
 The tableau is dense and small on purpose: every caller in this package
 produces programs with at most a few dozen variables, and correctness
@@ -18,11 +19,13 @@ is worth far more here than asymptotics.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .rational import Number, Vec, frac_vec, integerize
+from .rational import Number, integerize
 
 __all__ = [
     "LPFormatError",
@@ -30,6 +33,7 @@ __all__ = [
     "LPResult",
     "combination_lp",
     "solve",
+    "surplus_lp",
 ]
 
 
@@ -43,12 +47,18 @@ class LinearProgram:
 
     With an ``objective`` the program minimizes objective @ x; with
     None it asks only whether a feasible x exists.
+
+    Rows load in integers, once, at construction: a row given with a
+    Fraction entry, or a Fraction rhs, is replaced with its rhs by their
+    `rational.integerize` form, a positive multiple with the same
+    solutions.  A row of ints is that form already, so programs built
+    from the same rows compare equal however their entries were given.
     """
 
     n_vars: int
-    rows: tuple[Vec, ...]
-    rhs: Vec
-    objective: Optional[Vec] = None
+    rows: tuple[tuple[int, ...], ...]
+    rhs: tuple[int, ...]
+    objective: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         if self.n_vars < 0:
@@ -64,44 +74,91 @@ class LinearProgram:
                 )
         if self.objective is not None and len(self.objective) != self.n_vars:
             raise LPFormatError("objective width does not match variable count")
+        object.__setattr__(self, "rhs", tuple(self.rhs))
+        if set(map(type, itertools.chain(self.rhs, *self.rows))) <= {int}:
+            return
+        rows, rhs = [], []
+        for row, b in zip(self.rows, self.rhs):
+            ints, _ = integerize([*row, b])
+            rows.append(tuple(ints[:-1]))
+            rhs.append(ints[-1])
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "rhs", tuple(rhs))
+
+
+IntForm = tuple[Sequence[int], int]
 
 
 def combination_lp(
-    target: Sequence[Fraction],
-    blocks: Sequence[tuple[Sequence[Vec], Number, bool]],
+    target: Sequence[Number],
+    blocks: Sequence[tuple[Sequence[IntForm], Number, bool]],
     objective: Optional[Sequence[Number]] = None,
 ) -> LinearProgram:
     """Program for target = sum over blocks of scale * (nonnegative
     combination of the block's vectors).
 
-    ``blocks`` lists (vectors, scale, convex) in column order.  A convex
-    block's weights sum to one, in a row after the coordinate rows; such
-    rows follow block order.  Every program in this package is one such
-    program, so this fixed layout also fixes the pivots.
-    The target, vectors and scales are Fractions already, so the rows go
-    into the program as built; only the caller's objective is coerced.
-    A block at scale -1 is negated entry by entry, with no product.
+    ``blocks`` lists (forms, scale, convex) in column order, each vector
+    given by its integer form (ints, den), vector == ints / den, as the
+    `geometry` value types keep them, and each scale an int or Fraction.
+    A convex block's weights sum to one, in a row after the coordinate
+    rows; such rows follow block order.  Every program in this package
+    is one such program, so this fixed layout also fixes the pivots.
+
+    Each row is built straight in integers: it is the row's Fraction
+    entries, with the target's entry as rhs, times the lcm of their
+    reduced denominators, which is the `rational.integerize` form that
+    `LinearProgram` would load.  No Fraction is formed.
     """
-    cols: list[Sequence[Fraction]] = []
+    cols: list[IntForm] = []  # column j is ints / den
     spans = []  # column range of each convex block
-    for vectors, scale, convex in blocks:
+    for forms, scale, convex in blocks:
         if convex:
-            spans.append(range(len(cols), len(cols) + len(vectors)))
-        if scale == 1:
-            cols += vectors
-        elif scale == -1:
-            cols += [[-c for c in v] for v in vectors]
+            spans.append(range(len(cols), len(cols) + len(forms)))
+        num, den = scale.numerator, scale.denominator
+        if num == den == 1:
+            cols += forms
         else:
-            cols += [[scale * c for c in v] for v in vectors]
-    one, zero = Fraction(1), Fraction(0)
-    rows = [tuple(v[r] for v in cols) for r in range(len(target))]
-    rows += [tuple(one if j in span else zero for j in range(len(cols))) for span in spans]
+            cols += [(tuple(num * c for c in ints), den * d) for ints, d in forms]
+    rows, rhs = [], []
+    for r, t in enumerate(target):
+        # the entry ints[r] / d has reduced denominator d / gcd(ints[r], d)
+        lcm = math.lcm(t.denominator, *(d // math.gcd(v[r], d) for v, d in cols if d != 1))
+        rows.append(tuple(v[r] * lcm // d for v, d in cols))
+        rhs.append(t.numerator * (lcm // t.denominator))
+    for span in spans:
+        rows.append(tuple(int(j in span) for j in range(len(cols))))
+        rhs.append(1)
     return LinearProgram(
         n_vars=len(cols),
         rows=tuple(rows),
-        rhs=tuple(target) + (one,) * len(spans),
-        objective=None if objective is None else frac_vec(objective),
+        rhs=tuple(rhs),
+        objective=None if objective is None else tuple(objective),
     )
+
+
+def surplus_lp(
+    dim: int,
+    forms: Sequence[IntForm],
+    bounds: Sequence[int],
+    objective: Sequence[Number],
+) -> LinearProgram:
+    """Program for w_c . l >= bounds_c over a free l in R^dim, for the
+    vectors w_c = ints_c / den_c given by their integer forms and integer
+    bounds.
+
+    l = a - b with a, b >= 0, and one surplus s_c >= 0 per vector:
+    w_c . (a - b) - s_c = bounds_c, columns a, b, then s.  Row c is the
+    `rational.integerize` form of that row,
+    (ints_c, -ints_c, -den_c * e_c | den_c * bounds_c), built in integers.
+    """
+    k = len(forms)
+    rows, rhs = [], []
+    for c, ((ints, den), bound) in enumerate(zip(forms, bounds)):
+        surplus = [0] * k
+        surplus[c] = -den
+        rows.append((*ints, *(-e for e in ints), *surplus))
+        rhs.append(den * bound)
+    return LinearProgram(2 * dim + k, tuple(rows), tuple(rhs), tuple(objective))
 
 
 @dataclass(frozen=True)
@@ -140,9 +197,13 @@ def solve(lp: LinearProgram) -> LPResult:
 # rhs last, ``basis``, the reduced-cost row ``obj``, the running
 # determinant ``det``) owns the pivoting.
 #
-# `rational.integerize` loads each row and the objective once as integer
-# vectors, and `_solve_exact` negates a row with a negative rhs on those
-# integers, so it forms no Fraction product.
+# `LinearProgram` holds each row with its rhs in integers already, and
+# `_solve_exact` negates a row with a negative rhs on those integers, so
+# it forms no Fraction product.  Only the objective, one vector, is
+# scaled to integers here, after the crash start has divided the costs
+# of its scaled columns: c = Lc * costs.  The cost row then holds
+# -det * Lc * (c . x) in its last entry at every basis, so the optimum
+# is read off it as one Fraction.
 #
 # The starting basis is a crash basis (Bixby, "Implementing the simplex
 # method: the initial basis", ORSA J. Computing 4(3), 1992).  A row
@@ -175,9 +236,8 @@ def _solve_exact(lp: LinearProgram) -> LPResult:
     m = len(lp.rows)
 
     rows = []
-    for r in range(m):
-        row, _ = integerize([*lp.rows[r], lp.rhs[r]])
-        rows.append([-e for e in row] if row[-1] < 0 else row)
+    for row, b in zip(lp.rows, lp.rhs):
+        rows.append([-e for e in row] + [-b] if b < 0 else [*row, b])
 
     # Crash: each row takes the first singleton column that can start
     # basic in it, scaled to a unit column; ``scale`` maps it back.
@@ -230,22 +290,21 @@ def _solve_exact(lp: LinearProgram) -> LPResult:
                 tab.pivot(i, q)
             i += 1
 
+    value = Fraction(0)
     if lp.objective is not None:
         costs = list(lp.objective)
         for j, a in scale.items():
             costs[j] = Fraction(costs[j], a)
-        c, _ = integerize(costs)
+        c, lc = integerize(costs)
         tab.set_objective(c + [0] * k)
         if tab.run_bland(range(n)) == "unbounded":
             return LPResult(status="unbounded")
+        value = Fraction(-tab.obj[-1], lc * tab.det)
 
     # Every basic column is structural now.
     x = [Fraction(0)] * n
     for i, b in enumerate(tab.basis):
         x[b] = Fraction(tab.rows[i][-1], tab.det * scale.get(b, 1))
-    value = Fraction(0)
-    if lp.objective is not None:
-        value = sum((c * xv for c, xv in zip(lp.objective, x)), Fraction(0))
     return LPResult(status="feasible", value=value, witness=tuple(x))
 
 

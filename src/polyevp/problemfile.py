@@ -56,7 +56,8 @@ class ProblemFileError(ValueError):
 
 def load_document(path) -> dict:
     try:
-        text = Path(path).read_text()
+        # JSON is UTF-8 (RFC 8259), whatever the locale's encoding
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ProblemFileError(f"cannot read {path}: {e}") from e
     try:
@@ -84,7 +85,11 @@ def _vector(doc: Any, dim: int, where: str) -> Vec:
         raise ProblemFileError(
             f"{where}: has {len(doc)} entries, expected dimension {dim}"
         )
-    return tuple(_num(x, f"{where}[{i}]") for i, x in enumerate(doc))
+    try:
+        return tuple(map(frac, doc))
+    except (TypeError, ValueError):
+        # parse again entry by entry, so the message names the first bad one
+        return tuple(_num(x, f"{where}[{i}]") for i, x in enumerate(doc))
 
 
 def _matrix(doc: Any, dim: int, where: str) -> tuple[Vec, ...]:
@@ -302,6 +307,8 @@ def certificate_from_document(doc: dict, p: EVPProblem) -> EVPCertificate:
 
 def write_document(path, doc: dict) -> None:
     try:
-        Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        Path(path).write_text(
+            json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
     except OSError as e:
         raise ProblemFileError(f"cannot write {path}: {e}") from e

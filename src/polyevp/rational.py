@@ -7,16 +7,21 @@ in an input file rather than the binary expansion of the float.
 
 Integers are formed in two places.  `ratio` reads each number of a
 problem file straight to a (numerator, denominator) pair, which `frac`
-wraps in a Fraction.  `FiniteMetricSpace` calls it once per distinct
-str or int distance token and keeps one integer matrix over the common
+wraps in a Fraction.  `FiniteMetricSpace` calls it once per distinct str
+or int distance token and keeps one integer matrix over the common
 denominator; the metric checks and the pre-order's scales stay in those
 integers.  `integerize` scales Fractions already built to integers: a
 problem's images once per problem (`EVPProblem._scaled_images`), the
 vectors of each `geometry` value type (`ConeGen`, `Polytope`,
-`VPolyhedralUnion`) once per value, which the generators of the cones
-over t*H + K and t*H - K and the certificate checks of `geometry` and
-`boundedness` read, and each LP, dual witness and query point as it
-comes.
+`VPolyhedralUnion`) once per value, and each query point, dual witness
+and LP objective as it comes.
+
+The exact programs then run on those forms and form a Fraction only
+where a value leaves them.  `lp_core` builds every LP row, with its rhs,
+in integers and reads the optimum off its integer tableau; a row given
+as Fractions is scaled once, when its `LinearProgram` is made.
+`scalarization`'s bisection keeps its scales as integer numerators over
+one denominator, and `boundedness` eliminates fraction-free.
 """
 
 from __future__ import annotations
@@ -123,12 +128,6 @@ def integerize(values: Sequence[Fraction]) -> tuple[list[int], int]:
 def idot(a: Sequence[int], b: Sequence[int]) -> int:
     """a . b for integer vectors, stopping at the end of the shorter."""
     return sum(map(operator.mul, a, b))
-
-
-def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    if len(a) != len(b):
-        raise ValueError(f"dot of length {len(a)} with length {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:

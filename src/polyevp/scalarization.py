@@ -28,11 +28,12 @@ the question is one extreme scale.  Three routes compute it:
   lower bound on phi.
 * `evaluate_bisection` never looks at the branch decomposition: it
   brackets the threshold by doubling and bisects fixed-scale membership
-  questions down to a requested width.  Each question is a sign check
-  (`geometry.reaches`) on the halfspace rows that `geometry.checked_rows`
-  has confirmed against H and K, with no LP.  Its correctness rests on the
-  monotonicity of feasibility in the scale and on the rows alone, so it
-  shares nothing with `evaluate` but H and K, and is a genuinely
+  questions down to a requested width, on integer scales over one
+  denominator.  Each question is a sign check (`ConeHalfspaces.admits`)
+  on the halfspace rows that `geometry.checked_rows` has confirmed
+  against H and K, with no LP and no Fraction.  Its correctness rests on
+  the monotonicity of feasibility in the scale and on the rows alone, so
+  it shares nothing with `evaluate` but H and K, and is a genuinely
   independent cross-check for it.
 
 The functional is the pair (H, K) and nothing else; the bisection's
@@ -64,6 +65,7 @@ scales a query point to integers.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -79,7 +81,6 @@ from .geometry import (
     cone_contains,
     cone_halfspaces,
     homogenized_generators,
-    reaches,
     rows_nonnegative_on_K,
     weights_certify_scaled_H_minus_K,
 )
@@ -275,9 +276,8 @@ def _branch_lp(
 ) -> LinearProgram:
     """target = sum mu h + k_sign * k, minimizing cost * sum mu."""
     p, m = len(F.H.vertices), len(F.K.generators)
-    objective = [Fraction(cost)] * p + [Fraction(0)] * m
-    blocks = [(F.H.vertices, 1, False), (F.K.generators, k_sign, False)]
-    return combination_lp(target, blocks, objective)
+    blocks = [(F.H.integer_vertices, 1, False), (F.K.integer_generators, k_sign, False)]
+    return combination_lp(target, blocks, [cost] * p + [0] * m)
 
 
 def evaluate(F: SeparationFunctional, y: Sequence[Number]) -> ExtendedReal:
@@ -339,8 +339,11 @@ def evaluate_bisection(
     (`SeparationFunctional.checked_halfspaces`): for t >= 0 it reads
     (y, t) in the cone over t*H - K, and for t < 0 it reads (-y, -t) in
     the cone over t*H + K.  With y = z / scale, each is a
-    `geometry.reaches` sign check at T = t * scale in z's frame, where
-    the bracket is kept; the row products of z are formed once per call.
+    `ConeHalfspaces.admits` sign check at T = t * scale in z's frame,
+    where the bracket is kept; the row products of z and -z are formed
+    once per call.  Every scale is an integer numerator over one
+    denominator d, doubled when a midpoint needs it, so the loops form
+    no Fraction.
     """
     tol, t_max = frac(tol), frac(t_max)
     if tol <= 0 or t_max <= 0:
@@ -352,31 +355,37 @@ def evaluate_bisection(
         )
     plus, minus = F.checked_halfspaces
     z, scale = integerize(yv)
-    at_plus_z, at_z = plus.products(z), minus.products(z)
-    zero = (0,) * max(len(at_plus_z), len(at_z))  # the origin's products
+    at_minus_z, at_z = plus.products([-c for c in z]), minus.products(z)
 
-    def feasible(T: Fraction) -> bool:
-        if T.numerator < 0:
-            return reaches(*plus.bounds(-T), zero, at_plus_z)
-        return reaches(*minus.bounds(T), at_z, zero)
+    def feasible(T: int) -> bool:
+        """Is T / d feasible in z's frame?"""
+        if T < 0:
+            return plus.admits(at_minus_z, -T, d)
+        return minus.admits(at_z, T, d)
 
-    t_max, tol = t_max * scale, tol * scale
-    hi = Fraction(scale)
+    # t_max * scale and tol * scale, over d
+    d = math.lcm(t_max.denominator, tol.denominator)
+    top = t_max.numerator * scale * (d // t_max.denominator)
+    width = tol.numerator * scale * (d // tol.denominator)
+    hi = scale * d
     while not feasible(hi):
-        if hi >= t_max:
+        if hi >= top:
             return ExtendedReal.plus_infinity()
-        hi = min(2 * hi, t_max)
-    lo = Fraction(-scale)
+        hi = min(2 * hi, top)
+    lo = -scale * d
     while feasible(lo):
-        if -lo >= t_max:
+        if -lo >= top:
             raise BracketExhaustedError(
-                f"still feasible at scale {lo / scale}; no lower bracket within t_max"
+                f"still feasible at scale {Fraction(lo, d * scale)}; "
+                "no lower bracket within t_max"
             )
-        lo = max(2 * lo, -t_max)
-    while hi - lo > tol:
-        mid = (hi + lo) / 2
+        lo = max(2 * lo, -top)
+    while hi - lo > width:
+        if (hi + lo) % 2:
+            hi, lo, width, d = 2 * hi, 2 * lo, 2 * width, 2 * d
+        mid = (hi + lo) // 2
         if feasible(mid):
             hi = mid
         else:
             lo = mid
-    return ExtendedReal.finite(hi / scale)
+    return ExtendedReal.finite(Fraction(hi, d * scale))

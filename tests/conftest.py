@@ -16,7 +16,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from polyevp.boundedness import _common_lower_point, is_quasi_K_lower_bounded
+from polyevp.boundedness import (
+    _common_lower_point,
+    _vertex_minimum,
+    is_quasi_K_lower_bounded,
+)
 from polyevp.evp import (
     _escaping_image,
     EfficiencyMode,
@@ -29,17 +33,27 @@ from polyevp.evp import (
 )
 from polyevp.geometry import (
     ConeGen,
+    InvalidConfigurationError,
     Polytope,
     VPolyhedralUnion,
     check_dim,
     is_pointed,
+    reaches,
     union_disjoint_from,
 )
-from polyevp.rational import dot, frac, frac_vec, to_jsonable
+from polyevp.rational import frac, frac_vec, integerize, to_jsonable
+from polyevp.scalarization import BracketExhaustedError, ExtendedReal
 
 
 # the bisection settings a problem document gets by default
 TOL, T_MAX = Fraction(1, 10**9), Fraction(2**20)
+
+
+def dot(a, b) -> Fraction:
+    """a . b for two vectors of one length."""
+    if len(a) != len(b):
+        raise ValueError(f"dot of length {len(a)} with length {len(b)}")
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 def dual_cone_contains(K: ConeGen, l) -> bool:
@@ -124,6 +138,113 @@ def is_H_lower_bounded(M: VPolyhedralUnion, K: ConeGen, H: Polytope, candidates)
         if union_disjoint_from(M, y0, e, H, K):
             return y0, e
     return None
+
+
+def separating_epsilon_for(M: VPolyhedralUnion, kstar, y, infimum=None) -> Fraction:
+    """Smallest guaranteed escape scale derived from a dual witness.
+
+    For k* nonnegative on rays and >= 1 on H, any point of
+    y - eps*H - K scores at most k*.y - eps under k*, while M scores at
+    least its vertex minimum.  Any eps strictly above the gap therefore
+    separates; the returned value adds one to stay clear of the boundary.
+    ``infimum``, when given, is that vertex minimum.  `classify` needs
+    only y = 0 and the checked infimum, so the general form is a test
+    helper.
+    """
+    ks = frac_vec(kstar)
+    yv = frac_vec(y)
+    if len(ks) != M.dim:
+        raise ValueError(f"dot of length {len(ks)} with length {M.dim}")
+    if infimum is None:
+        ints, den = integerize(ks)
+        n, d = _vertex_minimum(M, ints)
+        infimum = Fraction(n, d * den)
+    gap = dot(ks, yv) - infimum
+    return max(gap, Fraction(0)) + 1
+
+
+# ---------------------------------------------------------------------------
+# Fraction references for the integer routes of the package
+# ---------------------------------------------------------------------------
+
+
+def reference_combination_rows(target, blocks):
+    """(rows, rhs) in Fractions of `lp_core.combination_lp`'s program, for
+    ``blocks`` of (Fraction vectors, scale, convex): each column is scale
+    times a vector, then one row of ones per convex block."""
+    cols = []
+    spans = []
+    for vectors, scale, convex in blocks:
+        if convex:
+            spans.append(range(len(cols), len(cols) + len(vectors)))
+        cols += [[frac(scale) * c for c in v] for v in vectors]
+    rows = [tuple(v[r] for v in cols) for r in range(len(target))]
+    rows += [tuple(Fraction(int(j in span)) for j in range(len(cols))) for span in spans]
+    return rows, list(frac_vec(target)) + [Fraction(1)] * len(spans)
+
+
+def reference_bisection(F, y, tol, t_max) -> ExtendedReal:
+    """`scalarization.evaluate_bisection` with every scale a Fraction:
+    the same bracket, probes and messages, each probe a `reaches` check."""
+    tol, t_max = frac(tol), frac(t_max)
+    if tol <= 0 or t_max <= 0:
+        raise InvalidConfigurationError("t_max and tol must be positive")
+    plus, minus = F.checked_halfspaces
+    z, scale = integerize(frac_vec(y))
+    at_plus_z, at_z = plus.products(z), minus.products(z)
+    zero = (0,) * max(len(at_plus_z), len(at_z))
+
+    def feasible(T: Fraction) -> bool:
+        if T < 0:
+            return reaches(*plus.bounds(-T), zero, at_plus_z)
+        return reaches(*minus.bounds(T), at_z, zero)
+
+    t_max, tol = t_max * scale, tol * scale
+    hi = Fraction(scale)
+    while not feasible(hi):
+        if hi >= t_max:
+            return ExtendedReal.plus_infinity()
+        hi = min(2 * hi, t_max)
+    lo = Fraction(-scale)
+    while feasible(lo):
+        if -lo >= t_max:
+            raise BracketExhaustedError(
+                f"still feasible at scale {lo / scale}; no lower bracket within t_max"
+            )
+        lo = max(2 * lo, -t_max)
+    while hi - lo > tol:
+        mid = (hi + lo) / 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return ExtendedReal.finite(hi / scale)
+
+
+def reference_common_lower_point(M: VPolyhedralUnion, K: ConeGen):
+    """`boundedness._common_lower_point` by Fraction Gauss-Jordan on
+    [G | D], the generators then the differences v - v1."""
+    verts = M.all_vertices()
+    gens = K.generators
+    v1, m, n = verts[0], len(gens), M.dim
+    aug = [[g[r] for g in gens] + [v[r] - v1[r] for v in verts[1:]] for r in range(n)]
+    rank = 0
+    for j in range(m):
+        p = next((i for i in range(rank, n) if aug[i][j]), -1)
+        if p < 0:
+            continue
+        aug[rank], aug[p] = aug[p], aug[rank]
+        piv = aug[rank][j]
+        prow = aug[rank] = [e / piv for e in aug[rank]]
+        for i, row in enumerate(aug):
+            f = row[j]
+            if i != rank and f:
+                aug[i] = [a - f * e for a, e in zip(row, prow)]
+        rank += 1
+    if any(any(row[m:]) for row in aug[rank:]):
+        return None
+    lam = max([Fraction(0)] + [-mu for row in aug[:rank] for mu in row[m:]])
+    return tuple(c - lam * sum(g[r] for g in gens) for r, c in enumerate(v1))
 
 
 def _vec_doc(v) -> list:

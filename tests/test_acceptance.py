@@ -15,7 +15,6 @@ from polyevp import cli
 from polyevp.boundedness import (
     find_kstar,
     is_quasi_K_lower_bounded,
-    separating_epsilon_for,
 )
 from polyevp.evp import (
     ScaledMode,
@@ -53,6 +52,7 @@ from conftest import (
     rand_problem,
     rand_union,
     rand_vector,
+    separating_epsilon_for,
     vec_add,
 )
 

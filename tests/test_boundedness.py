@@ -12,7 +12,6 @@ from polyevp.boundedness import (
     classify,
     find_kstar,
     is_quasi_K_lower_bounded,
-    separating_epsilon_for,
 )
 from polyevp.geometry import (
     ConeGen,
@@ -25,10 +24,10 @@ from polyevp.geometry import (
     zero_notin_H_plus_K,
 )
 from polyevp.lp_core import LinearProgram, _Tableau, solve
-from polyevp.rational import dot
 
 import conftest
 from conftest import (
+    dot,
     dual_cone_contains,
     is_H_lower_bounded,
     is_K_lower_bounded,
@@ -36,6 +35,8 @@ from conftest import (
     rand_point_in_cone,
     rand_union,
     rand_vector,
+    reference_common_lower_point,
+    separating_epsilon_for,
 )
 
 
@@ -650,3 +651,27 @@ def test_separating_epsilon_matches_the_fraction_formula():
             checked += 1
             assert separating_epsilon_for(M, kstar, y, inf_m) == expected
     assert found > 0 and checked > 0
+
+
+def test_common_lower_point_matches_fraction_gauss_jordan():
+    # the fraction-free elimination gives the b of Fraction Gauss-Jordan:
+    # K with fewer generators than the dimension, dependent generators
+    # and one-vertex ranges are among the draws
+    rng = random.Random(20268)
+    found = missing = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        K, _, _ = rand_cone_polytope(rng, n, rng.randint(1, n + 2), 1)
+        if rng.random() < 0.3:
+            # a dependent generator: a multiple of another one
+            g = rng.choice(K.generators)
+            K = ConeGen(n, K.generators + (tuple(Fraction(3, 2) * c for c in g),))
+        M = rand_union(rng, K)
+        b = boundedness._common_lower_point(M, K)
+        assert b == reference_common_lower_point(M, K), (M, K)
+        if b is None:
+            missing += 1
+        else:
+            found += 1
+            assert all(type(c) is Fraction for c in b)
+    assert found > 0 and missing > 0

@@ -2,10 +2,13 @@
 
 import argparse
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,8 @@ from polyevp import cli
 from polyevp.evp import FiniteMetricSpace
 from polyevp.geometry import ConeHalfspaces
 from polyevp.problemfile import build_problem, load_document
+
+from conftest import problem_to_document, rand_problem, rand_union
 
 
 def write(path, doc):
@@ -803,3 +808,109 @@ def test_parser_is_built_once_per_process(
     fresh = cli._build_parser.__wrapped__()
     for argv in argvs:
         assert cli._build_parser().parse_args(argv) == fresh.parse_args(argv)
+
+
+# ---------------------------------------------------------------------------
+# documents are UTF-8 whatever the locale; mutated inputs never crash
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_documents_are_utf8_under_encoding_warnings(tmp_path, chain3_doc, cross_doc):
+    # with every default-encoding read or write an error, each command
+    # still runs on a document whose space has a non-ASCII label
+    doc = dict(chain3_doc, ranges=cross_doc["ranges"])
+    doc["space"] = dict(doc["space"], labels=["a", "b", "ç"])
+    doc["map"] = {"a": [[4, 4]], "b": [[2, 2]], "ç": [[0, 0]]}
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    cert = tmp_path / "c.json"
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8")
+    for argv in (
+        ["solve", str(f), "--certificate", str(cert), "--json"],
+        ["verify", str(f), str(cert)],
+        ["scalarize", str(f), "--point=1,1"],
+        ["diagnose", str(f)],
+    ):
+        run = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "polyevp.cli", *argv],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert run.returncode == 0, (argv, run.stdout, run.stderr)
+    assert json.loads(cert.read_text(encoding="utf-8"))["xbar"] == "ç"
+
+
+_REPLACEMENTS = [
+    None, True, False, 0, -1, 2, 10**30, 1.5, "", "x", "1/0", "-3/4", "1e999999",
+    "ç", [], [1], [[1, 0]], {}, {"vertices": []},
+]
+
+
+def _nodes(doc, path=()):
+    """(path, value) of every node below the root, parents first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, path + (key,))
+
+
+def _mutated(rng: random.Random, doc):
+    """A copy of doc with one or two random nodes replaced or deleted."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(rng.randint(1, 2)):
+        nodes = list(_nodes(doc))
+        if not nodes:
+            break
+        path, _ = rng.choice(nodes)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if rng.random() < 0.3:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = rng.choice(_REPLACEMENTS)
+    return doc
+
+
+def test_mutated_documents_never_end_in_an_internal_error(tmp_path, capsys):
+    # one or two JSON nodes replaced or deleted in problem documents and
+    # certificates: every command exits with a documented code and none
+    # reports an internal error
+    rng = random.Random(20260)
+    codes = set()
+
+    def check(argv):
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert code in range(6) and "internal error" not in out, (argv, code, out)
+        codes.add(code)
+
+    for i in range(40):
+        while (p := rand_problem(rng, max_points=5)) is None:
+            pass
+        doc = problem_to_document(p)
+        doc["ranges"] = {
+            "pieces": [
+                {"vertices": [[str(c) for c in v] for v in verts],
+                 "rays": [[str(c) for c in r] for r in rays]}
+                for verts, rays in rand_union(rng, p.K).pieces
+            ]
+        }
+        good = write(tmp_path / f"good{i}.json", doc)
+        cert_path = tmp_path / f"good{i}.cert.json"
+        assert cli.main(["solve", good, "--certificate", str(cert_path)]) == 0
+        capsys.readouterr()
+        cert = json.loads(cert_path.read_text())
+        point = ",".join(["1"] * p.K.dim)
+        for j in range(5):
+            bad = write(tmp_path / f"bad{i}-{j}.json", _mutated(rng, doc))
+            check(["scalarize", bad, f"--point={point}", "--json"])
+            check(["diagnose", bad])
+            check(["solve", bad, "--certificate", str(tmp_path / "out.json"), "--json"])
+            check(["verify", bad, str(cert_path)])
+            bad_cert = write(tmp_path / f"bad{i}-{j}.cert.json", _mutated(rng, cert))
+            check(["verify", good, bad_cert, "--json"])
+    assert {0, 1, 2} <= codes

@@ -29,10 +29,11 @@ from polyevp.geometry import (
     weights_certify_scaled_H_minus_K,
     zero_notin_H_plus_K,
 )
-from polyevp.rational import dot, integerize
+from polyevp.rational import integerize
 from polyevp.scalarization import evaluate, SeparationFunctional
 
 from conftest import (
+    dot,
     dual_cone_contains,
     instance_point_scales,
     rand_cone_polytope,

@@ -13,9 +13,12 @@ from polyevp.lp_core import (
     LPFormatError,
     LPResult,
     _Tableau,
+    combination_lp,
     solve,
 )
 from polyevp.rational import frac_vec, integerize
+
+from conftest import reference_combination_rows
 
 
 class General:
@@ -450,4 +453,85 @@ def test_free_variable_with_negative_fractions_has_exact_witness():
     assert res.status == "feasible"
     assert check_witness(lp, res.witness)
     assert res.witness == (Fraction(-8, 15), 0, Fraction(457, 105))
+    assert res.value == sum(c * x for c, x in zip(lp.objective, res.witness))
+
+
+# ---------------------------------------------------------------------------
+# integer rows: built and loaded in integers, the optimum read off the tableau
+# ---------------------------------------------------------------------------
+
+
+def _form(v):
+    ints, den = integerize(list(v))
+    return tuple(ints), den
+
+
+def test_combination_lp_rows_are_the_integerized_fraction_rows():
+    # every row, with its rhs, is `integerize` of the Fraction row that
+    # scale * vector columns and rows of ones for convex blocks give
+    rng = random.Random(20171)
+    scales = {"zero": 0, "one": 1, "minus-one": -1, "int": 0, "fraction": 0}
+    seen = set()
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        blocks = []
+        for _ in range(rng.randint(1, 4)):
+            vectors = [
+                tuple(
+                    Fraction(rng.choice([0, rng.randint(-9, 9)]), rng.randint(1, 6))
+                    for _ in range(dim)
+                )
+                for _ in range(rng.randint(0, 3))
+            ]
+            kind = rng.choice(sorted(scales))
+            scale = {
+                "zero": 0,
+                "one": 1,
+                "minus-one": -1,
+                "int": rng.choice([-3, 2, 5]),
+                "fraction": Fraction(rng.choice([-7, -1, 1, 3, 11]), rng.choice([2, 3, 10])),
+            }[kind]
+            convex = rng.random() < 0.5
+            seen.add((kind, convex))
+            blocks.append((vectors, scale, convex))
+        target = tuple(
+            Fraction(rng.randint(-20, 20), rng.randint(1, 8)) for _ in range(dim)
+        )
+        objective = [rng.randint(-2, 2) for _ in range(sum(len(v) for v, _, _ in blocks))]
+        lp = combination_lp(
+            target, [([_form(v) for v in vs], s, c) for vs, s, c in blocks], objective
+        )
+        rows, rhs = reference_combination_rows(target, blocks)
+        expected = [integerize([*row, b])[0] for row, b in zip(rows, rhs)]
+        assert [[*row, b] for row, b in zip(lp.rows, lp.rhs)] == expected
+        assert all(type(e) is int for row in lp.rows for e in row)
+        assert lp == LinearProgram(
+            lp.n_vars, tuple(map(tuple, rows)), tuple(rhs), tuple(objective)
+        )
+    assert seen == {(kind, convex) for kind in scales for convex in (False, True)}
+
+
+def test_fraction_rows_load_once_as_their_integer_forms():
+    rows = ((Fraction(3, 2), 1, 0), (0, 1, Fraction(-7, 3)), (2, 4, 6))
+    lp = LinearProgram(3, rows, (Fraction(5, 4), 0, 8), (1, 0, Fraction(1, 2)))
+    assert lp.rows == ((6, 4, 0), (0, 3, -7), (2, 4, 6))
+    assert lp.rhs == (5, 0, 8)
+    # an integer row is its own integer form, kept as given: no gcd is taken
+    assert LinearProgram(3, lp.rows, lp.rhs, lp.objective) == lp
+    assert lp.objective == (1, 0, Fraction(1, 2))
+
+
+def test_tableau_value_equals_the_objective_at_the_witness():
+    values = 0
+    for general in itertools.chain(_lps_seed_99(), _lps_seed_7()):
+        lp = general.lp
+        res = solve(lp)
+        if res.is_feasible and lp.objective is not None:
+            assert type(res.value) is Fraction
+            assert res.value == sum(c * x for c, x in zip(lp.objective, res.witness))
+            values += 1
+    assert values >= 30
+    # crash-scaled columns and Fraction costs: Lc is the lcm of 3/2 and 1/12
+    lp = LinearProgram(3, ((3, 1, 0), (0, 1, 4)), (2, 1), (Fraction(1, 2), -1, Fraction(1, 3)))
+    res = solve(lp)
     assert res.value == sum(c * x for c, x in zip(lp.objective, res.witness))

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyevp.rational import dot, frac, ratio, vec_sub
+from polyevp.rational import frac, ratio, vec_sub
+
+from conftest import dot
 
 _EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
 

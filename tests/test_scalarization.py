@@ -37,6 +37,7 @@ from conftest import (
     rand_cone_polytope,
     rand_point_in_cone,
     rand_vector,
+    reference_bisection,
     vec_add,
 )
 
@@ -352,6 +353,41 @@ def test_bisection_over_rows_matches_an_lp_oracle_bisection(data):
             assert _bisection_outcome(
                 evaluate_bisection, sf, z, t_max
             ) == _bisection_outcome(_lp_oracle_bisection, sf, z, t_max), (K, H, z, t_max)
+
+
+def _outcome(route, F, y, tol, t_max):
+    """The value a bisection returns, or the message it raises."""
+    try:
+        return route(F, y, tol, t_max)
+    except BracketExhaustedError as e:
+        return f"BracketExhaustedError: {e}"
+
+
+def test_integer_bisection_matches_the_fraction_reference():
+    # rational tol and t_max, including a t_max below 1; y and -y, so the
+    # unconfirmed +inf at t_max and an exhausted lower bracket both occur
+    rng = random.Random(20260)
+    kinds = set()
+    for _ in range(120):
+        n = rng.randint(2, 4)
+        K, H, _ = rand_cone_polytope(rng, n, rng.randint(1, n + 1), rng.randint(1, 3))
+        sf = SeparationFunctional(H, K)
+        if rng.random() < 0.3:
+            y = rand_vector(rng, n)
+        else:
+            t = Fraction(rng.randint(-12, 12), rng.randint(1, 3))
+            h = convex_mix(rng, H.vertices)
+            y = vec_sub(tuple(t * c for c in h), rand_point_in_cone(rng, K))
+        tol = Fraction(rng.randint(1, 9), rng.choice([7, 10, 1000, 3**12]))
+        t_max = rng.choice([T_MAX, Fraction(rng.randint(1, 40), rng.randint(1, 7))])
+        for z in (y, tuple(-c for c in y)):
+            got = _outcome(evaluate_bisection, sf, z, tol, t_max)
+            assert got == _outcome(reference_bisection, sf, z, tol, t_max), (K, H, z)
+            if isinstance(got, str):
+                kinds.add("exhausted")
+            else:
+                kinds.add("finite" if got.is_finite else "+inf")
+    assert kinds == {"finite", "+inf", "exhausted"}
 
 
 @given(instance_point_scales())
