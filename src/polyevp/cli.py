@@ -25,7 +25,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import boundedness, evp, problemfile, scalarization
+from . import boundedness, evp, geometry, problemfile, scalarization
 from .problemfile import ProblemFileError
 from .rational import frac, to_jsonable
 
@@ -239,7 +239,7 @@ def _worker(task: tuple[str, argparse.Namespace]) -> tuple[str, int, str]:
     except evp.HypothesisViolatedError as e:
         return path, EXIT_HYPOTHESIS, f"hypothesis violated: {e}"
     except (
-        scalarization.InternalConsistencyError,
+        geometry.InternalConsistencyError,
         scalarization.BracketExhaustedError,
     ) as e:
         return path, EXIT_INTERNAL, f"internal consistency failure: {e}"

@@ -26,11 +26,12 @@ transitivity, and since xi(x1) <= 0 the step argument of
 `verify_certificate` gives xi(z) <= xi(x1) - scale * d(z, x1) < xi(x1),
 against the choice of x1.  So a second move is never possible.
 Dominance, the hypothesis check and the scores ask their questions of
-`geometry.ConeHalfspaces`, from row products of the images.  The images
-are scaled to integers once per problem (`EVPProblem._scaled_images`),
-and one class, `_ImageRows`, forms their row products: the solver's
-instance over the functional's halfspaces, the verifier's own instance
-over its checked rows.  This module never reads a halfspace row.
+`geometry.ConeHalfspaces`, from row products of the images with the
+functional's checked rows (`SeparationFunctional.halfspaces`), which the
+solver and the verifier share.  The images are scaled to integers once
+per problem (`EVPProblem._scaled_images`), and one class, `_ImageRows`,
+forms their row products; the solver and the verifier each keep their
+own instance.  This module never reads a halfspace row.
 
 Three scale modes cover the standard statements: ``plain`` uses scale 1;
 ``scaled(lam)`` uses eps/lam, with the problem's own eps, and
@@ -54,6 +55,7 @@ from .geometry import (
     ConeGen,
     ConeHalfspaces,
     DimensionMismatchError,
+    InternalConsistencyError,
     InvalidConfigurationError,
     Polytope,
     is_pointed,
@@ -64,7 +66,6 @@ from .geometry import (
 from .rational import Number, Vec, frac, frac_vec, integerize, ratio, vec_sub
 from .scalarization import (
     ExtendedReal,
-    InternalConsistencyError,
     SeparationFunctional,
     evaluate,
     phi_from_rows,
@@ -400,7 +401,8 @@ class EVPProblem:
 class _ImageRows:
     """Row products of a problem's scaled images with ``plus_hs``, rows
     of the cone over t*H + K, and ``minus_hs``, rows of the cone over
-    t*H - K.
+    t*H - K: the functional's checked rows, for the solver and for the
+    verifier alike.
 
     ``plus[label][i]`` holds the products of ``plus_hs`` at image i of
     the point; `minus` forms those of ``minus_hs`` per point on first
@@ -679,13 +681,12 @@ class _CheckedRelation:
     verifier decides them.
 
     Shares no answer with the solver.  ``rows`` is the verifier's own
-    `_ImageRows`, over the problem's checked rows
-    (`SeparationFunctional.checked_halfspaces`) of the cones over
-    t*H + K and t*H - K: the rows that `geometry.checked_rows` has found
-    nonnegative on every generator (h, 1) and (+-k, 0), taken from H and
-    K directly.  Such a row is nonnegative on the whole cone, so a point
-    where it is negative lies outside, and the scales the kept rows
-    allow contain the true ones.  A row that fails the check is dropped.
+    `_ImageRows` over the rows the solver reads too,
+    `SeparationFunctional.halfspaces`: each row was checked, when the
+    functional was built, to be nonnegative on every generator (h, 1)
+    and (+-k, 0) of its cone (`geometry.homogenized_halfspaces`).  So a
+    point where a row is negative lies outside, and the scales the rows
+    allow contain the true ones.
 
     A "no" for "y - ysrc in t*H + K" is a Farkas certificate: a checked
     row negative at (y - ysrc, t) (`geometry.reaches`).  A point that no
@@ -697,7 +698,7 @@ class _CheckedRelation:
 
     def __init__(self, p: EVPProblem):
         self.p = p
-        self.rows = _ImageRows(p, *p._separation.checked_halfspaces)
+        self.rows = _ImageRows(p, *p._separation.halfspaces)
         self._dominance: dict = {}
 
     def _in_sum(self, y: Vec, ysrc: Vec, prod, prod_src, bounds, t) -> bool:
@@ -781,10 +782,10 @@ def verify_certificate(p: EVPProblem, cert: EVPCertificate) -> VerificationRepor
 
     The route is independent of the solver's.  Dominance, the
     hypothesis witness and the trace values are decided by
-    `_CheckedRelation`, from halfspace rows the verifier has checked
-    against H and K itself, sharing no answer with the solver.  Each
-    "no" for dominance and the witness is a checked row; each "yes" is
-    an exact membership LP.  Each trace value is bounded below by the
+    `_CheckedRelation`, from the halfspace rows checked against H and K
+    when the functional was built, sharing no answer with the solver.
+    Each "no" for dominance and the witness is a checked row; each "yes"
+    is an exact membership LP.  Each trace value is bounded below by the
     checked rows and shown reached by one membership LP, with the LP
     `evaluate` only for an image whose rows bound it below the value.
 

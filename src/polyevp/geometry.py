@@ -10,33 +10,32 @@ Three value types cover every set this package manipulates:
 The membership oracles answer each question with one exact LP over the
 generators and vertices, built in integers by `lp_core.combination_lp`
 from the integer forms below.  For a question asked many times about
-one pair (H, K) at varying scale t, `homogenized_generators` forms the
-integer generators (h, 1) and (+-k, 0) of the cone over t*H +- K, and
-`cone_halfspaces` converts that cone once into integer rows by the
-double description method; then "z in t*H +- K" for every t >= 0 is a
-sign check of integer row products, with no LP.  `ConeHalfspaces` owns
-that row list: its `products`, `admits`, `bounds` with `reaches`, and
-`scale_range` answer every such question, so no other module reads a
-row.  `checked_rows` keeps the rows that are nonnegative on every
-generator of that cone, so a caller that answers "no" from them never
-depends on the construction being right.
+one pair (H, K) at varying scale t, `homogenized_halfspaces` makes and
+checks the rows of the cone over t*H +- K, once: `cone_halfspaces`
+converts its integer generators (h, 1) and (+-k, 0) into rows by the
+double description method, and `checked_rows` keeps the rows
+nonnegative on every one of them.  So a "no" read from a row never
+depends on the construction being right, and "z in t*H +- K" for every
+t >= 0 is a sign check of integer row products, with no LP.
+`ConeHalfspaces` owns that row list: its `products`, `admits`, `bounds`
+with `reaches`, and `scale_range` answer every such question, so no
+other module reads a row.
 
 Integers are formed once per value.  `ConeGen`, `Polytope` and
 `VPolyhedralUnion` each keep their vectors' `rational.integerize` forms,
 (ints, den) with vector == ints / den, built on first use and cached on
 the instance.  The membership LPs and `homogenized_generators` read
-them, as do the certificate checks at the end of this module, which
-settle with integer arithmetic facts that would otherwise take an LP:
-Farkas rows for "-h not in K" (`rows_nonnegative_on_K`) and an LP's own
-weights for "y in t*H - K" (`weights_certify_scaled_H_minus_K`).  Query
-points are scaled to integers by `rational.integerize` as they come.
+them, as does `weights_certify_scaled_H_minus_K` at the end of this
+module, which checks an LP's own weights for "y in t*H - K" in integer
+arithmetic.  Query points are scaled to integers by
+`rational.integerize` as they come.
 
 Three error classes serve the whole package.  `DimensionMismatchError`
 and `InvalidConfigurationError` are `ValueError`s for bad input.
 `InternalConsistencyError` marks a result that contradicts an invariant
 already checked, such as a dual witness that fails its exact check: a
 bug, never bad input.  `boundedness`, `scalarization` and `evp` raise
-it, and the command line exits 3 on it.
+it, each importing it from here, and the command line exits 3 on it.
 
 A note on closures: sums of polytopes and finitely generated cones are
 closed, so the distinction between a set, its topological closure, and
@@ -69,13 +68,13 @@ __all__ = [
     "checked_rows",
     "cone_halfspaces",
     "homogenized_generators",
+    "homogenized_halfspaces",
     "reaches",
     "scaled_H_minus_K_contains",
     "scaled_H_plus_K_contains",
     "zero_notin_H_plus_K",
     "union_disjoint_from",
     "check_dim",
-    "rows_nonnegative_on_K",
     "weights_certify_scaled_H_minus_K",
 ]
 
@@ -471,33 +470,34 @@ def checked_rows(hs: ConeHalfspaces, gens: Sequence[Sequence[int]]) -> ConeHalfs
 
     A kept row is nonnegative on the whole cone that ``gens`` generates,
     so a point where it is negative lies outside, whatever produced the
-    rows.  For the cone over t*H +- K, ``gens`` are
-    `homogenized_generators`: positive integer multiples of (h, 1) and
-    (+-k, 0), formed from H and K directly, which keeps every sign.
+    rows.
     """
     return ConeHalfspaces(
         tuple(r for r in hs.rows if all(idot(r, g) >= 0 for g in gens))
     )
 
 
+def homogenized_halfspaces(H: Polytope, K: ConeGen, k_sign: int) -> ConeHalfspaces:
+    """The checked rows of the cone over t*H + k_sign*K in R^(dim+1).
+
+    `cone_halfspaces` of the `homogenized_generators`, kept by
+    `checked_rows` on those same generators, which are formed from H and
+    K directly.  So every row (a, c) has a . h + c >= 0 at every vertex h
+    and a . (k_sign * k) >= 0 at every generator k: a point where a row
+    is negative lies outside the cone, and for k_sign = 1 a row with
+    a . h > 0 (`ConeHalfspaces.products`) at a point h is a Farkas
+    certificate for -h outside K.  With a correct double description the
+    a parts of the rows generate the dual cone of K, so every vertex of
+    H outside -K has such a row; a faulty one can drop a facet, letting
+    more points in, but never hands out a row a generator violates.
+    """
+    gens = homogenized_generators(H, K, k_sign)
+    return checked_rows(cone_halfspaces(gens, len(gens[0])), gens)
+
+
 # ---------------------------------------------------------------------------
 # certificate checks: integer arithmetic on the value types' integer forms
 # ---------------------------------------------------------------------------
-
-
-def rows_nonnegative_on_K(hs: ConeHalfspaces, K: ConeGen) -> ConeHalfspaces:
-    """The rows (a, c) of hs with a . k >= 0 at every generator k of K,
-    kept in order.
-
-    A kept row with a . h > 0 (`ConeHalfspaces.products`) at a point h
-    is a Farkas certificate for -h outside K: a is nonnegative on K and
-    negative at -h.  The signs are read in integers on K's forms, so a
-    certificate does not depend on how the rows were made.  For hs the
-    halfspaces of the cone over t*H + K the a parts of the rows generate
-    the dual cone of K, so every vertex of H outside -K has such a row.
-    """
-    # the product of a row with a generator k stops at the end of k: a . k
-    return checked_rows(hs, [k for k, _ in K.integer_generators])
 
 
 def weights_certify_scaled_H_minus_K(

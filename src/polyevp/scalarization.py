@@ -30,11 +30,10 @@ the question is one extreme scale.  Three routes compute it:
   brackets the threshold by doubling and bisects fixed-scale membership
   questions down to a requested width, on integer scales over one
   denominator.  Each question is a sign check (`ConeHalfspaces.admits`)
-  on the halfspace rows that `geometry.checked_rows` has confirmed
-  against H and K, with no LP and no Fraction.  Its correctness rests on
-  the monotonicity of feasibility in the scale and on the rows alone, so
-  it shares nothing with `evaluate` but H and K, and is a genuinely
-  independent cross-check for it.
+  on the functional's halfspaces, with no LP and no Fraction.  Its
+  correctness rests on the monotonicity of feasibility in the scale and
+  on the rows alone, so it shares nothing with `evaluate` but H and K,
+  and is a genuinely independent cross-check for it.
 
 The functional is the pair (H, K) and nothing else; the bisection's
 width and bracket bound are arguments of `evaluate_bisection`, the one
@@ -43,19 +42,19 @@ route that reads them.
 The descent solver (`evp.solve`) scores by the closed form, from row
 products it computes once per problem.  The certificate verifier checks
 a claimed trace value v rather than recomputing it: `phi_lower_bound`
-on the rows it has checked shows phi(y - y0) >= v for every image y,
-and one membership LP, y - y0 in v*H - K, shows that some image reaches
-v.  Only an image that the checked rows bound below v, or not at all,
-is scored by the LP `evaluate`.  The ``scalarize`` command uses the LP
-route and cross-checks it by bisection; `evaluate` certifies from its
-own LP weights that a finite value is attained.  The functional forms
-the integer generators of each cone once, from the integer forms of H
-and K; the halfspaces are built from them at construction, where their
-rows settle "not in -K", and checked against them once per functional.
-The solver reads the halfspaces, the verifier and bisection the checked
-rows.  A facet
-missing from them lets bisection accept scales below phi, and the two
-routes disagree; a row that fails the check is dropped.
+on the same rows shows phi(y - y0) >= v for every image y, and one
+membership LP, y - y0 in v*H - K, shows that some image reaches v.
+Only an image that the rows bound below v, or not at all, is scored by
+the LP `evaluate`.  The ``scalarize`` command uses the LP route and
+cross-checks it by bisection; `evaluate` certifies from its own LP
+weights that a finite value is attained.
+
+The functional builds one row list per cone, once, at construction
+(`geometry.homogenized_halfspaces`), where every row is checked against
+the generators formed from H and K; the solver, the verifier, bisection
+and the "not in -K" checks all read that list.  A row that fails the
+check is dropped before anyone reads it.  A facet missing from the list
+lets bisection accept scales below phi, and the two routes disagree.
 
 This module never reads a halfspace row: `geometry.ConeHalfspaces` owns
 the row format and answers each question, and `rational.integerize`
@@ -77,18 +76,14 @@ from .geometry import (
     InternalConsistencyError,
     InvalidConfigurationError,
     Polytope,
-    checked_rows,
     cone_contains,
-    cone_halfspaces,
-    homogenized_generators,
-    rows_nonnegative_on_K,
+    homogenized_halfspaces,
     weights_certify_scaled_H_minus_K,
 )
 from .lp_core import LinearProgram, combination_lp, solve
 from .rational import Number, Vec, frac, frac_vec, integerize
 
 __all__ = [
-    "InternalConsistencyError",
     "BracketExhaustedError",
     "ExtendedReal",
     "SeparationFunctional",
@@ -146,8 +141,9 @@ class SeparationFunctional:
     certify that the origin avoids H + K (see `__post_init__`).
     Violations raise `InvalidConfigurationError` immediately rather than
     producing meaningless values later.  Construction also builds
-    `halfspaces`, whose rows settle "not in -K" with no LP for every
-    vertex they certify; it does not build `checked_halfspaces`.
+    `halfspaces`, the one checked row list per cone that every reader
+    shares; its rows settle "not in -K" with no LP for every vertex they
+    certify.
     """
 
     H: Polytope
@@ -157,10 +153,10 @@ class SeparationFunctional:
         if self.H.dim != self.K.dim:
             raise DimensionMismatchError("H and K dimensions differ")
         # "h in K" needs an LP, whose weights are the certificate.  A row
-        # of the cone over t*H + K that is nonnegative on K and positive at
-        # h certifies -h outside K (`geometry.rows_nonnegative_on_K`); only
-        # a vertex without one takes the "-h in K" LP.
-        farkas = rows_nonnegative_on_K(self.halfspaces[0], self.K)
+        # of the cone over t*H + K is nonnegative on K, so one positive at
+        # h certifies -h outside K; only a vertex without one takes the
+        # "-h in K" LP.
+        farkas = self.halfspaces[0]
         for v, (h, _) in zip(self.H.vertices, self.H.integer_vertices):
             if not cone_contains(self.K, v):
                 raise InvalidConfigurationError(
@@ -179,26 +175,14 @@ class SeparationFunctional:
         # above have raised.
 
     @functools.cached_property
-    def _generators(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """`geometry.homogenized_generators` of the cones over t*H + K
-        and t*H - K, in that order."""
-        return tuple(homogenized_generators(self.H, self.K, s) for s in (1, -1))
-
-    @functools.cached_property
     def halfspaces(self) -> tuple[ConeHalfspaces, ConeHalfspaces]:
-        """Halfspaces of the cones over t*H + K and t*H - K, in that order.
+        """The checked rows of the cones over t*H + K and t*H - K, in that
+        order (`geometry.homogenized_halfspaces`).
 
         Built during construction, whose "not in -K" checks read the
         first, and kept on the functional.
         """
-        return tuple(cone_halfspaces(g, len(g[0])) for g in self._generators)
-
-    @functools.cached_property
-    def checked_halfspaces(self) -> tuple[ConeHalfspaces, ConeHalfspaces]:
-        """The rows of `halfspaces` that `geometry.checked_rows` finds
-        nonnegative on the generators formed from H and K, in the same
-        order; built on first use.  The solver never reads them."""
-        return tuple(map(checked_rows, self.halfspaces, self._generators))
+        return tuple(homogenized_halfspaces(self.H, self.K, s) for s in (1, -1))
 
 
 def phi_from_rows(
@@ -250,10 +234,10 @@ def phi_lower_bound(
     or None when they bound nothing below; never raises.
 
     The arguments are those of `phi_from_rows`.  Rows that are
-    nonnegative on a cone (`geometry.checked_rows`) describe a cone
-    containing it, so every scale the true rows allow, on either branch,
-    is also allowed here, and the least scale allowed here is at most
-    phi.  That least scale is minus the greatest s of the negative
+    nonnegative on a cone (`geometry.homogenized_halfspaces`) describe a
+    cone containing it, so every scale the true rows allow, on either
+    branch, is also allowed here, and the least scale allowed here is at
+    most phi.  That least scale is minus the greatest s of the negative
     branch when it has one, else the least t of the branch t >= 0, else
     +infinity.  An unbounded negative branch gives no bound.  With the
     exact rows the bound is phi itself.
@@ -336,7 +320,7 @@ def evaluate_bisection(
     `BracketExhaustedError` names the last one.
 
     "y in t*H - K" is asked of F's checked rows
-    (`SeparationFunctional.checked_halfspaces`): for t >= 0 it reads
+    (`SeparationFunctional.halfspaces`): for t >= 0 it reads
     (y, t) in the cone over t*H - K, and for t < 0 it reads (-y, -t) in
     the cone over t*H + K.  With y = z / scale, each is a
     `ConeHalfspaces.admits` sign check at T = t * scale in z's frame,
@@ -353,7 +337,7 @@ def evaluate_bisection(
         raise DimensionMismatchError(
             f"query has length {len(yv)}, expected {F.H.dim}"
         )
-    plus, minus = F.checked_halfspaces
+    plus, minus = F.halfspaces
     z, scale = integerize(yv)
     at_minus_z, at_z = plus.products([-c for c in z]), minus.products(z)
 

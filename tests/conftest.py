@@ -189,7 +189,7 @@ def reference_bisection(F, y, tol, t_max) -> ExtendedReal:
     tol, t_max = frac(tol), frac(t_max)
     if tol <= 0 or t_max <= 0:
         raise InvalidConfigurationError("t_max and tol must be positive")
-    plus, minus = F.checked_halfspaces
+    plus, minus = F.halfspaces
     z, scale = integerize(frac_vec(y))
     at_plus_z, at_z = plus.products(z), minus.products(z)
     zero = (0,) * max(len(at_plus_z), len(at_z))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from polyevp import cli
+from polyevp import cli, geometry
 from polyevp.evp import FiniteMetricSpace
 from polyevp.geometry import ConeHalfspaces
 from polyevp.problemfile import build_problem, load_document
@@ -124,7 +124,7 @@ class TestScalarize:
             assert "phi = 1" in capsys.readouterr().out
 
     def test_internal_error_exits_3(self, tmp_path, segment_doc, monkeypatch):
-        from polyevp.scalarization import InternalConsistencyError
+        from polyevp.geometry import InternalConsistencyError
 
         def boom(*args, **kwargs):
             raise InternalConsistencyError("forced")
@@ -236,14 +236,13 @@ class TestBisectionBracketBound:
         )
 
 
-def _read_rows_as(monkeypatch, corrupt):
-    """Make every functional hand out corrupt(plus, minus) as its
-    halfspaces, the honest rows of the cones over t*H + K and t*H - K."""
-    honest = cli.scalarization.SeparationFunctional.halfspaces.func
+def _dd_hands_out(monkeypatch, corrupt):
+    """Make the double description hand out corrupt(rows) in place of the
+    honest rows of every cone it converts, as a faulty
+    `geometry.cone_halfspaces` would."""
+    honest = geometry.cone_halfspaces
     monkeypatch.setattr(
-        cli.scalarization.SeparationFunctional,
-        "halfspaces",
-        property(lambda self: corrupt(*honest(self))),
+        geometry, "cone_halfspaces", lambda gens, dim: corrupt(honest(gens, dim))
     )
 
 
@@ -253,18 +252,22 @@ class TestBisectionOverCorruptRows:
     def test_dropped_facet_makes_the_routes_disagree(
         self, tmp_path, segment_doc, monkeypatch, capsys
     ):
-        def drop(plus, minus):
-            rows = tuple(r for r in minus.rows if r != (-1, 0, 1))
-            assert len(rows) == len(minus.rows) - 1
-            return plus, ConeHalfspaces(rows)
+        dropped = []
+
+        def drop(hs):
+            rows = tuple(r for r in hs.rows if r != (-1, 0, 1))
+            dropped.append(len(hs.rows) - len(rows))
+            return ConeHalfspaces(rows)
 
         f = write(tmp_path / "p.json", segment_doc)
-        _read_rows_as(monkeypatch, drop)
+        _dd_hands_out(monkeypatch, drop)
         # without t >= z1 the rows take (1, 0) at every t >= 0, so
         # bisection closes in on 0 while the LP route gives 1
         assert cli.main(["scalarize", f, "--point", "1,0"]) == 3
         out = capsys.readouterr().out
         assert "phi = 1" in out and "disagree" in out
+        # the row is a facet of the cone over t*H - K only
+        assert dropped == [0, 1]
 
     def test_row_a_generator_violates_is_dropped(
         self, tmp_path, segment_doc, monkeypatch, capsys
@@ -276,15 +279,12 @@ class TestBisectionOverCorruptRows:
             assert cli.main(["scalarize", f, f"--point={pt}", "--json"]) == 0
             honest.append(capsys.readouterr().out)
 
-        def add(plus, minus):
+        def add(hs):
             # minus the sum of the facet rows: negative at (1, 1, 1), a
             # generator of both cones; kept, it would empty the t >= 1 range
-            return tuple(
-                ConeHalfspaces(hs.rows + (tuple(-sum(c) for c in zip(*hs.rows)),))
-                for hs in (plus, minus)
-            )
+            return ConeHalfspaces(hs.rows + (tuple(-sum(c) for c in zip(*hs.rows)),))
 
-        _read_rows_as(monkeypatch, add)
+        _dd_hands_out(monkeypatch, add)
         for pt, out in zip(points, honest):
             assert cli.main(["scalarize", f, f"--point={pt}", "--json"]) == 0
             assert capsys.readouterr().out == out

@@ -31,6 +31,7 @@ from polyevp.geometry import (
     ConeGen,
     ConeHalfspaces,
     DimensionMismatchError,
+    InternalConsistencyError,
     InvalidConfigurationError,
     Polytope,
     is_pointed,
@@ -41,7 +42,6 @@ from polyevp.lp_core import solve as lp_solve
 from polyevp.problemfile import build_problem
 from polyevp.scalarization import (
     ExtendedReal,
-    InternalConsistencyError,
     SeparationFunctional,
     evaluate,
     evaluate_bisection,
@@ -1089,14 +1089,20 @@ def _lp_claims(p: EVPProblem, cert: EVPCertificate) -> tuple[bool, bool]:
 
 
 def _corrupted(p: EVPProblem, corrupt, which: int = 0) -> EVPProblem:
-    """A fresh copy of p whose solver and verifier read corrupt(rows) as
-    the halfspaces of the cone over t*H + K (``which`` 0) or over
-    t*H - K (``which`` 1)."""
-    q = dataclasses.replace(p)
-    cones = list(q._separation.halfspaces)
-    cones[which] = corrupt(cones[which])
-    object.__setattr__(q._separation, "halfspaces", tuple(cones))
-    return q
+    """A fresh copy of p, built while the double description hands out
+    corrupt(rows) for the cone over t*H + K (``which`` 0) or over
+    t*H - K (``which`` 1), as a faulty `geometry.cone_halfspaces` would.
+    The solver and the verifier read what the construction keeps."""
+    target = geometry.homogenized_generators(p.H, p.K, (1, -1)[which])
+    honest = geometry.cone_halfspaces
+
+    def dd(gens, dim):
+        hs = honest(gens, dim)
+        return corrupt(hs) if gens == target else hs
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(geometry, "cone_halfspaces", dd)
+        return dataclasses.replace(p)
 
 
 def _dropped_facet(hs: ConeHalfspaces) -> ConeHalfspaces:
@@ -1205,12 +1211,17 @@ class TestIndependentVerification:
             if not given.rows:
                 continue
             q = _corrupted(p, corrupt, which)
-            # the verifier keeps exactly the valid rows it was given
+            # the construction keeps exactly the valid rows it was given,
+            # and the solver and the verifier read that one list
             kept = _dropped_facet(given) if corrupt is _dropped_facet else given
             rel = _CheckedRelation(q)
             checked = (rel.rows.plus_hs, rel.rows.minus_hs)[which]
-            assert set(checked.rows) == set(kept.rows)
+            assert checked is q._separation.halfspaces[which]
+            assert checked.rows == kept.rows
             assert verify_certificate(q, cert) == honest
+            if corrupt is _added_bad_row:
+                # an added bad row is never read, by the solver either
+                assert solve(q) == cert
         if (corrupt, which) == (_dropped_facet, 0):
             # a dropped facet lowers some row bound below the trace value,
             # and the LP evaluate decides that image without raising; an
@@ -1241,10 +1252,13 @@ class TestIndependentVerification:
             if not (true_b and true_witness and true_trace):
                 false_claims += 1
                 assert not report.passed
-        if (corrupt, which) == (_added_bad_row, 0):
-            # the test has teeth: a cut-down cone makes the solver claim
+        if (corrupt, which) == (_dropped_facet, 0):
+            # the test has teeth: a grown cone makes the solver claim
             # minimality, an escaping witness or a trace where none holds
             assert false_claims > 0
+        if corrupt is _added_bad_row:
+            # the construction drops the bad row, so the solver is honest
+            assert false_claims == 0
 
 
 class TestIntegerDataOnce:
@@ -1252,24 +1266,33 @@ class TestIntegerDataOnce:
 
     @staticmethod
     def _count(monkeypatch) -> dict:
-        calls = {"integerize": 0, "generators": [], "checked_rows": 0}
+        """Count the image scalings in `evp` and, inside `geometry`, the
+        generator builds, double descriptions and row checks."""
+        calls = {"integerize": 0, "generators": [], "dd": 0, "checked_rows": 0}
         evp_integerize = evp.integerize
+        generators = geometry.homogenized_generators
+        dd, checked_rows = geometry.cone_halfspaces, geometry.checked_rows
 
-        def integerize(values):
+        def counted_integerize(values):
             calls["integerize"] += 1
             return evp_integerize(values)
 
-        def generators(H, K, k_sign):
+        def counted_generators(H, K, k_sign):
             calls["generators"].append(k_sign)
-            return geometry.homogenized_generators(H, K, k_sign)
+            return generators(H, K, k_sign)
 
-        def checked_rows(hs, gens):
+        def counted_dd(gens, dim):
+            calls["dd"] += 1
+            return dd(gens, dim)
+
+        def counted_checked_rows(hs, gens):
             calls["checked_rows"] += 1
-            return geometry.checked_rows(hs, gens)
+            return checked_rows(hs, gens)
 
-        monkeypatch.setattr(evp, "integerize", integerize)
-        monkeypatch.setattr(scalarization, "homogenized_generators", generators)
-        monkeypatch.setattr(scalarization, "checked_rows", checked_rows)
+        monkeypatch.setattr(evp, "integerize", counted_integerize)
+        monkeypatch.setattr(geometry, "homogenized_generators", counted_generators)
+        monkeypatch.setattr(geometry, "cone_halfspaces", counted_dd)
+        monkeypatch.setattr(geometry, "checked_rows", counted_checked_rows)
         return calls
 
     def test_solve_and_its_self_check(self, tmp_path, monkeypatch, capsys):
@@ -1280,7 +1303,9 @@ class TestIntegerDataOnce:
         calls = self._count(monkeypatch)
         assert cli.main(["solve", str(path), "--json"]) == 0
         assert all(json.loads(capsys.readouterr().out)["checks"].values())
-        assert calls == {"integerize": 1, "generators": [1, -1], "checked_rows": 2}
+        assert calls == {
+            "integerize": 1, "generators": [1, -1], "dd": 2, "checked_rows": 2
+        }
 
     def test_bisection_reads_the_checked_rows_of_its_functional(self, monkeypatch):
         p = build_problem(_TIGHT_TRACE_DOC)
@@ -1288,7 +1313,9 @@ class TestIntegerDataOnce:
         F = SeparationFunctional(p.H, p.K)
         for y in p.images("p4"):
             assert evaluate_bisection(F, y, Fraction(1, 64), 100) >= evaluate(F, y)
-        assert calls == {"integerize": 0, "generators": [1, -1], "checked_rows": 2}
+        assert calls == {
+            "integerize": 0, "generators": [1, -1], "dd": 2, "checked_rows": 2
+        }
 
 
 class TestTraceCheck:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from polyevp import geometry
 from polyevp.geometry import (
     ConeGen,
     ConeHalfspaces,
@@ -20,9 +21,9 @@ from polyevp.geometry import (
     cone_contains,
     cone_halfspaces,
     homogenized_generators,
+    homogenized_halfspaces,
     is_pointed,
     reaches,
-    rows_nonnegative_on_K,
     scaled_H_minus_K_contains,
     scaled_H_plus_K_contains,
     union_disjoint_from,
@@ -357,6 +358,8 @@ def test_halfspaces_match_the_membership_lps(data):
     ):
         int_gens = homogenized_generators(H, K, sign)
         hs = cone_halfspaces(int_gens, len(int_gens[0]))
+        # the checks drop no row of a correct double description
+        assert homogenized_halfspaces(H, K, sign) == hs
         gens = [h + (1,) for h in H.vertices]
         gens += [tuple(sign * c for c in k) + (0,) for k in K.generators]
         for g, ig in zip(gens, int_gens, strict=True):
@@ -429,7 +432,9 @@ class TestIntegerForms:
 
 class TestCertificateChecks:
     def test_rows_certify_exactly_the_vertices_outside_minus_K(self):
-        # for H inside K, a vertex has a row positive at it iff it is outside -K
+        # for H inside K, a vertex has a checked row of the cone over
+        # t*H + K positive at it iff it is outside -K; every checked row
+        # is nonnegative on K, so filtering on K again keeps them all
         rng = random.Random(20228)
         both = {True: 0, False: 0}
         for _ in range(100):
@@ -438,19 +443,27 @@ class TestCertificateChecks:
             if rng.random() < 0.5:
                 g = rng.choice(K.generators)
                 K = ConeGen(n, K.generators + (tuple(-c for c in g),))
-            hs = cone_halfspaces(homogenized_generators(H, K, 1), n + 1)
-            farkas = rows_nonnegative_on_K(hs, K)
+            farkas = homogenized_halfspaces(H, K, 1)
+            on_K = [k for k, _ in K.integer_generators]
+            assert checked_rows(farkas, on_K) == farkas
             for v, (h, _) in zip(H.vertices, H.integer_vertices):
                 outside = not cone_contains(K, tuple(-c for c in v))
                 assert any(p > 0 for p in farkas.products(h)) == outside
                 both[outside] += 1
         assert all(both.values()), both
 
-    def test_rows_that_are_negative_on_K_certify_nothing(self, orthant2):
-        # both rows are positive at (1, 1), but only (0, 1, 0) is
-        # nonnegative at every generator of K; (-1, 2, 0) is not
-        hs = ConeHalfspaces(((0, 1, 0), (-1, 2, 0), (1, 0, 3)))
-        assert rows_nonnegative_on_K(hs, orthant2).rows == ((0, 1, 0), (1, 0, 3))
+    def test_rows_that_are_negative_on_K_certify_nothing(
+        self, orthant2, monkeypatch
+    ):
+        # the double description hands out three rows, all positive at
+        # (1, 1), but (-1, 2, 0) is negative at the generator (1, 0, 0) of
+        # the cone over t*H + K, so the constructor drops it
+        H = Polytope(2, ((1, 1),))
+        rows = ((0, 1, 0), (-1, 2, 0), (1, 0, 3))
+        monkeypatch.setattr(geometry, "cone_halfspaces", lambda g, d: ConeHalfspaces(rows))
+        plus = homogenized_halfspaces(H, orthant2, 1)
+        assert plus.rows == ((0, 1, 0), (1, 0, 3))
+        assert type(plus.rows) is tuple
 
     @pytest.mark.parametrize(
         "y, t, weights, holds",

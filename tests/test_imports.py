@@ -1,9 +1,10 @@
 """Every imported name is used, every module-level private function or
 class of the package is referenced, every exported name exists, no
-package module reads another's private name, and only `lp_core`
-builds a `LinearProgram`: a stdlib `ast` scan of the package and the
-tests, since no linter is part of the toolchain.  Each module, imported
-alone, loads exactly the package modules of the layers below it."""
+package module reads another's private name, only `lp_core` builds a
+`LinearProgram`, and only `geometry` makes and checks halfspace rows: a
+stdlib `ast` scan of the package and the tests, since no linter is part
+of the toolchain.  Each module, imported alone, loads exactly the
+package modules of the layers below it."""
 
 import ast
 import importlib
@@ -156,6 +157,28 @@ def program_builders() -> list[str]:
 
 def test_only_lp_core_builds_programs():
     assert program_builders() == []
+
+
+def row_makers() -> list[str]:
+    """Uses of `cone_halfspaces` or `checked_rows` in package modules
+    other than `geometry`, which makes each cone's rows and checks them
+    once (`geometry.homogenized_halfspaces`).  A use is a call or any
+    other read of the name, such as passing it to `map`."""
+    found = []
+    for path in PACKAGE:
+        if path.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in (
+                "cone_halfspaces", "checked_rows"
+            ):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    return found
+
+
+def test_only_geometry_makes_and_checks_rows():
+    assert row_makers() == []
 
 
 # What importing each module alone loads of the package besides itself:

@@ -11,6 +11,7 @@ from polyevp import cli, scalarization
 from polyevp.geometry import (
     ConeGen,
     ConeHalfspaces,
+    InternalConsistencyError,
     InvalidConfigurationError,
     Polytope,
     cone_contains,
@@ -22,7 +23,6 @@ from polyevp.rational import frac_vec, integerize, vec_sub
 from polyevp.scalarization import (
     BracketExhaustedError,
     ExtendedReal,
-    InternalConsistencyError,
     SeparationFunctional,
     evaluate,
     evaluate_bisection,
