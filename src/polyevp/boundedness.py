@@ -19,18 +19,18 @@ For piecewise (vertices + rays) data the reductions are:
   unbounded below along the ray but bounded below on B + K.
 * level 1 additionally needs v - v1 in span K for every piece vertex v,
   with v1 the first one.  Exact Gauss-Jordan decides it with no LP, and
-  its weights certify the common point b (see `_common_lower_point`).
+  `rational.combines_to` checks its weights for the common point b.
 * level 3 is a single LP over functionals; level 4 is existential over
   an unbounded candidate space, so the check is honest: it confirms a
   candidate or reports unknown, never "impossible".
 
 The level-3 witness k* is a certificate for more than level 3.  Checked
-in integers on the integer forms that `ConeGen`, `Polytope` and
-`VPolyhedralUnion` keep, it proves the origin outside H + K, which
-`classify` needs, and it places every shifted-set candidate with
-k*.y0 - eps below its infimum over M outside M.  Those facts then take
-no LP; a missing k* leaves them to the geometry LPs, and a k* that fails
-its check is a bug, raised as `geometry.InternalConsistencyError`.
+by `rational.nonnegative_on` on the integer forms that `ConeGen`,
+`Polytope` and `VPolyhedralUnion` keep, it proves the origin outside
+H + K, which `classify` needs, and places every shifted-set candidate
+with k*.y0 - eps below its infimum over M outside M.  Those facts then
+take no LP; a missing k* leaves them to the geometry LPs.  A k* or b
+that fails its check is a bug: `geometry.InternalConsistencyError`.
 """
 
 from __future__ import annotations
@@ -47,11 +47,12 @@ from .geometry import (
     Polytope,
     VPolyhedralUnion,
     cone_contains,
+    homogenized_generators,
     union_disjoint_from,
     zero_notin_H_plus_K,
 )
 from .lp_core import solve, surplus_lp
-from .rational import Vec, idot, integerize
+from .rational import Vec, combines_to, idot, integerize, nonnegative_on
 
 __all__ = [
     "BoundednessReport",
@@ -78,8 +79,8 @@ def _common_lower_point(M: VPolyhedralUnion, K: ConeGen) -> Optional[Vec]:
     v - v1 = sum_j mu_j g_j for each v (0 on a generator that depends on
     earlier ones).  Let lam = max(0, -mu_j over all v and j) and
     b = v1 - lam * sum_j g_j.
-    Then v - b = sum_j (mu_j + lam) g_j, so these nonnegative weights
-    certify each v - b in K.
+    Then v - b = sum_j (mu_j + lam) g_j, and `combines_to` checks these
+    nonnegative weights of each v - b in K before b is returned.
 
     The elimination is fraction-free, on the integer forms of K and M
     brought to one denominator: as in `lp_core`'s tableau (Bareiss 1968),
@@ -93,13 +94,14 @@ def _common_lower_point(M: VPolyhedralUnion, K: ConeGen) -> Optional[Vec]:
     gs = [[c * (den // d) for c in g] for g, d in gens]
     vs = [[c * (den // d) for c in v] for v, d in verts]
     v1 = vs[0]
-    # den * [G | D]: the generators as columns, then one column per difference
-    aug = [[g[r] for g in gs] + [v[r] - v1[r] for v in vs[1:]] for r in range(n)]
-    rank, det = 0, 1
+    # den * [G | D]: the generators as columns, then v - v1 for each vertex v
+    aug = [[g[r] for g in gs] + [v[r] - v1[r] for v in vs] for r in range(n)]
+    rank, det, pivots = 0, 1, []
     for j in range(m):
         p = next((i for i in range(rank, n) if aug[i][j]), -1)
         if p < 0:
             continue
+        pivots.append(j)
         aug[rank], aug[p] = aug[p], aug[rank]
         prow = aug[rank]
         if prow[j] < 0:
@@ -116,10 +118,18 @@ def _common_lower_point(M: VPolyhedralUnion, K: ConeGen) -> Optional[Vec]:
         return None
     # lam = lam_num / det, and b = v1 - lam * sum_j g_j over den * det
     lam_num = max([0] + [-mu for row in aug[:rank] for mu in row[m:]])
-    return tuple(
-        Fraction(c * det - lam_num * sum(g[r] for g in gs), den * det)
-        for r, c in enumerate(v1)
-    )
+    bs = [c * det - lam_num * sum(g[r] for g in gs) for r, c in enumerate(v1)]
+    b = tuple(Fraction(c, den * det) for c in bs)
+    # den * det * (v - b) = sum_j (det * mu_j + lam_num) * den * g_j
+    for k, v in enumerate(vs):
+        coeffs = [lam_num] * m
+        for j, row in zip(pivots, aug):
+            coeffs[j] += row[m + k]
+        if not combines_to(coeffs, gs, [c * det - e for c, e in zip(v, bs)]):
+            raise InternalConsistencyError(
+                f"b = ({', '.join(map(str, b))}) fails its check"
+            )
+    return b
 
 
 def find_kstar(M: VPolyhedralUnion, K: ConeGen, H: Polytope) -> Optional[Vec]:
@@ -162,18 +172,15 @@ def _kstar_infimum(
 ) -> Optional[Fraction]:
     """The infimum of k* over M when k* checks as a dual witness, else None.
 
-    The check is exact, in integers on the integer forms of K, H and M:
-    k*.g >= 0 for each generator g of K, k*.h >= 1 for each vertex h of
-    H and k*.r >= 0 for each ray r.  A checked k* proves the origin
-    outside H + K, as k*.(h + k) >= 1, and puts every candidate with
-    k*.y0 - eps below the infimum outside M.
+    With k* = ks / den, k*.h >= 1, k*.g >= 0 and k*.r >= 0 at the
+    vertices h of H, generators g of K and rays r is one `nonnegative_on`
+    call: the row (ks, -den) on (h, 1), (g, 0) and (r, 0).  A checked k*
+    proves the origin outside H + K, as k*.(h + k) >= 1, and puts every
+    candidate with k*.y0 - eps below the infimum outside M.
     """
     ks, den = integerize(kstar)
-    if any(idot(ks, g) < 0 for g, _ in K.integer_generators):
-        return None
-    if any(idot(ks, h) < den * d for h, d in H.integer_vertices):
-        return None
-    if any(idot(ks, r) < 0 for r, _ in M.integer_rays):
+    gens = homogenized_generators(H, K, 1) + tuple(r + (0,) for r, _ in M.integer_rays)
+    if not nonnegative_on(ks + [-den], gens):
         return None
     n, d = _vertex_minimum(M, ks)
     return Fraction(n, d * den)

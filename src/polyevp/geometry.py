@@ -13,10 +13,10 @@ from the integer forms below.  For a question asked many times about
 one pair (H, K) at varying scale t, `homogenized_halfspaces` makes and
 checks the rows of the cone over t*H +- K, once: `cone_halfspaces`
 converts its integer generators (h, 1) and (+-k, 0) into rows by the
-double description method, and `checked_rows` keeps the rows
-nonnegative on every one of them.  So a "no" read from a row never
-depends on the construction being right, and "z in t*H +- K" for every
-t >= 0 is a sign check of integer row products, with no LP.
+double description method, and `checked_rows` keeps the rows that
+`rational.nonnegative_on` accepts on all of them.  So no "no" read from
+a row depends on the construction being right, and "z in t*H +- K" for
+every t >= 0 is a sign check of integer row products, with no LP.
 `ConeHalfspaces` owns that row list: its `products`, `admits`, `bounds`
 with `reaches`, and `scale_range` answer every such question, so no
 other module reads a row.
@@ -26,8 +26,8 @@ Integers are formed once per value.  `ConeGen`, `Polytope` and
 (ints, den) with vector == ints / den, built on first use and cached on
 the instance.  The membership LPs and `homogenized_generators` read
 them, as does `weights_certify_scaled_H_minus_K` at the end of this
-module, which checks an LP's own weights for "y in t*H - K" in integer
-arithmetic.  Query points are scaled to integers by
+module, which hands an LP's own weights for "y in t*H - K" to
+`rational.combines_to`.  Query points are scaled to integers by
 `rational.integerize` as they come.
 
 Three error classes serve the whole package.  `DimensionMismatchError`
@@ -53,7 +53,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .lp_core import combination_lp, solve
-from .rational import Number, Vec, frac, frac_vec, idot, integerize
+from .rational import (
+    Number, Vec, combines_to, frac, frac_vec, idot, integerize, nonnegative_on,
+)
 
 __all__ = [
     "DimensionMismatchError",
@@ -472,9 +474,7 @@ def checked_rows(hs: ConeHalfspaces, gens: Sequence[Sequence[int]]) -> ConeHalfs
     so a point where it is negative lies outside, whatever produced the
     rows.
     """
-    return ConeHalfspaces(
-        tuple(r for r in hs.rows if all(idot(r, g) >= 0 for g in gens))
-    )
+    return ConeHalfspaces(tuple(r for r in hs.rows if nonnegative_on(r, gens)))
 
 
 def homogenized_halfspaces(H: Polytope, K: ConeGen, k_sign: int) -> ConeHalfspaces:
@@ -508,23 +508,16 @@ def weights_certify_scaled_H_minus_K(
 
     They do when every weight is nonnegative, sum mu = |t| and
     y = sign(t) * sum mu h - sum w k: for t != 0, sum mu h / |t| is a
-    point of H, and for t = 0 every mu is 0 and y = -sum w k.  The sum
-    is checked in integers: a weight times a vector's form ints / den is
-    weight / den times ints.
+    point of H, and for t = 0 every mu is 0 and y = -sum w k.  That is,
+    (sign(t) * y, |t|) = sum mu (h, 1) + sum w (-sign(t) * k, 0), which
+    `combines_to` checks on the `homogenized_generators`(H, K, -sign(t)),
+    den * (h, 1) or den * (-+k, 0) each, with w / den for a weight w.
     """
-    forms = H.integer_vertices + K.integer_generators
-    p = len(H.vertices)
-    if len(weights) != len(forms) or sum(weights[:p]) != abs(t):
-        return False
-    ints, _ = integerize([w / den for w, (_, den) in zip(weights, forms)] + list(y))
-    coeffs, z = ints[: len(forms)], ints[len(forms):]
-    if any(c < 0 for c in coeffs):
+    dens = [d for _, d in H.integer_vertices + K.integer_generators]
+    if len(weights) != len(dens):
         return False
     sign = -1 if t < 0 else 1
-    vecs = [v for v, _ in forms]
-    for r, zr in enumerate(z):
-        hpart = sum(c * v[r] for c, v in zip(coeffs[:p], vecs[:p]))
-        kpart = sum(c * v[r] for c, v in zip(coeffs[p:], vecs[p:]))
-        if sign * hpart - kpart != zr:
-            return False
-    return True
+    point = [sign * c for c in y] + [abs(t)]
+    ints, _ = integerize([w / d for w, d in zip(weights, dens)] + point)
+    gens = homogenized_generators(H, K, -sign)
+    return combines_to(ints[: len(dens)], gens, ints[len(dens):])

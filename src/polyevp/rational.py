@@ -22,6 +22,10 @@ in integers and reads the optimum off its integer tableau; a row given
 as Fractions is scaled once, when its `LinearProgram` is made.
 `scalarization`'s bisection keeps its scales as integer numerators over
 one denominator, and `boundedness` eliminates fraction-free.
+
+`nonnegative_on` and `combines_to`, the two sides of Farkas' lemma for
+an integer cone, decide every integer certificate: the checked rows and
+`evaluate`'s weights in `geometry`, and k* and b in `boundedness`.
 """
 
 from __future__ import annotations
@@ -128,6 +132,22 @@ def integerize(values: Sequence[Fraction]) -> tuple[list[int], int]:
 def idot(a: Sequence[int], b: Sequence[int]) -> int:
     """a . b for integer vectors, stopping at the end of the shorter."""
     return sum(map(operator.mul, a, b))
+
+
+def nonnegative_on(row: Sequence[int], gens: Iterable[Sequence[int]]) -> bool:
+    """Is row . g >= 0 at every generator g?  Then a point where the row
+    is negative lies outside the cone they generate: Farkas' "no"."""
+    return all(idot(row, g) >= 0 for g in gens)
+
+
+def combines_to(
+    coeffs: Sequence[int], gens: Sequence[Sequence[int]], point: Sequence[int]
+) -> bool:
+    """Are ``coeffs`` nonnegative, one per generator, with sum c * g ==
+    point?  Then the point lies in the cone they generate: Farkas' "yes"."""
+    if len(coeffs) != len(gens) or any(c < 0 for c in coeffs):
+        return False
+    return all(idot(coeffs, [g[r] for g in gens]) == p for r, p in enumerate(point))
 
 
 def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:

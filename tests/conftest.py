@@ -221,18 +221,21 @@ def reference_bisection(F, y, tol, t_max) -> ExtendedReal:
     return ExtendedReal.finite(hi / scale)
 
 
-def reference_common_lower_point(M: VPolyhedralUnion, K: ConeGen):
-    """`boundedness._common_lower_point` by Fraction Gauss-Jordan on
-    [G | D], the generators then the differences v - v1."""
+def reference_lower_point_weights(M: VPolyhedralUnion, K: ConeGen):
+    """(b, weights) as `boundedness._common_lower_point` finds them, by
+    Fraction Gauss-Jordan on [G | D], the generators then the differences
+    v - v1; or None when no b exists.  weights[k][j] is mu_j + lam for
+    the k-th piece vertex v, so v - b = sum_j weights[k][j] * g_j."""
     verts = M.all_vertices()
     gens = K.generators
     v1, m, n = verts[0], len(gens), M.dim
     aug = [[g[r] for g in gens] + [v[r] - v1[r] for v in verts[1:]] for r in range(n)]
-    rank = 0
+    rank, pivots = 0, []
     for j in range(m):
         p = next((i for i in range(rank, n) if aug[i][j]), -1)
         if p < 0:
             continue
+        pivots.append(j)
         aug[rank], aug[p] = aug[p], aug[rank]
         piv = aug[rank][j]
         prow = aug[rank] = [e / piv for e in aug[rank]]
@@ -243,8 +246,20 @@ def reference_common_lower_point(M: VPolyhedralUnion, K: ConeGen):
         rank += 1
     if any(any(row[m:]) for row in aug[rank:]):
         return None
-    lam = max([Fraction(0)] + [-mu for row in aug[:rank] for mu in row[m:]])
-    return tuple(c - lam * sum(g[r] for g in gens) for r, c in enumerate(v1))
+    # mu per vertex and generator: 0 for v1 and on a generator that is no pivot
+    mus = [[Fraction(0)] * m for _ in verts]
+    for row, j in zip(aug, pivots):
+        for k in range(1, len(verts)):
+            mus[k][j] = row[m + k - 1]
+    lam = max([Fraction(0)] + [-mu for row in mus for mu in row])
+    b = tuple(c - lam * sum(g[r] for g in gens) for r, c in enumerate(v1))
+    return b, [[mu + lam for mu in row] for row in mus]
+
+
+def reference_common_lower_point(M: VPolyhedralUnion, K: ConeGen):
+    """The b of `reference_lower_point_weights`, or None."""
+    found = reference_lower_point_weights(M, K)
+    return None if found is None else found[0]
 
 
 def _vec_doc(v) -> list:

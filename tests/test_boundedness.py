@@ -602,6 +602,36 @@ def test_a_kstar_failing_its_check_exits_3(tmp_path, monkeypatch, capsys, kstar,
     )
 
 
+@pytest.mark.parametrize("entry, step", [(0, 1), (1, -1)])
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_a_b_failing_its_check_exits_3(tmp_path, monkeypatch, capsys, entry, step, flags):
+    # K the orthant and M the points (0, 0) and (-1/2, 2): mu = (-1/2, 2)
+    # for the second, so lam = 1/2 and b = (-1/2, -1/2), with weights
+    # (1/2, 1/2) and (0, 5/2); one weight moved before the check is a bug
+    doc = {
+        "dimension": 2,
+        "cone": {"generators": [[1, 0], [0, 1]]},
+        "H": {"vertices": [[1, 1]]},
+        "ranges": {"pieces": [{"vertices": [[0, 0], ["-1/2", 2]], "rays": []}]},
+    }
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["diagnose", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["k_lower_witness"] == ["-1/2", "-1/2"]
+    check = boundedness.combines_to
+
+    def corrupted(coeffs, gens, point):
+        moved = list(coeffs)
+        moved[entry] += step
+        return check(moved, gens, point)
+
+    monkeypatch.setattr(boundedness, "combines_to", corrupted)
+    assert cli.main(["diagnose", str(path), *flags]) == 3
+    assert capsys.readouterr().out == (
+        "internal consistency failure: b = (-1/2, -1/2) fails its check\n"
+    )
+
+
 @pytest.mark.parametrize(
     "M, H, error, message",
     [

@@ -1,10 +1,11 @@
 """Every imported name is used, every module-level private function or
 class of the package is referenced, every exported name exists, no
 package module reads another's private name, only `lp_core` builds a
-`LinearProgram`, and only `geometry` makes and checks halfspace rows: a
-stdlib `ast` scan of the package and the tests, since no linter is part
-of the toolchain.  Each module, imported alone, loads exactly the
-package modules of the layers below it."""
+`LinearProgram`, only `geometry` makes and checks halfspace rows, and
+only `rational` compares an `idot` product: a stdlib `ast` scan of the
+package and the tests, since no linter is part of the toolchain.  Each
+module, imported alone, loads exactly the package modules of the layers
+below it."""
 
 import ast
 import importlib
@@ -179,6 +180,29 @@ def row_makers() -> list[str]:
 
 def test_only_geometry_makes_and_checks_rows():
     assert row_makers() == []
+
+
+def idot_comparisons() -> list[str]:
+    """Comparisons that take an `idot` call as an operand, in package
+    modules other than `rational`.  Such a comparison decides a
+    certificate by hand; `rational.nonnegative_on` and
+    `rational.combines_to` are the one place that does it."""
+    found = []
+    for path in PACKAGE:
+        if path.name == "rational.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(e, ast.Call)
+                and "idot" in (getattr(e.func, "id", None), getattr(e.func, "attr", None))
+                for e in [node.left, *node.comparators]
+            ):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_only_rational_decides_integer_certificates():
+    assert idot_comparisons() == []
 
 
 # What importing each module alone loads of the package besides itself:
