@@ -18,10 +18,12 @@ For piecewise (vertices + rays) data the reductions are:
   from K gives a functional negative on r, nonnegative on K, hence
   unbounded below along the ray but bounded below on B + K.
 * level 1 additionally needs v - v1 in span K for every piece vertex v,
-  with v1 the first one.  Exact Gauss-Jordan decides it with no LP, and
+  with v1 the first one.  Gauss-Jordan with `lp_core.eliminate`, the
+  tableau's fraction-free step, decides it with no LP, and
   `rational.combines_to` checks its weights for the common point b.
-* level 3 is a single LP over functionals; level 4 is existential over
-  an unbounded candidate space, so the check is honest: it confirms a
+* level 3 is a single LP over functionals, which `lp_core.combination_lp`
+  builds like every other program; level 4 is existential over an
+  unbounded candidate space, so the check is honest: it confirms a
   candidate or reports unknown, never "impossible".
 
 The level-3 witness k* is a certificate for more than level 3.  Checked
@@ -51,7 +53,7 @@ from .geometry import (
     union_disjoint_from,
     zero_notin_H_plus_K,
 )
-from .lp_core import solve, surplus_lp
+from .lp_core import combination_lp, eliminate, solve
 from .rational import Vec, combines_to, idot, integerize, nonnegative_on
 
 __all__ = [
@@ -83,10 +85,11 @@ def _common_lower_point(M: VPolyhedralUnion, K: ConeGen) -> Optional[Vec]:
     nonnegative weights of each v - b in K before b is returned.
 
     The elimination is fraction-free, on the integer forms of K and M
-    brought to one denominator: as in `lp_core`'s tableau (Bareiss 1968),
-    each pivot row holds det in its pivot column, so mu is an entry over
-    det.  The reduced row echelon form is unique, so mu, lam and b are
-    those of Fraction Gauss-Jordan; only b is formed as Fractions.
+    brought to one denominator, with `lp_core.eliminate`, the step of
+    `lp_core`'s tableau (Bareiss 1968): each pivot row holds det in its
+    pivot column, so mu is an entry over det.  The reduced row echelon
+    form is unique, so mu, lam and b are those of Fraction Gauss-Jordan;
+    only b is formed as Fractions.
     """
     gens, verts = K.integer_generators, M.integer_vertices
     m, n = len(gens), M.dim
@@ -109,8 +112,7 @@ def _common_lower_point(M: VPolyhedralUnion, K: ConeGen) -> Optional[Vec]:
         piv = prow[j]
         for i, row in enumerate(aug):
             if i != rank:
-                f = row[j]
-                aug[i] = [(a * piv - f * e) // det for a, e in zip(row, prow)]
+                aug[i] = eliminate(row, prow, j, piv, det)
         det = piv
         rank += 1
     # a row with no generator entry left must have no difference entry either
@@ -140,6 +142,12 @@ def find_kstar(M: VPolyhedralUnion, K: ConeGen, H: Polytope) -> Optional[Vec]:
     threshold rescales), and l.r >= 0 on every ray of M, so the infimum
     of l over M is a finite vertex minimum.  Returns the witness of
     least l1-norm, or None when the program is infeasible.
+
+    With l = a - b for a, b >= 0 and one slack s_c >= 0 per constraint
+    l . w_c >= bound_c, w_c = ints_c / den_c, `lp_core.combination_lp`
+    builds row c as den_c * (w_c . (a - b) - s_c) = den_c * bound_c: the
+    columns are the ints_c coordinates, those at scale -1, and the slack
+    columns -den_c * e_c, each with denominator 1.
     """
     if M.dim != K.dim:
         raise DimensionMismatchError("union and cone dimensions differ")
@@ -149,7 +157,16 @@ def find_kstar(M: VPolyhedralUnion, K: ConeGen, H: Polytope) -> Optional[Vec]:
     # one row per constraint l . w_c >= bound_c
     forms = K.integer_generators + H.integer_vertices + M.integer_rays
     bounds = [0] * len(K.generators) + [1] * len(H.vertices) + [0] * len(M.integer_rays)
-    lp = surplus_lp(n, forms, bounds, [1] * (2 * n) + [0] * len(forms))
+    k = len(forms)
+    coords = [(col, 1) for col in zip(*(ints for ints, _ in forms))]
+    slacks = [
+        (tuple([-d if i == c else 0 for i in range(k)]), 1) for c, (_, d) in enumerate(forms)
+    ]
+    lp = combination_lp(
+        [d * bound for (_, d), bound in zip(forms, bounds)],
+        [(coords, 1, False), (coords, -1, False), (slacks, 1, False)],
+        [1] * (2 * n) + [0] * k,
+    )
     res = solve(lp)
     if not res.is_feasible:
         return None

@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Iterable, Iterator, Optional, Sequence
 
@@ -103,7 +103,7 @@ class HypothesisViolatedError(RuntimeError):
         self.blocking = blocking
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class FiniteMetricSpace:
     """Finitely many labelled points with an exact metric matrix.
 
@@ -125,14 +125,9 @@ class FiniteMetricSpace:
     """
 
     labels: tuple[str, ...]
-    matrix: tuple[tuple[int, ...], ...]
-    den: int
-
-    def __init__(self, labels: Iterable[str], dist: Iterable[Iterable[Number]]) -> None:
-        # validation stays in __post_init__, the hook through which
-        # bench/tracer.py times the construction of every traced class
-        object.__setattr__(self, "labels", labels)
-        self.__post_init__(dist)
+    dist: InitVar[Iterable[Iterable[Number]]]
+    matrix: tuple[tuple[int, ...], ...] = field(init=False)
+    den: int = field(init=False)
 
     def __post_init__(self, dist: Iterable[Iterable[Number]]) -> None:
         labels = tuple(str(l) for l in self.labels)

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lp_core import combination_lp, solve
+from .lp_core import IntForm, combination_lp, solve
 from .rational import (
     Number, Vec, combines_to, frac, frac_vec, idot, integerize, nonnegative_on,
 )
@@ -102,7 +102,7 @@ def check_dim(dim: int, v: Sequence, what: str) -> None:
         )
 
 
-IntForms = tuple[tuple[tuple[int, ...], int], ...]
+IntForms = tuple[IntForm, ...]
 
 
 def _integer_forms(vectors: Sequence[Vec]) -> IntForms:

@@ -3,14 +3,15 @@
 Every program is in standard form: equality rows over nonnegative
 variables, minimizing a linear objective when one is given and a
 feasibility question when it is not.  `combination_lp` builds every
-program the package solves in one column layout, except the dual
-witness program of `boundedness`, which `surplus_lp` builds; both build
-their rows in integers.  A two-phase simplex method with Bland's rule
-solves them on an integer tableau with fraction-free (Bareiss) pivots,
-so every feasible/infeasible/unbounded verdict is certified by the
-arithmetic and the method provably terminates.  A crash start (Bixby
-1992) begins each row that can on a structural column found in that row
-alone, so only the other rows need an artificial column and phase 1.
+program the package solves in one column layout, with its rows in
+integers.  A two-phase simplex method with Bland's rule solves them on
+an integer tableau with fraction-free (Bareiss) pivots, so every
+feasible/infeasible/unbounded verdict is certified by the arithmetic
+and the method provably terminates.  `eliminate` is that pivot's step
+on one row, the only fraction-free elimination step in the package.  A
+crash start (Bixby 1992) begins each row that can on a structural
+column found in that row alone, so only the other rows need an
+artificial column and phase 1.
 
 The tableau is dense and small on purpose: every caller in this package
 produces programs with at most a few dozen variables, and correctness
@@ -32,8 +33,8 @@ __all__ = [
     "LinearProgram",
     "LPResult",
     "combination_lp",
+    "eliminate",
     "solve",
-    "surplus_lp",
 ]
 
 
@@ -90,8 +91,8 @@ IntForm = tuple[Sequence[int], int]
 
 
 def combination_lp(
-    target: Sequence[Number],
-    blocks: Sequence[tuple[Sequence[IntForm], Number, bool]],
+    target: Sequence[int | Fraction],
+    blocks: Sequence[tuple[Sequence[IntForm], int | Fraction, bool]],
     objective: Optional[Sequence[Number]] = None,
 ) -> LinearProgram:
     """Program for target = sum over blocks of scale * (nonnegative
@@ -99,16 +100,20 @@ def combination_lp(
 
     ``blocks`` lists (forms, scale, convex) in column order, each vector
     given by its integer form (ints, den), vector == ints / den, as the
-    `geometry` value types keep them, and each scale an int or Fraction.
-    A convex block's weights sum to one, in a row after the coordinate
-    rows; such rows follow block order.  Every program in this package
-    is one such program, so this fixed layout also fixes the pivots.
+    `geometry` value types keep them.  Each scale and each target entry
+    is an int or a Fraction.  A convex block's weights sum to one, in a
+    row after the coordinate rows; such rows follow block order.  Every
+    program in this package is one such program, so this fixed layout
+    also fixes the pivots.
 
     Each row is built straight in integers: it is the row's Fraction
     entries, with the target's entry as rhs, times the lcm of their
     reduced denominators, which is the `rational.integerize` form that
     `LinearProgram` would load.  No Fraction is formed.
     """
+    # Tuples are made from lists, at their final size: CPython grows a
+    # tuple made from a generator by resizing, and each one freed is kept
+    # in its size's free list, which that route never draws on.
     cols: list[IntForm] = []  # column j is ints / den
     spans = []  # column range of each convex block
     for forms, scale, convex in blocks:
@@ -118,15 +123,15 @@ def combination_lp(
         if num == den == 1:
             cols += forms
         else:
-            cols += [(tuple(num * c for c in ints), den * d) for ints, d in forms]
+            cols += [(tuple([num * c for c in ints]), den * d) for ints, d in forms]
     rows, rhs = [], []
     for r, t in enumerate(target):
         # the entry ints[r] / d has reduced denominator d / gcd(ints[r], d)
         lcm = math.lcm(t.denominator, *(d // math.gcd(v[r], d) for v, d in cols if d != 1))
-        rows.append(tuple(v[r] * lcm // d for v, d in cols))
+        rows.append(tuple([v[r] * lcm // d for v, d in cols]))
         rhs.append(t.numerator * (lcm // t.denominator))
     for span in spans:
-        rows.append(tuple(int(j in span) for j in range(len(cols))))
+        rows.append(tuple([int(j in span) for j in range(len(cols))]))
         rhs.append(1)
     return LinearProgram(
         n_vars=len(cols),
@@ -134,31 +139,6 @@ def combination_lp(
         rhs=tuple(rhs),
         objective=None if objective is None else tuple(objective),
     )
-
-
-def surplus_lp(
-    dim: int,
-    forms: Sequence[IntForm],
-    bounds: Sequence[int],
-    objective: Sequence[Number],
-) -> LinearProgram:
-    """Program for w_c . l >= bounds_c over a free l in R^dim, for the
-    vectors w_c = ints_c / den_c given by their integer forms and integer
-    bounds.
-
-    l = a - b with a, b >= 0, and one surplus s_c >= 0 per vector:
-    w_c . (a - b) - s_c = bounds_c, columns a, b, then s.  Row c is the
-    `rational.integerize` form of that row,
-    (ints_c, -ints_c, -den_c * e_c | den_c * bounds_c), built in integers.
-    """
-    k = len(forms)
-    rows, rhs = [], []
-    for c, ((ints, den), bound) in enumerate(zip(forms, bounds)):
-        surplus = [0] * k
-        surplus[c] = -den
-        rows.append((*ints, *(-e for e in ints), *surplus))
-        rhs.append(den * bound)
-    return LinearProgram(2 * dim + k, tuple(rows), tuple(rhs), tuple(objective))
 
 
 @dataclass(frozen=True)
@@ -333,8 +313,8 @@ class _Tableau:
         piv, det = prow[q], self.det
         for i, row in enumerate(rows):
             if i != p:
-                rows[i] = _eliminate(row, prow, q, piv, det)
-        self.obj = _eliminate(self.obj, prow, q, piv, det)
+                rows[i] = eliminate(row, prow, q, piv, det)
+        self.obj = eliminate(self.obj, prow, q, piv, det)
         self.det = piv
         self.basis[p] = q
 
@@ -367,8 +347,11 @@ class _Tableau:
             self.pivot(best, q)
 
 
-def _eliminate(row: list[int], prow: list[int], q: int, piv: int, det: int) -> list[int]:
-    """``row`` after the pivot on prow[q] = piv: exact integer division by det."""
+def eliminate(row: list[int], prow: list[int], q: int, piv: int, det: int) -> list[int]:
+    """``row`` after the fraction-free (Bareiss) pivot on prow[q] = piv,
+    with det the previous pivot (1 before the first): every entry
+    (a * piv - row[q] * b) // det, a division Sylvester's identity makes
+    exact."""
     f = row[q]
     if f:
         return [(a * piv - f * b) // det for a, b in zip(row, prow)]

@@ -21,7 +21,8 @@ where a value leaves them.  `lp_core` builds every LP row, with its rhs,
 in integers and reads the optimum off its integer tableau; a row given
 as Fractions is scaled once, when its `LinearProgram` is made.
 `scalarization`'s bisection keeps its scales as integer numerators over
-one denominator, and `boundedness` eliminates fraction-free.
+one denominator, and `boundedness` eliminates fraction-free with
+`lp_core.eliminate`, the tableau's pivot step.
 
 `nonnegative_on` and `combines_to`, the two sides of Farkas' lemma for
 an integer cone, decide every integer certificate: the checked rows and

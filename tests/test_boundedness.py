@@ -255,10 +255,25 @@ def _kstar_lp_by_rows(M, K, H) -> LinearProgram:
     return LinearProgram(2 * n + k, tuple(rows), tuple(rhs), objective)
 
 
-# Pivots of the 200 programs below; counts do not depend on the machine.
-# The crash start begins each K-generator and ray row on its slack, so
-# only H's rows start on artificials.
+def _small_draw(rng):
+    """(M, K, H) in dimension 2-3 with 1-3 generators and 1-2 vertices."""
+    K, H, _ = rand_cone_polytope(rng, rng.randint(2, 3), rng.randint(1, 3), rng.randint(1, 2))
+    return rand_union(rng, K), K, H
+
+
+def _geometry_draw(rng):
+    """(M, K, H) shaped like the `geometry` benchmark documents: dimension
+    3-4, 2..dim+2 generators and 1-3 vertices."""
+    n = rng.randint(3, 4)
+    K, H, _ = rand_cone_polytope(rng, n, rng.randint(2, n + 2), rng.randint(1, 3))
+    return rand_union(rng, K), K, H
+
+
+# Pivots of the 200 programs of each family below; counts do not depend
+# on the machine.  The crash start begins each K-generator and ray row on
+# its slack, so only H's rows start on artificials.
 KSTAR_PIVOTS = 634
+GEOMETRY_KSTAR_PIVOTS = 1466
 
 
 def test_find_kstar_builds_the_row_by_row_program(monkeypatch):
@@ -282,16 +297,18 @@ def test_find_kstar_builds_the_row_by_row_program(monkeypatch):
 
     monkeypatch.setattr(boundedness, "solve", spy)
     monkeypatch.setattr(_Tableau, "pivot", counted_pivot)
-    rng = random.Random(20170817)
-    for _ in range(200):
-        K, H, _ = rand_cone_polytope(
-            rng, rng.randint(2, 3), rng.randint(1, 3), rng.randint(1, 2)
-        )
-        M = rand_union(rng, K)
-        seen.clear()
-        find_kstar(M, K, H)
-        assert seen == [_kstar_lp_by_rows(M, K, H)], (M, K, H)
-    assert pivots == KSTAR_PIVOTS
+    for draw, seed, expected in (
+        (_small_draw, 20170817, KSTAR_PIVOTS),
+        (_geometry_draw, 20170818, GEOMETRY_KSTAR_PIVOTS),
+    ):
+        rng = random.Random(seed)
+        pivots = 0
+        for _ in range(200):
+            M, K, H = draw(rng)
+            seen.clear()
+            find_kstar(M, K, H)
+            assert seen == [_kstar_lp_by_rows(M, K, H)], (M, K, H)
+        assert pivots == expected, draw.__name__
 
 
 def _lower_point_lp_by_rows(M, K) -> LinearProgram:

@@ -1,8 +1,10 @@
 """Every imported name is used, every module-level private function or
 class of the package is referenced, every exported name exists, no
 package module reads another's private name, only `lp_core` builds a
-`LinearProgram`, only `geometry` makes and checks halfspace rows, and
-only `rational` compares an `idot` product: a stdlib `ast` scan of the
+`LinearProgram` and within it only `combination_lp` does, only
+`lp_core` floor-divides by a name ``det`` (a fraction-free elimination
+step), only `geometry` makes and checks halfspace rows, and only
+`rational` compares an `idot` product: a stdlib `ast` scan of the
 package and the tests, since no linter is part of the toolchain.  Each
 module, imported alone, loads exactly the package modules of the layers
 below it."""
@@ -142,22 +144,68 @@ def test_no_private_names_imported_across_modules():
     assert private_imports() == []
 
 
+def _program_calls(tree: ast.AST) -> list[int]:
+    """Line numbers of the calls of `LinearProgram` inside ``tree``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "LinearProgram" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
 def program_builders() -> list[str]:
     """Calls of `LinearProgram` in package modules other than `lp_core`."""
+    return [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in PACKAGE
+        if path.name != "lp_core.py"
+        for line in _program_calls(ast.parse(path.read_text(), str(path)))
+    ]
+
+
+def test_only_lp_core_builds_programs():
+    assert program_builders() == []
+
+
+def lp_core_builders() -> list[str]:
+    """Calls of `LinearProgram` in `lp_core` outside `combination_lp`,
+    the one program builder."""
+    path = ROOT / "src" / "polyevp" / "lp_core.py"
+    return [
+        f"{path.relative_to(ROOT)}:{line}"
+        for top in ast.parse(path.read_text(), str(path)).body
+        if getattr(top, "name", None) != "combination_lp"
+        for line in _program_calls(top)
+    ]
+
+
+def test_only_combination_lp_builds_programs():
+    assert lp_core_builders() == []
+
+
+def det_divisions() -> list[str]:
+    """Floor divisions by a name ``det`` in package modules other than
+    `lp_core`.  Such a division is a fraction-free elimination step, and
+    `lp_core.eliminate` is the one place that takes it."""
     found = []
     for path in PACKAGE:
         if path.name == "lp_core.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Call) and "LinearProgram" in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None)
-            ):
+            if isinstance(node, ast.BinOp):
+                divisor = node.right
+            elif isinstance(node, ast.AugAssign):
+                divisor = node.value
+            else:
+                continue
+            if isinstance(node.op, ast.FloorDiv) and getattr(divisor, "id", None) == "det":
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     return found
 
 
-def test_only_lp_core_builds_programs():
-    assert program_builders() == []
+def test_only_lp_core_takes_elimination_steps():
+    assert det_divisions() == []
 
 
 def row_makers() -> list[str]:
