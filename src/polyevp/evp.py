@@ -115,13 +115,13 @@ class FiniteMetricSpace:
     give one entry; any other token goes to `ratio` on its own and fails
     there as it would alone.
 
-    The metric axioms are checked on the matrix in bulk: a zero
-    diagonal, ``m == transpose(m)``, and off-diagonal entries positive.
-    The triangle inequality is then one test per unordered pair on rows
-    packed into single integers (`_triangle_holds`).  Any failure is
-    searched again in row-major order, so the message names the first
-    failing entry or (i, j, k) triple, exactly as a plain triple loop
-    would.  ``d(a, b)`` reads one distance as a Fraction.
+    Every token is read before a label is checked.  Each metric axiom
+    is one pass that decides it and names its first failure in row-major
+    order, as a plain triple loop would: row i is compared with column i
+    at C level, and only a failing row is searched entry by entry; the
+    triangle inequality is one test per unordered pair on rows packed
+    into single integers (`_first_triangle_failure`).  ``d(a, b)`` reads
+    one distance as a Fraction.
     """
 
     labels: tuple[str, ...]
@@ -130,12 +130,6 @@ class FiniteMetricSpace:
     den: int = field(init=False)
 
     def __post_init__(self, dist: Iterable[Iterable[Number]]) -> None:
-        labels = tuple(str(l) for l in self.labels)
-        object.__setattr__(self, "labels", labels)
-        if len(set(labels)) != len(labels):
-            raise InvalidConfigurationError("duplicate labels in metric space")
-        if not labels:
-            raise InvalidConfigurationError("metric space needs at least one point")
         # token -> index of its (num, den) in `pairs`; True hashes like 1
         # and a list is unhashable, so only str and int tokens are kept
         memo: dict = {}
@@ -152,6 +146,12 @@ class FiniteMetricSpace:
             return len(pairs) - 1
 
         rows = [list(map(index, row)) for row in dist]
+        labels = tuple(str(l) for l in self.labels)
+        object.__setattr__(self, "labels", labels)
+        if len(set(labels)) != len(labels):
+            raise InvalidConfigurationError("duplicate labels in metric space")
+        if not labels:
+            raise InvalidConfigurationError("metric space needs at least one point")
         n = len(labels)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise InvalidConfigurationError("distance matrix shape does not match labels")
@@ -160,44 +160,30 @@ class FiniteMetricSpace:
         m = tuple(tuple(map(entries.__getitem__, row)) for row in rows)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "den", den)
-        # with a zero diagonal, a row's entries are all positive off the
-        # diagonal iff its least entry is 0 and it holds one 0
-        if not (
-            m == tuple(zip(*m))
-            and all(m[i][i] == 0 for i in range(n))
-            and all(min(row) == 0 and row.count(0) == 1 for row in m)
-        ):
-            self._raise_first_entry_failure()
-        if not _triangle_holds(m):
-            i, j, k = next(
-                (i, j, k)
-                for i, mi in enumerate(m)
-                for j, mj in enumerate(m)
-                for k in range(n)
-                if mi[k] > mi[j] + mj[k]
-            )
-            raise InvalidConfigurationError(
-                "triangle inequality fails on "
-                f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})"
-            )
-
-    def _raise_first_entry_failure(self) -> None:
-        """Raise for the first entry, in row-major order, that breaks the
-        zero diagonal, symmetry or positivity."""
-        labels, m = self.labels, self.matrix
-        for i, row in enumerate(m):
+        for i, (row, col) in enumerate(zip(m, zip(*m))):
+            # with a zero diagonal, a row's entries are all positive off
+            # the diagonal iff its least entry is 0 and it holds one 0
+            if row[i] == 0 and row == col and min(row) == 0 and row.count(0) == 1:
+                continue
             if row[i] != 0:
                 raise InvalidConfigurationError(f"nonzero self-distance at {labels[i]!r}")
-            for j, x in enumerate(row):
-                if x != m[j][i]:
+            for j, (x, y) in enumerate(zip(row, col)):
+                if x != y:
                     raise InvalidConfigurationError(
                         f"asymmetric distances between {labels[i]!r} and {labels[j]!r}"
                     )
                 if i != j and x <= 0:
                     raise InvalidConfigurationError(
                         f"distinct points {labels[i]!r}, {labels[j]!r} "
-                        f"at distance {Fraction(x, self.den)}"
+                        f"at distance {Fraction(x, den)}"
                     )
+        failure = _first_triangle_failure(m)
+        if failure is not None:
+            i, j, k = failure
+            raise InvalidConfigurationError(
+                "triangle inequality fails on "
+                f"({labels[i]!r}, {labels[j]!r}, {labels[k]!r})"
+            )
 
     @functools.cached_property
     def _index(self) -> dict[str, int]:
@@ -217,8 +203,10 @@ class FiniteMetricSpace:
         return Fraction(self.entry(a, b), self.den)
 
 
-def _triangle_holds(m: Sequence[Sequence[int]]) -> bool:
-    """The triangle inequality on a symmetric matrix of integers >= 0.
+def _first_triangle_failure(m: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int]]:
+    """The first (i, j, k), in row-major order, that breaks the triangle
+    inequality m[i][k] <= m[i][j] + m[j][k], or None, for a symmetric
+    matrix of integers >= 0.
 
     For a symmetric m, d[i][k] <= d[i][j] + d[j][k] and
     d[j][k] <= d[j][i] + d[i][k] for every k iff every
@@ -231,19 +219,31 @@ def _triangle_holds(m: Sequence[Sequence[int]]) -> bool:
     [2**(w-1) - M, 2**(w-1) + 2M], inside [0, 2**w): no borrow or carry
     crosses a field, and its top bit is set iff
     m[j][k] - m[i][k] <= m[i][j].  c - (A_i - A_j) tests the other sign.
+
+    A failing pair i < j is (i, j) if c - (A_i - A_j) fails, else (j, i).
+    The scan keeps the least such pair, stops at the first row past its
+    first index, and searches k for that pair alone.
     """
     w = max(map(max, m)).bit_length() + 2
     shifts = range(0, w * len(m), w)
     ones = sum(1 << s for s in shifts)
     high = ones << (w - 1)
     packed = [sum(map(operator.lshift, row, shifts)) for row in m]
+    first = None
     for i, (row, ai) in enumerate(zip(m, packed)):
+        if first is not None and first[0] < i:
+            break
         for j in range(i + 1, len(m)):
             diff = ai - packed[j]
             c = row[j] * ones + high
             if (c + diff) & (c - diff) & high != high:
-                return False
-    return True
+                pair = (i, j) if (c - diff) & high != high else (j, i)
+                if first is None or pair < first:
+                    first = pair
+    if first is not None:
+        i, j = first
+        return i, j, next(k for k in range(len(m)) if m[i][k] > m[i][j] + m[j][k])
+    return None
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ double description method, and `checked_rows` keeps the rows that
 `rational.nonnegative_on` accepts on all of them.  So no "no" read from
 a row depends on the construction being right, and "z in t*H +- K" for
 every t >= 0 is a sign check of integer row products, with no LP.
-`ConeHalfspaces` owns that row list: its `products`, `admits`, `bounds`
-with `reaches`, and `scale_range` answer every such question, so no
-other module reads a row.
+`ConeHalfspaces` owns that row list: its `products`, `bounds` with
+`reaches`, and `scale_range` answer every such question, so no other
+module reads a row.
 
 Integers are formed once per value.  `ConeGen`, `Polytope` and
 `VPolyhedralUnion` each keep their vectors' `rational.integerize` forms,
@@ -178,9 +178,6 @@ class VPolyhedralUnion:
     def all_rays(self) -> list[Vec]:
         return [r for _, rays in self.pieces for r in rays]
 
-    def all_vertices(self) -> list[Vec]:
-        return [v for verts, _ in self.pieces for v in verts]
-
     @functools.cached_property
     def integer_pieces(self) -> tuple[tuple[IntForms, IntForms], ...]:
         """(vertex forms, ray forms) per piece, each an (ints, den) per
@@ -189,7 +186,7 @@ class VPolyhedralUnion:
 
     @functools.cached_property
     def integer_vertices(self) -> IntForms:
-        """(ints, den) per piece vertex, in `all_vertices` order."""
+        """(ints, den) per piece vertex, piece by piece."""
         return tuple(f for verts, _ in self.integer_pieces for f in verts)
 
     @functools.cached_property
@@ -322,16 +319,6 @@ class ConeHalfspaces:
         """a_z . z for every row (a_z, a_t) of a homogenized cone."""
         # map stops at the end of z, leaving out each row's last entry a_t
         return tuple(sum(map(operator.mul, r, z)) for r in self.rows)
-
-    def admits(self, products: Sequence[int], num: int, den: int) -> bool:
-        """Is (z, num / den) in a homogenized cone, for den > 0 and
-        ``products`` = `products`(z)?  A sign check per row (a_z, a_t):
-        den * a_z . z >= -num * a_t, with no Fraction formed."""
-        n = -num
-        for p, a in zip(products, self.t_coefficients):
-            if den * p < n * a:
-                return False
-        return True
 
     def bounds(self, T: Fraction) -> tuple[int, list[int]]:
         """(den, bounds) with (z - zsrc, T) in the cone iff every row has

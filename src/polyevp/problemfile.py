@@ -9,8 +9,8 @@ their defaults.  Numbers may be written as integers, decimals, or "p/q"
 strings; everything is parsed exactly, each number once, by
 `rational.ratio`.  The distances of "space"."dist" go to
 `FiniteMetricSpace` as written, and it forms its integer matrix from
-them with no Fraction in between; a bad entry is located only when that
-construction fails.
+them with no Fraction in between, once; only a bad row or token is
+located again, entry by entry.
 
 Certificates serialize as {"xbar", "y0", "chain", "xi_trace", "mode",
 "checks"} where checks carries "a", "b" and, when applicable, "c" and
@@ -34,7 +34,7 @@ from .evp import (
     SetValuedMapTable,
     VerificationReport,
 )
-from .geometry import ConeGen, Polytope, VPolyhedralUnion
+from .geometry import ConeGen, InvalidConfigurationError, Polytope, VPolyhedralUnion
 from .rational import Vec, frac, to_jsonable
 
 __all__ = [
@@ -196,22 +196,24 @@ def _build_mode(doc: dict, eps: Fraction) -> tuple[Any, Optional[tuple[str, ...]
 
 
 def _build_space(labels: tuple[str, ...], dist_doc: list) -> FiniteMetricSpace:
-    """The metric space, its distances read once by the space itself.
+    """The metric space, built once from distances it reads itself.
 
-    A bad row or entry is located only when construction fails: the
-    row-by-row parse then names the first one in row-major order, as
-    `"space"."dist"[i]` or `"space"."dist"[i][j]`.  A failure with no bad
-    entry (a metric axiom, a duplicate label) propagates as it is.
+    It reads every token before it checks a label or an axiom, so its
+    `InvalidConfigurationError` propagates as it is.  Only a bad row or
+    token is located, by the row-by-row parse, which names the first
+    one in row-major order as `"space"."dist"[i]` or `"space"."dist"[i][j]`.
     """
     n = len(labels)
     try:
         if all(isinstance(row, list) and len(row) == n for row in dist_doc):
             return FiniteMetricSpace(labels, dist_doc)
+    except InvalidConfigurationError:
+        raise
     except (TypeError, ValueError):
-        pass  # located below; a failure with no bad entry is raised again
+        pass  # a bad token, located below
     for i, row in enumerate(dist_doc):
         _vector(row, n, f'"space"."dist"[{i}]')
-    return FiniteMetricSpace(labels, dist_doc)
+    raise AssertionError("a distance row or token failed but parses")
 
 
 def build_problem(doc: dict) -> EVPProblem:

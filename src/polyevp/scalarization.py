@@ -29,8 +29,8 @@ the question is one extreme scale.  Three routes compute it:
 * `evaluate_bisection` never looks at the branch decomposition: it
   brackets the threshold by doubling and bisects fixed-scale membership
   questions down to a requested width, on integer scales over one
-  denominator.  Each question is a sign check (`ConeHalfspaces.admits`)
-  on the functional's halfspaces, with no LP and no Fraction.  Its
+  denominator.  Each question compares the scale with the ends of one
+  ratio test (`ConeHalfspaces.scale_range`), with no LP and no Fraction.  Its
   correctness rests on the monotonicity of feasibility in the scale and
   on the rows alone, so it shares nothing with `evaluate` but H and K,
   and is a genuinely independent cross-check for it.
@@ -322,12 +322,13 @@ def evaluate_bisection(
     "y in t*H - K" is asked of F's checked rows
     (`SeparationFunctional.halfspaces`): for t >= 0 it reads
     (y, t) in the cone over t*H - K, and for t < 0 it reads (-y, -t) in
-    the cone over t*H + K.  With y = z / scale, each is a
-    `ConeHalfspaces.admits` sign check at T = t * scale in z's frame,
-    where the bracket is kept; the row products of z and -z are formed
-    once per call.  Every scale is an integer numerator over one
-    denominator d, doubled when a midpoint needs it, so the loops form
-    no Fraction.
+    the cone over t*H + K.  With y = z / scale, each asks whether
+    T = t * scale, in z's frame where the bracket is kept, lies in the
+    `ConeHalfspaces.scale_range` of -z or z, each read once per call: the
+    intersection of every row's a_z . z + a_t * T >= 0.  Every scale is
+    an integer numerator over one denominator d, doubled when a midpoint
+    needs it, and is cross-multiplied with the range's ends, so the
+    loops form no Fraction.
     """
     tol, t_max = frac(tol), frac(t_max)
     if tol <= 0 or t_max <= 0:
@@ -339,13 +340,16 @@ def evaluate_bisection(
         )
     plus, minus = F.halfspaces
     z, scale = integerize(yv)
-    at_minus_z, at_z = plus.products([-c for c in z]), minus.products(z)
+    below = plus.scale_range(plus.products([-c for c in z]))
+    above = minus.scale_range(minus.products(z))
 
     def feasible(T: int) -> bool:
         """Is T / d feasible in z's frame?"""
-        if T < 0:
-            return plus.admits(at_minus_z, -T, d)
-        return minus.admits(at_z, T, d)
+        allowed, T = (below, -T) if T < 0 else (above, T)
+        if allowed is None:
+            return False
+        (lo_n, lo_d), hi = allowed
+        return lo_n * d <= T * lo_d and (hi is None or T * hi[1] <= hi[0] * d)
 
     # t_max * scale and tol * scale, over d
     d = math.lcm(t_max.denominator, tol.denominator)

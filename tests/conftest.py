@@ -56,6 +56,11 @@ def dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
+def all_vertices(M: VPolyhedralUnion) -> list:
+    """Every piece vertex of M, piece by piece."""
+    return [v for verts, _ in M.pieces for v in verts]
+
+
 def dual_cone_contains(K: ConeGen, l) -> bool:
     """Is the linear functional l nonnegative on the whole cone?  That is
     l . g >= 0 for every generator g, so no LP is needed."""
@@ -226,7 +231,7 @@ def reference_lower_point_weights(M: VPolyhedralUnion, K: ConeGen):
     Fraction Gauss-Jordan on [G | D], the generators then the differences
     v - v1; or None when no b exists.  weights[k][j] is mu_j + lam for
     the k-th piece vertex v, so v - b = sum_j weights[k][j] * g_j."""
-    verts = M.all_vertices()
+    verts = all_vertices(M)
     gens = K.generators
     v1, m, n = verts[0], len(gens), M.dim
     aug = [[g[r] for g in gens] + [v[r] - v1[r] for v in verts[1:]] for r in range(n)]

@@ -43,6 +43,7 @@ from conftest import (
     T_MAX,
     TOL,
     ae_efficient,
+    all_vertices,
     brute_force_minimal_set,
     is_K_lower_bounded,
     make_chain3,
@@ -271,7 +272,7 @@ def test_criterion_5_ladder_on_random_ranges():
             failures += 1
         if k_lower and witness_b is not None:
             if not all(
-                cone_contains(K, vec_sub(v, witness_b)) for v in M.all_vertices()
+                cone_contains(K, vec_sub(v, witness_b)) for v in all_vertices(M)
             ):
                 failures += 1
         if quasi and kstar is None:

@@ -27,6 +27,7 @@ from polyevp.lp_core import LinearProgram, _Tableau, solve
 
 import conftest
 from conftest import (
+    all_vertices,
     dot,
     dual_cone_contains,
     is_H_lower_bounded,
@@ -60,7 +61,7 @@ class TestConeLowerBound:
         M = VPolyhedralUnion(2, ((((0, 1), (1, 0)), ()),))
         ok, witness = is_K_lower_bounded(M, orthant2)
         assert ok
-        for v in M.all_vertices():
+        for v in all_vertices(M):
             assert cone_contains(orthant2, tuple(a - b for a, b in zip(v, witness)))
 
 
@@ -194,7 +195,7 @@ def test_ladder_chain_on_random_instances():
         kstar = find_kstar(M, K, H)
         if k_lower:
             assert quasi
-            for v in M.all_vertices():
+            for v in all_vertices(M):
                 assert cone_contains(K, tuple(a - b for a, b in zip(v, witness_b)))
         if quasi:
             assert kstar is not None
@@ -317,7 +318,7 @@ def _lower_point_lp_by_rows(M, K) -> LinearProgram:
     b = b+ - b-, the two columns of each coordinate side by side, then
     the generator weights of each vertex.  It is feasible iff some b has
     every piece vertex in b + K."""
-    verts, n, m = M.all_vertices(), M.dim, len(K.generators)
+    verts, n, m = all_vertices(M), M.dim, len(K.generators)
     width = 2 * n + m * len(verts)
     rows, rhs = [], []
     for vi, v in enumerate(verts):
@@ -398,7 +399,7 @@ def test_k_lower_bound_agrees_with_the_lp_route():
         n = rng.randint(2, 3)
         K = _cone_in_subspace(rng, n)
         M = _range_over(rng, K)
-        verts = M.all_vertices()
+        verts = all_vertices(M)
         bounded, b = is_K_lower_bounded(M, K)
         assert bounded == solve(_lower_point_lp_by_rows(M, K)).is_feasible, (M, K)
         rank = _rank(K.generators)
@@ -472,7 +473,7 @@ def _reference_classify(M, K, H) -> BoundednessReport:
     origin = (Fraction(0),) * M.dim
     candidates = [(origin, Fraction(1))]
     if kstar is not None:
-        inf_m = min(dot(kstar, v) for v in M.all_vertices())
+        inf_m = min(dot(kstar, v) for v in all_vertices(M))
         candidates.append((origin, max(-inf_m, Fraction(0)) + 1))
     witness = next(
         ((y0, e) for y0, e in candidates if union_disjoint_from(M, y0, e, H, K)), None
@@ -535,7 +536,7 @@ def test_classify_matches_the_lp_route(monkeypatch):
         assert _is_dual_witness(M, K, H, kstar)
         # the k* candidate always passes, so no candidate after the first
         # takes an LP, and the first takes one unless k* settles it
-        inf_m = min(dot(kstar, v) for v in M.all_vertices())
+        inf_m = min(dot(kstar, v) for v in all_vertices(M))
         escape = max(-inf_m, Fraction(0)) + 1
         first = -1 < inf_m
         assert -escape < inf_m
@@ -689,7 +690,7 @@ def test_separating_epsilon_matches_the_fraction_formula():
             continue
         found += 1
         y = rand_vector(rng, K.dim)
-        gap = dot(kstar, y) - min(dot(kstar, v) for v in M.all_vertices())
+        gap = dot(kstar, y) - min(dot(kstar, v) for v in all_vertices(M))
         expected = max(gap, Fraction(0)) + 1
         assert separating_epsilon_for(M, kstar, y) == expected
         # classify passes the infimum of a checked k* instead

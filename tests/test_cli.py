@@ -592,6 +592,42 @@ def test_bad_distance_entry_exits_2(tmp_path, chain3_doc, capsys, dist, message)
     assert capsys.readouterr().out == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "dist, message",
+    [
+        pytest.param(
+            [[0, 1, 9], [1, 0, 1], [9, 1, 0]],
+            "triangle inequality fails on ('a', 'b', 'c')", id="triangle",
+        ),
+        pytest.param(
+            [[0, 1, 2], [1, 0, 1], [2, "3/2", 0]],
+            "asymmetric distances between 'b' and 'c'", id="asymmetric",
+        ),
+    ],
+)
+def test_rejected_space_is_built_once(tmp_path, chain3_doc, monkeypatch, dist, message):
+    calls = []
+    post_init = FiniteMetricSpace.__post_init__
+
+    def counted(self, dist):
+        calls.append(1)
+        post_init(self, dist)
+
+    monkeypatch.setattr(FiniteMetricSpace, "__post_init__", counted)
+    doc = {**chain3_doc, "space": {"labels": ["a", "b", "c"], "dist": dist}}
+    with pytest.raises(geometry.InvalidConfigurationError) as exc:
+        build_problem(load_document(write(tmp_path / "p.json", doc)))
+    assert str(exc.value) == message and len(calls) == 1
+
+
+def test_bad_token_is_named_before_duplicate_labels(tmp_path, chain3_doc, capsys):
+    doc = {**chain3_doc, "space": {"labels": ["a", "a"], "dist": [[0, "x"], [1, 0]]}}
+    assert cli.main(["solve", write(tmp_path / "p.json", doc)]) == 2
+    assert capsys.readouterr().out == (
+        "input error: \"space\".\"dist\"[0][1]: 'x' is not a number\n"
+    )
+
+
 def test_distance_literals_build_the_fraction_space(tmp_path, chain3_doc):
     doc = {
         **chain3_doc,

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import string
 import weakref
 from fractions import Fraction
 
@@ -91,6 +92,17 @@ _TIGHT_TRACE_DOC = {
 }
 
 
+def _two_late_triangles(n: int = 40):
+    """n points 20 apart but for two triangles with sides 8, 8 and 20.
+    {34, 38, 39} fails only as (38, 34) and (39, 34), and {35, 36, 37}
+    as (35, 36) and (37, 36): the pair scan meets (38, 34) in row 34,
+    and the first failure (35, 36, 37) in row 35."""
+    d = [[20 * (i != j) for j in range(n)] for i in range(n)]
+    for a, b in [(34, 38), (34, 39), (35, 36), (36, 37)]:
+        d[a][b] = d[b][a] = 8
+    return tuple(map(tuple, d))
+
+
 class TestMetricSpace:
     def test_validates_triangle_inequality(self):
         with pytest.raises(InvalidConfigurationError):
@@ -103,6 +115,17 @@ class TestMetricSpace:
             FiniteMetricSpace(("a", "b"), ((1, 1), (1, 0)))
         with pytest.raises(InvalidConfigurationError):
             FiniteMetricSpace(("a", "b"), ((0, 0), (0, 0)))
+
+    @pytest.mark.parametrize(
+        "dist, message",
+        [
+            # row a holds one 0, off the diagonal, and equals its column
+            (((5, 0), (0, 0)), "nonzero self-distance at 'a'"),
+            (((0, 2, 0), (2, 0, 1), (0, 1, 3)), "distinct points 'a', 'c' at distance 0"),
+        ],
+    )
+    def test_entry_failure_names_first_entry(self, dist, message):
+        assert self._assert_same_verdict(tuple("abc"[: len(dist)]), dist) == message
 
     @staticmethod
     def _brute_force_error(labels, dist):
@@ -248,11 +271,14 @@ class TestMetricSpace:
         # (b, a); the row-major first failure is (a, d, c), and (b, a),
         # (c, d) and (d, a) fail after it
         (((0, 2, 5, 1), (2, 0, 4, 4), (5, 4, 0, 3), (1, 4, 3, 0)), "('a', 'd', 'c')"),
+        # the least pair seen so far, (38, 34), gives way to a later one
+        # in the last rows; labels a-z then A-Z, so 35 is 'J'
+        (_two_late_triangles(), "('J', 'K', 'L')"),
     ]
 
     @pytest.mark.parametrize("dist, triple", _PINNED_TRIPLES)
     def test_triangle_failure_in_one_direction_reports_first_triple(self, dist, triple):
-        labels = ("a", "b", "c", "d")
+        labels = tuple(string.ascii_letters[: len(dist)])
         expected = self._assert_same_verdict(labels, dist)
         assert expected == f"triangle inequality fails on {triple}"
 
@@ -262,7 +288,8 @@ class TestMetricSpace:
         # every triangle keeps its sign under a positive factor, and at
         # 10**30 the rows pack into ~100-bit fields
         scaled = tuple(tuple(str(factor * x) for x in row) for row in dist)
-        expected = self._assert_same_verdict(("a", "b", "c", "d"), scaled)
+        labels = tuple(string.ascii_letters[: len(dist)])
+        expected = self._assert_same_verdict(labels, scaled)
         assert expected == f"triangle inequality fails on {triple}"
 
     @pytest.mark.parametrize(

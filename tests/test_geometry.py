@@ -34,6 +34,7 @@ from polyevp.rational import integerize
 from polyevp.scalarization import evaluate, SeparationFunctional
 
 from conftest import (
+    all_vertices,
     dot,
     dual_cone_contains,
     instance_point_scales,
@@ -409,7 +410,7 @@ class TestIntegerForms:
             for forms, vectors in [
                 (K.integer_generators, K.generators),
                 (H.integer_vertices, H.vertices),
-                (M.integer_vertices, M.all_vertices()),
+                (M.integer_vertices, all_vertices(M)),
                 (M.integer_rays, M.all_rays()),
             ]:
                 assert forms == tuple((tuple(i), d) for i, d in map(integerize, vectors))

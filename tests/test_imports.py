@@ -1,5 +1,6 @@
 """Every imported name is used, every module-level private function or
-class of the package is referenced, every exported name exists, no
+class of the package is referenced, every method or property a package
+class defines is read by a package module, every exported name exists, no
 package module reads another's private name, only `lp_core` builds a
 `LinearProgram` and within it only `combination_lp` does, only
 `lp_core` floor-divides by a name ``det`` (a fraction-free elimination
@@ -84,6 +85,33 @@ def dead_private_definitions() -> list[str]:
 
 def test_no_dead_private_definitions():
     assert dead_private_definitions() == []
+
+
+def unread_methods() -> list[str]:
+    """Non-dunder methods and properties that a package class defines
+    and no package module reads as an attribute: code only tests call,
+    which belongs with the tests."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in PACKAGE}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {cls.name}.{node.name}"
+        for path, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
+    ]
+
+
+def test_every_method_is_read_by_the_package():
+    assert unread_methods() == []
 
 
 def stale_exports() -> list[str]:

@@ -27,6 +27,7 @@ from polyevp.rational import (
 from polyevp.scalarization import SeparationFunctional, evaluate
 
 from conftest import (
+    all_vertices,
     dot,
     rand_cone_polytope,
     rand_union,
@@ -164,7 +165,7 @@ def test_combines_to_checks_the_weights_of_b():
         found += 1
         b, weights = reference
         gens, dens = zip(*K.integer_generators)
-        for v, ws in zip(M.all_vertices(), weights):
+        for v, ws in zip(all_vertices(M), weights):
             ints, _ = integerize(
                 [w / d for w, d in zip(ws, dens)] + [c - e for c, e in zip(v, b)]
             )
