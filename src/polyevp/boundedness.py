@@ -197,7 +197,7 @@ def _kstar_infimum(
     """
     ks, den = integerize(kstar)
     gens = homogenized_generators(H, K, 1) + tuple(r + (0,) for r, _ in M.integer_rays)
-    if not nonnegative_on(ks + [-den], gens):
+    if nonnegative_on(ks + [-den], gens) is None:
         return None
     n, d = _vertex_minimum(M, ks)
     return Fraction(n, d * den)

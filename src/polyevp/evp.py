@@ -31,7 +31,9 @@ functional's checked rows (`SeparationFunctional.halfspaces`), which the
 solver and the verifier share.  The images are scaled to integers once
 per problem (`EVPProblem._scaled_images`), and one class, `_ImageRows`,
 forms their row products; the solver and the verifier each keep their
-own instance.  This module never reads a halfspace row.
+own instance.  A "yes" of the verifier is integer weights checked by
+`rational.combines_to` (`geometry.ConeHalfspaces.certifies`), or else
+a membership LP.  This module never reads a halfspace row.
 
 Three scale modes cover the standard statements: ``plain`` uses scale 1;
 ``scaled(lam)`` uses eps/lam, with the problem's own eps, and
@@ -399,19 +401,21 @@ class _ImageRows:
     t*H - K: the functional's checked rows, for the solver and for the
     verifier alike.
 
-    ``plus[label][i]`` holds the products of ``plus_hs`` at image i of
-    the point; `minus` forms those of ``minus_hs`` per point on first
-    use.  Products are linear in z, so those of a difference of images
-    are differences of these.  ``unit`` holds ``plus_hs``'s bounds at one
-    unit of the integer metric, T = p.scale * scale / den.
+    ``ints[label][i]`` is image i of the point times ``scale``, in
+    integers, and ``plus[label][i]`` holds the products of ``plus_hs``
+    there; `minus` forms those of ``minus_hs`` per point on first use.
+    Products are linear in z, so those of a difference of images are
+    differences of these.  ``unit`` holds ``plus_hs``'s bounds at one
+    unit of the integer metric, T = ``unit_t`` = p.scale * scale / den.
     """
 
     def __init__(self, p: EVPProblem, plus_hs: ConeHalfspaces, minus_hs: ConeHalfspaces):
-        self.scale, self._ints = p._scaled_images
+        self.scale, self.ints = p._scaled_images
         self.plus_hs, self.minus_hs = plus_hs, minus_hs
-        self.plus = {l: [plus_hs.products(z) for z in zs] for l, zs in self._ints.items()}
+        self.plus = {l: [plus_hs.products(z) for z in zs] for l, zs in self.ints.items()}
         self._minus: dict[str, list[tuple[int, ...]]] = {}
-        self.unit = plus_hs.bounds(p.scale * self.scale / p.space.den)
+        self.unit_t = p.scale * self.scale / p.space.den
+        self.unit = plus_hs.bounds(self.unit_t)
         self._x0 = p.x0
 
     def pair_bounds(self, entry: int) -> tuple[int, list[int]]:
@@ -425,7 +429,7 @@ class _ImageRows:
     def minus(self, label: str) -> list[tuple[int, ...]]:
         prods = self._minus.get(label)
         if prods is None:
-            prods = [self.minus_hs.products(z) for z in self._ints[label]]
+            prods = [self.minus_hs.products(z) for z in self.ints[label]]
             self._minus[label] = prods
         return prods
 
@@ -613,20 +617,27 @@ def coradiant_escape_check(p: EVPProblem, xbar: str) -> Optional[Vec]:
 
     gamma is the efficiency mode's, and 1 in any other mode.  Membership
     of d*h in the cone generated by H + K is automatic for every h in H,
-    so only the exclusion needs an LP.  The set {h : d*h in r*(H + K)} is
+    so only the exclusion is asked.  The set {h : d*h in r*(H + K)} is
     convex, so H lies inside it exactly when every vertex does: one
-    membership LP per vertex decides the question for all of H, and None
-    is a refutation.  At d = 0 the step is the origin, which avoids every
-    r*(H + K) because the problem's `SeparationFunctional` certified that
-    it avoids H + K; H's first vertex escapes with no LP.
+    question per vertex, (d*h, r) in the cone over t*H + K, decides it
+    for all of H, and None is a refutation.  Weights from
+    `ConeHalfspaces.certifies` answer it, or else a membership LP.  At
+    d = 0 the step is the origin, which avoids every r*(H + K) because
+    the problem's `SeparationFunctional` certified that it avoids H + K;
+    H's first vertex escapes with no question.
     """
     gamma = p.mode.gamma if isinstance(p.mode, EfficiencyMode) else 1
     radius = p.epsilon / gamma
     dist = p.space.d(p.x0, xbar)
     if dist == 0:
         return p.H.vertices[0]
-    for h in p.H.vertices:
-        if not scaled_H_plus_K_contains(p.H, p.K, tuple(dist * c for c in h), radius):
+    plus = p._separation.halfspaces[0]
+    for h, (ints, den) in zip(p.H.vertices, p.H.integer_vertices):
+        # (d*h, r) times dist.denominator * den is (z, T)
+        z, T = [dist.numerator * c for c in ints], radius * dist.denominator * den
+        if not plus.certifies(z, plus.products(z), T.numerator, T.denominator) and (
+            not scaled_H_plus_K_contains(p.H, p.K, tuple(dist * c for c in h), radius)
+        ):
             return h
     return None
 
@@ -684,11 +695,10 @@ class _CheckedRelation:
     allow contain the true ones.
 
     A "no" for "y - ysrc in t*H + K" is a Farkas certificate: a checked
-    row negative at (y - ysrc, t) (`geometry.reaches`).  A point that no
-    checked row excludes goes to the membership LP, so every "yes" is an
-    exact LP answer.  A trace value is checked by `potential_is`.  Each
-    call of `dominates` or `escapes` forms its own bounds once, and the
-    Fraction t only for a membership LP.
+    row negative at (y - ysrc, t) (`geometry.reaches`).  A "yes", there
+    and for a trace value reached, is `_in_sum`'s.  Each call of
+    `dominates` or `escapes` forms its own bounds once, and a Fraction
+    only for a membership LP.
     """
 
     def __init__(self, p: EVPProblem):
@@ -696,27 +706,39 @@ class _CheckedRelation:
         self.rows = _ImageRows(p, *p._separation.halfspaces)
         self._dominance: dict = {}
 
-    def _in_sum(self, y: Vec, ysrc: Vec, prod, prod_src, bounds, t) -> bool:
-        """Is y - ysrc in t*H + K?  ``bounds`` are the checked rows'
-        (den, bounds) at t, and ``t`` a callable giving t for the LP."""
-        if not reaches(*bounds, prod, prod_src):
-            return False  # a checked row is negative at (y - ysrc, t)
-        return scaled_H_plus_K_contains(self.p.H, self.p.K, vec_sub(y, ysrc), t())
+    def _in_sum(self, y: tuple, ysrc: tuple, num: int, den: int, sign: int = 1) -> bool:
+        """Is y - ysrc in t*H + sign*K, for images y and ysrc given as
+        (label, index) and t = num / (den * rows.scale) >= 0?  Integer
+        weights from `ConeHalfspaces.certifies` on the cone's checked rows
+        show it, or else the membership LP decides."""
+        rows, p = self.rows, self.p
+        (x, i), (xs, j) = y, ysrc
+        if sign > 0:
+            hs, at, at_src = rows.plus_hs, rows.plus[x][i], rows.plus[xs][j]
+        else:
+            hs, at, at_src = rows.minus_hs, rows.minus(x)[i], rows.minus(xs)[j]
+        z = list(map(operator.sub, rows.ints[x][i], rows.ints[xs][j]))
+        if hs.certifies(z, list(map(operator.sub, at, at_src)), num, den):
+            return True
+        oracle = scaled_H_plus_K_contains if sign > 0 else scaled_H_minus_K_contains
+        y_diff = vec_sub(p.images(x)[i], p.images(xs)[j])
+        return oracle(p.H, p.K, y_diff, Fraction(num, den * rows.scale))
 
     def dominates(self, xprime: str, x: str) -> bool:
         key = (xprime, x)
         ans = self._dominance.get(key)
         if ans is None:
-            p, plus = self.p, self.rows.plus
-            bounds = self.rows.pair_bounds(p.space.entry(x, xprime))
-
-            def t() -> Fraction:
-                return p.scale * p.space.d(x, xprime)
-
-            sources = list(zip(p.images(xprime), plus[xprime]))
+            plus = self.rows.plus
+            entry = self.p.space.entry(x, xprime)
+            den, bounds = self.rows.pair_bounds(entry)
+            num = entry * self.rows.unit_t.numerator
             ans = all(
-                any(self._in_sum(y, ys, prod, ps, bounds, t) for ys, ps in sources)
-                for y, prod in zip(p.images(x), plus[x])
+                any(
+                    reaches(den, bounds, target, src)
+                    and self._in_sum((x, i), (xprime, j), num, den)
+                    for j, src in enumerate(plus[xprime])
+                )
+                for i, target in enumerate(plus[x])
             )
             self._dominance[key] = ans
         return ans
@@ -726,17 +748,16 @@ class _CheckedRelation:
         of every point in the hypothesis scope?  Whether a point is in
         the scope is asked only of points with a reaching image."""
         p, rows = self.p, self.rows
-        prod0 = rows.plus[p.x0][p.images(p.x0).index(y0)]
+        i0 = p.images(p.x0).index(y0)
+        prod0 = rows.plus[p.x0][i0]
         efficiency = isinstance(p.mode, EfficiencyMode)
-        bounds = rows.plus_hs.bounds(p.epsilon * rows.scale)
-
-        def eps() -> Fraction:
-            return p.epsilon
-
+        T = p.epsilon * rows.scale
+        den, bounds = rows.plus_hs.bounds(T)
         for x in p.feasible:
             if any(
-                self._in_sum(y0, y, prod0, prod, bounds, eps)
-                for y, prod in zip(p.images(x), rows.plus[x])
+                reaches(den, bounds, prod0, src)
+                and self._in_sum((p.x0, i0), (x, j), T.numerator, den)
+                for j, src in enumerate(rows.plus[x])
             ) and (efficiency or self.dominates(x, p.x0)):
                 return False
         return True
@@ -750,15 +771,16 @@ class _CheckedRelation:
         whose bound is missing or below v is scored exactly by the LP
         `evaluate`; for a true v that happens only where a dropped row
         left the bound short.  Some image reaches v: one whose bound
-        equals v is confirmed by the membership LP y - y0 in v*H - K,
-        which shows phi(y - y0) <= v.
+        equals v is shown in v*H - K, so phi(y - y0) <= v, by `_in_sum`:
+        y - y0 in v*H - K for v >= 0, and y0 - y in -v*H + K for v < 0,
+        the sign rule of `geometry.weights_certify_scaled_H_minus_K`.
         """
-        p = self.p
+        p, rows = self.p, self.rows
         i0 = p.images(p.x0).index(y0)
         target = ExtendedReal.finite(v)
         reached = False
         candidates = []
-        for y, args in zip(p.images(label), self.rows.phi_args(i0, label)):
+        for i, (y, args) in enumerate(zip(p.images(label), rows.phi_args(i0, label))):
             bound = phi_lower_bound(*args)
             if bound is None or bound < target:
                 exact = evaluate(p._separation, vec_sub(y, y0))
@@ -766,9 +788,12 @@ class _CheckedRelation:
                     return False
                 reached = reached or exact == target
             elif bound == target:
-                candidates.append(y)
+                candidates.append((label, i))
+        num, den, start = v.numerator * rows.scale, v.denominator, (p.x0, i0)
         return reached or any(
-            scaled_H_minus_K_contains(p.H, p.K, vec_sub(y, y0), v) for y in candidates
+            self._in_sum(y, start, num, den, -1) if num >= 0
+            else self._in_sum(start, y, -num, den)
+            for y in candidates
         )
 
 
@@ -780,9 +805,10 @@ def verify_certificate(p: EVPProblem, cert: EVPCertificate) -> VerificationRepor
     `_CheckedRelation`, from the halfspace rows checked against H and K
     when the functional was built, sharing no answer with the solver.
     Each "no" for dominance and the witness is a checked row; each "yes"
-    is an exact membership LP.  Each trace value is bounded below by the
-    checked rows and shown reached by one membership LP, with the LP
-    `evaluate` only for an image whose rows bound it below the value.
+    is integer weights that `rational.combines_to` accepts, or else an
+    exact membership LP.  Each trace value is bounded below by the
+    checked rows and shown reached the same way, with the LP `evaluate`
+    only for an image whose rows bound it below the value.
 
     The drop check on the trace is a second line of defence: it cannot
     fail once every value is exact, the chain valid and y0 in f(x0).  Take

@@ -19,7 +19,9 @@ a row depends on the construction being right, and "z in t*H +- K" for
 every t >= 0 is a sign check of integer row products, with no LP.
 `ConeHalfspaces` owns that row list: its `products`, `bounds` with
 `reaches`, and `scale_range` answer every such question, so no other
-module reads a row.
+module reads a row.  A "yes" is integer weights on the generators,
+found by a walk down the faces the rows name and checked by
+`rational.combines_to` (`ConeHalfspaces.certifies`), or else an LP.
 
 Integers are formed once per value.  `ConeGen`, `Polytope` and
 `VPolyhedralUnion` each keep their vectors' `rational.integerize` forms,
@@ -48,7 +50,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -305,9 +307,15 @@ class ConeHalfspaces:
     row is (a_z, a_t) with the scale's coefficient a_t last.  The
     methods below answer "(z, T) in the cone" for an integer point z
     from its row products a_z . z, so callers never read a row.
+
+    `checked_rows` also keeps the ``generators`` and ``at_generators``,
+    each row's products with them, for `certifies`.  Lists compare by
+    their rows.
     """
 
     rows: tuple[tuple[int, ...], ...]
+    generators: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
+    at_generators: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
 
     @functools.cached_property
     def t_coefficients(self) -> tuple[int, ...]:
@@ -348,6 +356,64 @@ class ConeHalfspaces:
         if hi is not None and lo_n * hi[1] > hi[0] * lo_d:
             return None
         return (lo_n, lo_d), hi
+
+    @functools.cached_property
+    def _faces(self):
+        """Per generator, its row products and the rows positive on it;
+        per row, the bit mask of generators zero on it; and the mask of
+        generators with a positive row."""
+        rows = self.at_generators
+        cols = [tuple(ps[g] for ps in rows) for g in range(len(self.generators))]
+        positive = [tuple(r for r, c in enumerate(col) if c > 0) for col in cols]
+        zero_on = [sum(1 << g for g, c in enumerate(ps) if c == 0) for ps in rows]
+        return cols, positive, zero_on, sum(1 << g for g, rs in enumerate(positive) if rs)
+
+    def decompose(self, w: Sequence[int], values: Sequence[int]):
+        """(c, q) with integers c >= 0, one per generator g, q > 0 and
+        sum c * g == q * w, or None, for an integer point w whose row
+        products ``values`` are all >= 0.
+
+        A walk down the faces (Caratheodory): F, the generators zero on
+        every row made tight so far, starts as all of them.  Each step
+        takes the first g in F with a positive row, the least ratio
+        v / a = (row . w) / (row . g) over those rows, and sets
+        w <- a*w - v*g, c <- a*c + v at g, q <- a*q; that row is now
+        tight, and F keeps the generators zero on it.  The walk ends with
+        (c, q) at w = 0, and with None when no g in F has a positive row.
+        On the complete rows of a pointed cone it always reaches 0.
+        """
+        cols, positive, zero_on, movable = self._faces
+        c, q, face = [0] * len(self.generators), 1, (1 << len(self.generators)) - 1
+        while any(w):
+            m = face & movable
+            if not m:
+                return None
+            g = (m & -m).bit_length() - 1
+            col, best = cols[g], positive[g][0]
+            for r in positive[g]:
+                if values[r] * col[best] < values[best] * col[r]:
+                    best = r
+            v, a = values[best], col[best]
+            if v:
+                w = [a * x - v * y for x, y in zip(w, self.generators[g])]
+                values = [a * x - v * y for x, y in zip(values, col)]
+                c = [a * x for x in c]
+                c[g] += v
+                q *= a
+            face &= zero_on[best]
+        return c, q
+
+    def certifies(self, z: Sequence[int], at_z: Sequence[int], num: int, den: int) -> bool:
+        """Is (z, num/den) in the cone by `decompose`'s weights, for
+        ``at_z`` = `products`(z) and den > 0?  `rational.combines_to`
+        decides them at (den * z, num): True is a proof whatever the rows,
+        and False leaves the question to a membership LP."""
+        w = [den * x for x in z] + [num]
+        at_w = [den * x + a * num for x, a in zip(at_z, self.t_coefficients)]
+        found = self.decompose(w, at_w)
+        return found is not None and combines_to(
+            found[0], self.generators, [found[1] * x for x in w]
+        )
 
 
 def reaches(den: int, bounds: Sequence[int], target, source) -> bool:
@@ -461,7 +527,10 @@ def checked_rows(hs: ConeHalfspaces, gens: Sequence[Sequence[int]]) -> ConeHalfs
     so a point where it is negative lies outside, whatever produced the
     rows.
     """
-    return ConeHalfspaces(tuple(r for r in hs.rows if nonnegative_on(r, gens)))
+    kept = [(r, ps) for r in hs.rows if (ps := nonnegative_on(r, gens)) is not None]
+    return ConeHalfspaces(
+        tuple(r for r, _ in kept), tuple(map(tuple, gens)), tuple(ps for _, ps in kept)
+    )
 
 
 def homogenized_halfspaces(H: Polytope, K: ConeGen, k_sign: int) -> ConeHalfspaces:

@@ -36,7 +36,7 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Number = Union[int, float, str, Fraction]
 Vec = tuple[Fraction, ...]
@@ -135,10 +135,12 @@ def idot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(operator.mul, a, b))
 
 
-def nonnegative_on(row: Sequence[int], gens: Iterable[Sequence[int]]) -> bool:
-    """Is row . g >= 0 at every generator g?  Then a point where the row
-    is negative lies outside the cone they generate: Farkas' "no"."""
-    return all(idot(row, g) >= 0 for g in gens)
+def nonnegative_on(row: Sequence[int], gens: Iterable[Sequence[int]]) -> Optional[tuple]:
+    """row . g per generator g when every one is >= 0, else None.  Then a
+    point where the row is negative lies outside the cone they generate:
+    Farkas' "no"."""
+    products = tuple(idot(row, g) for g in gens)
+    return None if any(p < 0 for p in products) else products
 
 
 def combines_to(

@@ -42,19 +42,19 @@ route that reads them.
 The descent solver (`evp.solve`) scores by the closed form, from row
 products it computes once per problem.  The certificate verifier checks
 a claimed trace value v rather than recomputing it: `phi_lower_bound`
-on the same rows shows phi(y - y0) >= v for every image y, and one
-membership LP, y - y0 in v*H - K, shows that some image reaches v.
-Only an image that the rows bound below v, or not at all, is scored by
-the LP `evaluate`.  The ``scalarize`` command uses the LP route and
-cross-checks it by bisection; `evaluate` certifies from its own LP
-weights that a finite value is attained.
+on the same rows shows phi(y - y0) >= v for every image y, and weights
+from `ConeHalfspaces.certifies`, or else a membership LP, show that
+some image reaches v.  Only an image that the rows bound below v, or
+not at all, is scored by the LP `evaluate`.  The ``scalarize`` command
+uses the LP route and cross-checks it by bisection; `evaluate`
+certifies from its own LP weights that a finite value is attained.
 
 The functional builds one row list per cone, once, at construction
 (`geometry.homogenized_halfspaces`), where every row is checked against
 the generators formed from H and K; the solver, the verifier, bisection
-and the "not in -K" checks all read that list.  A row that fails the
-check is dropped before anyone reads it.  A facet missing from the list
-lets bisection accept scales below phi, and the two routes disagree.
+and the vertex checks all read that list.  A row that fails the check
+is dropped before anyone reads it.  A facet missing from the list lets
+bisection accept scales below phi, and the two routes disagree.
 
 This module never reads a halfspace row: `geometry.ConeHalfspaces` owns
 the row format and answers each question, and `rational.integerize`
@@ -142,8 +142,8 @@ class SeparationFunctional:
     Violations raise `InvalidConfigurationError` immediately rather than
     producing meaningless values later.  Construction also builds
     `halfspaces`, the one checked row list per cone that every reader
-    shares; its rows settle "not in -K" with no LP for every vertex they
-    certify.
+    shares; its rows settle "h in K" and "not in -K" with no LP for
+    every vertex they certify.
     """
 
     H: Polytope
@@ -152,17 +152,18 @@ class SeparationFunctional:
     def __post_init__(self) -> None:
         if self.H.dim != self.K.dim:
             raise DimensionMismatchError("H and K dimensions differ")
-        # "h in K" needs an LP, whose weights are the certificate.  A row
-        # of the cone over t*H + K is nonnegative on K, so one positive at
-        # h certifies -h outside K; only a vertex without one takes the
-        # "-h in K" LP.
-        farkas = self.halfspaces[0]
+        # "h in K" is (h, 0) in the cone over t*H + K: weights from
+        # `ConeHalfspaces.certifies` show it, or else an LP.  A row of that
+        # cone is nonnegative on K, so one positive at h certifies -h
+        # outside K; only a vertex without one takes the "-h in K" LP.
+        plus = self.halfspaces[0]
         for v, (h, _) in zip(self.H.vertices, self.H.integer_vertices):
-            if not cone_contains(self.K, v):
+            products = plus.products(h)
+            if not plus.certifies(h, products, 0, 1) and not cone_contains(self.K, v):
                 raise InvalidConfigurationError(
                     f"H vertex {tuple(map(str, v))} lies outside the cone"
                 )
-            if not any(p > 0 for p in farkas.products(h)) and cone_contains(
+            if not any(p > 0 for p in products) and cone_contains(
                 self.K, tuple(-c for c in v)
             ):
                 raise InvalidConfigurationError(

@@ -680,6 +680,50 @@ class TestForgedCertificates:
         report = verify_certificate(chain3_eps5, forged)
         assert "(witness)" in report.failures
 
+    def test_witness_reached_from_below_the_start_fails(self, chain3_eps1):
+        # (4, 4) - (2, 2) lies in eps*H + K and b is below a: the blocking
+        # point is in the hypothesis scope, so the witness fails alone
+        forged = EVPCertificate(xbar="c", y0=(4, 4), chain=("a", "c"), xi_trace=(0, -4))
+        assert verify_certificate(chain3_eps1, forged).failures == ("(witness)",)
+
+    def test_witness_reached_from_one_image_of_a_point_fails(self):
+        # b below a has two images; only (2, 2) reaches y0 = (4, 4) within
+        # eps*H + K, and one reaching image is enough to block it
+        space = FiniteMetricSpace(("a", "b"), ((0, 1), (1, 0)))
+        p = EVPProblem(
+            space=space, f=map_table({"a": [(4, 4)], "b": [(2, 2), (10, 10)]}),
+            K=ConeGen(2, ((1, 0), (0, 1))), H=Polytope(2, ((1, 1),)), x0="a",
+            epsilon=1,
+        )
+        forged = EVPCertificate(xbar="b", y0=(4, 4), chain=("a", "b"), xi_trace=(0, -2))
+        assert verify_certificate(p, forged).failures == ("(witness)",)
+
+    @pytest.mark.parametrize(
+        "mode, failures",
+        [
+            (ScaledMode(Fraction(3, 2)), ("(witness)",)),
+            (EfficiencyMode(Fraction(4, 3)), ("(coradiant gap)", "(witness)")),
+        ],
+        ids=["scaled", "efficiency"],
+    )
+    def test_endpoint_at_the_radius_passes_c(self, mode, failures):
+        # d(a, b) = 3/2 is exactly lambda, and exactly eps/gamma; scale * d
+        # is then eps, so b's image blocks y0 and the witness fails, but the
+        # walk stayed within the closed radius
+        p = _tight_step_problem(mode, Fraction(4, 3))
+        assert p.space.d("a", "b") == Fraction(3, 2)
+        forged = EVPCertificate(xbar="b", y0=(4, 4), chain=("a", "b"), xi_trace=(0, -2))
+        report = verify_certificate(p, forged)
+        assert report.c is True and report.failures == failures
+
+    def test_infeasible_chain_point_fails_the_chain(self):
+        # b is below a and c below b, but b is not feasible
+        p = dataclasses.replace(make_chain3(5), feasible=("a", "c"))
+        forged = EVPCertificate(
+            xbar="c", y0=(4, 4), chain=("a", "b", "c"), xi_trace=(0, -2, -4)
+        )
+        assert verify_certificate(p, forged).failures == ("(chain)",)
+
     @pytest.mark.parametrize(
         "trace, failures",
         [
@@ -1401,29 +1445,49 @@ class TestTraceCheck:
         # and a missing facet of either cone does send some there
         assert reached == {(_dropped_facet, 0), (_dropped_facet, 1)}
 
-    def test_one_membership_lp_per_chain_point(self, monkeypatch):
-        p = make_chain3(5)
-        cert = solve(p)
-        inside, lps = [], {"membership": 0, "evaluate": 0}
+    @pytest.mark.parametrize(
+        "corrupt, which",
+        [(None, 0), (_dropped_facet, 0), (_dropped_facet, 1)],
+        ids=["honest", "dropped", "minus-dropped"],
+    )
+    def test_membership_lps_only_where_the_walk_fails(self, corrupt, which, monkeypatch):
+        # every "yes" for dominance, the witness and a trace value reached
+        # is asked of `ConeHalfspaces.certifies` first, and each question
+        # it leaves open takes one membership LP: none on honest rows
+        checked = []
+        for p in [make_chain3(5)] + TestIndependentVerification._draws(71, 8):
+            cert = solve(p)
+            if corrupt is not None:
+                if not p._separation.halfspaces[which].rows:
+                    continue
+                p = _corrupted(p, corrupt, which)
+            checked.append((p, cert))
+        lps = {"membership": 0, "evaluate": 0}
+        open_questions = []
+        certifies = ConeHalfspaces.certifies
+
+        def walk(hs, *args):
+            answer = certifies(hs, *args)
+            open_questions.append(not answer)
+            return answer
 
         def counted(lp):
-            if inside:
-                lps["membership"] += 1
+            lps["membership"] += 1
             return lp_solve(lp)
-
-        def membership(*args):
-            inside.append(args)
-            try:
-                return geometry.scaled_H_minus_K_contains(*args)
-            finally:
-                inside.pop()
 
         def counted_evaluate(lp):
             lps["evaluate"] += 1
             return lp_solve(lp)
 
+        monkeypatch.setattr(ConeHalfspaces, "certifies", walk)
         monkeypatch.setattr(geometry, "solve", counted)
-        monkeypatch.setattr(evp, "scaled_H_minus_K_contains", membership)
         monkeypatch.setattr(scalarization, "solve", counted_evaluate)
-        assert verify_certificate(p, cert).passed
-        assert lps == {"membership": len(cert.chain), "evaluate": 0}
+        for p, cert in checked:
+            assert verify_certificate(p, cert).passed
+        assert open_questions
+        assert lps["membership"] == sum(open_questions)
+        if corrupt is None:
+            assert lps == {"membership": 0, "evaluate": 0}
+        elif which == 0:
+            # a missing facet of the cone over t*H + K leaves some open
+            assert lps["membership"] > 0

@@ -30,7 +30,8 @@ from polyevp.geometry import (
     weights_certify_scaled_H_minus_K,
     zero_notin_H_plus_K,
 )
-from polyevp.rational import integerize
+from polyevp.lp_core import solve as lp_solve
+from polyevp.rational import combines_to, integerize
 from polyevp.scalarization import evaluate, SeparationFunctional
 
 from conftest import (
@@ -40,6 +41,7 @@ from conftest import (
     instance_point_scales,
     rand_cone_polytope,
     rand_point_in_cone,
+    rand_vector,
 )
 
 
@@ -399,6 +401,92 @@ def test_halfspaces_match_the_membership_lps(data):
                     and lo <= t * scale
                     and (hi is None or t * scale <= hi)
                 ) == member, (sign, t)
+
+
+def _walk_questions(rng, H: Polytope, K: ConeGen, sign: int):
+    """(y, t) with t >= 0 for "y in t*H + sign*K": the apex, t = 0 on a
+    ray of sign*K and inside it, points on faces of the homogenized cone
+    (t times a vertex, plus a generator) and inside it, and free points."""
+    ks = [tuple(sign * c for c in k) for k in K.generators]
+    k = tuple(sign * c for c in rand_point_in_cone(rng, K))
+    t = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+    h = rng.choice(H.vertices)
+    mid = tuple((a + b) / 2 for a, b in zip(h, rng.choice(H.vertices)))
+    yield (Fraction(0),) * K.dim, Fraction(0)
+    yield rng.choice(ks), Fraction(0)
+    yield k, Fraction(0)
+    yield tuple(t * c for c in h), t
+    yield tuple(t * a + b for a, b in zip(h, rng.choice(ks))), t
+    yield tuple(t * a + b for a, b in zip(mid, k)), t
+    for _ in range(2):
+        yield rand_vector(rng, K.dim, -6, 6), Fraction(rng.randint(0, 6), rng.randint(1, 3))
+
+
+def _walk_answer(hs: ConeHalfspaces, y, t) -> bool:
+    """`ConeHalfspaces.certifies` at (y, t), as its callers ask it: y
+    scaled to integers z, and T = t times that scale."""
+    z, scale = integerize(y)
+    T = t * scale
+    return hs.certifies(z, hs.products(z), T.numerator, T.denominator)
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["honest", "dropped-facet"])
+def test_walk_answers_match_the_membership_lps(drop, monkeypatch):
+    # each "yes" the walk gives is checked by combines_to, and a question
+    # it leaves open goes to the LP, so the answer is always the LP's.  On
+    # honest rows of a pointed K the walk answers every member; a line in
+    # K (a quarter of the draws) or a dropped facet leaves some to the LP.
+    # One entry of every returned weight vector, moved by one, is refused,
+    # and the question then goes to the LP with the same answer.
+    rng = random.Random(20231 + drop)
+    lps = []
+
+    def counted(lp):
+        lps.append(lp)
+        return lp_solve(lp)
+
+    monkeypatch.setattr(geometry, "solve", counted)
+    decompose = ConeHalfspaces.decompose
+    left_open = {True: 0, False: 0}  # per "K is pointed"
+    corrupted = 0
+    for _ in range(60):
+        n = rng.randint(2, 3)
+        K, H, _ = rand_cone_polytope(rng, n, rng.randint(1, n + 1), rng.randint(1, 3))
+        if rng.random() < 0.25:
+            K = ConeGen(n, K.generators + (tuple(-c for c in rng.choice(K.generators)),))
+        pointed = is_pointed(K)
+        for sign, oracle in ((1, scaled_H_plus_K_contains), (-1, scaled_H_minus_K_contains)):
+            hs = homogenized_halfspaces(H, K, sign)
+            if drop:
+                gens = homogenized_generators(H, K, sign)
+                hs = checked_rows(ConeHalfspaces(hs.rows[1:]), gens)
+            for y, t in _walk_questions(rng, H, K, sign):
+                member = oracle(H, K, y, t)
+                walked = _walk_answer(hs, y, t)
+                assert not walked or member, (H, K, sign, y, t)
+                left_open[pointed] += member and not walked
+                if not walked:
+                    continue
+                # the weights are a claim: one moved entry is refused
+                z, scale = integerize(y)
+                T = t * scale
+                w = [T.denominator * c for c in z] + [T.numerator]
+                c, q = hs.decompose(w, [
+                    T.denominator * p + a * T.numerator
+                    for p, a in zip(hs.products(z), hs.t_coefficients)
+                ])
+                i = rng.randrange(len(c))
+                bad = c[:i] + [c[i] + 1] + c[i + 1:]
+                assert not combines_to(bad, hs.generators, [q * x for x in w])
+                with monkeypatch.context() as m:
+                    m.setattr(ConeHalfspaces, "decompose", lambda *_: (bad, q))
+                    before = len(lps)
+                    assert not _walk_answer(hs, y, t)
+                    assert oracle(H, K, y, t) and len(lps) == before + 1
+                corrupted += 1
+    assert ConeHalfspaces.decompose is decompose and corrupted > 100
+    assert left_open[False] > 0
+    assert (left_open[True] > 0) == drop, left_open
 
 
 class TestIntegerForms:

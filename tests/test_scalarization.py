@@ -684,25 +684,49 @@ class TestVertexChecks:
             seen["in -K" if expected.endswith("-K") else "outside the cone"] += 1
         assert all(seen.values()), seen
 
-    def test_a_valid_functional_runs_one_lp_per_vertex(self, monkeypatch):
-        from polyevp import scalarization
+    @pytest.mark.parametrize("drop", [False, True], ids=["honest", "dropped-facet"])
+    def test_a_valid_functional_runs_lps_only_where_the_walk_fails(self, drop, monkeypatch):
+        # "h in K" is asked of `ConeHalfspaces.certifies` first and takes
+        # the LP only when the walk leaves it open; "-h in K" takes it only
+        # when no row is positive at h.  On honest rows neither runs.
+        from polyevp import geometry
 
-        calls = []
+        calls, walked = [], []
         contains = scalarization.cone_contains
+        certifies = ConeHalfspaces.certifies
 
         def counted(K, y):
             calls.append(y)
             return contains(K, y)
 
+        def walk(hs, *args):
+            walked.append(certifies(hs, *args))
+            return walked[-1]
+
         monkeypatch.setattr(scalarization, "cone_contains", counted)
+        monkeypatch.setattr(ConeHalfspaces, "certifies", walk)
+        if drop:
+            honest = geometry.cone_halfspaces
+            monkeypatch.setattr(
+                geometry, "cone_halfspaces", lambda g, d: without_first_facet(honest(g, d))
+            )
         rng = random.Random(20224)
+        left_open = 0
         for _ in range(100):
             n = rng.randint(2, 4)
             K, H, _ = rand_cone_polytope(rng, n, rng.randint(1, n + 1), rng.randint(1, 3))
             calls.clear()
-            SeparationFunctional(H, K)
-            # "h in K" per vertex; "-h not in K" comes from the rows
-            assert calls == list(H.vertices)
+            walked.clear()
+            plus = SeparationFunctional(H, K).halfspaces[0]
+            expected = []
+            for v, found, (h, _) in zip(H.vertices, walked, H.integer_vertices, strict=True):
+                if not found:
+                    expected.append(v)
+                if not any(p > 0 for p in plus.products(h)):
+                    expected.append(tuple(-c for c in v))
+            assert calls == expected
+            left_open += walked.count(False)
+        assert (left_open > 0) == drop
 
 
 def test_every_finite_value_is_attained():
