@@ -31,9 +31,9 @@ functional's checked rows (`SeparationFunctional.halfspaces`), which the
 solver and the verifier share.  The images are scaled to integers once
 per problem (`EVPProblem._scaled_images`), and one class, `_ImageRows`,
 forms their row products; the solver and the verifier each keep their
-own instance.  A "yes" of the verifier is integer weights checked by
-`rational.combines_to` (`geometry.ConeHalfspaces.certifies`), or else
-a membership LP.  This module never reads a halfspace row.
+own instance.  The verifier asks each membership question of
+`geometry.ConeHalfspaces.contains`, as does the efficiency mode's
+pointedness check.  This module never reads a halfspace row.
 
 Three scale modes cover the standard statements: ``plain`` uses scale 1;
 ``scaled(lam)`` uses eps/lam, with the problem's own eps, and
@@ -60,10 +60,7 @@ from .geometry import (
     InternalConsistencyError,
     InvalidConfigurationError,
     Polytope,
-    is_pointed,
     reaches,
-    scaled_H_minus_K_contains,
-    scaled_H_plus_K_contains,
 )
 from .rational import Number, Vec, frac, frac_vec, integerize, ratio, vec_sub
 from .scalarization import (
@@ -359,10 +356,15 @@ class EVPProblem:
         # solver and the verifier (a value, not a store of answers).
         object.__setattr__(self, "_separation", SeparationFunctional(self.H, self.K))
         if isinstance(self.mode, EfficiencyMode):
-            if not is_pointed(self.K):
-                raise InvalidConfigurationError(
-                    "efficiency mode needs a pointed ordering cone"
-                )
+            # K is pointed iff (-g, 0) is outside the cone over t*H + K
+            # for every generator g of K
+            plus = self._separation.halfspaces[0]
+            for g, _ in self.K.integer_generators:
+                neg = [-c for c in g]
+                if plus.contains(neg, plus.products(neg), 0, 1):
+                    raise InvalidConfigurationError(
+                        "efficiency mode needs a pointed ordering cone"
+                    )
 
     @functools.cached_property
     def scale(self) -> Fraction:
@@ -620,24 +622,20 @@ def coradiant_escape_check(p: EVPProblem, xbar: str) -> Optional[Vec]:
     so only the exclusion is asked.  The set {h : d*h in r*(H + K)} is
     convex, so H lies inside it exactly when every vertex does: one
     question per vertex, (d*h, r) in the cone over t*H + K, decides it
-    for all of H, and None is a refutation.  Weights from
-    `ConeHalfspaces.certifies` answer it, or else a membership LP.  At
-    d = 0 the step is the origin, which avoids every r*(H + K) because
-    the problem's `SeparationFunctional` certified that it avoids H + K;
-    H's first vertex escapes with no question.
+    for all of H, and None is a refutation.  `ConeHalfspaces.contains`
+    answers it.  At d = 0 the question is (0, r) in the cone, and the
+    answer is no, since the problem's `SeparationFunctional` certified
+    that the origin avoids H + K: a checked row says so on complete rows,
+    and the LP otherwise.  So H's first vertex escapes.
     """
     gamma = p.mode.gamma if isinstance(p.mode, EfficiencyMode) else 1
     radius = p.epsilon / gamma
     dist = p.space.d(p.x0, xbar)
-    if dist == 0:
-        return p.H.vertices[0]
     plus = p._separation.halfspaces[0]
     for h, (ints, den) in zip(p.H.vertices, p.H.integer_vertices):
         # (d*h, r) times dist.denominator * den is (z, T)
         z, T = [dist.numerator * c for c in ints], radius * dist.denominator * den
-        if not plus.certifies(z, plus.products(z), T.numerator, T.denominator) and (
-            not scaled_H_plus_K_contains(p.H, p.K, tuple(dist * c for c in h), radius)
-        ):
+        if not plus.contains(z, plus.products(z), T.numerator, T.denominator):
             return h
     return None
 
@@ -695,10 +693,10 @@ class _CheckedRelation:
     allow contain the true ones.
 
     A "no" for "y - ysrc in t*H + K" is a Farkas certificate: a checked
-    row negative at (y - ysrc, t) (`geometry.reaches`).  A "yes", there
-    and for a trace value reached, is `_in_sum`'s.  Each call of
-    `dominates` or `escapes` forms its own bounds once, and a Fraction
-    only for a membership LP.
+    row negative at (y - ysrc, t) (`geometry.reaches`), the cheap test
+    asked first.  A "yes", there and for a trace value reached, is
+    `_in_sum`'s.  Each call of `dominates` or `escapes` forms its own
+    bounds once.
     """
 
     def __init__(self, p: EVPProblem):
@@ -708,21 +706,17 @@ class _CheckedRelation:
 
     def _in_sum(self, y: tuple, ysrc: tuple, num: int, den: int, sign: int = 1) -> bool:
         """Is y - ysrc in t*H + sign*K, for images y and ysrc given as
-        (label, index) and t = num / (den * rows.scale) >= 0?  Integer
-        weights from `ConeHalfspaces.certifies` on the cone's checked rows
-        show it, or else the membership LP decides."""
-        rows, p = self.rows, self.p
+        (label, index) and t = num / (den * rows.scale) >= 0?  The scaled
+        difference z asks `ConeHalfspaces.contains` of the cone's checked
+        rows at T = num / den."""
+        rows = self.rows
         (x, i), (xs, j) = y, ysrc
         if sign > 0:
             hs, at, at_src = rows.plus_hs, rows.plus[x][i], rows.plus[xs][j]
         else:
             hs, at, at_src = rows.minus_hs, rows.minus(x)[i], rows.minus(xs)[j]
         z = list(map(operator.sub, rows.ints[x][i], rows.ints[xs][j]))
-        if hs.certifies(z, list(map(operator.sub, at, at_src)), num, den):
-            return True
-        oracle = scaled_H_plus_K_contains if sign > 0 else scaled_H_minus_K_contains
-        y_diff = vec_sub(p.images(x)[i], p.images(xs)[j])
-        return oracle(p.H, p.K, y_diff, Fraction(num, den * rows.scale))
+        return hs.contains(z, list(map(operator.sub, at, at_src)), num, den)
 
     def dominates(self, xprime: str, x: str) -> bool:
         key = (xprime, x)
@@ -804,11 +798,12 @@ def verify_certificate(p: EVPProblem, cert: EVPCertificate) -> VerificationRepor
     hypothesis witness and the trace values are decided by
     `_CheckedRelation`, from the halfspace rows checked against H and K
     when the functional was built, sharing no answer with the solver.
-    Each "no" for dominance and the witness is a checked row; each "yes"
-    is integer weights that `rational.combines_to` accepts, or else an
-    exact membership LP.  Each trace value is bounded below by the
-    checked rows and shown reached the same way, with the LP `evaluate`
-    only for an image whose rows bound it below the value.
+    Each "no" for dominance and the witness is a checked row, and each
+    "yes" is `geometry.ConeHalfspaces.contains`'s: integer weights that
+    `rational.combines_to` accepts, or else one LP over the cone's
+    generators.  Each trace value is bounded below by the checked rows
+    and shown reached the same way, with the LP `evaluate` only for an
+    image whose rows bound it below the value.
 
     The drop check on the trace is a second line of defence: it cannot
     fail once every value is exact, the chain valid and y0 in f(x0).  Take

@@ -19,9 +19,14 @@ a row depends on the construction being right, and "z in t*H +- K" for
 every t >= 0 is a sign check of integer row products, with no LP.
 `ConeHalfspaces` owns that row list: its `products`, `bounds` with
 `reaches`, and `scale_range` answer every such question, so no other
-module reads a row.  A "yes" is integer weights on the generators,
-found by a walk down the faces the rows name and checked by
-`rational.combines_to` (`ConeHalfspaces.certifies`), or else an LP.
+module reads a row.  `ConeHalfspaces.contains` is how `evp` and
+`scalarization` ask "z in T*H +- K", and "z in +-K" at T = 0: a checked
+row negative at the point says no, integer weights from a walk down the
+faces the rows name, accepted by `rational.combines_to`, say yes, and
+one LP over the `homogenized_generators` decides the rest.  So
+`scaled_H_plus_K_contains` and `scaled_H_minus_K_contains` have no
+package caller; they stay as the tests' reference oracles, and the
+benchmark's tracer binds both by name.
 
 Integers are formed once per value.  `ConeGen`, `Polytope` and
 `VPolyhedralUnion` each keep their vectors' `rational.integerize` forms,
@@ -68,7 +73,6 @@ __all__ = [
     "Polytope",
     "VPolyhedralUnion",
     "cone_contains",
-    "is_pointed",
     "checked_rows",
     "cone_halfspaces",
     "homogenized_generators",
@@ -210,15 +214,6 @@ def cone_contains(K: ConeGen, y: Sequence[Number]) -> bool:
     return solve(lp).is_feasible
 
 
-def is_pointed(K: ConeGen) -> bool:
-    """Does K meet -K only at the origin?
-
-    With generator data that fails exactly when some -g lies back in the
-    cone: at most one membership LP per generator.
-    """
-    return all(not cone_contains(K, tuple(-c for c in g)) for g in K.generators)
-
-
 def _in_scaled_sum(
     H: Polytope, K: ConeGen, y: Sequence[Number], t: Number, k_sign: int
 ) -> bool:
@@ -309,7 +304,7 @@ class ConeHalfspaces:
     from its row products a_z . z, so callers never read a row.
 
     `checked_rows` also keeps the ``generators`` and ``at_generators``,
-    each row's products with them, for `certifies`.  Lists compare by
+    each row's products with them, for `contains`.  Lists compare by
     their rows.
     """
 
@@ -403,17 +398,23 @@ class ConeHalfspaces:
             face &= zero_on[best]
         return c, q
 
-    def certifies(self, z: Sequence[int], at_z: Sequence[int], num: int, den: int) -> bool:
-        """Is (z, num/den) in the cone by `decompose`'s weights, for
-        ``at_z`` = `products`(z) and den > 0?  `rational.combines_to`
-        decides them at (den * z, num): True is a proof whatever the rows,
-        and False leaves the question to a membership LP."""
+    def contains(self, z: Sequence[int], at_z: Sequence[int], num: int, den: int) -> bool:
+        """Is (z, num/den) in the cone, for ``at_z`` = `products`(z),
+        num >= 0 and den > 0, on a `checked_rows` list?  At (den * z, num)
+        a row negative says no, whatever the rows; `decompose`'s weights,
+        if `rational.combines_to` accepts them, say yes; else one LP over
+        the list's own ``generators`` decides."""
         w = [den * x for x in z] + [num]
         at_w = [den * x + a * num for x, a in zip(at_z, self.t_coefficients)]
+        if min(at_w, default=0) < 0:
+            return False
         found = self.decompose(w, at_w)
-        return found is not None and combines_to(
+        if found is not None and combines_to(
             found[0], self.generators, [found[1] * x for x in w]
-        )
+        ):
+            return True
+        lp = combination_lp(w, [([(g, 1) for g in self.generators], 1, False)])
+        return solve(lp).is_feasible
 
 
 def reaches(den: int, bounds: Sequence[int], target, source) -> bool:

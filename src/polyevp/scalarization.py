@@ -42,12 +42,12 @@ route that reads them.
 The descent solver (`evp.solve`) scores by the closed form, from row
 products it computes once per problem.  The certificate verifier checks
 a claimed trace value v rather than recomputing it: `phi_lower_bound`
-on the same rows shows phi(y - y0) >= v for every image y, and weights
-from `ConeHalfspaces.certifies`, or else a membership LP, show that
-some image reaches v.  Only an image that the rows bound below v, or
-not at all, is scored by the LP `evaluate`.  The ``scalarize`` command
-uses the LP route and cross-checks it by bisection; `evaluate`
-certifies from its own LP weights that a finite value is attained.
+on the same rows shows phi(y - y0) >= v for every image y, and
+`ConeHalfspaces.contains` shows that some image reaches v.  Only an
+image that the rows bound below v, or not at all, is scored by the LP
+`evaluate`.  The ``scalarize`` command uses the LP route and
+cross-checks it by bisection; `evaluate` certifies from its own LP
+weights that a finite value is attained.
 
 The functional builds one row list per cone, once, at construction
 (`geometry.homogenized_halfspaces`), where every row is checked against
@@ -57,8 +57,8 @@ is dropped before anyone reads it.  A facet missing from the list lets
 bisection accept scales below phi, and the two routes disagree.
 
 This module never reads a halfspace row: `geometry.ConeHalfspaces` owns
-the row format and answers each question, and `rational.integerize`
-scales a query point to integers.
+the row format and answers each question, membership LPs included,
+and `rational.integerize` scales a query point to integers.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ from .geometry import (
     InternalConsistencyError,
     InvalidConfigurationError,
     Polytope,
-    cone_contains,
     homogenized_halfspaces,
     weights_certify_scaled_H_minus_K,
 )
@@ -152,20 +151,18 @@ class SeparationFunctional:
     def __post_init__(self) -> None:
         if self.H.dim != self.K.dim:
             raise DimensionMismatchError("H and K dimensions differ")
-        # "h in K" is (h, 0) in the cone over t*H + K: weights from
-        # `ConeHalfspaces.certifies` show it, or else an LP.  A row of that
-        # cone is nonnegative on K, so one positive at h certifies -h
-        # outside K; only a vertex without one takes the "-h in K" LP.
+        # "h in K" is (h, 0) in the cone over t*H + K and "-h in K" is
+        # (-h, 0), both asked of `ConeHalfspaces.contains`.  A row of that
+        # cone is nonnegative on K, so one positive at h says -h is
+        # outside K with no LP.
         plus = self.halfspaces[0]
         for v, (h, _) in zip(self.H.vertices, self.H.integer_vertices):
             products = plus.products(h)
-            if not plus.certifies(h, products, 0, 1) and not cone_contains(self.K, v):
+            if not plus.contains(h, products, 0, 1):
                 raise InvalidConfigurationError(
                     f"H vertex {tuple(map(str, v))} lies outside the cone"
                 )
-            if not any(p > 0 for p in products) and cone_contains(
-                self.K, tuple(-c for c in v)
-            ):
+            if plus.contains([-c for c in h], [-c for c in products], 0, 1):
                 raise InvalidConfigurationError(
                     f"H vertex {tuple(map(str, v))} lies in -K"
                 )

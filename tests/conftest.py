@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from polyevp import geometry
 from polyevp.boundedness import (
     _common_lower_point,
     _vertex_minimum,
@@ -33,15 +34,16 @@ from polyevp.evp import (
 )
 from polyevp.geometry import (
     ConeGen,
+    ConeHalfspaces,
     InvalidConfigurationError,
     Polytope,
     VPolyhedralUnion,
     check_dim,
-    is_pointed,
+    cone_contains,
     reaches,
     union_disjoint_from,
 )
-from polyevp.rational import frac, frac_vec, integerize, to_jsonable
+from polyevp.rational import combines_to, frac, frac_vec, integerize, to_jsonable
 from polyevp.scalarization import BracketExhaustedError, ExtendedReal
 
 
@@ -59,6 +61,61 @@ def dot(a, b) -> Fraction:
 def all_vertices(M: VPolyhedralUnion) -> list:
     """Every piece vertex of M, piece by piece."""
     return [v for verts, _ in M.pieces for v in verts]
+
+
+def is_pointed(K: ConeGen) -> bool:
+    """Does K meet -K only at the origin?
+
+    With generator data that fails exactly when some -g lies back in the
+    cone: at most one membership LP per generator.
+    """
+    return all(not cone_contains(K, tuple(-c for c in g)) for g in K.generators)
+
+
+def walk_leaves_open(hs: ConeHalfspaces, z, at_z, num: int, den: int) -> bool:
+    """Must `ConeHalfspaces.contains` run its LP for (z, num/den)?  Yes
+    when no row of hs is negative at (den * z, num) and `decompose`
+    finds no weights there or `combines_to` refuses them."""
+    w = [den * x for x in z] + [num]
+    at_w = [den * x + a * num for x, a in zip(at_z, hs.t_coefficients)]
+    if any(v < 0 for v in at_w):
+        return False
+    found = hs.decompose(w, at_w)
+    return found is None or not combines_to(
+        found[0], hs.generators, [found[1] * x for x in w]
+    )
+
+
+class ContainsLog:
+    """Installed on ``monkeypatch``: every `ConeHalfspaces.contains` call
+    as (hs, (z, at_z, num, den), answer, left open by the walk, LPs run
+    during it) in ``calls``, and every `geometry.solve` call in ``lps``."""
+
+    def __init__(self, monkeypatch):
+        self.calls: list = []
+        self.lps = 0
+        solve, contains = geometry.solve, ConeHalfspaces.contains
+
+        def counted(lp):
+            self.lps += 1
+            return solve(lp)
+
+        def logged(hs, *args):
+            before = self.lps
+            answer = contains(hs, *args)
+            ran = self.lps - before
+            self.calls.append((hs, args, answer, walk_leaves_open(hs, *args), ran))
+            return answer
+
+        monkeypatch.setattr(geometry, "solve", counted)
+        monkeypatch.setattr(ConeHalfspaces, "contains", logged)
+
+    def assert_one_lp_per_open_question(self) -> int:
+        """Each call ran one LP if the walk left it open and none
+        otherwise, and no LP ran outside a call; returns the LP count."""
+        assert [ran for *_, ran in self.calls] == [int(o) for *_, o, _ in self.calls]
+        assert self.lps == sum(o for *_, o, _ in self.calls)
+        return self.lps
 
 
 def dual_cone_contains(K: ConeGen, l) -> bool:

@@ -35,7 +35,7 @@ from polyevp.geometry import (
     InternalConsistencyError,
     InvalidConfigurationError,
     Polytope,
-    is_pointed,
+    scaled_H_minus_K_contains,
     scaled_H_plus_K_contains,
     zero_notin_H_plus_K,
 )
@@ -50,9 +50,11 @@ from polyevp.scalarization import (
 from polyevp.rational import ratio, vec_sub
 
 from conftest import (
+    ContainsLog,
     ae_efficient,
     brute_force_minimal_set,
     condition_ii_witness,
+    is_pointed,
     make_chain3,
     map_table,
     problem_to_document,
@@ -775,6 +777,10 @@ class TestScaledMode:
             "distance matrix shape does not match labels", id="metric-shape",
         ),
         pytest.param(
+            lambda: FiniteMetricSpace(("a", "b"), ((0, 1), (1,))), InvalidConfigurationError,
+            "distance matrix shape does not match labels", id="metric-shape-ragged",
+        ),
+        pytest.param(
             lambda: map_table({"a": [(0, 0)]}).images("zz"), ValueError,
             "no image entry for label 'zz'", id="unknown-image-label",
         ),
@@ -969,9 +975,9 @@ class TestCoradiantEscape:
         plain = len(lps)
         del lps[:]
         p = make_chain3(5, EfficiencyMode(1))
-        # the plain problem's LPs, and pointedness: at most one
-        # cone_contains per generator
-        assert len(lps) <= plain + len(p.K.generators)
+        # pointedness is a checked row per generator, so efficiency mode
+        # runs the plain problem's LPs: none
+        assert len(lps) == plain == 0
 
         in_check = []
 
@@ -984,7 +990,7 @@ class TestCoradiantEscape:
         monkeypatch.setattr(evp, "coradiant_escape_check", check)
         cert = EVPCertificate(xbar="a", y0=(4, 4), chain=("a",), xi_trace=(0,))
         report = verify_certificate(p, cert)
-        # xbar = x0: the origin step escapes with no LP
+        # xbar = x0: a checked row shows the origin step escapes, no LP
         assert in_check == [0] and report.coradiant_gap is True
 
 
@@ -1452,8 +1458,9 @@ class TestTraceCheck:
     )
     def test_membership_lps_only_where_the_walk_fails(self, corrupt, which, monkeypatch):
         # every "yes" for dominance, the witness and a trace value reached
-        # is asked of `ConeHalfspaces.certifies` first, and each question
-        # it leaves open takes one membership LP: none on honest rows
+        # is asked of `ConeHalfspaces.contains`, and each question the
+        # walk leaves open takes exactly one membership LP: none on honest
+        # rows.  Every answer is the reference oracle's.
         checked = []
         for p in [make_chain3(5)] + TestIndependentVerification._draws(71, 8):
             cert = solve(p)
@@ -1462,32 +1469,27 @@ class TestTraceCheck:
                     continue
                 p = _corrupted(p, corrupt, which)
             checked.append((p, cert))
-        lps = {"membership": 0, "evaluate": 0}
-        open_questions = []
-        certifies = ConeHalfspaces.certifies
-
-        def walk(hs, *args):
-            answer = certifies(hs, *args)
-            open_questions.append(not answer)
-            return answer
-
-        def counted(lp):
-            lps["membership"] += 1
-            return lp_solve(lp)
+        evaluate_lps = []
 
         def counted_evaluate(lp):
-            lps["evaluate"] += 1
+            evaluate_lps.append(lp)
             return lp_solve(lp)
 
-        monkeypatch.setattr(ConeHalfspaces, "certifies", walk)
-        monkeypatch.setattr(geometry, "solve", counted)
+        log = ContainsLog(monkeypatch)
         monkeypatch.setattr(scalarization, "solve", counted_evaluate)
+        cones = {}
         for p, cert in checked:
+            plus, minus = p._separation.halfspaces
+            cones[id(plus)], cones[id(minus)] = (p, 1), (p, -1)
             assert verify_certificate(p, cert).passed
-        assert open_questions
-        assert lps["membership"] == sum(open_questions)
+        assert log.calls
+        lps = log.assert_one_lp_per_open_question()
         if corrupt is None:
-            assert lps == {"membership": 0, "evaluate": 0}
+            assert lps == 0 and evaluate_lps == []
         elif which == 0:
             # a missing facet of the cone over t*H + K leaves some open
-            assert lps["membership"] > 0
+            assert lps > 0
+        for hs, (z, _, num, den), answer, _, _ in log.calls:
+            p, sign = cones[id(hs)]
+            oracle = scaled_H_plus_K_contains if sign > 0 else scaled_H_minus_K_contains
+            assert answer == oracle(p.H, p.K, z, Fraction(num, den))

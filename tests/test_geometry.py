@@ -22,7 +22,6 @@ from polyevp.geometry import (
     cone_halfspaces,
     homogenized_generators,
     homogenized_halfspaces,
-    is_pointed,
     reaches,
     scaled_H_minus_K_contains,
     scaled_H_plus_K_contains,
@@ -30,15 +29,16 @@ from polyevp.geometry import (
     weights_certify_scaled_H_minus_K,
     zero_notin_H_plus_K,
 )
-from polyevp.lp_core import solve as lp_solve
 from polyevp.rational import combines_to, integerize
 from polyevp.scalarization import evaluate, SeparationFunctional
 
 from conftest import (
+    ContainsLog,
     all_vertices,
     dot,
     dual_cone_contains,
     instance_point_scales,
+    is_pointed,
     rand_cone_polytope,
     rand_point_in_cone,
     rand_vector,
@@ -422,33 +422,30 @@ def _walk_questions(rng, H: Polytope, K: ConeGen, sign: int):
         yield rand_vector(rng, K.dim, -6, 6), Fraction(rng.randint(0, 6), rng.randint(1, 3))
 
 
-def _walk_answer(hs: ConeHalfspaces, y, t) -> bool:
-    """`ConeHalfspaces.certifies` at (y, t), as its callers ask it: y
-    scaled to integers z, and T = t times that scale."""
-    z, scale = integerize(y)
-    T = t * scale
-    return hs.certifies(z, hs.products(z), T.numerator, T.denominator)
-
-
 @pytest.mark.parametrize("drop", [False, True], ids=["honest", "dropped-facet"])
 def test_walk_answers_match_the_membership_lps(drop, monkeypatch):
-    # each "yes" the walk gives is checked by combines_to, and a question
-    # it leaves open goes to the LP, so the answer is always the LP's.  On
-    # honest rows of a pointed K the walk answers every member; a line in
-    # K (a quarter of the draws) or a dropped facet leaves some to the LP.
-    # One entry of every returned weight vector, moved by one, is refused,
-    # and the question then goes to the LP with the same answer.
+    # every answer of `contains` is the reference oracle's, and a question
+    # runs one LP exactly when the walk leaves it open.  On honest rows of
+    # a pointed K the walk answers every question the rows do not; a line
+    # in K (a quarter of the draws) or a dropped facet leaves some to the
+    # LP.  One entry of every returned weight vector, moved by one, is
+    # refused, and the question then goes to the LP with the same answer.
+    # The T = 0 questions "h in K", "-h in K" for a vertex h and "-g in K"
+    # for a generator g, on the cone over t*H + K, match `cone_contains`,
+    # and the "-g in K" answers decide pointedness as `is_pointed` does.
     rng = random.Random(20231 + drop)
-    lps = []
-
-    def counted(lp):
-        lps.append(lp)
-        return lp_solve(lp)
-
-    monkeypatch.setattr(geometry, "solve", counted)
+    log = ContainsLog(monkeypatch)
     decompose = ConeHalfspaces.decompose
     left_open = {True: 0, False: 0}  # per "K is pointed"
     corrupted = 0
+
+    def ask(hs, z, at_z, num, den) -> bool:
+        answer = hs.contains(z, at_z, num, den)
+        *_, left, ran = log.calls[-1]
+        assert ran == left
+        left_open[pointed] += left
+        return answer
+
     for _ in range(60):
         n = rng.randint(2, 3)
         K, H, _ = rand_cone_polytope(rng, n, rng.randint(1, n + 1), rng.randint(1, 3))
@@ -460,30 +457,42 @@ def test_walk_answers_match_the_membership_lps(drop, monkeypatch):
             if drop:
                 gens = homogenized_generators(H, K, sign)
                 hs = checked_rows(ConeHalfspaces(hs.rows[1:]), gens)
+            if sign > 0:
+                plus = hs
             for y, t in _walk_questions(rng, H, K, sign):
-                member = oracle(H, K, y, t)
-                walked = _walk_answer(hs, y, t)
-                assert not walked or member, (H, K, sign, y, t)
-                left_open[pointed] += member and not walked
-                if not walked:
-                    continue
-                # the weights are a claim: one moved entry is refused
                 z, scale = integerize(y)
                 T = t * scale
+                member = oracle(H, K, y, t)
+                at_z = hs.products(z)
+                assert ask(hs, z, at_z, T.numerator, T.denominator) == member, (H, K, sign, y, t)
+                if not member or log.calls[-1][-1]:
+                    continue
+                # the walk's weights are a claim: one moved entry is refused
                 w = [T.denominator * c for c in z] + [T.numerator]
                 c, q = hs.decompose(w, [
                     T.denominator * p + a * T.numerator
-                    for p, a in zip(hs.products(z), hs.t_coefficients)
+                    for p, a in zip(at_z, hs.t_coefficients)
                 ])
                 i = rng.randrange(len(c))
                 bad = c[:i] + [c[i] + 1] + c[i + 1:]
                 assert not combines_to(bad, hs.generators, [q * x for x in w])
                 with monkeypatch.context() as m:
                     m.setattr(ConeHalfspaces, "decompose", lambda *_: (bad, q))
-                    before = len(lps)
-                    assert not _walk_answer(hs, y, t)
-                    assert oracle(H, K, y, t) and len(lps) == before + 1
+                    assert hs.contains(z, at_z, T.numerator, T.denominator)
+                    assert log.calls[-1][-1] == 1
                 corrupted += 1
+        # T = 0 on the cone over t*H + K: "+-h in K" and "-g in K"
+        for v, (h, _) in zip(H.vertices, H.integer_vertices):
+            at_h = plus.products(h)
+            assert ask(plus, h, at_h, 0, 1) == cone_contains(K, v)
+            minus_h = ([-c for c in h], [-c for c in at_h])
+            assert ask(plus, *minus_h, 0, 1) == cone_contains(K, tuple(-c for c in v))
+        minus_g = [
+            ask(plus, neg, plus.products(neg), 0, 1)
+            for neg in ([-c for c in k] for k, _ in K.integer_generators)
+        ]
+        assert minus_g == [cone_contains(K, tuple(-c for c in g)) for g in K.generators]
+        assert (not any(minus_g)) == pointed
     assert ConeHalfspaces.decompose is decompose and corrupted > 100
     assert left_open[False] > 0
     assert (left_open[True] > 0) == drop, left_open

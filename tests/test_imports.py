@@ -8,10 +8,13 @@ step), only `geometry` makes and checks halfspace rows, and only
 `rational` compares an `idot` product: a stdlib `ast` scan of the
 package and the tests, since no linter is part of the toolchain.  Each
 module, imported alone, loads exactly the package modules of the layers
-below it."""
+below it, and every span the benchmark's tracer wraps names a package
+function or a class with ``__post_init__``."""
 
 import ast
 import importlib
+import importlib.util
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -322,3 +325,33 @@ def test_layers_cover_every_module():
 @pytest.mark.parametrize("name", LAYERS)
 def test_module_loads_only_the_layers_below_it(name):
     assert loaded_modules(name) == LAYERS[name]
+
+
+def tracer_spans() -> tuple:
+    """``SPANS`` of ``bench/tracer.py``, loaded by path and registered
+    nowhere."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.SPANS
+
+
+def unresolved_spans() -> list[str]:
+    """Spans whose (module, attribute) the tracer could not wrap: not an
+    attribute of the package module, or neither a function nor a class
+    that defines ``__post_init__``."""
+    package = importlib.import_module("polyevp")
+    found = []
+    for mod_name, attr in tracer_spans():
+        importlib.import_module(f"polyevp.{mod_name}")
+        target = getattr(getattr(package, mod_name), attr, None)
+        if not (
+            inspect.isfunction(target)
+            or isinstance(target, type) and "__post_init__" in vars(target)
+        ):
+            found.append(f"{mod_name}.{attr}")
+    return found
+
+
+def test_every_tracer_span_resolves():
+    assert tracer_spans() and unresolved_spans() == []

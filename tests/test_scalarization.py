@@ -31,6 +31,7 @@ from polyevp.scalarization import (
 )
 
 from conftest import (
+    ContainsLog,
     T_MAX,
     TOL,
     instance_point_scales,
@@ -686,46 +687,39 @@ class TestVertexChecks:
 
     @pytest.mark.parametrize("drop", [False, True], ids=["honest", "dropped-facet"])
     def test_a_valid_functional_runs_lps_only_where_the_walk_fails(self, drop, monkeypatch):
-        # "h in K" is asked of `ConeHalfspaces.certifies` first and takes
-        # the LP only when the walk leaves it open; "-h in K" takes it only
-        # when no row is positive at h.  On honest rows neither runs.
+        # per vertex h, in order, "h in K" and then "-h in K" are asked of
+        # `ConeHalfspaces.contains` on the cone over t*H + K, and each runs
+        # one LP exactly when the walk leaves it open: none on honest rows.
+        # Every answer is `cone_contains`'s.
         from polyevp import geometry
 
-        calls, walked = [], []
-        contains = scalarization.cone_contains
-        certifies = ConeHalfspaces.certifies
-
-        def counted(K, y):
-            calls.append(y)
-            return contains(K, y)
-
-        def walk(hs, *args):
-            walked.append(certifies(hs, *args))
-            return walked[-1]
-
-        monkeypatch.setattr(scalarization, "cone_contains", counted)
-        monkeypatch.setattr(ConeHalfspaces, "certifies", walk)
         if drop:
             honest = geometry.cone_halfspaces
             monkeypatch.setattr(
                 geometry, "cone_halfspaces", lambda g, d: without_first_facet(honest(g, d))
             )
+        log = ContainsLog(monkeypatch)
         rng = random.Random(20224)
         left_open = 0
         for _ in range(100):
             n = rng.randint(2, 4)
             K, H, _ = rand_cone_polytope(rng, n, rng.randint(1, n + 1), rng.randint(1, 3))
-            calls.clear()
-            walked.clear()
+            del log.calls[:]
+            log.lps = 0
             plus = SeparationFunctional(H, K).halfspaces[0]
             expected = []
-            for v, found, (h, _) in zip(H.vertices, walked, H.integer_vertices, strict=True):
-                if not found:
-                    expected.append(v)
-                if not any(p > 0 for p in plus.products(h)):
-                    expected.append(tuple(-c for c in v))
-            assert calls == expected
-            left_open += walked.count(False)
+            for v, (h, _) in zip(H.vertices, H.integer_vertices):
+                at_h = plus.products(h)
+                expected += [
+                    (plus, (h, at_h, 0, 1), True),
+                    (plus, ([-c for c in h], [-c for c in at_h], 0, 1), False),
+                ]
+            assert [(hs, args, answer) for hs, args, answer, *_ in log.calls] == expected
+            left_open += log.assert_one_lp_per_open_question()
+            assert all(
+                cone_contains(K, v) and not cone_contains(K, tuple(-c for c in v))
+                for v in H.vertices
+            )
         assert (left_open > 0) == drop
 
 
